@@ -9,6 +9,12 @@ cargo build --release --workspace
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+echo "==> benchmark tests"
+# perfbench is a package of its own (outside the workspace): its tests
+# check that corrupted solver outputs are caught and that the traced
+# per-layer spans add up.
+cargo test --offline --release --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -383,6 +383,22 @@ fn solve_binary(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Reject a `--n` the seeded lazy oracles cannot hold before anything is
+/// sized for it: below `min`, or above [`kmatch_prefs::ORACLE_MAX_N`]
+/// (agents and positions are `u32`).
+fn check_lazy_n(n: usize, min: usize) -> Result<(), String> {
+    use kmatch_prefs::ORACLE_MAX_N;
+    if n < min {
+        return Err(format!("need --n >= {min}"));
+    }
+    if n > ORACLE_MAX_N {
+        return Err(format!(
+            "--n {n} exceeds the lazy oracle limit of {ORACLE_MAX_N}"
+        ));
+    }
+    Ok(())
+}
+
 /// `solve roommates` over the lazy seeded oracle: the escalating
 /// truncated driver of `kmatch_roommates::escalate` against
 /// `CachedRoommatesOracle` (O(n) state, no list ever materialized), so
@@ -405,9 +421,7 @@ fn solve_roommates(args: &Args) -> Result<(), String> {
         "metrics-format",
     ])?;
     let n: usize = args.require("n")?;
-    if n < 2 {
-        return Err("need --n >= 2".to_string());
-    }
+    check_lazy_n(n, 2)?;
     let seed: u64 = args.flag_or("seed", 0)?;
     let prefs = args.flag("prefs").unwrap_or("random");
     let clock = kmatch_obs::StdClock::new();
@@ -601,9 +615,7 @@ const PAIR_PRINT_LIMIT: usize = 50;
 /// proposer-optimal GS), the responder side is an O(n) oracle probe.
 fn solve_smp_lazy(args: &Args, backend: &str, n: usize, seed: u64) -> Result<(), String> {
     use kmatch_prefs::{PrefOracle, RandomOracle, ScoreOracle, Truncated};
-    if n == 0 {
-        return Err("need --n >= 1".to_string());
-    }
+    check_lazy_n(n, 1)?;
     let mut ws = GsWorkspace::with_capacity(n);
     let start = std::time::Instant::now();
     match backend {
@@ -1063,6 +1075,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
         "gs" if prefs != "csr" => {
             use kmatch_prefs::{RandomOracle, ScoreOracle, Truncated};
             let n: usize = args.require("n")?;
+            check_lazy_n(n, 1)?;
             let count: usize = args.flag_or("count", 1000)?;
             match prefs {
                 "random" => {
@@ -1258,9 +1271,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                     .to_string());
             }
             let n: usize = args.require("n")?;
-            if n < 2 {
-                return Err("need --n >= 2".to_string());
-            }
+            check_lazy_n(n, 2)?;
             let count: usize = args.flag_or("count", 100)?;
             let start = std::time::Instant::now();
             match prefs {
@@ -1509,6 +1520,10 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     let count: usize = args.flag_or("count", 32)?;
     if n == 0 || count == 0 {
         return Err("need --n >= 1 and --count >= 1".to_string());
+    }
+    if prefs == "random" {
+        // A roommates instance needs two participants, a bipartite one one agent.
+        check_lazy_n(n, if kind == "roommates" { 2 } else { 1 })?;
     }
     let interval_ms: u64 = args.flag_or("interval-ms", 200)?;
     let iterations: u64 = args.flag_or("iterations", 0)?;
@@ -2416,6 +2431,39 @@ mod tests {
             "xml"
         ])
         .is_err());
+    }
+
+    #[test]
+    fn oversized_lazy_n_is_a_typed_error() {
+        // One past the oracle limit: rejected with an Err before any
+        // oracle or workspace is built (a panic would fail this test, an
+        // allocation of that size would abort it).
+        let n = (kmatch_prefs::ORACLE_MAX_N + 1).to_string();
+        let limit = kmatch_prefs::ORACLE_MAX_N.to_string();
+        for cmd in [
+            "solve roommates --n N",
+            "solve roommates --n N --prefs truncated",
+            "solve smp --prefs random --n N",
+            "solve smp --prefs truncated --n N",
+            "solve smp --prefs scores --n N",
+            "batch --prefs random --n N --count 1",
+            "batch --prefs truncated --n N --count 1",
+            "batch --kind roommates --prefs random --n N",
+            "serve --listen 127.0.0.1:0 --prefs random --n N",
+        ] {
+            let words: Vec<&str> = cmd
+                .split(' ')
+                .map(|w| if w == "N" { n.as_str() } else { w })
+                .collect();
+            let err = call(&words).expect_err(cmd);
+            assert!(err.contains(&limit), "{cmd}: {err}");
+        }
+        // The lower bounds stay typed errors too.
+        assert!(call(&["batch", "--prefs", "random", "--n", "0", "--count", "1"]).is_err());
+        assert!(call(&["solve", "roommates", "--n", "1"]).is_err());
+        let serve = "serve --listen 127.0.0.1:0 --kind roommates --prefs random --n 1";
+        let err = call(&serve.split(' ').collect::<Vec<_>>()).expect_err(serve);
+        assert!(err.contains("need --n >= 2"), "{serve}: {err}");
     }
 
     #[test]

@@ -21,19 +21,37 @@
 ///
 /// Monotone: reports the lifetime high-water mark, not current usage.
 pub fn peak_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    parse_vm_hwm_kb(&status).map(|kb| kb * 1024)
+    rss_sample().map(|s| s.peak)
 }
 
 /// Current resident set size in bytes (`VmRSS`), or `None` where
 /// `/proc/self/status` is unavailable.
 pub fn current_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    parse_status_kb(&status, "VmRSS:").map(|kb| kb * 1024)
+    rss_sample().map(|s| s.current)
 }
 
-fn parse_vm_hwm_kb(status: &str) -> Option<u64> {
-    parse_status_kb(status, "VmHWM:")
+/// Peak and current resident set size in bytes, from one read.
+#[derive(Debug, Clone, Copy)]
+struct RssSample {
+    peak: u64,
+    current: u64,
+}
+
+/// Both RSS figures parsed from a single read of `/proc/self/status`.
+///
+/// Within one read the kernel reports `VmHWM >= VmRSS`; two separate
+/// reads can straddle growth, so the later RSS may exceed the earlier
+/// high-water mark.
+fn rss_sample() -> Option<RssSample> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    parse_rss_sample(&status)
+}
+
+fn parse_rss_sample(status: &str) -> Option<RssSample> {
+    Some(RssSample {
+        peak: parse_status_kb(status, "VmHWM:")? * 1024,
+        current: parse_status_kb(status, "VmRSS:")? * 1024,
+    })
 }
 
 /// Extract a `kB` quantity from a `/proc/self/status` line such as
@@ -55,19 +73,21 @@ mod tests {
     #[test]
     fn parses_the_proc_status_format() {
         let status = "Name:\tbench\nVmPeak:\t  999 kB\nVmHWM:\t  123456 kB\nVmRSS:\t  1000 kB\n";
-        assert_eq!(parse_vm_hwm_kb(status), Some(123_456));
-        assert_eq!(parse_status_kb(status, "VmRSS:"), Some(1000));
+        let sample = parse_rss_sample(status).unwrap();
+        assert_eq!(sample.peak, 123_456 * 1024);
+        assert_eq!(sample.current, 1000 * 1024);
         assert_eq!(parse_status_kb(status, "VmSwap:"), None);
+        assert!(parse_rss_sample("VmHWM:\t  1 kB\n").is_none());
     }
 
     #[test]
     fn live_probe_reports_a_sane_figure_on_linux() {
-        if let Some(hwm) = peak_rss_bytes() {
+        if let Some(RssSample { peak, current }) = rss_sample() {
             // A test process certainly sits between 100 KiB and 1 TiB.
-            assert!(hwm > 100 * 1024, "HWM {hwm} implausibly small");
-            assert!(hwm < 1 << 40, "HWM {hwm} implausibly large");
-            let rss = current_rss_bytes().unwrap();
-            assert!(rss <= hwm, "current RSS above the high-water mark");
+            assert!(peak > 100 * 1024, "HWM {peak} implausibly small");
+            assert!(peak < 1 << 40, "HWM {peak} implausibly large");
+            assert!(current <= peak, "current RSS above the high-water mark");
+            assert!(peak_rss_bytes().is_some() && current_rss_bytes().is_some());
         }
     }
 }

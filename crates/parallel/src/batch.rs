@@ -464,9 +464,12 @@ mod tests {
             assert_eq!(a.matching, b.matching);
             assert_eq!(a.stats, b.stats);
         }
-        // One shard per worker chunk, not per solve.
+        // One shard per executor task (a single one on the serial path),
+        // not per solve.
         let shards = registry.shards_absorbed();
-        assert!(shards >= 1 && shards <= rayon::current_num_threads() as u64);
+        let tasks = registry.execution().expect("execution recorded").task_count;
+        assert_eq!(shards, tasks);
+        assert!((1..120).contains(&shards));
         let merged = registry.take();
         assert_eq!(merged.solves, 120);
         assert_eq!(

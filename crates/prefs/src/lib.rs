@@ -53,7 +53,7 @@ pub use kpartite::KPartiteInstance;
 pub use oracle::{
     materialize_oracle, materialize_roommates, CachedRoommatesOracle, FeistelPerm, PrefOracle,
     RandomOracle, RandomRoommatesOracle, RoommatesOracle, ScoreOracle, Truncated,
-    TruncatedRoommates, PROPOSAL_STRIP,
+    TruncatedRoommates, ORACLE_MAX_N, PROPOSAL_STRIP, WALK_LANES,
 };
 pub use roommates::{MergeStrategy, RoommatesInstance};
 pub use views::{BipartitePrefs, KPartitePairView, ResponderListSlice, ReverseView};

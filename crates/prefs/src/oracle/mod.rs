@@ -33,7 +33,10 @@ mod roommates;
 mod scores;
 mod truncated;
 
-pub use random::{CachedRoommatesOracle, FeistelPerm, RandomOracle, RandomRoommatesOracle};
+pub use random::{
+    CachedRoommatesOracle, FeistelPerm, RandomOracle, RandomRoommatesOracle, ORACLE_MAX_N,
+    WALK_LANES,
+};
 pub use roommates::{materialize_roommates, RoommatesOracle};
 pub use scores::ScoreOracle;
 pub use truncated::{Truncated, TruncatedRoommates};
@@ -91,10 +94,11 @@ pub trait PrefOracle {
     ///
     /// The lanes are independent by construction (the engine never puts the
     /// same proposer in two lanes of one strip), so implementations are free
-    /// to reorder or interleave the per-lane work — computed backends overlap
-    /// the lane arithmetic for instruction-level parallelism, arena backends
-    /// issue the loads back to back so they pipeline. Overrides must be
-    /// element-wise identical to [`PrefOracle::proposal_entry`].
+    /// to reorder or interleave the per-lane work — [`RandomOracle`] walks
+    /// its lanes together with [`FeistelPerm::apply_lanes`] /
+    /// [`FeistelPerm::invert_lanes`], arena backends issue the loads back
+    /// to back so they pipeline. Overrides must be element-wise identical
+    /// to [`PrefOracle::proposal_entry`].
     #[inline]
     fn proposal_entry_strip(
         &self,

@@ -10,6 +10,8 @@
 //! on such instances at ~Θ(n log n) proposals, which is what makes n = 10⁶
 //! solves feasible once the O(n²) arena is gone.
 
+use std::ops::Range;
+
 use crate::ids::Rank;
 
 use super::roommates::RoommatesOracle;
@@ -28,11 +30,19 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Lanes per chunk of a lane-interleaved cycle-walk
+/// ([`FeistelPerm::apply_lanes`] / [`FeistelPerm::invert_lanes`]): the
+/// lanes still walking fit one 64-bit mask, and 64 is the widest block
+/// any roommates row walk hands the oracle.
+pub const WALK_LANES: usize = 64;
+
 /// A keyed pseudorandom permutation of `[0, n)`.
 ///
 /// A balanced Feistel network over `2b` bits (the minimal even-split domain
-/// with `2^(2b) ≥ n`, so the domain is < 4n and cycle-walking terminates in
-/// < 4 expected steps), with round keys derived from a 64-bit key. Forward
+/// with `2^(2b) ≥ n`, i.e. `D = 4^⌈log₄ n⌉ < 4n`), with round keys derived
+/// from a 64-bit key. Cycle-walking restricts it to `[0, n)`; by Kac's
+/// lemma a walk takes `D / n` Feistel passes on average — 3.28 at
+/// n = 2·10⁴, 2.62 at n = 10⁵, just under 4 when `n = 4^b + 1`. Forward
 /// ([`FeistelPerm::apply`]) and inverse ([`FeistelPerm::invert`]) are both
 /// O(1); the struct is a few words of copyable state.
 #[derive(Debug, Clone, Copy)]
@@ -105,25 +115,137 @@ impl FeistelPerm {
     /// domain permutation until it lands back inside `[0, n)`).
     #[inline]
     pub fn apply(&self, x: u32) -> u32 {
-        debug_assert!(x < self.n);
-        let mut y = self.encrypt(x);
-        while y >= self.n {
-            y = self.encrypt(y);
-        }
-        y
+        self.walk(x, FeistelPerm::encrypt)
     }
 
     /// Preimage of `y < n`: `invert(apply(x)) == x`.
     #[inline]
     pub fn invert(&self, y: u32) -> u32 {
-        debug_assert!(y < self.n);
-        let mut x = self.decrypt(y);
-        while x >= self.n {
-            x = self.decrypt(x);
+        self.walk(y, FeistelPerm::decrypt)
+    }
+
+    /// One cycle-walk from `x < n`, with `pass` one Feistel pass in the
+    /// walk's direction.
+    #[inline(always)]
+    fn walk(&self, x: u32, pass: impl Fn(&FeistelPerm, u32) -> u32) -> u32 {
+        debug_assert!(x < self.n);
+        let mut y = pass(self, x);
+        while y >= self.n {
+            y = pass(self, y);
         }
-        x
+        y
+    }
+
+    /// Whether the domain exceeds `n` by less than an eighth, so fewer
+    /// than one walk in nine takes a second pass.
+    #[inline]
+    fn walks_short(&self) -> bool {
+        8 * (1u64 << (2 * self.half_bits)) < 9 * u64::from(self.n)
+    }
+
+    /// `xs[i] = perm_of(i).apply(xs[i])` for every lane, in place — the
+    /// lane-interleaved form of [`FeistelPerm::apply`], bit-identical to it.
+    ///
+    /// Each walk is a chain of dependent passes whose exit branch
+    /// mispredicts, so a loop of scalar walks runs them one after another.
+    /// Here every chunk of [`WALK_LANES`] lanes takes one pass over all its
+    /// lanes, then further passes over only the lanes still outside
+    /// `[0, n)`, so the independent passes of different lanes overlap in
+    /// the multiplier pipeline. `perm_of` is called once per lane per pass
+    /// and should be cheap (a copy or a table load, not a key schedule).
+    ///
+    /// When the domain exceeds `n` by less than an eighth (n = 10³, 10⁶,
+    /// any `4^b`), nearly every walk ends after one pass, its exit branch
+    /// predicts, and the core already overlaps consecutive scalar walks;
+    /// the lanes then take scalar walks, one after another.
+    #[inline]
+    pub fn apply_lanes(perm_of: impl Fn(usize) -> FeistelPerm, xs: &mut [u32]) {
+        walk_lanes(perm_of, xs, FeistelPerm::encrypt);
+    }
+
+    /// `ys[i] = perm_of(i).invert(ys[i])` for every lane, in place — the
+    /// lane-interleaved form of [`FeistelPerm::invert`], walked as
+    /// [`FeistelPerm::apply_lanes`] walks.
+    #[inline]
+    pub fn invert_lanes(perm_of: impl Fn(usize) -> FeistelPerm, ys: &mut [u32]) {
+        walk_lanes(perm_of, ys, FeistelPerm::decrypt);
     }
 }
+
+/// Placeholder filling the unused tail of a per-chunk permutation array;
+/// never walked.
+const UNUSED_PERM: FeistelPerm = FeistelPerm {
+    n: 1,
+    half_bits: 1,
+    mask: 1,
+    keys: [0; ROUNDS],
+};
+
+/// The cycle-walk behind [`FeistelPerm::apply_lanes`] and
+/// [`FeistelPerm::invert_lanes`], with `pass` one Feistel pass in the
+/// walk's direction.
+#[inline(always)]
+fn walk_lanes(
+    perm_of: impl Fn(usize) -> FeistelPerm,
+    xs: &mut [u32],
+    pass: impl Fn(&FeistelPerm, u32) -> u32,
+) {
+    // Mask bookkeeping costs more than the mispredicts it saves below a
+    // walk length of about 1.1 passes: against scalar walks the lane walk
+    // lost 8 to 10 of 10 paired escalating solves at D/n = 1 (n = 4^6 to
+    // 4^8) and won 7 of 8 at D/n = 1.17 (2-vCPU Xeon; crossover between
+    // D/n = 1.06 and 1.17).
+    if !xs.is_empty() && perm_of(0).walks_short() {
+        for (i, x) in xs.iter_mut().enumerate() {
+            *x = perm_of(i).walk(*x, &pass);
+        }
+        return;
+    }
+    for lanes in lane_chunks(xs.len()) {
+        let base = lanes.start;
+        let chunk = &mut xs[lanes];
+        // Bit i is set while lane i's image lies outside [0, n). The first
+        // pass shifts each lane's bit in (last lane first, so lane i lands
+        // at bit i) rather than or-ing in `1 << i`, which keeps the
+        // compiler from vectorizing the 64-bit multiplies.
+        let mut outside = 0u64;
+        for (i, x) in chunk.iter_mut().enumerate().rev() {
+            let perm = perm_of(base + i);
+            debug_assert!(*x < perm.n);
+            *x = pass(&perm, *x);
+            outside = outside << 1 | u64::from(*x >= perm.n);
+        }
+        // Each further pass visits only the set lanes and rebuilds the mask
+        // without a branch per lane, so its cost follows the lanes still
+        // walking, not the chunk width.
+        while outside != 0 {
+            let mut walking = outside;
+            outside = 0;
+            while walking != 0 {
+                let i = walking.trailing_zeros() as usize;
+                walking &= walking - 1;
+                let perm = perm_of(base + i);
+                let y = pass(&perm, chunk[i]);
+                chunk[i] = y;
+                outside |= u64::from(y >= perm.n) << i;
+            }
+        }
+    }
+}
+
+/// `0..len` cut into consecutive ranges of at most [`WALK_LANES`] lanes —
+/// the chunks of a lane walk, also used by callers that keep per-chunk
+/// scratch.
+#[inline]
+fn lane_chunks(len: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..len)
+        .step_by(WALK_LANES)
+        .map(move |lo| lo..(lo + WALK_LANES).min(len))
+}
+
+/// Largest `n` the seeded Feistel oracles accept: agents and positions are
+/// `u32`, and a domain covering `n` must stay below `2^32`.
+pub const ORACLE_MAX_N: usize = u32::MAX as usize / 2;
 
 /// Per-agent key separation constants (arbitrary odd mix inputs).
 const PROPOSER_SIDE: u64 = 0x9AE1_6A3B_2F90_404F;
@@ -146,10 +268,10 @@ impl RandomOracle {
     /// The instance of size `n` selected by `seed`.
     ///
     /// # Panics
-    /// If `n` is zero or exceeds `u32` range.
+    /// If `n` is zero or exceeds [`ORACLE_MAX_N`].
     pub fn new(n: usize, seed: u64) -> Self {
         assert!(n > 0, "instances are non-empty");
-        assert!(n <= u32::MAX as usize / 2, "n exceeds u32 range");
+        assert!(n <= ORACLE_MAX_N, "n exceeds ORACLE_MAX_N");
         RandomOracle { n, seed }
     }
 
@@ -210,10 +332,9 @@ impl PrefOracle for RandomOracle {
         self.responder_perm(w).invert(m)
     }
 
-    // Strip gather with the lane work phase-split — all proposer-side
-    // bijections first, then all responder-side rank probes — so the
-    // independent Feistel walks of a strip overlap in the pipeline instead
-    // of serializing candidate→rank per lane.
+    // Strip gather phase-split into two lane-interleaved walks: the eight
+    // proposer key schedules, then one walk of all proposer-side
+    // bijections; then the same for the responder-side rank probes.
     #[inline]
     fn proposal_entry_strip(
         &self,
@@ -221,12 +342,16 @@ impl PrefOracle for RandomOracle {
         pos: &[u32; PROPOSAL_STRIP],
         out: &mut [u64; PROPOSAL_STRIP],
     ) {
-        let mut ws = [0u32; PROPOSAL_STRIP];
+        let proposers: [FeistelPerm; PROPOSAL_STRIP] =
+            std::array::from_fn(|j| self.proposer_perm(ms[j]));
+        let mut ws = *pos;
+        FeistelPerm::apply_lanes(|j| proposers[j], &mut ws);
+        let responders: [FeistelPerm; PROPOSAL_STRIP] =
+            std::array::from_fn(|j| self.responder_perm(ws[j]));
+        let mut ranks = *ms;
+        FeistelPerm::invert_lanes(|j| responders[j], &mut ranks);
         for j in 0..PROPOSAL_STRIP {
-            ws[j] = self.proposer_perm(ms[j]).apply(pos[j]);
-        }
-        for j in 0..PROPOSAL_STRIP {
-            out[j] = (self.responder_perm(ws[j]).invert(ms[j]) as u64) << 32 | ws[j] as u64;
+            out[j] = (ranks[j] as u64) << 32 | ws[j] as u64;
         }
     }
 }
@@ -250,10 +375,10 @@ impl RandomRoommatesOracle {
     ///
     /// # Panics
     /// If `n < 2` (a lone participant has nobody to rank) or `n` exceeds
-    /// `u32` range.
+    /// [`ORACLE_MAX_N`].
     pub fn new(n: usize, seed: u64) -> Self {
         assert!(n >= 2, "roommates instances need at least two participants");
-        assert!(n <= u32::MAX as usize / 2, "n exceeds u32 range");
+        assert!(n <= ORACLE_MAX_N, "n exceeds ORACLE_MAX_N");
         RandomRoommatesOracle { n, seed }
     }
 
@@ -290,29 +415,42 @@ impl RoommatesOracle for RandomRoommatesOracle {
         raw - u32::from(raw > perm.invert(p))
     }
 
-    // Row-batched probes: the key schedule and self-splice point are
-    // per-participant, so a contiguous run shares them, and the remaining
-    // Feistel walks carry no cross-position dependencies — the pipeline
-    // overlaps them instead of serializing ~24 sequential mixes per
-    // position behind the caller's branch.
+    // Row walk: the key schedule and self-splice point are per-participant,
+    // so a contiguous run shares them, and the positions' cycle-walks run
+    // lane-interleaved.
     #[inline]
     fn candidates_into(&self, p: u32, lo: u32, out: &mut [u32]) {
         let perm = self.perm(p);
         let self_pos = perm.invert(p);
         for (i, slot) in out.iter_mut().enumerate() {
             let pos = lo + i as u32;
-            *slot = perm.apply(pos + u32::from(pos >= self_pos));
+            *slot = pos + u32::from(pos >= self_pos);
         }
+        FeistelPerm::apply_lanes(|_| perm, out);
     }
 
+    // Partner-side probes touch one permutation per lane: build each
+    // chunk's key schedules once, then walk the raw ranks and the
+    // self-splice points lane-interleaved over them.
     #[inline]
     fn ranks_toward_into(&self, qs: &[u32], p: u32, out: &mut [u32]) {
         debug_assert_eq!(qs.len(), out.len());
-        for (i, &q) in qs.iter().enumerate() {
-            debug_assert_ne!(p, q, "participants do not rank themselves");
-            let perm = self.perm(q);
-            let raw = perm.invert(p);
-            out[i] = raw - u32::from(raw > perm.invert(q));
+        debug_assert!(!qs.contains(&p), "participants do not rank themselves");
+        let mut perms = [UNUSED_PERM; WALK_LANES];
+        let mut self_pos = [0u32; WALK_LANES];
+        for lanes in lane_chunks(qs.len()) {
+            let (qs, out) = (&qs[lanes.clone()], &mut out[lanes]);
+            let self_pos = &mut self_pos[..qs.len()];
+            for (perm, &q) in perms.iter_mut().zip(qs) {
+                *perm = self.perm(q);
+            }
+            out.fill(p);
+            FeistelPerm::invert_lanes(|i| perms[i], out);
+            self_pos.copy_from_slice(qs);
+            FeistelPerm::invert_lanes(|i| perms[i], self_pos);
+            for (raw, &s) in out.iter_mut().zip(&*self_pos) {
+                *raw -= u32::from(*raw > s);
+            }
         }
     }
 
@@ -336,15 +474,26 @@ impl RoommatesOracle for RandomRoommatesOracle {
     fn ranks_lt_into(&self, qs: &[u32], p: u32, limits: &[u32], out: &mut [bool]) {
         debug_assert_eq!(qs.len(), limits.len());
         debug_assert_eq!(qs.len(), out.len());
-        for (i, &q) in qs.iter().enumerate() {
-            debug_assert_ne!(p, q, "participants do not rank themselves");
-            let perm = self.perm(q);
-            let raw = perm.invert(p);
-            out[i] = if raw != limits[i] {
-                raw < limits[i]
-            } else {
-                raw > perm.invert(q)
-            };
+        debug_assert!(!qs.contains(&p), "participants do not rank themselves");
+        // Shaped as `CachedRoommatesOracle::ranks_lt_into`, with each
+        // chunk's key schedules built once into `perms`.
+        let mut perms = [UNUSED_PERM; WALK_LANES];
+        let mut raw = [p; WALK_LANES];
+        for lanes in lane_chunks(qs.len()) {
+            let (qs, limits) = (&qs[lanes.clone()], &limits[lanes.clone()]);
+            let raw = &mut raw[..qs.len()];
+            for (perm, &q) in perms.iter_mut().zip(qs) {
+                *perm = self.perm(q);
+            }
+            FeistelPerm::invert_lanes(|i| perms[i], raw);
+            for (i, o) in out[lanes].iter_mut().enumerate() {
+                *o = if raw[i] != limits[i] {
+                    raw[i] < limits[i]
+                } else {
+                    raw[i] > perms[i].invert(qs[i])
+                };
+                raw[i] = p;
+            }
         }
     }
 }
@@ -360,6 +509,13 @@ impl RoommatesOracle for RandomRoommatesOracle {
 /// dominate the profile; this variant trades 32 bytes per agent (~3 MB at
 /// n = 10⁵) to delete both. Construction is one pass over the agents —
 /// microseconds next to any solve that would want it.
+///
+/// What is left per probe is one record load and the cycle-walk itself,
+/// `4^⌈log₄ n⌉ / n` Feistel passes on average (3.28 at n = 2·10⁴). The
+/// batched methods walk their lanes together
+/// ([`FeistelPerm::apply_lanes`]), so an escalating solve at n = 2·10⁴
+/// spends about 55 ns per probe, engine included, against about 90 ns
+/// with one scalar walk after another (2-vCPU Xeon, release build).
 #[derive(Debug, Clone)]
 pub struct CachedRoommatesOracle {
     n: usize,
@@ -433,18 +589,19 @@ impl RoommatesOracle for CachedRoommatesOracle {
         let a = &self.agents[p as usize];
         for (i, slot) in out.iter_mut().enumerate() {
             let pos = lo + i as u32;
-            *slot = a.perm.apply(pos + u32::from(pos >= a.self_pos));
+            *slot = pos + u32::from(pos >= a.self_pos);
         }
+        FeistelPerm::apply_lanes(|_| a.perm, out);
     }
 
     #[inline]
     fn ranks_toward_into(&self, qs: &[u32], p: u32, out: &mut [u32]) {
         debug_assert_eq!(qs.len(), out.len());
-        for (i, &q) in qs.iter().enumerate() {
-            debug_assert_ne!(p, q, "participants do not rank themselves");
-            let a = &self.agents[q as usize];
-            let raw = a.perm.invert(p);
-            out[i] = raw - u32::from(raw > a.self_pos);
+        debug_assert!(!qs.contains(&p), "participants do not rank themselves");
+        out.fill(p);
+        FeistelPerm::invert_lanes(|i| self.agents[qs[i] as usize].perm, out);
+        for (raw, &q) in out.iter_mut().zip(qs) {
+            *raw -= u32::from(*raw > self.agents[q as usize].self_pos);
         }
     }
 
@@ -464,15 +621,23 @@ impl RoommatesOracle for CachedRoommatesOracle {
     fn ranks_lt_into(&self, qs: &[u32], p: u32, limits: &[u32], out: &mut [bool]) {
         debug_assert_eq!(qs.len(), limits.len());
         debug_assert_eq!(qs.len(), out.len());
-        for (i, &q) in qs.iter().enumerate() {
-            debug_assert_ne!(p, q, "participants do not rank themselves");
-            let a = &self.agents[q as usize];
-            let raw = a.perm.invert(p);
-            out[i] = if raw != limits[i] {
-                raw < limits[i]
-            } else {
-                raw > a.self_pos
-            };
+        debug_assert!(!qs.contains(&p), "participants do not rank themselves");
+        // The raw ranks need a `u32` scratch per chunk; each lane is reset
+        // to `p` as it is read, because at walk length ≈ 1 a probe is a
+        // single pass and a separate fill costs a measurable share.
+        let mut raw = [p; WALK_LANES];
+        for lanes in lane_chunks(qs.len()) {
+            let (qs, limits) = (&qs[lanes.clone()], &limits[lanes.clone()]);
+            let raw = &mut raw[..qs.len()];
+            FeistelPerm::invert_lanes(|i| self.agents[qs[i] as usize].perm, raw);
+            for (i, o) in out[lanes].iter_mut().enumerate() {
+                *o = if raw[i] != limits[i] {
+                    raw[i] < limits[i]
+                } else {
+                    raw[i] > self.agents[qs[i] as usize].self_pos
+                };
+                raw[i] = p;
+            }
         }
     }
 }

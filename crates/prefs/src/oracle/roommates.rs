@@ -44,9 +44,9 @@ pub trait RoommatesOracle {
     /// verification) probe long contiguous runs, so lazy oracles override
     /// this to amortize per-row state — [`super::RandomRoommatesOracle`]
     /// rebuilds its Feistel permutation and self-splice point once per
-    /// call instead of once per position, and the independent per-position
-    /// walks overlap in the pipeline instead of serializing. The default
-    /// is the scalar loop; overrides must return exactly its values.
+    /// call instead of once per position, and walks the positions
+    /// together with [`super::FeistelPerm::apply_lanes`]. The default is
+    /// the scalar loop; overrides must return exactly its values.
     #[inline]
     fn candidates_into(&self, p: u32, lo: u32, out: &mut [u32]) {
         for (i, slot) in out.iter_mut().enumerate() {
@@ -58,10 +58,11 @@ pub trait RoommatesOracle {
     /// a liveness strip.
     ///
     /// The probes touch one permutation per distinct `qs[i]`, so there is
-    /// no shared state to amortize, but batching still lets the
-    /// independent probe chains overlap instead of serializing behind the
-    /// caller's per-position branch. The default is the scalar loop;
-    /// overrides must return exactly its values.
+    /// no shared state to amortize, but the Feistel oracles walk the
+    /// independent probes together with
+    /// [`super::FeistelPerm::invert_lanes`] instead of one after another.
+    /// The default is the scalar loop; overrides must return exactly its
+    /// values.
     #[inline]
     fn ranks_toward_into(&self, qs: &[u32], p: u32, out: &mut [u32]) {
         debug_assert_eq!(qs.len(), out.len());
@@ -87,7 +88,7 @@ pub trait RoommatesOracle {
     }
 
     /// Fill `out[i] = rank_lt(qs[i], p, limits[i])` — the batched form of
-    /// [`RoommatesOracle::rank_lt`], with the same overlap rationale as
+    /// [`RoommatesOracle::rank_lt`], with the same lane-walk rationale as
     /// [`RoommatesOracle::ranks_toward_into`].
     #[inline]
     fn ranks_lt_into(&self, qs: &[u32], p: u32, limits: &[u32], out: &mut [bool]) {

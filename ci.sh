@@ -60,6 +60,28 @@ CACHE_OUT="$(./target/release/kmatch batch --input "$SMOKE_DIR/batch.json" \
 echo "$CACHE_OUT" | grep -qF '1 hits / 1 misses' \
     || { echo "incremental smoke: cached batch hit rate wrong"; exit 1; }
 
+echo "==> hostile input smoke"
+# A hostile --input file must give a typed error that names the file:
+# exit 1 from the CLI's error path, never a panic (101) or the abort of a
+# stack overflow (134) that deep nesting caused before the reader's depth
+# limit.
+python3 -c 'import sys; sys.stdout.write("[" * 100000)' > "$SMOKE_DIR/deep.json"
+./target/release/kmatch gen kpartite --k 3 --n 12 --seed 7 \
+    --out "$SMOKE_DIR/whole.json"
+head -c "$(( $(wc -c < "$SMOKE_DIR/whole.json") / 2 ))" "$SMOKE_DIR/whole.json" \
+    > "$SMOKE_DIR/truncated.json"
+for bad in deep truncated; do
+  status=0
+  ./target/release/kmatch solve kary --input "$SMOKE_DIR/$bad.json" \
+      > /dev/null 2> "$SMOKE_DIR/$bad.err" || status=$?
+  [ "$status" -eq 1 ] \
+      || { echo "hostile smoke: $bad.json exited $status, expected 1"; exit 1; }
+  ! grep -q 'panicked' "$SMOKE_DIR/$bad.err" \
+      || { echo "hostile smoke: $bad.json panicked"; exit 1; }
+  grep -qF "error: $SMOKE_DIR/$bad.json: " "$SMOKE_DIR/$bad.err" \
+      || { echo "hostile smoke: error for $bad.json does not name the file"; exit 1; }
+done
+
 echo "==> trace smoke"
 # A single-solve trace keeps full fidelity: the chrome export must be
 # JSON that Perfetto would load and must carry the round-level spans.

@@ -1,0 +1,486 @@
+//! The JSON reader under differential and hostile input.
+//!
+//! `serde_json::from_str::<T>` streams typed values straight from the
+//! tokens; `T::from_value(&from_str::<Value>(s)?)` goes through the value
+//! tree. The two must agree on every document: the same value when both
+//! parse, the same error text for a document with one defect, and Ok
+//! versus Err on anything at all. Neither may panic or overflow the stack.
+
+use kmatch_forensics::{bundle_json, validate_bundle, BundleInputs};
+use kmatch_obs::{RunReport, SolverMetrics};
+use kmatch_prefs::serde_support::{BipartiteDto, KPartiteDto, PrefDeltaDto, RoommatesDto};
+use kmatch_prefs::GenderId;
+use proptest::prelude::*;
+use proptest::CaseRng;
+use serde::{Deserialize, Serialize, Value};
+
+/// The typed path and the tree path on `s`, each rendered through
+/// `to_value` and `Debug` so that `-0` and `0` stay apart.
+fn both<T: Deserialize + Serialize>(s: &str) -> (Result<String, String>, Result<String, String>) {
+    let render = |t: T| format!("{:?}", t.to_value());
+    let typed = serde_json::from_str::<T>(s)
+        .map(render)
+        .map_err(|e| e.to_string());
+    let tree = serde_json::from_str::<Value>(s)
+        .and_then(|v| T::from_value(&v))
+        .map(render)
+        .map_err(|e| e.to_string());
+    (typed, tree)
+}
+
+/// `s` parses to the same value, or fails with the same text, on both paths.
+fn assert_same<T: Deserialize + Serialize>(s: &str) -> Result<String, String> {
+    let (typed, tree) = both::<T>(s);
+    assert_eq!(typed, tree, "typed and tree paths differ on {s:?}");
+    typed
+}
+
+/// Ok on one path exactly when Ok on the other, for every type read.
+fn assert_agree_all(s: &str) {
+    fn agree<T: Deserialize + Serialize>(s: &str) {
+        let (typed, tree) = both::<T>(s);
+        assert_eq!(
+            typed.is_ok(),
+            tree.is_ok(),
+            "Ok/Err differ on {s:?}: typed {typed:?}, tree {tree:?}"
+        );
+        if typed.is_ok() {
+            assert_eq!(typed, tree, "values differ on {s:?}");
+        }
+    }
+    agree::<KPartiteDto>(s);
+    agree::<BipartiteDto>(s);
+    agree::<RoommatesDto>(s);
+    agree::<PrefDeltaDto>(s);
+    agree::<Vec<Vec<u32>>>(s);
+    agree::<Value>(s);
+    agree::<GenderId>(s);
+}
+
+fn ws(rng: &mut CaseRng, out: &mut String) {
+    for _ in 0..rng.bounded(3) {
+        out.push([' ', '\n', '\t', '\r'][rng.bounded(4) as usize]);
+    }
+}
+
+/// A small value of an arbitrary shape, for unknown and duplicate keys.
+fn junk(rng: &mut CaseRng, depth: u32) -> Value {
+    match rng.bounded(if depth == 0 { 4 } else { 6 }) {
+        0 => Value::Null,
+        1 => Value::Bool(rng.bounded(2) == 1),
+        2 => Value::Number(rng.bounded(1000) as f64 - 500.0),
+        3 => Value::String("x\"\u{e9}".to_string()),
+        4 => Value::Array((0..rng.bounded(3)).map(|_| junk(rng, depth - 1)).collect()),
+        _ => Value::Object(vec![("k".to_string(), junk(rng, depth - 1))]),
+    }
+}
+
+fn render_key(key: &str, rng: &mut CaseRng, out: &mut String) {
+    if rng.bounded(4) == 0 {
+        // The same key with its first character escaped.
+        let mut chars = key.chars();
+        let first = chars.next().expect("keys are non-empty");
+        out.push_str(&format!("\"\\u{:04x}{}\"", first as u32, chars.as_str()));
+    } else {
+        out.push_str(&serde_json::to_string(&key).expect("string renders"));
+    }
+}
+
+/// Render `v` as JSON with free whitespace; every object gets its fields
+/// shuffled, unknown keys mixed in and junk duplicates of its keys
+/// appended, none of which changes what it reads as.
+fn render(v: &Value, rng: &mut CaseRng, out: &mut String) {
+    ws(rng, out);
+    match v {
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                render(item, rng, out);
+            }
+            ws(rng, out);
+            out.push(']');
+        }
+        Value::Object(fields) => {
+            let mut entries: Vec<(String, Value)> = fields.clone();
+            for i in (1..entries.len()).rev() {
+                entries.swap(i, rng.bounded(i as u64 + 1) as usize);
+            }
+            for _ in 0..rng.bounded(3) {
+                let at = rng.bounded(entries.len() as u64 + 1) as usize;
+                entries.insert(at, ("unknown_key".to_string(), junk(rng, 2)));
+            }
+            for (key, _) in fields {
+                if rng.bounded(3) == 0 {
+                    entries.push((key.clone(), junk(rng, 2)));
+                }
+            }
+            out.push('{');
+            for (i, (key, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(rng, out);
+                render_key(key, rng, out);
+                ws(rng, out);
+                out.push(':');
+                render(item, rng, out);
+            }
+            ws(rng, out);
+            out.push('}');
+        }
+        leaf => out.push_str(&serde_json::to_string(leaf).expect("leaf renders")),
+    }
+    ws(rng, out);
+}
+
+fn rows(rng: &mut CaseRng, count: usize, len: usize) -> Vec<Vec<u32>> {
+    (0..count)
+        .map(|_| (0..len).map(|_| rng.bounded(1 << 20) as u32).collect())
+        .collect()
+}
+
+fn kpartite(rng: &mut CaseRng) -> KPartiteDto {
+    let (k, n) = (1 + rng.bounded(3) as usize, rng.bounded(3) as usize);
+    KPartiteDto {
+        k,
+        n,
+        lists: (0..k)
+            .map(|_| (0..n).map(|_| rows(rng, k, n)).collect())
+            .collect(),
+    }
+}
+
+/// Renders of every DTO, a nested list, a bare value and a gender id.
+fn check_all_shapes(rng: &mut CaseRng) {
+    type Read = fn(&str) -> Result<String, String>;
+    let n = rng.bounded(4) as usize;
+    let docs: [(Value, Read); 6] = [
+        (kpartite(rng).to_value(), assert_same::<KPartiteDto>),
+        (
+            BipartiteDto {
+                n,
+                proposers: rows(rng, n, n),
+                responders: rows(rng, n, n),
+            }
+            .to_value(),
+            assert_same::<BipartiteDto>,
+        ),
+        (
+            RoommatesDto {
+                n,
+                lists: rows(rng, n, n.saturating_sub(1)),
+            }
+            .to_value(),
+            assert_same::<RoommatesDto>,
+        ),
+        (
+            PrefDeltaDto {
+                op: "set_row".to_string(),
+                side: "resp\u{f6}nder\n".to_string(),
+                row: rng.bounded(100) as u32,
+                prefs: rows(rng, 1, n).remove(0),
+                a: rng.bounded(1 << 31) as u32,
+                b: 0,
+                from: 3,
+                to: u32::MAX,
+            }
+            .to_value(),
+            assert_same::<PrefDeltaDto>,
+        ),
+        (rows(rng, n, n).to_value(), assert_same::<Vec<Vec<u32>>>),
+        (
+            Value::Number(rng.bounded(1 << 16) as f64),
+            assert_same::<GenderId>,
+        ),
+    ];
+    for (value, read) in docs {
+        let mut text = String::new();
+        render(&value, rng, &mut text);
+        assert_eq!(read(&text), Ok(format!("{value:?}")), "{text}");
+        assert_same::<Value>(&text).expect("every render is valid JSON");
+        assert_agree_all(&text);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    fn typed_path_matches_tree_path(case in 0u32..u32::MAX) {
+        let mut rng = CaseRng::for_case("typed_path_matches_tree_path", case);
+        check_all_shapes(&mut rng);
+    }
+}
+
+#[test]
+fn first_key_wins_and_unknown_keys_are_skipped() {
+    let doc = r#"{"lists": [[1], [0]], "extra": {"n": [1, {"x": null}]},
+                  "n": 2, "lists": "ignored", "n": -1}"#;
+    assert_eq!(
+        assert_same::<RoommatesDto>(doc).expect("reads"),
+        format!(
+            "{:?}",
+            RoommatesDto {
+                n: 2,
+                lists: vec![vec![1], vec![0]]
+            }
+            .to_value()
+        )
+    );
+}
+
+#[test]
+fn one_defect_gives_the_same_error_on_both_paths() {
+    let cases = [
+        // Type errors at every level of a DTO.
+        r#"{"k": 2, "n": 1, "lists": [[[[0]], [[]]], [[[0]], [[0.5]]]]}"#,
+        r#"{"k": "2", "n": 1, "lists": []}"#,
+        r#"{"k": 2, "n": -1, "lists": []}"#,
+        r#"{"k": 2, "n": 1, "lists": {"a": 1}}"#,
+        r#"{"k": 2, "n": 1, "lists": [null]}"#,
+        r#"{"k": 2, "n": 1, "lists": [[[["0"]]]]}"#,
+        r#"{"k": 2, "n": 1}"#,
+        r#"{"n": 1, "lists": []}"#,
+        r#"{"k": 1e400, "n": 1, "lists": []}"#,
+        r#"[1, 2]"#,
+        r#"null"#,
+        // Syntax errors.
+        r#"{"k": 2, "n": 1, "lists": [[[[0]]],]}"#,
+        r#"{"k": 2 "n": 1}"#,
+        r#"{"k": 2, "n": 1, "lists": [[[[0]]]]"#,
+        r#"{"k": 2, "n": 1, "lists": [[[[0]]]]} x"#,
+        r#"{"k": tru, "n": 1, "lists": []}"#,
+        r#"{k: 2}"#,
+        r#"{"k": 2, "n": 1, "lists": [[[[1-2]]]]}"#,
+        r#"{"k": 2, "n": 1, "lists": [[[[+1]]]]}"#,
+        r#"{"k": "\q", "n": 1, "lists": []}"#,
+        "",
+        "   ",
+    ];
+    for doc in cases {
+        assert!(
+            assert_same::<KPartiteDto>(doc).is_err(),
+            "{doc:?} should not parse"
+        );
+        assert_agree_all(doc);
+    }
+    let rows = [
+        "[[1, 2], [3, -4]]",
+        "[[1], 2]",
+        "[[4294967296]]",
+        "[[1.5]]",
+        "[[1] [2]]",
+    ];
+    for doc in rows {
+        assert!(
+            assert_same::<Vec<Vec<u32>>>(doc).is_err(),
+            "{doc:?} should not parse"
+        );
+    }
+    for doc in ["65536", "-1", "\"7\"", "[7]", "7 7"] {
+        assert!(
+            assert_same::<GenderId>(doc).is_err(),
+            "{doc:?} should not parse"
+        );
+    }
+}
+
+#[test]
+fn numbers_match_str_parse_bit_for_bit() {
+    let tokens = [
+        "0",
+        "-0",
+        "007",
+        "-007",
+        "123456789012345",
+        "-999999999999999",
+        "1234567890123456",
+        "-9999999999999999",
+        "12345678901234567",
+        "99999999999999999",
+        "9007199254740991",
+        "9007199254740992",
+        "9007199254740993",
+        "-9007199254740993",
+        "1e3",
+        "1E-3",
+        "1.0",
+        "-0.0",
+        "0.1",
+        "123456789012345.5",
+        "1e400",
+        "-",
+        "1-2",
+        "+1",
+        "1.",
+        ".5",
+        "1e",
+        "--1",
+    ];
+    for tok in tokens {
+        let expected = tok
+            .parse::<f64>()
+            .ok()
+            .filter(|_| !tok.starts_with(['+', '.']));
+        let got = serde_json::from_str::<f64>(tok).ok();
+        assert_eq!(got.map(f64::to_bits), expected.map(f64::to_bits), "{tok}");
+        let in_array = serde_json::from_str::<Vec<f64>>(&format!("[{tok}]")).ok();
+        let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            in_array.map(bits),
+            expected.map(|x| vec![x.to_bits()]),
+            "[{tok}]"
+        );
+        match (serde_json::from_str::<Value>(&format!(" {tok} ")), expected) {
+            (Ok(Value::Number(x)), Some(y)) => assert_eq!(x.to_bits(), y.to_bits(), "{tok}"),
+            (Err(_), None) => {}
+            (other, y) => panic!("{tok}: read {other:?}, str::parse {y:?}"),
+        }
+        assert_same::<u64>(tok).ok();
+        assert_same::<i64>(tok).ok();
+        assert_same::<Vec<i32>>(&format!("[{tok}]")).ok();
+    }
+}
+
+#[test]
+fn deep_nesting_is_an_error_not_an_abort() {
+    let arrays = "[".repeat(1_000_000);
+    let objects = "{\"a\":".repeat(1_000_000);
+    for doc in [&arrays, &objects] {
+        let err = serde_json::from_str::<Value>(doc).unwrap_err().to_string();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(serde_json::from_str::<KPartiteDto>(doc).is_err());
+        assert!(serde_json::from_str::<Vec<Vec<u32>>>(doc).is_err());
+    }
+    let deep_lists = format!(
+        "{{\"k\": 1, \"n\": 1, \"lists\": {}0{}}}",
+        "[".repeat(200),
+        "]".repeat(200)
+    );
+    let err = assert_same::<KPartiteDto>(&deep_lists).unwrap_err();
+    assert!(err.contains("nesting deeper than 128"), "{err}");
+
+    let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+    assert!(serde_json::from_str::<Value>(&nested(128)).is_ok());
+    assert!(serde_json::from_str::<Value>(&nested(129)).is_err());
+}
+
+/// Every prefix of `doc`, and `doc` itself.
+fn truncations(doc: &str) -> impl Iterator<Item = &str> {
+    (0..=doc.len()).map(move |end| &doc[..end])
+}
+
+/// `doc` with one byte replaced or inserted at a seeded position.
+fn mutate(doc: &str, pos: usize, pick: usize, insert: bool) -> String {
+    const BYTES: &[u8] = b"[]{},:\"\\-+.eE019 \ntnfu";
+    let mut bytes = doc.as_bytes().to_vec();
+    let pos = pos % (bytes.len() + usize::from(insert));
+    let b = BYTES[pick % BYTES.len()];
+    if insert {
+        bytes.insert(pos, b);
+    } else {
+        bytes[pos] = b;
+    }
+    String::from_utf8(bytes).expect("ASCII in, ASCII out")
+}
+
+fn kpartite_doc() -> String {
+    serde_json::to_string(&KPartiteDto {
+        k: 2,
+        n: 2,
+        lists: vec![
+            vec![vec![vec![], vec![1, 0]], vec![vec![], vec![0, 1]]],
+            vec![vec![vec![0, 1], vec![]], vec![vec![1, 0], vec![]]],
+        ],
+    })
+    .expect("renders")
+}
+
+fn run_report_doc() -> String {
+    RunReport::new("gs", 4, 1, 7, 1, 1234, SolverMetrics::new(), Some(16)).to_json_string()
+}
+
+fn bundle_doc() -> String {
+    let bundle = bundle_json(&BundleInputs {
+        trigger: "stall",
+        now_ns: 5,
+        uptime_ns: 4,
+        trace_events: &[],
+        trace_dropped: 0,
+        metrics: SolverMetrics::new().to_json(),
+        window: None,
+        logs_jsonl: "",
+        progress: &[],
+        profile: None,
+        config: &[("n".to_string(), "4".to_string())],
+        seed: Some(3),
+        rss_bytes: None,
+    });
+    serde_json::to_string_pretty(&bundle).expect("renders")
+}
+
+fn validate_postmortem(text: &str) -> Result<(), String> {
+    let v: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+    validate_bundle(&v)
+}
+
+/// Run every reader and validator on hostile bytes: none may panic.
+fn drive_hostile(text: &str) {
+    assert_agree_all(text);
+    let _ = RunReport::validate_json_str(text);
+    let _ = validate_postmortem(text);
+}
+
+#[test]
+fn truncated_documents_fail_cleanly() {
+    let (kpartite, report, bundle) = (kpartite_doc(), run_report_doc(), bundle_doc());
+    assert!(RunReport::validate_json_str(&report).is_ok());
+    assert!(validate_postmortem(&bundle).is_ok());
+    for doc in [&kpartite, &report, &bundle] {
+        for prefix in truncations(doc) {
+            drive_hostile(prefix);
+        }
+    }
+    for prefix in truncations(&report).take(report.trim_end().len()) {
+        assert!(RunReport::validate_json_str(prefix).is_err());
+    }
+    for prefix in truncations(&bundle).take(bundle.len()) {
+        assert!(validate_postmortem(prefix).is_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    fn mutated_documents_never_panic(
+        pos in 0usize..1_000_000,
+        pick in 0usize..1000,
+        insert in 0u8..2
+    ) {
+        for doc in [kpartite_doc(), run_report_doc(), bundle_doc()] {
+            drive_hostile(&mutate(&doc, pos, pick, insert == 1));
+        }
+    }
+}
+
+#[test]
+fn numbers_render_without_change() {
+    let cases: [(f64, &str); 7] = [
+        (-0.0, "0"),
+        (0.125, "0.125"),
+        (1e20, "100000000000000000000"),
+        (9_007_199_254_740_992.0, "9007199254740992"),
+        (8_999_999_999_999_999.0, "8999999999999999"),
+        (-42.0, "-42"),
+        (-1.5e-7, "-0.00000015"),
+    ];
+    for (x, text) in cases {
+        assert_eq!(serde_json::to_string(&x).expect("renders"), text, "{x:e}");
+    }
+    assert_eq!(
+        serde_json::to_string(&"tab\t\u{1}").expect("renders"),
+        "\"tab\\t\\u0001\""
+    );
+}

@@ -39,11 +39,17 @@ cat > "$SMOKE_DIR/inst.json" <<'EOF'
  "proposers": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
  "responders": [[1, 0, 3, 2], [2, 1, 0, 3], [3, 2, 1, 0], [0, 3, 2, 1]]}
 EOF
+# The first delta rewrites the head of proposer 0's row, so it must solve
+# cold. The last swaps the tail of proposer 1's row, which is dead by
+# construction: proposer 1 holds its first choice in every state here (no
+# other proposer ever reaches responder 1), so it must replay.
 cat > "$SMOKE_DIR/deltas.json" <<'EOF'
 [{"op": "swap", "side": "proposer", "row": 0, "prefs": [],
   "a": 0, "b": 3, "from": 0, "to": 0},
  {"op": "set_row", "side": "responder", "row": 2, "prefs": [0, 1, 2, 3],
-  "a": 0, "b": 0, "from": 0, "to": 0}]
+  "a": 0, "b": 0, "from": 0, "to": 0},
+ {"op": "swap", "side": "proposer", "row": 1, "prefs": [],
+  "a": 2, "b": 3, "from": 0, "to": 0}]
 EOF
 ./target/release/kmatch delta --input "$SMOKE_DIR/inst.json" \
     --deltas "$SMOKE_DIR/deltas.json" --metrics-out "$SMOKE_DIR/delta_report.json"
@@ -52,6 +58,13 @@ for key in '"cache_hits"' '"cache_misses"' '"edges_dirty"' '"warm_solves"'; do
   grep -qF "$key" "$SMOKE_DIR/delta_report.json" \
     || { echo "incremental smoke: missing $key in delta_report.json"; exit 1; }
 done
+python3 - "$SMOKE_DIR/delta_report.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["metrics"]["counters"]
+assert c["warm_solves"] >= 1, f"no delta replayed: {c}"
+# The baseline solve is one cold start; the live first delta adds another.
+assert c["warm_fallbacks"] >= 2, f"no delta solved cold: {c}"
+EOF
 printf '[%s]' "$(cat "$SMOKE_DIR/inst.json")" > "$SMOKE_DIR/batch.json"
 # Capture, don't pipe into grep -q: an early-exiting grep would EPIPE
 # the CLI mid-print and pipefail would misreport that as a failure.

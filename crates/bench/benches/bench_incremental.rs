@@ -55,7 +55,8 @@ fn bench_incremental(c: &mut Criterion) {
             })
         });
 
-        // Warm: the incremental session re-frees only affected proposers.
+        // Warm: the incremental session patches the arena and solves (the
+        // whole-row rewrites are live, so these are its cold-tier solves).
         let warm_deltas = delta_stream(n, 4096, 703);
         let mut session = IncrementalGs::new(inst.clone());
         session.solve();

@@ -103,8 +103,11 @@ USAGE:
 
   delta reads a bipartite instance plus a JSON array of preference
   deltas ({\"op\": \"set_row\"|\"swap\"|\"splice\", \"side\", \"row\", ...}) and
-  replays them through the warm-start incremental session against a
-  cold re-solve, reporting per-delta timings and proposal counts.
+  replays them through the incremental session against a cold re-solve,
+  reporting per-delta timings and proposal counts. Each line names the
+  session's tier: cached (a state seen before), replay (every delta
+  since the last engine run left the previous execution's probes
+  unchanged, so its matching is reused) or cold (a fresh solve).
 
   bind --incremental true binds through the dirty-edge session;
   --updates FILE applies preference-row rewrites ({\"gender\", \"index\",
@@ -1812,10 +1815,11 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Replay a JSON delta stream through the warm-start incremental GS
-/// session against a cold re-solve of the mutated instance, reporting
-/// per-delta wall time and executed proposals for both. The two must
-/// produce byte-identical matchings; a divergence aborts the command.
+/// Replay a JSON delta stream through the incremental GS session against
+/// a cold re-solve of the mutated instance, reporting per-delta wall time,
+/// executed proposals and the session's tier (cached, replay or cold).
+/// The two must produce byte-identical matchings; a divergence aborts the
+/// command.
 fn delta_cmd(args: &Args) -> Result<(), String> {
     args.check_known(&[
         "input",
@@ -1870,6 +1874,7 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
         session
             .apply(delta)
             .map_err(|e| format!("delta {i}: {e}"))?;
+        let seen = (metrics.cache_hits, metrics.warm_solves);
         let t0 = std::time::Instant::now();
         let warm = match sink.as_mut() {
             Some(sink) => session.solve_spanned(&mut metrics, sink),
@@ -1887,10 +1892,17 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
         if warm.matching != cold.matching {
             return Err(format!("delta {i}: warm and cold matchings diverge (bug)"));
         }
+        let tier = if metrics.cache_hits > seen.0 {
+            "cached"
+        } else if metrics.warm_solves > seen.1 {
+            "replay"
+        } else {
+            "cold"
+        };
         let d = PrefDeltaDto::from(delta);
         println!(
-            "delta {i:>4} ({} {} row {}): warm {:>9.1} us / {:>6} proposals   \
-             cold {:>9.1} us / {:>6} proposals",
+            "delta {i:>4} ({} {} row {}): {tier:<6} {:>9.1} us / {:>6} proposals   \
+             reload+solve {:>9.1} us / {:>6} proposals",
             d.op,
             d.side,
             d.row,
@@ -1906,8 +1918,8 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
     }
     if !deltas.is_empty() {
         println!(
-            "totals       : warm {:.1} us / {warm_props} proposals, \
-             cold {:.1} us / {cold_props} proposals ({:.1}x)",
+            "totals       : session {:.1} us / {warm_props} proposals, \
+             reload+solve {:.1} us / {cold_props} proposals ({:.1}x)",
             warm_ns as f64 / 1e3,
             cold_ns as f64 / 1e3,
             cold_ns as f64 / (warm_ns as f64).max(1.0),

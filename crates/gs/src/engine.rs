@@ -48,7 +48,7 @@
 //!   arrays owned by the returned matching.
 
 use kmatch_obs::{Metrics, NoMetrics};
-use kmatch_prefs::{BipartitePrefs, DeltaSide, PrefDelta, PrefOracle};
+use kmatch_prefs::{BipartitePrefs, DeltaSide, PrefDelta, PrefOracle, ResponderListSlice};
 use kmatch_trace::{reason, span, NoSpans, SpanSink};
 
 use crate::incomplete::{PartialMatching, UNMATCHED};
@@ -169,24 +169,9 @@ pub struct GsWorkspace {
     next_free: Vec<u32>,
     /// Side size of the last completed solve, or 0 when `next`/`best` do
     /// not hold a finished execution (never solved, or mid-solve). The
-    /// warm-start gate: [`GsWorkspace::resolve_delta`] falls back to a
-    /// cold solve unless this matches the incoming instance.
+    /// replay gate: [`GsWorkspace::resolve`] solves cold unless this
+    /// matches the incoming instance.
     solved_n: usize,
-    /// Warm-start scratch: proposers scheduled for a full re-free.
-    mark: Vec<bool>,
-    /// Warm-start scratch: responders already regressed this cascade.
-    wmark: Vec<bool>,
-    /// Warm-start scratch: `fiance[m]` = responder held by proposer `m`
-    /// in the previous solve (the inverse of `best`'s low words).
-    fiance: Vec<u32>,
-    /// Warm-start scratch: worklist of responders awaiting regression.
-    rework: Vec<u32>,
-    /// Warm-start scratch: counting-sort offsets into [`GsWorkspace::passer`]
-    /// (`n + 1` entries; see `warm_core` for the post-fill convention).
-    passer_off: Vec<u32>,
-    /// Warm-start scratch: proposers grouped by responder — the proposers
-    /// whose consumed list prefix contains each responder.
-    passer: Vec<u32>,
 }
 
 /// Packed `best` entry of a responder with no provisional fiancé.
@@ -215,19 +200,12 @@ impl GsWorkspace {
     /// Bytes of scratch this workspace currently holds across all its
     /// buffers — the deterministic *arena-bytes* figure the scaling
     /// benchmarks record next to peak RSS. O(n) after a size-n solve
-    /// (the warm-start scratch is the largest term at 17 bytes/agent),
-    /// independent of the preference backend.
+    /// (20 bytes/agent), independent of the preference backend.
     pub fn resident_bytes(&self) -> usize {
         self.next.capacity() * size_of::<u32>()
             + self.best.capacity() * size_of::<u64>()
             + self.free.capacity() * size_of::<u32>()
             + self.next_free.capacity() * size_of::<u32>()
-            + self.mark.capacity() * size_of::<bool>()
-            + self.wmark.capacity() * size_of::<bool>()
-            + self.fiance.capacity() * size_of::<u32>()
-            + self.rework.capacity() * size_of::<u32>()
-            + self.passer_off.capacity() * size_of::<u32>()
-            + self.passer.capacity() * size_of::<u32>()
     }
 
     /// Prepare all buffers for an instance of size `n`. Returns whether
@@ -286,8 +264,8 @@ impl GsWorkspace {
             &mut NoSpans,
             &mut stats,
         );
-        // `solved_n` stays 0: a partial execution is not a valid
-        // warm-start seed (resolve_delta would read FREE holders).
+        // `solved_n` stays 0: a partial execution is not a valid replay
+        // seed (`resolve` would read FREE holders).
         finish_partial(self, stats)
     }
 
@@ -321,60 +299,97 @@ impl GsWorkspace {
         run_core(prefs, self, &mut NoTrace, metrics, spans)
     }
 
-    /// Warm-start re-solve after an in-place preference edit.
+    /// Whether `delta` is *dead* for the execution this workspace holds:
+    /// applied to `before`, it leaves every probe of that execution
+    /// unchanged, so the held execution is also the execution of the
+    /// edited instance.
     ///
-    /// `prefs` must already reflect `deltas` (mutate the instance first,
-    /// e.g. via `BipartiteInstance::apply_delta`), and this workspace must
-    /// hold the finished execution of a previous [`GsWorkspace::solve`] /
-    /// [`GsWorkspace::resolve_delta`] on the *pre-delta* version of the
-    /// same instance. When those conditions cannot be verified cheaply
-    /// (different side size, or no previous solve) the call silently
-    /// degrades to a cold [`GsWorkspace::solve`].
+    /// Deferred acceptance probes proposer `m`'s row only at positions
+    /// `< next[m]`, and responder `w`'s row only by comparing members of
+    /// `S_w`, the proposers who proposed to her
+    /// (`m ∈ S_w ⇔ proposer_rank(m, w) < next[m]`). A proposer edit is
+    /// therefore dead when it keeps that prefix, and a responder edit
+    /// when it keeps the relative order of `S_w`. The rows agree outside
+    /// the edit's changed window, so only the window's `S_w` members are
+    /// compared, stopping at the first mismatch. A workspace without a
+    /// finished execution of a same-sized instance calls every delta
+    /// live.
     ///
-    /// The warm path re-frees only the proposers whose outcome can have
-    /// changed: proposers with rewritten rows, plus — transitively —
-    /// anyone who has already passed a responder whose provisional
-    /// engagement the edit dissolves. Every other proposer keeps its
-    /// engagement and executes **zero** proposals. By the
-    /// order-independence of deferred acceptance (McVitie–Wilson), the
-    /// resumed execution reaches exactly the proposer-optimal matching of
-    /// the post-delta instance, i.e. the matching a cold solve returns;
-    /// only the proposal/round *counters* differ (the warm run skips the
-    /// proposals whose outcome is already known).
-    pub fn resolve_delta<P: PrefOracle>(
-        &mut self,
-        prefs: &P,
-        deltas: &[PrefDelta],
-    ) -> GsOutcome {
-        warm_core(prefs, self, deltas, &mut NoTrace, &mut NoMetrics, &mut NoSpans)
+    /// `before` is the instance the held execution ran on, or that
+    /// instance after further deltas this method called dead; `delta`
+    /// must be valid for it (apply it to a copy first to check).
+    pub fn delta_is_dead<P: BipartitePrefs + ResponderListSlice>(
+        &self,
+        before: &P,
+        delta: &PrefDelta,
+    ) -> bool {
+        if self.solved_n != before.n() {
+            return false;
+        }
+        let row = delta.row();
+        let old = match delta.side() {
+            DeltaSide::Proposer => before.proposer_list(row),
+            DeltaSide::Responder => before.responder_list_slice(row),
+        };
+        let Some((lo, hi)) = changed_window(old, delta) else {
+            return true;
+        };
+        match delta.side() {
+            DeltaSide::Proposer => lo >= self.next[row as usize] as usize,
+            DeltaSide::Responder => {
+                let proposed = |m: &u32| before.proposer_rank(*m, row) < self.next[*m as usize];
+                let new = (lo..=hi).map(|i| entry_after(old, delta, i));
+                let old = old[lo..=hi].iter().copied();
+                old.filter(proposed).eq(new.filter(proposed))
+            }
+        }
     }
 
-    /// [`GsWorkspace::resolve_delta`] with metric hooks: records
-    /// [`Metrics::warm_resolve`] (with the re-freed proposer count) on the
-    /// warm path and [`Metrics::warm_fallback`] when it degrades to a
-    /// cold solve.
-    pub fn resolve_delta_metered<P: PrefOracle, M: Metrics>(
+    /// Re-solve `prefs` after edits to the instance of the held
+    /// execution: replay that execution when every edit was dead, else
+    /// solve cold.
+    ///
+    /// `live` says whether any delta since the held execution was live
+    /// for it ([`GsWorkspace::delta_is_dead`]); `touched` lists the
+    /// responders whose rows the dead deltas rewrote (repeats allowed).
+    /// A replay refreshes those responders' packed holder ranks from
+    /// `prefs` and returns the held matching without a single proposal,
+    /// recording [`Metrics::warm_resolve`]`(0)` and a `gs.warm.resolve`
+    /// instant with arg 0. Otherwise it records [`Metrics::warm_fallback`]
+    /// and a `gs.warm.fallback` instant carrying the [`reason`] —
+    /// `COLD_START` (no held execution), `SIZE_MISMATCH` (one of another
+    /// size) or `PREFIX_MISS` (a live delta) — then runs
+    /// [`GsWorkspace::solve_spanned`].
+    pub fn resolve<P: PrefOracle, M: Metrics, S: SpanSink>(
         &mut self,
         prefs: &P,
-        deltas: &[PrefDelta],
-        metrics: &mut M,
-    ) -> GsOutcome {
-        warm_core(prefs, self, deltas, &mut NoTrace, metrics, &mut NoSpans)
-    }
-
-    /// [`GsWorkspace::resolve_delta_metered`] that additionally emits a
-    /// span timeline: a `gs.warm.resolve` instant (arg = re-freed
-    /// proposers) on the warm path, or a `gs.warm.fallback` instant
-    /// carrying a [`kmatch_trace::reason`] code when it degrades to a
-    /// cold solve, followed by the usual `gs.solve`/`gs.round` spans.
-    pub fn resolve_delta_spanned<P: PrefOracle, M: Metrics, S: SpanSink>(
-        &mut self,
-        prefs: &P,
-        deltas: &[PrefDelta],
+        live: bool,
+        touched: &[u32],
         metrics: &mut M,
         spans: &mut S,
     ) -> GsOutcome {
-        warm_core(prefs, self, deltas, &mut NoTrace, metrics, spans)
+        let miss = if self.solved_n == 0 {
+            Some(reason::COLD_START)
+        } else if self.solved_n != prefs.n() {
+            Some(reason::SIZE_MISMATCH)
+        } else {
+            live.then_some(reason::PREFIX_MISS)
+        };
+        if let Some(why) = miss {
+            metrics.warm_fallback();
+            spans.instant(span::GS_WARM_FALLBACK, why);
+            return self.solve_spanned(prefs, metrics, spans);
+        }
+        spans.instant(span::GS_WARM_RESOLVE, 0);
+        metrics.workspace(false);
+        metrics.phase_enter(kmatch_obs::phase::GS_WARM);
+        for &w in touched {
+            let m = self.best[w as usize] as u32;
+            self.best[w as usize] = (prefs.responder_rank(w, m) as u64) << 32 | m as u64;
+        }
+        metrics.warm_resolve(0);
+        metrics.solve_done(true, 0);
+        finish(self, GsStats::default())
     }
 }
 
@@ -445,160 +460,50 @@ fn finish_partial(ws: &GsWorkspace, stats: GsStats) -> (PartialMatching, GsStats
     )
 }
 
-/// The warm-start core: regress the smallest self-consistent set of
-/// engagements, then resume the round loop.
-///
-/// The cascade maintains one invariant — *the surviving state is a valid
-/// partial deferred-acceptance execution of the post-delta instance*:
-/// for every un-re-freed proposer `m`, every responder ranked before
-/// `next[m]` in `m`'s list either still holds a suitor she prefers to
-/// `m` (clean responders: rows and holders unchanged, and her final
-/// holder from the previous run was her best-ever suitor) or has been
-/// regressed — and regressing a responder re-frees every proposer that
-/// had already passed her, so no stale rejection survives.
-fn warm_core<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
-    prefs: &P,
-    ws: &mut GsWorkspace,
-    deltas: &[PrefDelta],
-    tracer: &mut T,
-    metrics: &mut M,
-    spans: &mut S,
-) -> GsOutcome {
-    let n = prefs.n();
-    assert!(n > 0, "empty instance");
-    if ws.solved_n != n {
-        metrics.warm_fallback();
-        spans.instant(
-            span::GS_WARM_FALLBACK,
-            if ws.solved_n == 0 {
-                reason::COLD_START
+/// The changed window `lo..=hi` of a row under `delta` (the rows agree
+/// outside it), or `None` when the delta leaves the row as it is. A valid
+/// row never differs from another in exactly one position.
+fn changed_window(old: &[u32], delta: &PrefDelta) -> Option<(usize, usize)> {
+    let (lo, hi) = match *delta {
+        PrefDelta::SetRow { ref prefs, .. } => {
+            let differs = |(a, b): (&u32, &u32)| a != b;
+            let lo = old.iter().zip(prefs).position(differs)?;
+            let hi = old.iter().zip(prefs).rposition(differs)?;
+            (lo, hi)
+        }
+        PrefDelta::Swap { a, b, .. } => (a.min(b) as usize, a.max(b) as usize),
+        PrefDelta::Splice { from, to, .. } => (from.min(to) as usize, from.max(to) as usize),
+    };
+    (lo < hi).then_some((lo, hi))
+}
+
+/// Entry `i` of the row `old` after `delta`, without building the new row.
+fn entry_after(old: &[u32], delta: &PrefDelta, i: usize) -> u32 {
+    match *delta {
+        PrefDelta::SetRow { ref prefs, .. } => prefs[i],
+        PrefDelta::Swap { a, b, .. } => {
+            let (a, b) = (a as usize, b as usize);
+            old[if i == a {
+                b
+            } else if i == b {
+                a
             } else {
-                reason::SIZE_MISMATCH
-            },
-        );
-        return run_core(prefs, ws, tracer, metrics, spans);
-    }
-    spans.begin(span::GS_SOLVE, n as u64);
-
-    // Invert `best` into the proposer-indexed engagement table.
-    ws.fiance.clear();
-    ws.fiance.resize(n, FREE);
-    for (w, &best) in ws.best.iter().enumerate() {
-        let m = best as u32;
-        debug_assert_ne!(m, FREE, "solved_n set ⇒ the previous run finished");
-        ws.fiance[m as usize] = w as u32;
-    }
-    ws.mark.clear();
-    ws.mark.resize(n, false);
-    ws.wmark.clear();
-    ws.wmark.resize(n, false);
-    ws.rework.clear();
-
-    // Seed the cascade from the rewritten rows.
-    for delta in deltas {
-        let row = delta.row() as usize;
-        assert!(row < n, "delta names a row outside the instance");
-        match delta.side() {
-            DeltaSide::Proposer => {
-                if !ws.mark[row] {
-                    ws.mark[row] = true;
-                    ws.rework.push(ws.fiance[row]);
-                }
-            }
-            DeltaSide::Responder => ws.rework.push(row as u32),
+                i
+            }]
+        }
+        PrefDelta::Splice { from, to, .. } => {
+            let (from, to) = (from as usize, to as usize);
+            old[if i == to {
+                from
+            } else if from <= i && i < to {
+                i + 1
+            } else if to < i && i <= from {
+                i - 1
+            } else {
+                i
+            }]
         }
     }
-
-    // Regress responders to a fixpoint. Processing responder `w` vacates
-    // her slot and re-frees every not-yet-marked proposer that has
-    // already consumed `w`'s position in its list; re-freeing an engaged
-    // proposer dissolves his engagement, which regresses *his* responder
-    // in turn. Unmarked proposers have unchanged rows, so ranks against
-    // the post-delta `prefs` equal the ranks the previous run consumed.
-    //
-    // "Who already consumed w?" is answered from an inverted index built
-    // once per warm call: a counting-sort of every proposer's consumed
-    // prefix, grouped by responder. That costs O(n + Σ next[m]) — about
-    // n·(1 + H_n) for uniform instances — where scanning all n proposers
-    // per regressed responder would cost O(n · cascade), which dominated
-    // the warm path on large instances. `next` is frozen during the
-    // cascade (re-frees happen after), so prefix membership computed here
-    // stays exact at pop time. Prefixes are walked per position through
-    // the oracle's candidate query (same complexity as the former slice
-    // walk; arena backends still serve sequential loads).
-    if !ws.rework.is_empty() {
-        ws.passer_off.clear();
-        ws.passer_off.resize(n + 1, 0);
-        for m in 0..n {
-            for pos in 0..ws.next[m] {
-                let w = prefs.candidate(m as u32, pos);
-                ws.passer_off[w as usize + 1] += 1;
-            }
-        }
-        for w in 0..n {
-            ws.passer_off[w + 1] += ws.passer_off[w];
-        }
-        ws.passer.clear();
-        ws.passer.resize(ws.passer_off[n] as usize, 0);
-        for m in 0..n {
-            for pos in 0..ws.next[m] {
-                let w = prefs.candidate(m as u32, pos);
-                ws.passer[ws.passer_off[w as usize] as usize] = m as u32;
-                ws.passer_off[w as usize] += 1;
-            }
-        }
-        // The fill advanced each offset to its group's end, so `w`'s
-        // passers now live at `passer_off[w-1]..passer_off[w]` (0-based
-        // start for `w == 0`).
-    }
-    while let Some(w) = ws.rework.pop() {
-        let w_us = w as usize;
-        if ws.wmark[w_us] {
-            continue;
-        }
-        ws.wmark[w_us] = true;
-        ws.best[w_us] = VACANT;
-        let start = if w_us == 0 {
-            0
-        } else {
-            ws.passer_off[w_us - 1] as usize
-        };
-        let end = ws.passer_off[w_us] as usize;
-        for idx in start..end {
-            let m = ws.passer[idx] as usize;
-            if ws.mark[m] {
-                continue;
-            }
-            ws.mark[m] = true;
-            let wf = ws.fiance[m];
-            if wf != FREE && !ws.wmark[wf as usize] {
-                ws.rework.push(wf);
-            }
-        }
-    }
-
-    // Re-free the marked proposers from the top of their lists and
-    // resume the ordinary round loop on the surviving state.
-    ws.free.clear();
-    ws.next_free.clear();
-    let mut refreed = 0u64;
-    for m in 0..n as u32 {
-        if ws.mark[m as usize] {
-            ws.next[m as usize] = 0;
-            ws.free.push(m);
-            refreed += 1;
-        }
-    }
-    metrics.workspace(false);
-    metrics.warm_resolve(refreed);
-    spans.instant(span::GS_WARM_RESOLVE, refreed);
-    metrics.phase_enter(kmatch_obs::phase::GS_WARM);
-    let mut stats = GsStats::default();
-    run_rounds(prefs, ws, tracer, metrics, spans, &mut stats);
-    spans.end(span::GS_SOLVE);
-    metrics.solve_done(true, stats.proposals);
-    ws.solved_n = n;
-    finish(ws, stats)
 }
 
 /// Event-ordered rounds: one pass per proposal, tracer hooks at the exact
@@ -1240,23 +1145,49 @@ mod tests {
         }
     }
 
+    /// Apply `deltas` to `inst` the way `IncrementalGs` does, classifying
+    /// each against the pre-delta rows, then re-solve through `ws`.
+    fn apply_and_resolve<M: Metrics>(
+        ws: &mut GsWorkspace,
+        inst: &mut kmatch_prefs::BipartiteInstance,
+        deltas: &[PrefDelta],
+        metrics: &mut M,
+    ) -> GsOutcome {
+        let mut live = false;
+        let mut touched = Vec::new();
+        for delta in deltas {
+            live |= !ws.delta_is_dead(inst, delta);
+            if delta.side() == DeltaSide::Responder {
+                touched.push(delta.row());
+            }
+            inst.apply_delta(delta).unwrap();
+        }
+        ws.resolve(inst, live, &touched, metrics, &mut NoSpans)
+    }
+
     #[test]
     fn warm_resolve_matches_cold_over_random_deltas() {
+        use kmatch_obs::SolverMetrics;
         let mut rng = ChaCha8Rng::seed_from_u64(10);
         let mut ws = GsWorkspace::new();
+        let mut m = SolverMetrics::new();
         for n in [1usize, 2, 8, 23, 40] {
             let mut inst = uniform_bipartite(n, &mut rng);
             let donor = uniform_bipartite(n, &mut rng);
             ws.solve(&inst);
             for step in 0..12 {
                 let delta = random_delta(n, &donor, &mut rng);
-                inst.apply_delta(&delta).unwrap();
-                let warm = ws.resolve_delta(&inst, std::slice::from_ref(&delta));
+                let warm =
+                    apply_and_resolve(&mut ws, &mut inst, std::slice::from_ref(&delta), &mut m);
                 let cold = gale_shapley(&inst);
                 assert_eq!(warm.matching, cold.matching, "n = {n}, step = {step}");
                 assert!(crate::stability::is_stable(&inst, &warm.matching));
             }
         }
+        assert!(
+            m.warm_solves > 0 && m.warm_fallbacks > 0,
+            "both tiers must fire"
+        );
     }
 
     #[test]
@@ -1270,10 +1201,7 @@ mod tests {
         for _ in 0..8 {
             let deltas: Vec<PrefDelta> =
                 (0..3).map(|_| random_delta(n, &donor, &mut rng)).collect();
-            for d in &deltas {
-                inst.apply_delta(d).unwrap();
-            }
-            let warm = ws.resolve_delta(&inst, &deltas);
+            let warm = apply_and_resolve(&mut ws, &mut inst, &deltas, &mut NoMetrics);
             assert_eq!(warm.matching, gale_shapley(&inst).matching);
         }
     }
@@ -1284,7 +1212,7 @@ mod tests {
         let inst = uniform_bipartite(17, &mut rng);
         let mut ws = GsWorkspace::new();
         let cold = ws.solve(&inst);
-        let warm = ws.resolve_delta(&inst, &[]);
+        let warm = ws.resolve(&inst, false, &[], &mut NoMetrics, &mut NoSpans);
         assert_eq!(warm.matching, cold.matching);
         assert_eq!(warm.stats.proposals, 0);
         assert_eq!(warm.stats.rounds, 0);
@@ -1298,19 +1226,19 @@ mod tests {
         ws.solve(&uniform_bipartite(9, &mut rng));
         let other = uniform_bipartite(14, &mut rng);
         let mut m = SolverMetrics::new();
-        let out = ws.resolve_delta_metered(&other, &[], &mut m);
+        let out = ws.resolve(&other, false, &[], &mut m, &mut NoSpans);
         assert_eq!(out.matching, gale_shapley(&other).matching);
         assert_eq!(m.warm_fallbacks, 1);
         assert_eq!(m.warm_solves, 0);
         // A fresh workspace has no previous execution at all.
         let mut cold_ws = GsWorkspace::new();
-        let out2 = cold_ws.resolve_delta_metered(&other, &[], &mut m);
+        let out2 = cold_ws.resolve(&other, false, &[], &mut m, &mut NoSpans);
         assert_eq!(out2.matching, out.matching);
         assert_eq!(m.warm_fallbacks, 2);
     }
 
     #[test]
-    fn warm_resolve_refrees_few_proposers_on_one_row_delta() {
+    fn warm_resolve_replays_a_one_row_edit_past_the_consumed_prefix() {
         use kmatch_obs::SolverMetrics;
         let mut rng = ChaCha8Rng::seed_from_u64(14);
         let n = 60usize;
@@ -1323,21 +1251,27 @@ mod tests {
             a: (n - 1) as u32,
             b: (n - 2) as u32,
         };
-        inst.apply_delta(&delta).unwrap();
-        let cold = gale_shapley(&inst);
+        assert!(ws.delta_is_dead(&inst, &delta), "row 7 never got that far");
         let mut m = SolverMetrics::new();
-        let warm = ws.resolve_delta_metered(&inst, std::slice::from_ref(&delta), &mut m);
-        assert_eq!(warm.matching, cold.matching);
+        let warm = apply_and_resolve(&mut ws, &mut inst, std::slice::from_ref(&delta), &mut m);
+        assert_eq!(warm.matching, gale_shapley(&inst).matching);
         assert_eq!(m.warm_solves, 1);
-        // Only the cascade around row 7 re-runs; the warm run must issue
-        // far fewer proposals than the full cold execution did.
-        assert!(m.refreed_proposers < n as u64);
-        assert!(
-            warm.stats.proposals <= cold.stats.proposals,
-            "warm replay ({}) exceeded the cold run ({})",
-            warm.stats.proposals,
-            cold.stats.proposals
+        assert_eq!(m.warm_fallbacks, 0);
+        assert_eq!(
+            warm.stats.proposals, 0,
+            "a dead edit replays without proposing"
         );
+        // The same swap at the head of the row is live: a cold solve.
+        let head = PrefDelta::Swap {
+            side: DeltaSide::Proposer,
+            row: 7,
+            a: 0,
+            b: 1,
+        };
+        assert!(!ws.delta_is_dead(&inst, &head));
+        let cold = apply_and_resolve(&mut ws, &mut inst, std::slice::from_ref(&head), &mut m);
+        assert_eq!(cold.stats, gale_shapley(&inst).stats);
+        assert_eq!(m.warm_fallbacks, 1);
     }
 
     #[test]
@@ -1433,14 +1367,13 @@ mod tests {
     }
 
     #[test]
-    fn warm_resolve_works_through_a_lazy_oracle_fallback() {
-        // resolve_delta on a workspace whose last solve was lazy must
-        // fall back cleanly (solved_n matches, deltas empty → replay).
+    fn warm_resolve_works_through_a_lazy_oracle() {
+        // A workspace whose last solve was lazy replays its matching.
         use kmatch_prefs::RandomOracle;
         let oracle = RandomOracle::new(29, 3);
         let mut ws = GsWorkspace::new();
         let cold = ws.solve(&oracle);
-        let warm = ws.resolve_delta(&oracle, &[]);
+        let warm = ws.resolve(&oracle, false, &[], &mut NoMetrics, &mut NoSpans);
         assert_eq!(warm.matching, cold.matching);
         assert_eq!(warm.stats.proposals, 0);
     }
@@ -1459,8 +1392,12 @@ mod tests {
             ws.solve(&inst);
             for _ in 0..10 {
                 let delta = random_delta(n, &donor, &mut rng);
-                inst.apply_delta(&delta).unwrap();
-                let warm = ws.resolve_delta(&inst, std::slice::from_ref(&delta));
+                let warm = apply_and_resolve(
+                    &mut ws,
+                    &mut inst,
+                    std::slice::from_ref(&delta),
+                    &mut NoMetrics,
+                );
                 let all = crate::stability::all_stable_matchings(&inst);
                 assert!(
                     all.contains(&warm.matching),

@@ -1,6 +1,6 @@
 //! Span-timeline instrumentation of the GS engine: the recorded stream
-//! is well-formed, one `gs.round` span per proposal round, and the warm
-//! path emits resolve/fallback instants with the right reason codes.
+//! is well-formed, one `gs.round` span per proposal round, and a re-solve
+//! emits a replay instant or a fallback instant with the right reason code.
 
 use kmatch_gs::{gale_shapley, GsWorkspace};
 use kmatch_obs::{ManualClock, NoMetrics, SolverMetrics};
@@ -64,38 +64,60 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
     let clock = ManualClock::new();
     let mut ws = GsWorkspace::new();
 
-    // A fresh workspace has nothing to warm-start from: cold fallback.
+    // A fresh workspace has nothing to replay: cold fallback.
     let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&inst, &[], &mut NoMetrics, &mut rec);
+    ws.resolve(&inst, false, &[], &mut NoMetrics, &mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::GS_WARM_FALLBACK);
     assert_eq!(events[0].arg, reason::COLD_START);
 
-    // A real delta replays warm and reports the re-freed count.
-    let delta = PrefDelta::Swap {
+    // A dead delta replays: one resolve instant with arg 0, no solve span.
+    let dead = PrefDelta::Swap {
         side: DeltaSide::Proposer,
         row: 3,
-        a: 0,
+        a: (n - 2) as u32,
         b: (n - 1) as u32,
     };
-    inst.apply_delta(&delta).unwrap();
+    assert!(ws.delta_is_dead(&inst, &dead));
+    inst.apply_delta(&dead).unwrap();
     let mut m = SolverMetrics::new();
     let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&inst, std::slice::from_ref(&delta), &mut m, &mut rec);
+    let out = ws.resolve(&inst, false, &[], &mut m, &mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     let resolve = events
         .iter()
         .find(|e| e.name == span::GS_WARM_RESOLVE)
-        .expect("warm path must emit a gs.warm.resolve instant");
+        .expect("a replay must emit a gs.warm.resolve instant");
+    assert_eq!(resolve.arg, 0);
     assert_eq!(resolve.arg, m.refreed_proposers);
     assert!(!events.iter().any(|e| e.name == span::GS_WARM_FALLBACK));
+    assert!(!events.iter().any(|e| e.name == span::GS_SOLVE));
+    assert_eq!(out.matching, gale_shapley(&inst).matching);
+
+    // A live delta falls back with PREFIX_MISS and solves cold.
+    let live = PrefDelta::Swap {
+        side: DeltaSide::Proposer,
+        row: 3,
+        a: 0,
+        b: (n - 1) as u32,
+    };
+    assert!(!ws.delta_is_dead(&inst, &live));
+    inst.apply_delta(&live).unwrap();
+    let mut rec = TraceRecorder::new(&clock);
+    let out = ws.resolve(&inst, true, &[], &mut NoMetrics, &mut rec);
+    let events = rec.take();
+    check_well_formed(&events, false).unwrap();
+    assert_eq!(events[0].name, span::GS_WARM_FALLBACK);
+    assert_eq!(events[0].arg, reason::PREFIX_MISS);
+    assert!(events.iter().any(|e| e.name == span::GS_SOLVE));
+    assert_eq!(out.matching, gale_shapley(&inst).matching);
 
     // A size change falls back with SIZE_MISMATCH.
     let other = uniform_bipartite(n + 5, &mut rng);
     let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&other, &[], &mut NoMetrics, &mut rec);
+    ws.resolve(&other, false, &[], &mut NoMetrics, &mut rec);
     let events = rec.take();
     assert_eq!(events[0].name, span::GS_WARM_FALLBACK);
     assert_eq!(events[0].arg, reason::SIZE_MISMATCH);

@@ -2,24 +2,29 @@
 //!
 //! [`IncrementalGs`] owns a bipartite instance together with everything a
 //! re-solve wants warm: the [`CsrPrefs`] arena (patched row-locally per
-//! delta instead of reloaded), the [`GsWorkspace`] holding the previous
-//! execution (so [`GsWorkspace::resolve_delta`] re-frees only the
-//! proposers a delta can affect), per-row content fingerprints (XOR-
-//! combined, patched in O(n) per delta), and a content-addressed
+//! delta instead of reloaded), the [`GsWorkspace`] holding the last
+//! deferred-acceptance execution, per-row content fingerprints
+//! (XOR-combined, patched in O(n) per delta), and a content-addressed
 //! [`SolveCache`] of previously seen instance states.
 //!
-//! A [`IncrementalGs::solve`] therefore resolves in one of three tiers:
+//! [`IncrementalGs::apply`] classifies each delta against the held
+//! execution while the arena still holds the old row
+//! ([`GsWorkspace::delta_is_dead`]): a *dead* delta leaves every probe of
+//! that execution unchanged. A [`IncrementalGs::solve`] then resolves in
+//! one of three tiers:
 //!
 //! 1. **cached** — the combined fingerprint has been solved before: the
 //!    stored matching is cloned back, no engine work at all;
-//! 2. **warm** — the workspace replays the delta cascade and re-runs
-//!    deferred acceptance for the few re-freed proposers;
-//! 3. **cold** — no previous execution (first solve, or a size change):
-//!    the engine solves from scratch.
+//! 2. **replay** — every delta since the engine last ran was dead: the
+//!    held execution is the new instance's execution, so its matching is
+//!    returned in O(n) without a proposal;
+//! 3. **cold** — a live delta, or no previous execution: the strip
+//!    kernel solves from scratch.
 //!
-//! All three produce the same proposer-optimal matching — tier 2 by the
-//! McVitie–Wilson order-independence argument (see `kmatch-gs`), tier 1
-//! because the fingerprint is a content address of the full instance.
+//! All three produce the same proposer-optimal matching — tier 2 because
+//! a cold solve of the new instance would run the identical execution,
+//! tier 1 because the fingerprint is a content address of the full
+//! instance.
 //!
 //! ## Deltas are CSR-only by design
 //!
@@ -87,9 +92,14 @@ pub struct IncrementalGs {
     ws: GsWorkspace,
     fp: BipartiteFp,
     cache: SolveCache<BipartiteMatching>,
-    /// Deltas applied since the engine last actually ran (cache hits do
-    /// not drain this — the workspace still reflects the older state).
-    pending: Vec<PrefDelta>,
+    /// Whether a delta since the engine last ran was live for the
+    /// execution `ws` holds (cache hits keep it: the workspace still
+    /// holds that execution).
+    live: bool,
+    /// Responders whose rows dead deltas rewrote since the engine last
+    /// ran; deduplicated whenever it outgrows `2n`, so a session that
+    /// keeps revisiting cached states holds O(n) here.
+    touched: Vec<u32>,
 }
 
 impl IncrementalGs {
@@ -108,7 +118,8 @@ impl IncrementalGs {
             ws: GsWorkspace::new(),
             fp,
             cache: SolveCache::new(capacity),
-            pending: Vec::new(),
+            live: false,
+            touched: Vec::new(),
         }
     }
 
@@ -132,30 +143,42 @@ impl IncrementalGs {
         self.cache.len()
     }
 
-    /// Apply one preference delta: the instance mutates in place, the CSR
-    /// arena refreshes only the dirty rows, and the content fingerprint is
-    /// patched — all O(n). A rejected delta leaves the session unchanged.
+    /// Apply one preference delta: the instance mutates in place, the
+    /// delta is classified dead or live against the held execution, the
+    /// CSR arena refreshes only the dirty rows, and the content
+    /// fingerprint is patched — all O(n). A rejected delta leaves the
+    /// session unchanged.
     pub fn apply(&mut self, delta: &PrefDelta) -> Result<(), PrefsError> {
         self.inst.apply_delta(delta)?;
+        // The arena still holds the old row: classify before patching it.
+        if !self.live {
+            self.live = !self.ws.delta_is_dead(&self.csr, delta);
+            if !self.live && delta.side() == DeltaSide::Responder {
+                self.touched.push(delta.row());
+                if self.touched.len() > 2 * self.n() {
+                    self.touched.sort_unstable();
+                    self.touched.dedup();
+                }
+            }
+        }
         self.csr.apply_delta(delta, &self.inst);
         let list = match delta.side() {
             DeltaSide::Proposer => self.inst.proposer_list(delta.row()),
             DeltaSide::Responder => self.inst.responder_list(delta.row()),
         };
         self.fp.update_row(delta.side(), delta.row(), list);
-        self.pending.push(delta.clone());
         Ok(())
     }
 
-    /// Solve the current state — cached, warm, or cold, whichever is
+    /// Solve the current state — cached, replayed, or cold, whichever is
     /// cheapest (see the module docs).
     pub fn solve(&mut self) -> GsOutcome {
         self.solve_metered(&mut NoMetrics)
     }
 
     /// [`IncrementalGs::solve`] with metric hooks: every call records one
-    /// [`Metrics::cache_lookup`]; engine runs add the warm/cold counters
-    /// of `GsWorkspace::resolve_delta_metered`; insertions that push an
+    /// [`Metrics::cache_lookup`]; engine runs add the replay/fallback
+    /// counters of [`GsWorkspace::resolve`]; insertions that push an
     /// older entry out record [`Metrics::cache_eviction`].
     pub fn solve_metered<M: Metrics>(&mut self, metrics: &mut M) -> GsOutcome {
         self.solve_spanned(metrics, &mut NoSpans)
@@ -163,9 +186,9 @@ impl IncrementalGs {
 
     /// [`IncrementalGs::solve_metered`] that additionally emits a span
     /// timeline: a `cache.hit` or `cache.miss` instant for the lookup,
-    /// and on a miss the warm/cold engine spans of
-    /// [`GsWorkspace::resolve_delta`] (`gs.warm.resolve` /
-    /// `gs.warm.fallback` instants plus the `gs.solve` span). With
+    /// and on a miss the engine spans of [`GsWorkspace::resolve`] (a
+    /// `gs.warm.resolve` instant, or a `gs.warm.fallback` instant and the
+    /// cold `gs.solve` span). With
     /// [`kmatch_trace::NoSpans`] this monomorphizes to exactly
     /// [`IncrementalGs::solve_metered`].
     pub fn solve_spanned<M: Metrics, S: SpanSink>(
@@ -187,8 +210,9 @@ impl IncrementalGs {
         spans.instant(span::CACHE_MISS, 0);
         let out = self
             .ws
-            .resolve_delta_spanned(&self.csr, &self.pending, metrics, spans);
-        self.pending.clear();
+            .resolve(&self.csr, self.live, &self.touched, metrics, spans);
+        self.live = false;
+        self.touched.clear();
         if self.cache.insert(key, out.matching.clone()) {
             metrics.cache_eviction();
         }
@@ -278,8 +302,7 @@ mod tests {
     #[test]
     fn solve_after_cache_hit_still_matches_cold() {
         // A cache hit leaves the workspace one revision behind; the next
-        // miss must still warm-start correctly from the accumulated
-        // pending deltas.
+        // miss must still classify correctly across the deltas since.
         let mut rng = ChaCha8Rng::seed_from_u64(73);
         let inst = uniform_bipartite(20, &mut rng);
         let mut session = IncrementalGs::new(inst.clone());
@@ -299,6 +322,48 @@ mod tests {
         let mut shadow = inst;
         shadow.apply_delta(&fresh).unwrap();
         assert_eq!(session.solve().matching, gale_shapley(&shadow).matching);
+    }
+
+    #[test]
+    fn session_state_stays_bounded_across_cache_hits() {
+        // Alternate between two cached states through a dead responder
+        // delta: every solve is a hit, so no engine run ever drains the
+        // session state, which must still stay O(n).
+        let mut rng = ChaCha8Rng::seed_from_u64(77);
+        let n = 12usize;
+        let inst = uniform_bipartite(n, &mut rng);
+        let mut session = IncrementalGs::new(inst.clone());
+        session.solve();
+        let swap = (0..n as u32)
+            .flat_map(|row| {
+                (1..n as u32).map(move |b| PrefDelta::Swap {
+                    side: DeltaSide::Responder,
+                    row,
+                    a: b - 1,
+                    b,
+                })
+            })
+            .find(|d| session.ws.delta_is_dead(&session.csr, d))
+            .expect("some adjacent responder swap misses every S_w pair");
+        let mut m = SolverMetrics::new();
+        session.apply(&swap).unwrap();
+        session.solve_metered(&mut m);
+        assert_eq!(m.warm_solves, 1, "the dead swap replays");
+        for _ in 0..10_000 {
+            session.apply(&swap).unwrap();
+            session.solve_metered(&mut m);
+            assert!(!session.live);
+            assert!(session.touched.len() <= 2 * n);
+        }
+        assert_eq!(m.cache_hits, 10_000);
+        // The next miss still matches a cold solve of the current state.
+        let mut shadow = inst;
+        shadow.apply_delta(&swap).unwrap();
+        let fresh = random_delta(n, &mut rng);
+        session.apply(&fresh).unwrap();
+        shadow.apply_delta(&fresh).unwrap();
+        assert_eq!(session.solve().matching, gale_shapley(&shadow).matching);
+        assert!(session.touched.is_empty());
     }
 
     #[test]

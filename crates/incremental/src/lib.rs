@@ -6,11 +6,12 @@
 //! discards everything the previous execution learned; this crate keeps
 //! it, at three layers:
 //!
-//! * [`IncrementalGs`] — a bipartite session whose solves warm-start from
-//!   the previous deferred-acceptance execution
-//!   (`GsWorkspace::resolve_delta` re-frees only affected proposers) and
-//!   short-circuit entirely through a content-addressed [`SolveCache`]
-//!   when an instance state recurs.
+//! * [`IncrementalGs`] — a bipartite session whose deltas are classified
+//!   against the previous deferred-acceptance execution: when every delta
+//!   since it left its probes unchanged (the dead zone), the previous
+//!   matching is replayed in O(n); otherwise the strip kernel solves cold.
+//!   Recurring instance states short-circuit entirely through a
+//!   content-addressed [`SolveCache`].
 //! * [`IncrementalRoommates`] — the Irving analogue: dead-zone rewrites
 //!   replay the previous outcome in O(n) (see `kmatch_roommates::warm`),
 //!   anything that could loosen a phase-1 threshold falls back to a cold

@@ -1,11 +1,12 @@
 //! Span timelines of the incremental layer: dirty/clean binding-edge
-//! spans and cache hit/miss instants.
+//! spans, cache hit/miss instants, and the GS session's replay and
+//! fallback instants.
 
 use kmatch_incremental::{IncrementalBinder, IncrementalGs, IncrementalRoommates};
 use kmatch_obs::{ManualClock, NoMetrics};
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite, uniform_roommates};
 use kmatch_prefs::{DeltaSide, GenderId, Member, PrefDelta};
-use kmatch_trace::{check_well_formed, span, EventKind, TraceRecorder};
+use kmatch_trace::{check_well_formed, reason, span, EventKind, TraceRecorder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -89,6 +90,8 @@ fn gs_session_emits_cache_instants() {
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::CACHE_MISS);
+    assert_eq!(events[1].name, span::GS_WARM_FALLBACK);
+    assert_eq!(events[1].arg, reason::COLD_START);
     assert!(events.iter().any(|e| e.name == span::GS_SOLVE));
 
     // Same state again: pure cache hit, single instant, no engine spans.
@@ -99,8 +102,9 @@ fn gs_session_emits_cache_instants() {
     assert_eq!(events[0].name, span::CACHE_HIT);
     assert_eq!(events[0].kind, EventKind::Instant);
 
-    // A rewrite misses and re-enters the engine (warm or cold).
-    let row = shuffled_row(n, &mut rng);
+    // A rewrite of the row's head is live: it misses and solves cold.
+    let mut row = session.instance().proposer_list(3).to_vec();
+    row.swap(0, 1);
     session
         .apply(&PrefDelta::SetRow {
             side: DeltaSide::Proposer,
@@ -113,7 +117,29 @@ fn gs_session_emits_cache_instants() {
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::CACHE_MISS);
+    assert_eq!(events[1].name, span::GS_WARM_FALLBACK);
+    assert_eq!(events[1].arg, reason::PREFIX_MISS);
     assert!(events.iter().any(|e| e.name == span::GS_SOLVE));
+
+    // Swapping the row's last two entries is dead here (proposer 3 never
+    // got that far down its row): a replay, no solve span.
+    let n = n as u32;
+    session
+        .apply(&PrefDelta::Swap {
+            side: DeltaSide::Proposer,
+            row: 3,
+            a: n - 2,
+            b: n - 1,
+        })
+        .unwrap();
+    let mut rec = TraceRecorder::new(&clock);
+    session.solve_spanned(&mut NoMetrics, &mut rec);
+    let events = rec.take();
+    check_well_formed(&events, false).unwrap();
+    assert_eq!(events[0].name, span::CACHE_MISS);
+    assert_eq!(events[1].name, span::GS_WARM_RESOLVE);
+    assert_eq!(events[1].arg, 0);
+    assert!(!events.iter().any(|e| e.name == span::GS_SOLVE));
 }
 
 #[test]

@@ -70,8 +70,9 @@ pub trait Metrics {
     fn binding_edge_reuse(&mut self, dirty: bool) {
         let _ = dirty;
     }
-    /// A warm-start re-solve ran, re-freeing `refreed` proposers instead
-    /// of all n.
+    /// A warm-start re-solve reused the held execution, re-running
+    /// `refreed` proposers instead of all n (0 for the exact replays the
+    /// GS and Irving engines make).
     fn warm_resolve(&mut self, refreed: u64) {
         let _ = refreed;
     }
@@ -218,8 +219,9 @@ pub struct SolverMetrics {
     pub warm_solves: u64,
     /// Warm-start requests that fell back to a cold solve.
     pub warm_fallbacks: u64,
-    /// Proposers re-freed by warm-start re-solves (cold solves re-free
-    /// all n; the warm path's advantage is keeping this small).
+    /// Proposers re-run by warm-start re-solves. The GS and Irving warm
+    /// paths are exact replays of the held execution that re-run none, so
+    /// this stays 0; a cold fallback counts in `warm_fallbacks` instead.
     pub refreed_proposers: u64,
     /// Truncated attempts run by the escalating roommates driver.
     pub escalation_attempts: u64,
@@ -446,7 +448,7 @@ fn counter_rows(m: &SolverMetrics) -> [(&'static str, u64, &'static str); 26] {
         (
             "refreed_proposers",
             m.refreed_proposers,
-            "Proposers re-freed by warm re-solves",
+            "Proposers re-run by warm re-solves (0 for exact replays)",
         ),
         (
             "escalation_attempts",

@@ -13,7 +13,7 @@
 pub const IDLE: u32 = 0;
 /// Gale–Shapley synchronous proposal rounds (cold solve).
 pub const GS_ROUNDS: u32 = 1;
-/// Gale–Shapley warm-start re-solve rounds.
+/// Gale–Shapley warm-start replay of a held execution.
 pub const GS_WARM: u32 = 2;
 /// Irving phase 1: proposal/truncation to a stable table.
 pub const IRVING_PHASE1: u32 = 3;

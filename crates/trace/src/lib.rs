@@ -57,8 +57,8 @@ pub mod span {
     pub const GS_SOLVE: &str = "gs.solve";
     /// One GS proposal round (arg = round number, 1-based).
     pub const GS_ROUND: &str = "gs.round";
-    /// Instant: warm resolve replayed the delta cascade (arg = number of
-    /// re-freed proposers).
+    /// Instant: warm resolve replayed the held execution unchanged (arg =
+    /// re-run proposers, always 0).
     pub const GS_WARM_RESOLVE: &str = "gs.warm.resolve";
     /// Instant: warm resolve fell back to a cold solve (arg = a
     /// [`reason`](crate::reason) code).
@@ -101,7 +101,9 @@ pub mod reason {
     /// No solve footer was recorded (roommates: prior run predates the
     /// footer, or the workspace was reset).
     pub const NO_FOOTER: u64 = 2;
-    /// A delta touched below the live prefix of some preference row
-    /// (roommates warm replay would be unsound).
+    /// A delta reached a part of some preference row the held execution
+    /// probed — the live prefix of a roommates row, a GS proposer's
+    /// consumed prefix, or the order of a GS responder's suitors — so a
+    /// replay would be unsound.
     pub const PREFIX_MISS: u64 = 3;
 }

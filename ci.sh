@@ -40,16 +40,25 @@ cat > "$SMOKE_DIR/inst.json" <<'EOF'
  "responders": [[1, 0, 3, 2], [2, 1, 0, 3], [3, 2, 1, 0], [0, 3, 2, 1]]}
 EOF
 # The first delta rewrites the head of proposer 0's row, so it must solve
-# cold. The last swaps the tail of proposer 1's row, which is dead by
+# cold. The third swaps the tail of proposer 1's row, which is dead by
 # construction: proposer 1 holds its first choice in every state here (no
-# other proposer ever reaches responder 1), so it must replay.
+# other proposer ever reaches responder 1), so it must replay. The last
+# two exercise the windowed responder patch of the session's arena: the
+# swap reorders two proposers responder 3 compares (live, solved cold),
+# the splice moves responder 0's last choice up (dead, replayed).
+# `kmatch delta` checks every delta's matching against a cold reload of
+# the edited instance.
 cat > "$SMOKE_DIR/deltas.json" <<'EOF'
 [{"op": "swap", "side": "proposer", "row": 0, "prefs": [],
   "a": 0, "b": 3, "from": 0, "to": 0},
  {"op": "set_row", "side": "responder", "row": 2, "prefs": [0, 1, 2, 3],
   "a": 0, "b": 0, "from": 0, "to": 0},
  {"op": "swap", "side": "proposer", "row": 1, "prefs": [],
-  "a": 2, "b": 3, "from": 0, "to": 0}]
+  "a": 2, "b": 3, "from": 0, "to": 0},
+ {"op": "swap", "side": "responder", "row": 3, "prefs": [],
+  "a": 0, "b": 1, "from": 0, "to": 0},
+ {"op": "splice", "side": "responder", "row": 0, "prefs": [],
+  "a": 0, "b": 0, "from": 3, "to": 1}]
 EOF
 ./target/release/kmatch delta --input "$SMOKE_DIR/inst.json" \
     --deltas "$SMOKE_DIR/deltas.json" --metrics-out "$SMOKE_DIR/delta_report.json"

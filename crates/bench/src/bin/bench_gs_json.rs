@@ -1,7 +1,7 @@
 //! Machine-readable GS hot-path measurements → `results/BENCH_gs.json`
 //! plus a structured run report → `results/REPORT_gs.json`.
 //!
-//! Records four things:
+//! Records five things:
 //!
 //! 1. **n-scaling series over the lazy oracle backends** — the
 //!    [`RandomOracle`] Feistel backend from 10³ to 10⁶ agents (no O(n²)
@@ -18,8 +18,11 @@
 //! 2. The single-instance comparison of the reference engine against the
 //!    CSR fast path (the only materialized hot path — the slower
 //!    rank-table layout was retired from the bench).
-//! 3. `solve_batch` throughput on 1000 instances vs a serial loop.
-//! 4. `SolverMetrics` / flight-recorder / operator-plane / forensic-
+//! 3. A placement sweep: cold n = 2000 solves through workspaces created
+//!    after 0–96 KiB of heap padding, reporting the fastest and slowest —
+//!    the allocator's choice of addresses must not move the solve time.
+//! 4. `solve_batch` throughput on 1000 instances vs a serial loop.
+//! 5. `SolverMetrics` / flight-recorder / operator-plane / forensic-
 //!    profiler overhead on an n = 2000 batch (acceptance target < 5%
 //!    each).
 //!
@@ -89,6 +92,38 @@ impl_json_struct!(SingleRow {
     speedup_csr,
 });
 
+/// One solve time of the placement sweep.
+#[derive(Debug, Clone)]
+struct PadRow {
+    /// Heap padding allocated before the workspace, in KiB.
+    pad_kb: u64,
+    solve_ns: f64,
+}
+
+impl_json_struct!(PadRow { pad_kb, solve_ns });
+
+/// Cold solves of one n = 2000 instance through fresh workspaces, each
+/// created after a different amount of heap padding, so the allocator
+/// hands the workspace different addresses: the solve time must not
+/// depend on where the buffers land.
+#[derive(Debug, Clone)]
+struct PlacementRow {
+    n: usize,
+    proposals: u64,
+    pads: Vec<PadRow>,
+    /// Fastest and slowest block-minimum solve across the paddings.
+    min_ns: f64,
+    max_ns: f64,
+}
+
+impl_json_struct!(PlacementRow {
+    n,
+    proposals,
+    pads,
+    min_ns,
+    max_ns
+});
+
 /// The batch-throughput comparison.
 #[derive(Debug, Clone)]
 struct BatchRow {
@@ -132,6 +167,7 @@ struct Report {
     threads: usize,
     scaling: Vec<ScalingRow>,
     single: Vec<SingleRow>,
+    placement: PlacementRow,
     batch: BatchRow,
     metrics_overhead: OverheadRow,
     /// `metered_ns` here is the *traced* batch (per-chunk flight
@@ -152,6 +188,7 @@ impl_json_struct!(Report {
     threads,
     scaling,
     single,
+    placement,
     batch,
     metrics_overhead,
     trace_overhead,
@@ -250,6 +287,31 @@ fn single_row(n: usize, reps: usize) -> SingleRow {
         reference_ns,
         fastpath_csr_ns,
         speedup_csr: reference_ns / fastpath_csr_ns,
+    }
+}
+
+fn placement_row() -> PlacementRow {
+    let n = 2000;
+    let csr = CsrPrefs::from_prefs(&uniform_bipartite(n, &mut rng(303)));
+    let mut proposals = 0;
+    let pads: Vec<PadRow> = [0u64, 1, 4, 8, 16, 32, 64, 96]
+        .into_iter()
+        .map(|pad_kb| {
+            let pad = std::hint::black_box(vec![1u8; pad_kb as usize * 1024]);
+            let mut ws = GsWorkspace::new();
+            proposals = ws.solve(&csr).stats.proposals;
+            let [solve_ns] = measure_blocks(3, 40, [&mut || ws.solve(&csr).stats.proposals]);
+            drop(pad);
+            PadRow { pad_kb, solve_ns }
+        })
+        .collect();
+    let times = pads.iter().map(|p| p.solve_ns);
+    PlacementRow {
+        n,
+        proposals,
+        min_ns: times.clone().fold(f64::INFINITY, f64::min),
+        max_ns: times.fold(0.0, f64::max),
+        pads,
     }
 }
 
@@ -502,6 +564,7 @@ fn main() {
         threads: rayon_threads(),
         scaling,
         single,
+        placement: placement_row(),
         batch: batch_row(),
         metrics_overhead,
         trace_overhead,
@@ -528,6 +591,15 @@ fn main() {
             row.n, row.reference_ns, row.fastpath_csr_ns, row.speedup_csr,
         );
     }
+    let pl = &report.placement;
+    println!(
+        "placement n = {}: cold solve {:.0}..{:.0} ns over {} heap paddings (max/min {:.2})",
+        pl.n,
+        pl.min_ns,
+        pl.max_ns,
+        pl.pads.len(),
+        pl.max_ns / pl.min_ns,
+    );
     let b = &report.batch;
     println!(
         "batch {} x n={}: serial {:>10.0} ns  solve_batch {:>10.0} ns  \

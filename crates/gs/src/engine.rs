@@ -163,9 +163,10 @@ pub struct GsWorkspace {
     /// (`rank` = the fiancé's rank in `w`'s list), or [`VACANT`] while
     /// free. Lower is better, and every real candidate beats [`VACANT`].
     best: Vec<u64>,
-    /// Free proposers of the current round.
+    /// Two `n`-long free-list buffers: after a reset `free` lists every
+    /// proposer; the rounds then take turns, one holding the current
+    /// free list while the other collects the proposers it rejects.
     free: Vec<u32>,
-    /// Proposers rejected this round, i.e. next round's `free`.
     next_free: Vec<u32>,
     /// Side size of the last completed solve, or 0 when `next`/`best` do
     /// not hold a finished execution (never solved, or mid-solve). The
@@ -213,7 +214,8 @@ impl GsWorkspace {
     fn reset(&mut self, n: usize) -> bool {
         let fresh = self.next.capacity() < n
             || self.best.capacity() < n
-            || self.free.capacity() < n;
+            || self.free.capacity() < n
+            || self.next_free.capacity() < n;
         self.solved_n = 0;
         self.next.clear();
         self.next.resize(n, 0);
@@ -221,7 +223,7 @@ impl GsWorkspace {
         self.best.resize(n, VACANT);
         self.free.clear();
         self.free.extend(0..n as u32);
-        self.next_free.clear();
+        self.next_free.resize(n, 0);
         fresh
     }
 
@@ -310,14 +312,14 @@ impl GsWorkspace {
     /// (`m ∈ S_w ⇔ proposer_rank(m, w) < next[m]`). A proposer edit is
     /// therefore dead when it keeps that prefix, and a responder edit
     /// when it keeps the relative order of `S_w`. The rows agree outside
-    /// the edit's changed window, so only the window's `S_w` members are
-    /// compared, stopping at the first mismatch. A workspace without a
-    /// finished execution of a same-sized instance calls every delta
-    /// live.
+    /// the edit's changed window ([`PrefDelta::changed_window`]), so only
+    /// the window's `S_w` members are compared, stopping at the first
+    /// mismatch. A workspace without a finished execution of a
+    /// same-sized instance calls every delta live.
     ///
     /// `before` is the instance the held execution ran on, or that
     /// instance after further deltas this method called dead; `delta`
-    /// must be valid for it (apply it to a copy first to check).
+    /// must be valid for it ([`PrefDelta::validate`]).
     pub fn delta_is_dead<P: BipartitePrefs + ResponderListSlice>(
         &self,
         before: &P,
@@ -331,14 +333,14 @@ impl GsWorkspace {
             DeltaSide::Proposer => before.proposer_list(row),
             DeltaSide::Responder => before.responder_list_slice(row),
         };
-        let Some((lo, hi)) = changed_window(old, delta) else {
+        let Some((lo, hi)) = delta.changed_window(old) else {
             return true;
         };
         match delta.side() {
             DeltaSide::Proposer => lo >= self.next[row as usize] as usize,
             DeltaSide::Responder => {
                 let proposed = |m: &u32| before.proposer_rank(*m, row) < self.next[*m as usize];
-                let new = (lo..=hi).map(|i| entry_after(old, delta, i));
+                let new = (lo..=hi).map(|i| delta.entry_after(old, i));
                 let old = old[lo..=hi].iter().copied();
                 old.filter(proposed).eq(new.filter(proposed))
             }
@@ -460,52 +462,6 @@ fn finish_partial(ws: &GsWorkspace, stats: GsStats) -> (PartialMatching, GsStats
     )
 }
 
-/// The changed window `lo..=hi` of a row under `delta` (the rows agree
-/// outside it), or `None` when the delta leaves the row as it is. A valid
-/// row never differs from another in exactly one position.
-fn changed_window(old: &[u32], delta: &PrefDelta) -> Option<(usize, usize)> {
-    let (lo, hi) = match *delta {
-        PrefDelta::SetRow { ref prefs, .. } => {
-            let differs = |(a, b): (&u32, &u32)| a != b;
-            let lo = old.iter().zip(prefs).position(differs)?;
-            let hi = old.iter().zip(prefs).rposition(differs)?;
-            (lo, hi)
-        }
-        PrefDelta::Swap { a, b, .. } => (a.min(b) as usize, a.max(b) as usize),
-        PrefDelta::Splice { from, to, .. } => (from.min(to) as usize, from.max(to) as usize),
-    };
-    (lo < hi).then_some((lo, hi))
-}
-
-/// Entry `i` of the row `old` after `delta`, without building the new row.
-fn entry_after(old: &[u32], delta: &PrefDelta, i: usize) -> u32 {
-    match *delta {
-        PrefDelta::SetRow { ref prefs, .. } => prefs[i],
-        PrefDelta::Swap { a, b, .. } => {
-            let (a, b) = (a as usize, b as usize);
-            old[if i == a {
-                b
-            } else if i == b {
-                a
-            } else {
-                i
-            }]
-        }
-        PrefDelta::Splice { from, to, .. } => {
-            let (from, to) = (from as usize, to as usize);
-            old[if i == to {
-                from
-            } else if from <= i && i < to {
-                i + 1
-            } else if to < i && i <= from {
-                i - 1
-            } else {
-                i
-            }]
-        }
-    }
-}
-
 /// Event-ordered rounds: one pass per proposal, tracer hooks at the exact
 /// points the reference engine emits them. With `NoTrace` every hook
 /// vanishes, leaving a tight single-pass loop whose only work per
@@ -536,7 +492,12 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
         run_rounds_kernel(prefs, ws, metrics, spans, stats);
         return;
     }
-    while !ws.free.is_empty() {
+    // The round state lives in locals, so the rounds never write to the
+    // workspace itself (see `run_rounds_kernel`).
+    let (mut free, mut next_free) = (&mut ws.free[..], &mut ws.next_free[..]);
+    let (next, best) = (&mut ws.next[..], &mut ws.best[..]);
+    let mut free_len = free.len();
+    while free_len > 0 {
         stats.rounds += 1;
         tracer.round_start(stats.rounds);
         metrics.round();
@@ -546,18 +507,23 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
         if S::FINE {
             spans.begin(span::GS_ROUND, stats.rounds as u64);
         }
-        for &m in &ws.free {
+        let mut nf_len = 0;
+        let mut reject = |m: u32| {
+            next_free[nf_len] = m;
+            nf_len += 1;
+        };
+        for &m in &free[..free_len] {
             // An exhausted truncated row leaves the proposer unmatched:
             // drop it from the free list without a proposal.
-            if !P::COMPLETE && ws.next[m as usize] >= prefs.row_len(m) {
+            if !P::COMPLETE && next[m as usize] >= prefs.row_len(m) {
                 continue;
             }
             // One fused load: `rank << 32 | responder` (see
             // `PrefOracle::proposal_entry`); swap the low word to get
             // the packed candidate from the responder's point of view.
-            let entry = prefs.proposal_entry(m, ws.next[m as usize]);
+            let entry = prefs.proposal_entry(m, next[m as usize]);
             let w = entry as u32;
-            ws.next[m as usize] += 1;
+            next[m as usize] += 1;
             stats.proposals += 1;
             tracer.propose(m, w);
             metrics.proposal();
@@ -565,7 +531,7 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
             // suitor she ranks at or beyond her cutoff, regardless of
             // her current engagement.
             if !P::COMPLETE && (entry >> 32) as u32 >= prefs.responder_cutoff(w) {
-                ws.next_free.push(m);
+                reject(m);
                 tracer.reject(m, w);
                 metrics.rejection();
                 continue;
@@ -573,21 +539,21 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
             // Packed compare: rank order decides (ranks within a list
             // are distinct), and any candidate beats VACANT.
             let cand = (entry & RANK_HI) | m as u64;
-            let cur = ws.best[w as usize];
+            let cur = best[w as usize];
             if cand < cur {
-                ws.best[w as usize] = cand;
+                best[w as usize] = cand;
                 let holder = cur as u32;
                 if holder == FREE {
                     tracer.engage(m, w);
                 } else {
-                    ws.next_free.push(holder);
+                    reject(holder);
                     tracer.reject(holder, w);
                     tracer.engage(m, w);
                     metrics.holder_swap();
                     metrics.rejection();
                 }
             } else {
-                ws.next_free.push(m);
+                reject(m);
                 tracer.reject(m, w);
                 metrics.rejection();
             }
@@ -595,8 +561,8 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
         if S::FINE {
             spans.end(span::GS_ROUND);
         }
-        ws.free.clear();
-        std::mem::swap(&mut ws.free, &mut ws.next_free);
+        std::mem::swap(&mut free, &mut next_free);
+        free_len = nf_len;
     }
 }
 
@@ -636,32 +602,36 @@ fn run_rounds_kernel<P: PrefOracle, M: Metrics, S: SpanSink>(
     spans: &mut S,
     stats: &mut GsStats,
 ) {
-    while !ws.free.is_empty() {
+    // Round state — which buffer holds the free list, and its length —
+    // lives in locals, and both buffers are sized once in `reset`. Most
+    // of the ≈ 2000 rounds of an n = 2000 solve propose once or twice,
+    // so per-round writes to the workspace (the `Vec` resize, truncate
+    // and swap this replaces) were a large share of the work, and they
+    // made the solve time depend on where the allocator put the
+    // buffers: with them, a sweep of the arrays' relative page offsets
+    // spread in-cache solves over about 2×; without, over a few percent.
+    let (mut free, mut next_free) = (&mut ws.free[..], &mut ws.next_free[..]);
+    let (next, best) = (&mut ws.next[..], &mut ws.best[..]);
+    let mut free_len = free.len();
+    while free_len > 0 {
         stats.rounds += 1;
         metrics.round();
         if S::FINE {
             spans.begin(span::GS_ROUND, stats.rounds as u64);
         }
-        let free_len = ws.free.len();
-        // The loser store is unconditional (index advances only for real
-        // losers), so the buffer is pre-sized to the round's worst case:
-        // one loser per proposal. The fill is a memset, amortized by the
-        // O(free_len) round it fronts.
-        ws.next_free.clear();
-        ws.next_free.resize(free_len, 0);
+        // The loser store is unconditional (the index advances only for
+        // real losers); `next_free` is `n` long, and a round never
+        // appends more losers than it has proposals.
         let (nf_len, rejections, swaps) =
-            kernel_round(prefs, &ws.free, &mut ws.next, &mut ws.best, &mut ws.next_free);
+            kernel_round(prefs, &free[..free_len], next, best, next_free);
         stats.proposals += free_len as u64;
         metrics.round_bulk(free_len as u64, rejections, swaps);
         if S::FINE {
             spans.end(span::GS_ROUND);
         }
-        ws.next_free.truncate(nf_len);
-        std::mem::swap(&mut ws.free, &mut ws.next_free);
+        std::mem::swap(&mut free, &mut next_free);
+        free_len = nf_len;
     }
-    // Preserve the scalar loop's exit invariant: both lists end empty (the
-    // final swap leaves the last round's stale free list in `next_free`).
-    ws.next_free.clear();
 }
 
 /// One synchronous round of the strip kernel over pre-split buffers.

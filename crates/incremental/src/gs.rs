@@ -1,11 +1,14 @@
 //! Incremental Gale–Shapley session.
 //!
-//! [`IncrementalGs`] owns a bipartite instance together with everything a
-//! re-solve wants warm: the [`CsrPrefs`] arena (patched row-locally per
-//! delta instead of reloaded), the [`GsWorkspace`] holding the last
-//! deferred-acceptance execution, per-row content fingerprints
-//! (XOR-combined, patched in O(n) per delta), and a content-addressed
-//! [`SolveCache`] of previously seen instance states.
+//! [`IncrementalGs`] holds a bipartite instance as one [`CsrPrefs`] arena
+//! — the session's only copy of it — together with everything a re-solve
+//! wants warm: the [`GsWorkspace`] holding the last deferred-acceptance
+//! execution, a position-keyed content fingerprint, and a
+//! content-addressed [`SolveCache`] of previously seen instance states.
+//! A delta rewrites only the arena cells and fingerprint terms of its
+//! changed window ([`CsrPrefs::apply_delta`],
+//! [`crate::fingerprint::patch_delta`]), so an adjacent swap costs O(1)
+//! however large n is.
 //!
 //! [`IncrementalGs::apply`] classifies each delta against the held
 //! execution while the arena still holds the old row
@@ -13,7 +16,7 @@
 //! that execution unchanged. A [`IncrementalGs::solve`] then resolves in
 //! one of three tiers:
 //!
-//! 1. **cached** — the combined fingerprint has been solved before: the
+//! 1. **cached** — the fingerprint has been solved before: the
 //!    stored matching is cloned back, no engine work at all;
 //! 2. **replay** — every delta since the engine last ran was dead: the
 //!    held execution is the new instance's execution, so its matching is
@@ -45,52 +48,15 @@ use kmatch_prefs::{BipartiteInstance, CsrPrefs, DeltaSide, PrefDelta, PrefsError
 use kmatch_trace::{span, NoSpans, SpanSink};
 
 use crate::cache::SolveCache;
-use crate::fingerprint::{hash_row_fp, patch, side_tag, Fp};
-
-/// Per-row fingerprints of a bipartite instance, XOR-combined into one
-/// 128-bit content key.
-#[derive(Debug, Clone)]
-struct BipartiteFp {
-    /// `2n` row hashes: proposer rows `0..n`, responder rows `n..2n`.
-    rows: Vec<Fp>,
-    combined: Fp,
-}
-
-impl BipartiteFp {
-    fn new(inst: &BipartiteInstance) -> Self {
-        let n = inst.n();
-        let mut rows = Vec::with_capacity(2 * n);
-        let mut combined = (0u64, 0u64);
-        for m in 0..n as u32 {
-            let h = hash_row_fp(side_tag(DeltaSide::Proposer, m), inst.proposer_list(m));
-            combined = (combined.0 ^ h.0, combined.1 ^ h.1);
-            rows.push(h);
-        }
-        for w in 0..n as u32 {
-            let h = hash_row_fp(side_tag(DeltaSide::Responder, w), inst.responder_list(w));
-            combined = (combined.0 ^ h.0, combined.1 ^ h.1);
-            rows.push(h);
-        }
-        BipartiteFp { rows, combined }
-    }
-
-    fn update_row(&mut self, side: DeltaSide, row: u32, list: &[u32]) {
-        let idx = match side {
-            DeltaSide::Proposer => row as usize,
-            DeltaSide::Responder => self.rows.len() / 2 + row as usize,
-        };
-        let new = hash_row_fp(side_tag(side, row), list);
-        self.combined = patch(self.combined, self.rows[idx], new);
-        self.rows[idx] = new;
-    }
-}
+use crate::fingerprint::{bipartite_fingerprint, patch_delta, Fp};
 
 /// A long-lived bipartite solving session accepting preference deltas.
 pub struct IncrementalGs {
-    inst: BipartiteInstance,
+    /// The instance: the session's only copy of it.
     csr: CsrPrefs,
     ws: GsWorkspace,
-    fp: BipartiteFp,
+    /// Position-keyed content fingerprint of `csr`.
+    fp: Fp,
     cache: SolveCache<BipartiteMatching>,
     /// Whether a delta since the engine last ran was live for the
     /// execution `ws` holds (cache hits keep it: the workspace still
@@ -108,12 +74,13 @@ impl IncrementalGs {
         Self::with_cache_capacity(inst, crate::cache::DEFAULT_CACHE_CAPACITY)
     }
 
-    /// Start a session with an explicit solve-cache capacity.
+    /// Start a session with an explicit solve-cache capacity. `inst` is
+    /// snapshotted into the session's CSR arena and dropped.
     pub fn with_cache_capacity(inst: BipartiteInstance, capacity: usize) -> Self {
         let csr = CsrPrefs::from_prefs(&inst);
-        let fp = BipartiteFp::new(&inst);
+        drop(inst);
+        let fp = bipartite_fingerprint(&csr);
         IncrementalGs {
-            inst,
             csr,
             ws: GsWorkspace::new(),
             fp,
@@ -124,18 +91,18 @@ impl IncrementalGs {
     }
 
     /// The instance in its current (post-delta) state.
-    pub fn instance(&self) -> &BipartiteInstance {
-        &self.inst
+    pub fn instance(&self) -> &CsrPrefs {
+        &self.csr
     }
 
     /// Members per side.
     pub fn n(&self) -> usize {
-        self.inst.n()
+        self.csr.n()
     }
 
     /// The current 128-bit content fingerprint of the instance.
     pub fn fingerprint(&self) -> Fp {
-        self.fp.combined
+        self.fp
     }
 
     /// Number of matchings currently cached.
@@ -143,14 +110,16 @@ impl IncrementalGs {
         self.cache.len()
     }
 
-    /// Apply one preference delta: the instance mutates in place, the
-    /// delta is classified dead or live against the held execution, the
-    /// CSR arena refreshes only the dirty rows, and the content
-    /// fingerprint is patched — all O(n). A rejected delta leaves the
-    /// session unchanged.
+    /// Apply one preference delta: it is validated, classified dead or
+    /// live against the held execution, and then the arena cells and the
+    /// fingerprint of its changed window are rewritten — O(window) plus
+    /// the O(n) a `SetRow` takes to read. A rejected delta leaves the
+    /// session unchanged and returns the error
+    /// [`BipartiteInstance::apply_delta`] would.
     pub fn apply(&mut self, delta: &PrefDelta) -> Result<(), PrefsError> {
-        self.inst.apply_delta(delta)?;
-        // The arena still holds the old row: classify before patching it.
+        delta.validate(self.n())?;
+        // The arena still holds the old row: classify and fingerprint
+        // against it before patching.
         if !self.live {
             self.live = !self.ws.delta_is_dead(&self.csr, delta);
             if !self.live && delta.side() == DeltaSide::Responder {
@@ -161,13 +130,12 @@ impl IncrementalGs {
                 }
             }
         }
-        self.csr.apply_delta(delta, &self.inst);
-        let list = match delta.side() {
-            DeltaSide::Proposer => self.inst.proposer_list(delta.row()),
-            DeltaSide::Responder => self.inst.responder_list(delta.row()),
+        let old = match delta.side() {
+            DeltaSide::Proposer => self.csr.proposer_list(delta.row()),
+            DeltaSide::Responder => self.csr.responder_list(delta.row()),
         };
-        self.fp.update_row(delta.side(), delta.row(), list);
-        Ok(())
+        self.fp = patch_delta(self.fp, old, delta);
+        self.csr.apply_delta(delta)
     }
 
     /// Solve the current state — cached, replayed, or cold, whichever is
@@ -196,7 +164,7 @@ impl IncrementalGs {
         metrics: &mut M,
         spans: &mut S,
     ) -> GsOutcome {
-        let key = self.fp.combined;
+        let key = self.fp;
         if let Some(matching) = self.cache.get(key) {
             metrics.cache_lookup(true);
             spans.instant(span::CACHE_HIT, 0);
@@ -402,15 +370,75 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(75);
         let inst = uniform_bipartite(10, &mut rng);
         let mut session = IncrementalGs::new(inst.clone());
+        session.solve();
         let fp = session.fingerprint();
-        let bad = PrefDelta::Swap {
-            side: DeltaSide::Proposer,
-            row: 99,
-            a: 0,
-            b: 1,
-        };
-        assert!(session.apply(&bad).is_err());
-        assert_eq!(session.fingerprint(), fp);
-        assert_eq!(session.solve().matching, gale_shapley(&inst).matching);
+        let arena = session.instance().clone();
+        let mut bad = Vec::new();
+        for side in [DeltaSide::Proposer, DeltaSide::Responder] {
+            bad.extend([
+                PrefDelta::Swap { side, row: 99, a: 0, b: 1 },
+                PrefDelta::Swap { side, row: 2, a: 3, b: 10 },
+                PrefDelta::Splice { side, row: 2, from: 11, to: 0 },
+                PrefDelta::Splice { side, row: 2, from: 0, to: 10 },
+                PrefDelta::SetRow { side, row: 10, prefs: (0..10).collect() },
+                PrefDelta::SetRow { side, row: 4, prefs: vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 8] },
+                PrefDelta::SetRow { side, row: 4, prefs: vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 10] },
+                PrefDelta::SetRow { side, row: 4, prefs: (0..9).collect() },
+            ]);
+        }
+        for delta in &bad {
+            let expected = inst.clone().apply_delta(delta).unwrap_err();
+            assert_eq!(session.apply(delta).unwrap_err(), expected, "{delta:?}");
+            assert_eq!(session.fingerprint(), fp);
+            assert!(session.instance() == &arena, "{delta:?} touched the arena");
+            assert!(!session.live, "{delta:?} was classified");
+        }
+        let mut m = SolverMetrics::new();
+        assert_eq!(session.solve_metered(&mut m).matching, gale_shapley(&inst).matching);
+        assert_eq!(m.cache_hits, 1);
+    }
+
+    #[test]
+    fn windowed_arena_and_fingerprint_match_a_rebuild() {
+        // Every delta kind on both sides, including the no-op ones, must
+        // leave the windowed arena equal to a fresh snapshot of an
+        // independently edited instance (all five arena vectors) and the
+        // patched fingerprint equal to a full recomputation.
+        let mut rng = ChaCha8Rng::seed_from_u64(78);
+        for n in [2usize, 3, 9, 16] {
+            let inst = uniform_bipartite(n, &mut rng);
+            let mut session = IncrementalGs::new(inst.clone());
+            let mut shadow = inst;
+            for step in 0..60 {
+                let side = if step % 2 == 0 {
+                    DeltaSide::Proposer
+                } else {
+                    DeltaSide::Responder
+                };
+                let row = rng.gen_range(0..n as u32);
+                let a = rng.gen_range(0..n as u32);
+                let current = match side {
+                    DeltaSide::Proposer => shadow.proposer_list(row).to_vec(),
+                    DeltaSide::Responder => shadow.responder_list(row).to_vec(),
+                };
+                let delta = match step % 6 {
+                    0 => PrefDelta::SetRow { side, row, prefs: current },
+                    1 => PrefDelta::Swap { side, row, a, b: a },
+                    2 => PrefDelta::Splice { side, row, from: a, to: a },
+                    _ => random_delta(n, &mut rng),
+                };
+                session.apply(&delta).unwrap();
+                shadow.apply_delta(&delta).unwrap();
+                assert!(
+                    session.instance() == &CsrPrefs::from_prefs(&shadow),
+                    "arena diverged after {delta:?}"
+                );
+                assert_eq!(
+                    session.fingerprint(),
+                    crate::fingerprint::bipartite_fingerprint(&shadow),
+                    "fingerprint diverged after {delta:?}"
+                );
+            }
+        }
     }
 }

@@ -6,12 +6,13 @@
 //! discards everything the previous execution learned; this crate keeps
 //! it, at three layers:
 //!
-//! * [`IncrementalGs`] — a bipartite session whose deltas are classified
-//!   against the previous deferred-acceptance execution: when every delta
-//!   since it left its probes unchanged (the dead zone), the previous
-//!   matching is replayed in O(n); otherwise the strip kernel solves cold.
-//!   Recurring instance states short-circuit entirely through a
-//!   content-addressed [`SolveCache`].
+//! * [`IncrementalGs`] — a bipartite session over one CSR arena whose
+//!   deltas cost O(changed window) and are classified against the
+//!   previous deferred-acceptance execution: when every delta since it
+//!   left its probes unchanged (the dead zone), the previous matching is
+//!   replayed in O(n); otherwise the strip kernel solves cold. Recurring
+//!   instance states short-circuit entirely through a content-addressed
+//!   [`SolveCache`].
 //! * [`IncrementalRoommates`] — the Irving analogue: dead-zone rewrites
 //!   replay the previous outcome in O(n) (see `kmatch_roommates::warm`),
 //!   anything that could loosen a phase-1 threshold falls back to a cold
@@ -23,9 +24,11 @@
 //!   re-runs in full — ~`1/(k−1)` of the work for a one-gender-pair
 //!   update.
 //!
-//! Content addressing is per-row FxHash-style fingerprinting, XOR-combined
-//! so a row edit patches the combined key in O(n) ([`fingerprint`]); the
-//! cache ([`cache`]) is a bounded FIFO keyed by 128-bit fingerprints.
+//! Content addressing is 128-bit fingerprinting ([`fingerprint`]): a
+//! position-keyed sum over list cells for bipartite instances, which a
+//! delta patches in O(changed window), and XOR-combined row hashes for
+//! roommates rows and binding edges, patched in O(row). The cache
+//! ([`cache`]) is a bounded FIFO keyed by those fingerprints.
 //! Every layer is differentially tested byte-equal against its cold
 //! counterpart, and every tier records `SolverMetrics` counters
 //! (`cache_hits`/`cache_misses`/`cache_evictions`,

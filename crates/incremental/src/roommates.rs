@@ -72,7 +72,10 @@ pub struct IncrementalRoommates {
     rows: Vec<Fp>,
     combined: Fp,
     cache: SolveCache<CachedRoommates>,
-    /// Rewrites applied since the engine last ran (cache hits keep them).
+    /// For each participant rewritten since the engine last ran, its row
+    /// as that run read it (cache hits keep them): at most one entry per
+    /// participant, so a session that keeps revisiting cached states
+    /// holds O(n) rows here.
     pending: Vec<RoommatesRowDelta>,
 }
 
@@ -112,20 +115,24 @@ impl IncrementalRoommates {
         self.combined
     }
 
-    /// Rewrite participant `p`'s preference row, capturing the old row so
-    /// the next solve can prove (or refute) dead-zone confinement. A
-    /// rejected row leaves the session unchanged.
+    /// Rewrite participant `p`'s preference row, capturing the row the
+    /// engine last read (on `p`'s first rewrite since then) so the next
+    /// solve can prove (or refute) dead-zone confinement. A rejected row
+    /// leaves the session unchanged.
     pub fn set_row(&mut self, p: u32, row: &[u32]) -> Result<(), PrefsError> {
-        let old_row = self.inst.list(p).to_vec();
+        let first = !self.pending.iter().any(|d| d.participant == p);
+        let old_row = first.then(|| self.inst.list(p).to_vec());
         self.inst.set_row(p, row)?;
         let new = hash_row_fp(p as u64, self.inst.list(p));
         let idx = p as usize;
         self.combined = patch(self.combined, self.rows[idx], new);
         self.rows[idx] = new;
-        self.pending.push(RoommatesRowDelta {
-            participant: p,
-            old_row,
-        });
+        if let Some(old_row) = old_row {
+            self.pending.push(RoommatesRowDelta {
+                participant: p,
+                old_row,
+            });
+        }
         Ok(())
     }
 
@@ -253,5 +260,39 @@ mod tests {
         row.reverse();
         session.set_row(5, &row).unwrap();
         assert_same_outcome(&session.solve(), &solve(session.instance()));
+    }
+
+    #[test]
+    fn session_state_stays_bounded_across_cache_hits() {
+        // Alternate between two cached states: every solve is a hit, so
+        // no engine run ever drains the pending rewrites, which must
+        // still stay one per participant.
+        let mut rng = ChaCha8Rng::seed_from_u64(83);
+        let n = 10usize;
+        let inst = uniform_roommates(n, &mut rng);
+        let mut session = IncrementalRoommates::new(inst);
+        session.solve();
+        let old = session.instance().list(3).to_vec();
+        let mut rev = old.clone();
+        rev.reverse();
+        let mut m = SolverMetrics::new();
+        session.set_row(3, &rev).unwrap();
+        session.solve_metered(&mut m);
+        session.set_row(3, &old).unwrap();
+        session.solve_metered(&mut m);
+        for i in 0..10_000 {
+            session.set_row(3, if i % 2 == 0 { &rev } else { &old }).unwrap();
+            session.solve_metered(&mut m);
+            assert!(session.pending.len() <= 1);
+        }
+        assert_eq!(m.cache_hits, 10_001);
+        // The next miss still matches a cold solve of the current state.
+        let mut row = session.instance().list(7).to_vec();
+        let last = row.len() - 1;
+        row.swap(0, last);
+        session.set_row(7, &row).unwrap();
+        assert_eq!(session.pending.len(), 2);
+        assert_same_outcome(&session.solve(), &solve(session.instance()));
+        assert!(session.pending.is_empty());
     }
 }

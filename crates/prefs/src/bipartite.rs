@@ -159,26 +159,21 @@ impl BipartiteInstance {
     /// Apply a single-row [`PrefDelta`] in place: rewrite the named
     /// preference list and re-invert its rank row, in O(n).
     ///
-    /// On error the instance is unchanged (validation happens before any
-    /// mutation for [`PrefDelta::SetRow`]; position checks for swap and
-    /// splice happen before the row is touched).
+    /// The delta is validated ([`PrefDelta::validate`]) before anything is
+    /// touched, so on error the instance is unchanged.
     pub fn apply_delta(&mut self, delta: &PrefDelta) -> Result<(), PrefsError> {
         let n = self.n;
-        let row = delta.row() as usize;
-        if row >= n {
-            return Err(PrefsError::ShapeMismatch {
-                what: "delta row index",
-                expected: n,
-                actual: row,
-            });
-        }
-        let (lists, ranks, side_idx) = match delta.side() {
-            DeltaSide::Proposer => (&mut self.side0_lists, &mut self.side0_ranks, 0usize),
-            DeltaSide::Responder => (&mut self.side1_lists, &mut self.side1_ranks, 1usize),
+        delta.validate(n)?;
+        let (lists, ranks) = match delta.side() {
+            DeltaSide::Proposer => (&mut self.side0_lists, &mut self.side0_ranks),
+            DeltaSide::Responder => (&mut self.side1_lists, &mut self.side1_ranks),
         };
-        let base = row * n;
-        delta.apply_to_row(&mut lists[base..base + n], (side_idx, row), 1 - side_idx)?;
-        crate::delta::reinvert_row(&lists[base..base + n], &mut ranks[base..base + n]);
+        let base = delta.row() as usize * n;
+        let list = &mut lists[base..base + n];
+        delta.apply_to_row(list);
+        for (r, &member) in list.iter().enumerate() {
+            ranks[base + member as usize] = r as Rank;
+        }
         Ok(())
     }
 

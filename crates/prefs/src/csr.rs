@@ -18,11 +18,15 @@
 //! * **Reuse.** [`CsrPrefs::load`] only grows its buffers; in a batch loop
 //!   (many instances of similar size through one arena) the steady state
 //!   performs no heap allocation at all.
+//! * **Edits.** [`CsrPrefs::apply_delta`] validates a [`PrefDelta`] and
+//!   rewrites only the cells of its changed window, so an incremental
+//!   session can hold the arena as its only copy of the instance.
 //!
 //! Ranks are stored as `u16`, so `n` is capped at 65 536 members per side —
 //! far above anything the workspace benchmarks — and checked at load time.
 
 use crate::delta::{DeltaSide, PrefDelta};
+use crate::error::PrefsError;
 use crate::ids::Rank;
 use crate::oracle::{PrefOracle, PROPOSAL_STRIP};
 use crate::views::{BipartitePrefs, ResponderListSlice};
@@ -36,7 +40,7 @@ pub const CSR_MAX_N: usize = 1 << 16;
 /// refill with [`CsrPrefs::load`]; the arena implements [`BipartitePrefs`]
 /// and [`ResponderListSlice`], so it can be handed to the Gale–Shapley
 /// engine in place of the source view.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CsrPrefs {
     n: usize,
     /// `proposer_lists[m * n + r]` = responder ranked `r` by proposer `m`.
@@ -228,58 +232,62 @@ impl CsrPrefs {
         &self.responder_lists[base..base + self.n]
     }
 
-    /// Re-derive the arena rows a single-row [`PrefDelta`] invalidates,
-    /// reading the (already mutated) source `prefs`, in O(n) instead of
-    /// the O(n²) full [`CsrPrefs::load`].
+    /// Apply a single-row [`PrefDelta`] in place, in O(changed window)
+    /// rather than O(n): only the list cells of the window
+    /// [`PrefDelta::changed_window`] names change, so only those cells,
+    /// their rank cells and their fused entries are rewritten. A proposer
+    /// edit reorders the window of its own entry row, touching nothing
+    /// outside the row; a responder edit patches the one fused entry of
+    /// each proposer inside the window, whose packed responder rank moved.
     ///
-    /// The arena must currently hold a snapshot of `prefs` as it was
-    /// before the delta; every row the delta does not name is left
-    /// untouched.
-    pub fn apply_delta<P: BipartitePrefs + ResponderListSlice>(
-        &mut self,
-        delta: &PrefDelta,
-        prefs: &P,
-    ) {
-        assert_eq!(self.n, prefs.n(), "arena holds a different instance");
+    /// The delta is validated first ([`PrefDelta::validate`]) and rejected
+    /// with the same error [`crate::BipartiteInstance::apply_delta`] gives;
+    /// on error the arena is unchanged.
+    pub fn apply_delta(&mut self, delta: &PrefDelta) -> Result<(), PrefsError> {
+        let n = self.n;
+        delta.validate(n)?;
+        let row = delta.row() as usize;
+        let base = row * n;
         match delta.side() {
-            DeltaSide::Proposer => self.refresh_proposer_row(delta.row(), prefs),
-            DeltaSide::Responder => self.refresh_responder_row(delta.row(), prefs),
+            DeltaSide::Proposer => {
+                let list = &mut self.proposer_lists[base..base + n];
+                let ranks = &mut self.proposer_ranks[base..base + n];
+                let entries = &mut self.entries[base..base + n];
+                let Some((lo, hi)) = delta.changed_window(list) else {
+                    return Ok(());
+                };
+                // The window's fused entries are its old ones in the new
+                // order: a swap or splice moves them like the list, a
+                // rewrite gathers them through the old ranks.
+                match delta {
+                    PrefDelta::SetRow { prefs, .. } => {
+                        let old = entries[lo..=hi].to_vec();
+                        for (entry, &w) in entries[lo..=hi].iter_mut().zip(&prefs[lo..=hi]) {
+                            *entry = old[ranks[w as usize] as usize - lo];
+                        }
+                    }
+                    _ => delta.apply_to_row(entries),
+                }
+                delta.apply_to_row(list);
+                for (pos, &w) in (lo..=hi).zip(&list[lo..=hi]) {
+                    ranks[w as usize] = pos as u16;
+                }
+            }
+            DeltaSide::Responder => {
+                let list = &mut self.responder_lists[base..base + n];
+                let Some((lo, hi)) = delta.changed_window(list) else {
+                    return Ok(());
+                };
+                delta.apply_to_row(list);
+                for (r, &m) in (lo..=hi).zip(&list[lo..=hi]) {
+                    let m = m as usize;
+                    self.responder_ranks[base + m] = r as u16;
+                    let pos = self.proposer_ranks[m * n + row] as usize;
+                    self.entries[m * n + pos] = (r as u32) << 16 | row as u32;
+                }
+            }
         }
-    }
-
-    /// Recompute proposer `m`'s list, rank, and fused-entry rows from
-    /// `prefs` (already mutated at that row).
-    pub fn refresh_proposer_row<P: BipartitePrefs>(&mut self, m: u32, prefs: &P) {
-        let n = self.n;
-        let base = m as usize * n;
-        self.proposer_lists[base..base + n].copy_from_slice(prefs.proposer_list(m));
-        for (r, &w) in self.proposer_lists[base..base + n].iter().enumerate() {
-            self.proposer_ranks[base + w as usize] = r as u16;
-        }
-        for (pos, &w) in self.proposer_lists[base..base + n].iter().enumerate() {
-            self.entries[base + pos] =
-                (self.responder_ranks[w as usize * n + m as usize] as u32) << 16 | w;
-        }
-    }
-
-    /// Recompute responder `w`'s list and rank rows from `prefs` (already
-    /// mutated at that row), then patch the one fused entry per proposer
-    /// that names `w` — its packed responder rank may have changed.
-    pub fn refresh_responder_row<P: BipartitePrefs + ResponderListSlice>(
-        &mut self,
-        w: u32,
-        prefs: &P,
-    ) {
-        let n = self.n;
-        let base = w as usize * n;
-        self.responder_lists[base..base + n].copy_from_slice(prefs.responder_list_slice(w));
-        for (r, &m) in self.responder_lists[base..base + n].iter().enumerate() {
-            self.responder_ranks[base + m as usize] = r as u16;
-        }
-        for m in 0..n {
-            let pos = self.proposer_ranks[m * n + w as usize] as usize;
-            self.entries[m * n + pos] = (self.responder_ranks[base + m] as u32) << 16 | w;
-        }
+        Ok(())
     }
 }
 

@@ -12,16 +12,19 @@
 //! * [`PrefDelta::Splice`] — remove the entry at one position and
 //!   re-insert it at another (everything between shifts by one).
 //!
-//! All three are *row-local*: applying a delta touches one preference list
-//! and its inverse rank row, in O(n). [`BipartiteInstance::apply_delta`]
-//! mutates an instance in place; `CsrPrefs::apply_delta` (in
-//! [`crate::csr`]) re-derives the affected arena rows from the mutated
-//! source without a full reload.
+//! All three are *row-local*, and a swap or splice changes only the
+//! positions of its **changed window** ([`PrefDelta::changed_window`]):
+//! the row before and after agree everywhere else.
+//! [`BipartiteInstance::apply_delta`] mutates an instance in place and
+//! re-inverts the whole rank row, in O(n); [`CsrPrefs::apply_delta`]
+//! rewrites only the window's list, rank and fused-entry cells, in
+//! O(window). Both validate through [`PrefDelta::validate`], so they
+//! reject the same deltas with the same errors.
 //!
 //! [`BipartiteInstance::apply_delta`]: crate::BipartiteInstance::apply_delta
+//! [`CsrPrefs::apply_delta`]: crate::CsrPrefs::apply_delta
 
 use crate::error::PrefsError;
-use crate::ids::Rank;
 
 /// Which side of a bipartite instance a [`PrefDelta`] touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,26 +92,30 @@ impl PrefDelta {
         }
     }
 
-    /// Apply this delta to one preference-list row in place.
+    /// Check this delta against an instance with `n` members per side:
+    /// the row and every position must be in range, and a
+    /// [`PrefDelta::SetRow`] must carry a permutation of `0..n`.
     ///
-    /// `owner` is only used to label validation errors. The caller is
-    /// responsible for re-inverting the matching rank row afterwards.
-    pub(crate) fn apply_to_row(
-        &self,
-        list: &mut [u32],
-        owner: (usize, usize),
-        over: usize,
-    ) -> Result<(), PrefsError> {
-        let n = list.len();
-        let pos = |p: u32, what: &'static str| -> Result<usize, PrefsError> {
-            let p = p as usize;
-            if p < n {
-                Ok(p)
+    /// Errors name the first violation in that order, as
+    /// [`crate::BipartiteInstance::apply_delta`] and
+    /// [`crate::CsrPrefs::apply_delta`] report them.
+    pub fn validate(&self, n: usize) -> Result<(), PrefsError> {
+        let row = self.row() as usize;
+        if row >= n {
+            return Err(PrefsError::ShapeMismatch {
+                what: "delta row index",
+                expected: n,
+                actual: row,
+            });
+        }
+        let pos = |p: u32, what: &'static str| -> Result<(), PrefsError> {
+            if (p as usize) < n {
+                Ok(())
             } else {
                 Err(PrefsError::ShapeMismatch {
                     what,
                     expected: n,
-                    actual: p,
+                    actual: p as usize,
                 })
             }
         };
@@ -116,16 +123,89 @@ impl PrefDelta {
             PrefDelta::SetRow { prefs, .. } => {
                 let mut seen = vec![false; n];
                 if !crate::bipartite::check_permutation(prefs, n, &mut seen) {
-                    return Err(PrefsError::NotAPermutation { owner, over });
+                    let side = match self.side() {
+                        DeltaSide::Proposer => 0,
+                        DeltaSide::Responder => 1,
+                    };
+                    return Err(PrefsError::NotAPermutation {
+                        owner: (side, row),
+                        over: 1 - side,
+                    });
                 }
-                list.copy_from_slice(prefs);
             }
             PrefDelta::Swap { a, b, .. } => {
-                list.swap(pos(*a, "delta swap position")?, pos(*b, "delta swap position")?);
+                pos(*a, "delta swap position")?;
+                pos(*b, "delta swap position")?;
             }
             PrefDelta::Splice { from, to, .. } => {
-                let from = pos(*from, "delta splice position")?;
-                let to = pos(*to, "delta splice position")?;
+                pos(*from, "delta splice position")?;
+                pos(*to, "delta splice position")?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The changed window `lo..=hi` of the row `old` under this delta (the
+    /// row before and after agree outside it), or `None` when the delta
+    /// leaves the row as it is: a `SetRow` of the same list, a swap with
+    /// `a == b`, a splice with `from == to`. A valid row never differs
+    /// from another in exactly one position, so a window has `lo < hi`.
+    ///
+    /// The delta must be valid for `old` ([`PrefDelta::validate`]).
+    pub fn changed_window(&self, old: &[u32]) -> Option<(usize, usize)> {
+        let (lo, hi) = match *self {
+            PrefDelta::SetRow { ref prefs, .. } => {
+                let differs = |(a, b): (&u32, &u32)| a != b;
+                let lo = old.iter().zip(prefs).position(differs)?;
+                let hi = old.iter().zip(prefs).rposition(differs)?;
+                (lo, hi)
+            }
+            PrefDelta::Swap { a, b, .. } => (a.min(b) as usize, a.max(b) as usize),
+            PrefDelta::Splice { from, to, .. } => (from.min(to) as usize, from.max(to) as usize),
+        };
+        (lo < hi).then_some((lo, hi))
+    }
+
+    /// Entry `i` of the row `old` after this delta, without building the
+    /// new row. The delta must be valid for `old`.
+    pub fn entry_after(&self, old: &[u32], i: usize) -> u32 {
+        match *self {
+            PrefDelta::SetRow { ref prefs, .. } => prefs[i],
+            PrefDelta::Swap { a, b, .. } => {
+                let (a, b) = (a as usize, b as usize);
+                old[if i == a {
+                    b
+                } else if i == b {
+                    a
+                } else {
+                    i
+                }]
+            }
+            PrefDelta::Splice { from, to, .. } => {
+                let (from, to) = (from as usize, to as usize);
+                old[if i == to {
+                    from
+                } else if from <= i && i < to {
+                    i + 1
+                } else if to < i && i <= from {
+                    i - 1
+                } else {
+                    i
+                }]
+            }
+        }
+    }
+
+    /// Apply this delta in place to one preference-list row, or to a swap
+    /// or splice's other row whose cells follow the list's order (the
+    /// arena's fused entries). The delta must be valid for the row
+    /// ([`PrefDelta::validate`]); the caller re-inverts the rank cells.
+    pub(crate) fn apply_to_row(&self, list: &mut [u32]) {
+        match *self {
+            PrefDelta::SetRow { ref prefs, .. } => list.copy_from_slice(prefs),
+            PrefDelta::Swap { a, b, .. } => list.swap(a as usize, b as usize),
+            PrefDelta::Splice { from, to, .. } => {
+                let (from, to) = (from as usize, to as usize);
                 if from <= to {
                     list[from..=to].rotate_left(1);
                 } else {
@@ -133,15 +213,6 @@ impl PrefDelta {
                 }
             }
         }
-        Ok(())
-    }
-}
-
-/// Re-invert one preference-list row into its rank row: after a delta,
-/// `ranks[base + member] = position` for every member of the list.
-pub(crate) fn reinvert_row(list: &[u32], ranks: &mut [Rank]) {
-    for (r, &member) in list.iter().enumerate() {
-        ranks[member as usize] = r as Rank;
     }
 }
 

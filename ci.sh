@@ -182,13 +182,14 @@ for key in '"escalation_attempts"' '"certified_stable"' '"certified_unsolvable"'
   grep -qF "$key" "$SMOKE_DIR/rm_report.json" \
       || { echo "roommates smoke: missing $key in rm_report.json"; exit 1; }
 done
-# The deciding attempt must actually have been truncated (counters > 0
-# and no full-width fallback for this seed), pinning the subquadratic
-# path rather than a silent degrade.
+# The deciding attempt must actually have been truncated (no full-width
+# fallback for this seed), pinning the subquadratic path rather than a
+# silent degrade — and it must be the first attempt: the default cut
+# (5060 at this n) decides without a discarded attempt.
 python3 - "$SMOKE_DIR/rm_report.json" <<'EOF'
 import json, sys
 c = json.load(open(sys.argv[1]))["metrics"]["counters"]
-assert c["escalation_attempts"] >= 1, c
+assert c["escalation_attempts"] == 1, c
 assert c["certified_stable"] + c["certified_unsolvable"] == 1, c
 assert c["escalation_fullwidth"] == 0, c
 EOF

@@ -8,7 +8,9 @@
 //! variants), `kmatch_parallel::roommates::solve_batch` throughput on
 //! 1000 instances relative to a serial workspace-reuse loop, and the
 //! `SolverMetrics` overhead of the metered batch path on an n = 2000
-//! batch (acceptance target < 5%). Run with
+//! batch (acceptance target < 5%). The `schedule` section tallies the
+//! escalation schedule itself — which attempt and cut decide — over
+//! many seeds, so `bench_diff` pins it exactly. Run with
 //! `cargo run --release --bin bench_roommates_json`.
 
 use kmatch_bench::harness::{
@@ -20,7 +22,7 @@ use kmatch_parallel::roommates::{solve_batch, solve_batch_metered, solve_batch_t
 use kmatch_prefs::gen::uniform::uniform_roommates;
 use kmatch_prefs::CachedRoommatesOracle;
 use kmatch_roommates::solve_reference;
-use kmatch_roommates::{solve_escalating_metered, CertKind, RoommatesWorkspace};
+use kmatch_roommates::{solve_escalating, solve_escalating_metered, CertKind, RoommatesWorkspace};
 use serde::impl_json_struct;
 
 /// Seed shared by every n of the lazy scaling series.
@@ -69,6 +71,50 @@ impl_json_struct!(ScalingRow {
     arena_bytes,
     peak_rss_bytes,
 });
+
+/// Seeds per n in the `schedule` tally.
+const SCHEDULE_SEEDS: u64 = 200;
+
+/// How many of a `schedule` row's instances decided the same way.
+#[derive(Debug, Clone)]
+struct ScheduleCount {
+    /// Truncated attempts run, the deciding one included.
+    attempts: u32,
+    /// List cutoff of the deciding attempt.
+    final_cut: u32,
+    /// The certificate that decided (as in [`ScalingRow::cert`]).
+    cert: String,
+    /// Instances that decided this way.
+    instances: u32,
+}
+
+impl_json_struct!(ScheduleCount {
+    attempts,
+    final_cut,
+    cert,
+    instances,
+});
+
+/// The default escalation schedule over `seeds` lazy instances
+/// (`CachedRoommatesOracle::new(n, seed)`, seeds `0..seeds`) at one n:
+/// a tally of deciding attempt, cut and certificate, in ascending
+/// `(attempts, final_cut, cert)` order. Every field is an exact counter.
+#[derive(Debug, Clone)]
+struct ScheduleRow {
+    n: usize,
+    seeds: u64,
+    tally: Vec<ScheduleCount>,
+}
+
+impl_json_struct!(ScheduleRow { n, seeds, tally });
+
+fn cert_name(cert: CertKind) -> String {
+    match cert {
+        CertKind::Stable => "stable".into(),
+        CertKind::Partition => "partition".into(),
+        CertKind::FullWidth => "full_width".into(),
+    }
+}
 
 /// One single-instance comparison row.
 #[derive(Debug, Clone)]
@@ -131,6 +177,7 @@ impl_json_struct!(BatchRow {
 struct Report {
     threads: usize,
     scaling: Vec<ScalingRow>,
+    schedule: Vec<ScheduleRow>,
     single: Vec<SingleRow>,
     batch: BatchRow,
     metrics_overhead: OverheadRow,
@@ -142,6 +189,7 @@ struct Report {
 impl_json_struct!(Report {
     threads,
     scaling,
+    schedule,
     single,
     batch,
     metrics_overhead,
@@ -179,15 +227,41 @@ fn scaling_series(registry: &BatchRegistry) -> Vec<ScalingRow> {
                 rotations: stats.rotations,
                 escalation_attempts: report.attempts,
                 final_cut: report.final_cut,
-                cert: match report.cert {
-                    CertKind::Stable => "stable".into(),
-                    CertKind::Partition => "partition".into(),
-                    CertKind::FullWidth => "full_width".into(),
-                },
+                cert: cert_name(report.cert),
                 odd_parties: report.odd_parties,
                 solve_ns,
                 arena_bytes: (ws.resident_bytes() + oracle.resident_bytes()) as u64,
                 peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
+            }
+        })
+        .collect()
+}
+
+/// Tally how the default schedule decides at each n.
+fn schedule_tally() -> Vec<ScheduleRow> {
+    [500usize, 1000, 2000]
+        .into_iter()
+        .map(|n| {
+            let mut ws = RoommatesWorkspace::new();
+            let mut tally = std::collections::BTreeMap::new();
+            for seed in 0..SCHEDULE_SEEDS {
+                let oracle = CachedRoommatesOracle::new(n, seed);
+                let (_, report) = solve_escalating(&oracle, &mut ws);
+                let key = (report.attempts, report.final_cut, cert_name(report.cert));
+                *tally.entry(key).or_insert(0u32) += 1;
+            }
+            ScheduleRow {
+                n,
+                seeds: SCHEDULE_SEEDS,
+                tally: tally
+                    .into_iter()
+                    .map(|((attempts, final_cut, cert), instances)| ScheduleCount {
+                        attempts,
+                        final_cut,
+                        cert,
+                        instances,
+                    })
+                    .collect(),
             }
         })
         .collect()
@@ -334,6 +408,7 @@ fn main() {
     // materialized workload would be charged to every scaling row.
     let registry = BatchRegistry::new();
     let scaling = scaling_series(&registry);
+    let schedule = schedule_tally();
     let single: Vec<SingleRow> = [(256usize, 400), (1024, 80), (2000, 40)]
         .into_iter()
         .map(|(n, reps)| single_row(n, reps))
@@ -350,6 +425,7 @@ fn main() {
     let report = Report {
         threads: rayon_threads(),
         scaling,
+        schedule,
         single,
         batch: batch_row(),
         metrics_overhead,
@@ -371,6 +447,14 @@ fn main() {
             row.arena_bytes,
             row.peak_rss_bytes,
         );
+    }
+    for row in &report.schedule {
+        for c in &row.tally {
+            println!(
+                "schedule n = {:>5}: {:>3}/{} decide on attempt {} at cut {} ({})",
+                row.n, c.instances, row.seeds, c.attempts, c.final_cut, c.cert,
+            );
+        }
     }
     for row in &report.single {
         println!(

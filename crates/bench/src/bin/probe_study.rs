@@ -1,26 +1,31 @@
 //! Oracle-probe accounting for the escalating roommates driver.
 //!
-//! Replays the escalation schedule (including the adaptive double-
-//! doubling after a phase-1 budget abort) one attempt at a time through
-//! a counting `RoommatesOracle` wrapper, printing per-attempt candidate
-//! and rank probe totals, certificate verification cost, and the arena
-//! high-water mark:
+//! Runs the production schedule (`solve_escalating_from` at
+//! `default_initial_cut`) over a counting `RoommatesOracle` wrapper. A
+//! small `Metrics` sink snapshots the probe counters and the clock at
+//! each escalation attempt, at certificate verification and at the end
+//! of the solve, and prints one line per segment — candidate and rank
+//! probes and wall time — plus the certificate and the arena high-water
+//! mark:
 //!
 //! ```text
 //! cargo run --release -p kmatch-bench --bin probe_study -- [N] [SEED]
 //! ```
 //!
 //! `BENCH_roommates.json` records wall time; this is the tool that says
-//! where it went — e.g. at n = 10⁶ (seed 0x0A11_CE55) roughly 2.1 G
-//! probes settle the certified attempt and another 1.5 G verify the
-//! partition, against the ~10¹² a full-width solve would touch. The
-//! probe counters double as a regression lens for oracle-layer changes
-//! that wall-clock noise would hide.
+//! where it went. At n = 10⁶ (seed 0x0A11_CE55) the one attempt, at cut
+//! 16000, costs 2.06 G probes (1.04 G candidate, 1.02 G rank) and
+//! verifying its partition another 1.50 G, against the ~10¹² a
+//! full-width solve would touch; at n = 2·10⁴ (seed 1) the split is
+//! 8.7 M / 4.3 M. The probe counters double as a regression lens for
+//! oracle-layer changes that wall-clock noise would hide.
 
 use std::cell::Cell;
+use std::time::Instant;
 
-use kmatch_prefs::{CachedRoommatesOracle, RoommatesOracle, TruncatedRoommates};
-use kmatch_roommates::partition::{tolerant_solve_budgeted, verify_partition, TolerantOutcome};
+use kmatch_obs::{phase, Metrics};
+use kmatch_prefs::{CachedRoommatesOracle, RoommatesOracle};
+use kmatch_roommates::escalate::{default_initial_cut, solve_escalating_from};
 use kmatch_roommates::RoommatesWorkspace;
 
 struct Counting<O> {
@@ -63,6 +68,63 @@ impl<O: RoommatesOracle> RoommatesOracle for Counting<O> {
     }
 }
 
+/// Splits a solve into segments at the driver's hooks and prints each
+/// segment's probes and wall time when the next one starts.
+struct Segments<'a, O> {
+    probes: &'a Counting<O>,
+    label: String,
+    start: Instant,
+    candidates: u64,
+    ranks: u64,
+}
+
+impl<O> Segments<'_, O> {
+    /// Close the open segment (if any) and open `label`.
+    fn cut_at(&mut self, label: Option<String>) {
+        let (c, r) = (self.probes.candidates.get(), self.probes.ranks.get());
+        if !self.label.is_empty() {
+            println!(
+                "{:<22} {:>10.3?}  cand={:>11}  rank={:>11}",
+                self.label,
+                self.start.elapsed(),
+                c - self.candidates,
+                r - self.ranks,
+            );
+        }
+        self.label = label.unwrap_or_default();
+        self.start = Instant::now();
+        (self.candidates, self.ranks) = (c, r);
+    }
+}
+
+impl<O> Metrics for Segments<'_, O> {
+    const ENABLED: bool = true;
+    fn proposal(&mut self) {}
+    fn rejection(&mut self) {}
+    fn holder_swap(&mut self) {}
+    fn round(&mut self) {}
+    fn phase1_truncation(&mut self) {}
+    fn phase2_rotation(&mut self) {}
+    fn workspace(&mut self, _fresh: bool) {}
+    fn solve_ns(&mut self, _ns: u64) {}
+    fn binding_edge(&mut self, _proposals: u64) {}
+    fn theorem3_check(&mut self, _total: u64, _bound: u64) {}
+
+    fn escalation_attempt(&mut self, cut: u32) {
+        self.cut_at(Some(format!("attempt at cut {cut}")));
+    }
+    fn phase_enter(&mut self, id: u32) {
+        match id {
+            phase::VERIFY => self.cut_at(Some("verify partition".into())),
+            phase::FULLWIDTH => self.cut_at(Some("full width".into())),
+            _ => {}
+        }
+    }
+    fn solve_done(&mut self, _solvable: bool, _proposals: u64) {
+        self.cut_at(None);
+    }
+}
+
 fn main() {
     let n: usize = std::env::args()
         .nth(1)
@@ -72,67 +134,32 @@ fn main() {
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(0x0A11_CE55);
-    let inst = CachedRoommatesOracle::new(n, seed);
+    let counting = Counting {
+        inner: CachedRoommatesOracle::new(n, seed),
+        candidates: Cell::new(0),
+        ranks: Cell::new(0),
+    };
     let mut ws = RoommatesWorkspace::new();
-
-    let mut cut = kmatch_roommates::escalate::default_initial_cut(n);
-    let full = n as u32 - 1;
-    loop {
-        let this_cut = cut.min(full);
-        let counting = Counting {
-            inner: &inst,
-            candidates: Cell::new(0),
-            ranks: Cell::new(0),
-        };
-        let t0 = std::time::Instant::now();
-        let out = if this_cut < full {
-            tolerant_solve_budgeted(&TruncatedRoommates::new(&counting, this_cut), &mut ws, 8)
-        } else {
-            tolerant_solve_budgeted(&counting, &mut ws, 8)
-        };
-        let solve_t = t0.elapsed();
-        let (solve_c, solve_r) = (counting.candidates.get(), counting.ranks.get());
-        counting.candidates.set(0);
-        counting.ranks.set(0);
-        match out {
-            TolerantOutcome::Perfect { .. } => {
-                println!("cut={this_cut} PERFECT  solve={solve_t:?} cand={solve_c} rank={solve_r}");
-                break;
-            }
-            TolerantOutcome::Partition { partition, .. } => {
-                let t1 = std::time::Instant::now();
-                let ok = verify_partition(&counting, &partition.pi);
-                let verify_t = t1.elapsed();
-                println!(
-                    "cut={this_cut} PARTITION odd={} singles={} largest={}  solve={solve_t:?} \
-                     cand={solve_c} rank={solve_r}  verify={ok} in {verify_t:?} \
-                     cand={} rank={}  arena={} B",
-                    partition.odd_parties,
-                    partition.singletons,
-                    partition.largest_party,
-                    counting.candidates.get(),
-                    counting.ranks.get(),
-                    ws.resident_bytes(),
-                );
-                if ok {
-                    break;
-                }
-            }
-            TolerantOutcome::Abort {
-                over_budget_in_phase1,
-                ..
-            } => {
-                println!(
-                    "cut={this_cut} ABORT p1={over_budget_in_phase1}  solve={solve_t:?}                      cand={solve_c} rank={solve_r}"
-                );
-                if over_budget_in_phase1 {
-                    cut = cut.saturating_mul(2);
-                }
-            }
-        }
-        if this_cut >= full {
-            break;
-        }
-        cut = cut.saturating_mul(2);
-    }
+    let mut segments = Segments {
+        probes: &counting,
+        label: String::new(),
+        start: Instant::now(),
+        candidates: 0,
+        ranks: 0,
+    };
+    let (out, report) =
+        solve_escalating_from(&counting, &mut ws, default_initial_cut(n), &mut segments);
+    println!(
+        "{:?} after {} attempt(s) at cut {}: odd={} singles={}  stable={}  \
+         probes cand={} rank={}  arena={} B",
+        report.cert,
+        report.attempts,
+        report.final_cut,
+        report.odd_parties,
+        report.singletons,
+        out.is_stable(),
+        counting.candidates.get(),
+        counting.ranks.get(),
+        report.arena_bytes,
+    );
 }

@@ -7,11 +7,16 @@
 //! survivors). But Mertens' concentration results (PAPERS.md) put
 //! *relevant* partner ranks at Θ(√n), so the driver here solves the
 //! mutual top-K sub-instance `I_K` ([`TruncatedRoommates`]) at
-//! K ≈ 4·√n, checks a **completeness certificate**, and only escalates
+//! K ≈ 16·√n, checks a **completeness certificate**, and only escalates
 //! (K ← 2K, cold re-solve through the same workspace) when the
 //! certificate fails — full width as the last resort. Cost per attempt
 //! is O(n·K) probes and O(n·K) arena, so the certified path is
-//! O(n^1.5) in time and memory.
+//! O(n^1.5) in time and memory. On random instances the first attempt
+//! decides — every seed of the `schedule` tally in
+//! `results/BENCH_roommates.json` (200 per n ∈ {500, 1000, 2000}) and
+//! every scaling row up to n = 10⁶ certifies at the starting cut — so a
+//! solve is one attempt plus, when unsolvable, one partition
+//! verification.
 //!
 //! The two certificates:
 //!
@@ -100,12 +105,19 @@ pub struct EscalationReport {
 /// row, so this caps the verifier at O(n·K + 8n) probes.
 const MAX_CERTIFIABLE_SINGLETONS: u32 = 8;
 
-/// The default starting cutoff: `max(32, ⌈4·√n⌉)`. At this cut the
-/// expected mutual degree of a random instance is ≈ 16, comfortably
-/// above the connectivity threshold where phase 1 starts emptying lists,
-/// while keeping attempt cost O(n^1.5).
+/// The default starting cutoff: `4 · max(32, ⌈4·√n⌉)`.
+///
+/// `max(32, ⌈4·√n⌉)` is where the expected mutual degree of a random
+/// instance reaches ≈ 16, but phase 1 there still empties more lists
+/// than the singleton budget allows, so an attempt at that cut aborts
+/// in phase 1 and the schedule's ×4 step takes it to this cut anyway.
+/// Starting here skips that doomed attempt; it decides on random
+/// instances with partner ranks concentrated at Θ(√n) (Mertens), and
+/// attempt cost stays O(n^1.5). On complete lists with n ≤ 261 the cut
+/// covers every row and the driver goes straight to the full-width
+/// solve.
 pub fn default_initial_cut(n: usize) -> u32 {
-    ((4.0 * (n as f64).sqrt()).ceil() as u32).max(32)
+    ((4.0 * (n as f64).sqrt()).ceil() as u32).max(32) * 4
 }
 
 /// [`solve_escalating`] with metric hooks: per-attempt
@@ -340,9 +352,9 @@ mod tests {
 
     #[test]
     fn default_cut_grows_like_sqrt_n() {
-        assert_eq!(default_initial_cut(0), 32);
-        assert_eq!(default_initial_cut(100), 40);
-        assert_eq!(default_initial_cut(10_000), 400);
-        assert_eq!(default_initial_cut(1_000_000), 4_000);
+        assert_eq!(default_initial_cut(0), 128);
+        assert_eq!(default_initial_cut(100), 160);
+        assert_eq!(default_initial_cut(10_000), 1_600);
+        assert_eq!(default_initial_cut(1_000_000), 16_000);
     }
 }

@@ -337,9 +337,19 @@ impl RoommatesWorkspace {
     /// Evaluate the phase-1 liveness predicate once per still-plausible
     /// entry and pack the survivors into the doubly-linked arena phase 2
     /// runs on. Rows scan `scan[p]..=thresh[p]` only, so the cost is
-    /// O(Σ thresh) ≤ O(total entries) with one partner-side rank probe
-    /// per candidate — and the arena itself is as small as the reduced
-    /// tables actually are.
+    /// O(Σ thresh) ≤ O(total entries), and the arena itself is as small
+    /// as the reduced tables actually are.
+    ///
+    /// Only candidates `q > p` cost a partner-side rank probe. The
+    /// predicate is symmetric and rows pack in id order, so for `q < p`
+    /// the pair is alive iff `q`'s already-packed row holds `p`: `p`'s
+    /// own side is alive (`q` sits inside `p`'s window), and a live pair
+    /// is never left of `q`'s `scan` cursor. Packing row `q` threads each
+    /// survivor `r > q` onto `r`'s list of lower holders, so row `r`
+    /// reads that fact back in O(1) per candidate, whatever the length
+    /// of the lower rows. The lists live in the `pred`/`succ` slots of
+    /// nodes not yet linked; their heads and the marks share the `pos`
+    /// scratch, which is all-[`NONE`] again on return.
     pub(crate) fn materialize<I: RoommatesOracle>(&mut self, inst: &I) {
         let n = inst.n();
         self.entries.clear();
@@ -350,16 +360,29 @@ impl RoommatesWorkspace {
         self.head.clear();
         self.tail.clear();
         self.len.clear();
+        self.pos.clear();
+        self.pos.resize(n, NONE);
         self.off.push(0);
         // Row-batched survivor scan: gather a block of candidates, probe
-        // all their partner-side ranks, then filter — identical survivors
-        // in identical order to the scalar walk, with the per-row oracle
-        // state amortized and the independent probes overlapping.
+        // the partner-side ranks of the higher ids together, then filter
+        // in row order — identical survivors in identical order to the
+        // scalar walk, with the per-row oracle state amortized and the
+        // independent probes overlapping.
         const MAT_BLOCK: usize = 64;
         let mut qs = [0u32; MAT_BLOCK];
+        let mut probe = [0u32; MAT_BLOCK];
         let mut limits = [0u32; MAT_BLOCK];
         let mut live = [false; MAT_BLOCK];
         for p in 0..n as u32 {
+            // While row p packs, pos[r] for r > p heads the list of nodes
+            // that hold r in rows below p (each with its row in `pred` and
+            // the next node in `succ`), and pos[q] for q < p is a mark:
+            // pos[q] == p iff row q holds p.
+            let mut node = std::mem::replace(&mut self.pos[p as usize], NONE);
+            while node != NONE {
+                self.pos[self.pred[node as usize] as usize] = p;
+                node = self.succ[node as usize];
+            }
             let base = self.entries.len() as u32;
             let end = inst
                 .row_len(p)
@@ -368,21 +391,34 @@ impl RoommatesWorkspace {
             while pos < end {
                 let w = ((end - pos) as usize).min(MAT_BLOCK);
                 inst.candidates_into(p, pos, &mut qs[..w]);
-                for i in 0..w {
-                    limits[i] = self.thresh[qs[i] as usize].saturating_add(1);
+                let mut m = 0usize;
+                for &q in &qs[..w] {
+                    probe[m] = q;
+                    m += usize::from(q > p);
                 }
-                inst.ranks_lt_into(&qs[..w], p, &limits[..w], &mut live[..w]);
-                for i in 0..w {
-                    if live[i] {
-                        self.entries.push(qs[i]);
+                for (limit, &q) in limits.iter_mut().zip(&probe[..m]) {
+                    *limit = self.thresh[q as usize].saturating_add(1);
+                }
+                inst.ranks_lt_into(&probe[..m], p, &limits[..m], &mut live[..m]);
+                let mut k = 0usize;
+                for &q in &qs[..w] {
+                    let higher = q > p;
+                    let alive = (higher & live[k]) | (!higher & (self.pos[q as usize] == p));
+                    k += usize::from(higher);
+                    if alive {
+                        self.entries.push(q);
                     }
                 }
                 pos += w as u32;
             }
             let e = self.entries.len() as u32;
             for i in base..e {
-                self.pred.push(if i == base { NONE } else { i - 1 });
-                self.succ.push(if i + 1 == e { NONE } else { i + 1 });
+                // Only r > p joins a list; below p, pos[r] keeps its mark.
+                let r = self.entries[i as usize];
+                let h = self.pos[r as usize];
+                self.pred.push(p);
+                self.succ.push(h);
+                self.pos[r as usize] = if r > p { i } else { h };
             }
             self.alive.resize(e as usize, true);
             self.head.push(if base == e { NONE } else { base });
@@ -390,6 +426,16 @@ impl RoommatesWorkspace {
             self.len.push(e - base);
             self.off.push(e);
         }
+        // Every row is packed: replace the borrowed slots with the row
+        // links.
+        for p in 0..n {
+            let (lo, hi) = (self.off[p], self.off[p + 1]);
+            for i in lo..hi {
+                self.pred[i as usize] = if i == lo { NONE } else { i - 1 };
+                self.succ[i as usize] = if i + 1 == hi { NONE } else { i + 1 };
+            }
+        }
+        self.pos.fill(NONE);
     }
 
     /// Most preferred surviving partner of `p` in the arena, or `None` if
@@ -548,6 +594,7 @@ mod tests {
     use super::*;
     use kmatch_prefs::gen::paper::section3b_left;
     use kmatch_prefs::RoommatesInstance;
+    use std::cell::Cell;
 
     fn fresh(inst: &RoommatesInstance) -> RoommatesWorkspace {
         let mut ws = RoommatesWorkspace::new();
@@ -664,5 +711,174 @@ mod tests {
         assert_eq!(ws.reduced_list(0), vec![5, 2, 3, 4]);
         assert!(ws.alive.iter().all(|&a| a));
         assert_eq!(ws.free.len(), 6);
+    }
+
+    /// Wraps an oracle and counts the partner-side rank probes it answers.
+    struct CountingRanks<'a, I> {
+        inner: &'a I,
+        ranks: Cell<u64>,
+    }
+
+    impl<I: RoommatesOracle> CountingRanks<'_, I> {
+        fn add(&self, k: usize) {
+            self.ranks.set(self.ranks.get() + k as u64);
+        }
+    }
+
+    impl<I: RoommatesOracle> RoommatesOracle for CountingRanks<'_, I> {
+        fn n(&self) -> usize {
+            self.inner.n()
+        }
+        fn row_len(&self, p: u32) -> u32 {
+            self.inner.row_len(p)
+        }
+        fn candidate(&self, p: u32, pos: u32) -> u32 {
+            self.inner.candidate(p, pos)
+        }
+        fn rank_of(&self, p: u32, q: u32) -> u32 {
+            self.add(1);
+            self.inner.rank_of(p, q)
+        }
+        fn candidates_into(&self, p: u32, lo: u32, out: &mut [u32]) {
+            self.inner.candidates_into(p, lo, out)
+        }
+        fn ranks_toward_into(&self, qs: &[u32], p: u32, out: &mut [u32]) {
+            self.add(qs.len());
+            self.inner.ranks_toward_into(qs, p, out)
+        }
+        fn rank_lt(&self, q: u32, p: u32, limit: u32) -> bool {
+            self.add(1);
+            self.inner.rank_lt(q, p, limit)
+        }
+        fn ranks_lt_into(&self, qs: &[u32], p: u32, limits: &[u32], out: &mut [bool]) {
+            self.add(qs.len());
+            self.inner.ranks_lt_into(qs, p, limits, out)
+        }
+    }
+
+    /// The arena vectors `entries`, `off`, `head`, `tail` and `len`.
+    type Arena = [Vec<u32>; 5];
+
+    /// The arena as the scalar predicate walk defines it — one
+    /// `rank_lt` per window candidate — plus the number of window
+    /// candidates `q > p`, and of candidates `q < p` whose pair is
+    /// `[dead, alive]`.
+    fn scalar_arena<I: RoommatesOracle>(
+        inst: &I,
+        ws: &RoommatesWorkspace,
+    ) -> (Arena, u64, [u64; 2]) {
+        let [mut entries, mut off, mut head, mut tail, mut len] = Arena::default();
+        let (mut higher, mut lower) = (0u64, [0u64; 2]);
+        off.push(0);
+        for p in 0..inst.n() as u32 {
+            let base = entries.len() as u32;
+            let end = inst.row_len(p).min(ws.thresh[p as usize].saturating_add(1));
+            for pos in ws.scan[p as usize]..end {
+                let q = inst.candidate(p, pos);
+                let alive = inst.rank_lt(q, p, ws.thresh[q as usize].saturating_add(1));
+                if q > p {
+                    higher += 1;
+                } else {
+                    lower[alive as usize] += 1;
+                }
+                if alive {
+                    entries.push(q);
+                }
+            }
+            let e = entries.len() as u32;
+            head.push(if base == e { NONE } else { base });
+            tail.push(if base == e { NONE } else { e - 1 });
+            len.push(e - base);
+            off.push(e);
+        }
+        ([entries, off, head, tail, len], higher, lower)
+    }
+
+    /// Re-pack `ws`'s arena from its phase-1 state (phase 2 never touches
+    /// `thresh` or `scan`) and compare it with the scalar walk. Returns
+    /// the `[dead, alive]` tally of the lower-id candidates.
+    fn check_materialize<I: RoommatesOracle>(
+        inst: &I,
+        ws: &mut RoommatesWorkspace,
+        what: &str,
+    ) -> [u64; 2] {
+        let (expected, higher, lower) = scalar_arena(inst, ws);
+        let counting = CountingRanks {
+            inner: inst,
+            ranks: Cell::new(0),
+        };
+        ws.materialize(&counting);
+        let got = [&ws.entries, &ws.off, &ws.head, &ws.tail, &ws.len];
+        for (name, (g, e)) in ["entries", "off", "head", "tail", "len"]
+            .iter()
+            .zip(got.into_iter().zip(&expected))
+        {
+            assert_eq!(g, e, "{what}: arena `{name}` differs from the scalar walk");
+        }
+        assert_eq!(
+            counting.ranks.get(),
+            higher,
+            "{what}: one rank probe per window candidate q > p"
+        );
+        assert!(
+            ws.pos.iter().all(|&x| x == NONE),
+            "{what}: phase 2 needs the borrowed `pos` scratch all-NONE"
+        );
+        lower
+    }
+
+    /// Run both engine paths over `inst` and check the arena each leaves.
+    fn check_both_paths<I: RoommatesOracle>(
+        inst: &I,
+        ws: &mut RoommatesWorkspace,
+        what: &str,
+        lower: &mut [u64; 2],
+    ) {
+        ws.solve(inst);
+        let engine = check_materialize(inst, ws, &format!("{what}, engine"));
+        crate::partition::tolerant_solve(inst, ws);
+        let tolerant = check_materialize(inst, ws, &format!("{what}, tolerant"));
+        for (sum, (a, b)) in lower.iter_mut().zip(engine.into_iter().zip(tolerant)) {
+            *sum += a + b;
+        }
+    }
+
+    #[test]
+    fn materialize_matches_the_scalar_predicate_walk() {
+        use kmatch_prefs::gen::adversarial::theorem1_roommates;
+        use kmatch_prefs::gen::structured::identical_bipartite;
+        use kmatch_prefs::gen::uniform::uniform_roommates;
+        use kmatch_prefs::{CachedRoommatesOracle, TruncatedRoommates};
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+
+        let mut ws = RoommatesWorkspace::new();
+        let mut lower = [0u64; 2];
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA7E4A);
+        for n in [2usize, 5, 8, 17, 32, 63, 120] {
+            for _ in 0..4 {
+                let inst = uniform_roommates(n, &mut rng);
+                check_both_paths(&inst, &mut ws, &format!("uniform n = {n}"), &mut lower);
+            }
+        }
+        for m in 1..8 {
+            let inst = theorem1_roommates(3, m);
+            check_both_paths(&inst, &mut ws, &format!("theorem 1, m = {m}"), &mut lower);
+        }
+        for n in [2usize, 7, 24, 47] {
+            let inst = RoommatesInstance::from_bipartite(&identical_bipartite(n));
+            check_both_paths(&inst, &mut ws, &format!("master list n = {n}"), &mut lower);
+        }
+        for (n, seed) in [(200usize, 3u64), (500, 11), (1000, 29)] {
+            let oracle = CachedRoommatesOracle::new(n, seed);
+            for cut in [4u32, 16, 64, 256] {
+                let inst = TruncatedRoommates::new(&oracle, cut);
+                check_both_paths(&inst, &mut ws, &format!("n = {n}, cut {cut}"), &mut lower);
+            }
+        }
+        assert!(
+            lower[0] > 0 && lower[1] > 0,
+            "the lower-holder lookup must see both dead and live pairs: {lower:?}"
+        );
     }
 }

@@ -103,6 +103,20 @@ for bad in deep truncated; do
   grep -qF "error: $SMOKE_DIR/$bad.json: " "$SMOKE_DIR/$bad.err" \
       || { echo "hostile smoke: error for $bad.json does not name the file"; exit 1; }
 done
+# An out-of-range element inside an integer run (a compact list of plain
+# integers, read in one loop) must be the element's per-index range
+# error, not a syntax error at the token after it.
+printf '%s' '[{"n":2,"proposers":[[0,1],[1,0]],"responders":[[0,1],[1,0]]},' \
+    '{"n":2,"proposers":[[0,1],[1,4294967296]],"responders":[[0,1],[1,0]]}]' \
+    > "$SMOKE_DIR/range.json"
+status=0
+./target/release/kmatch batch --input "$SMOKE_DIR/range.json" \
+    > /dev/null 2> "$SMOKE_DIR/range.err" || status=$?
+[ "$status" -eq 1 ] \
+    || { echo "hostile smoke: range.json exited $status, expected 1"; exit 1; }
+grep -qF 'index 1: field `proposers` of BipartiteDto: number 4294967296 out of range for u32' \
+    "$SMOKE_DIR/range.err" \
+    || { echo "hostile smoke: range.json did not report index 1's range error"; exit 1; }
 
 echo "==> trace smoke"
 # A single-solve trace keeps full fidelity: the chrome export must be

@@ -17,10 +17,13 @@
 //!   gate one-sided upward with an absolute slack in percentage points.
 //!
 //! Host-shape fields (`threads`, the batch `path`, the executor's
-//! `steal_count`/`task_count` — schedule footprint, not output) are informational:
-//! drift is noted, never fatal. Keys present in the baseline but missing
-//! from the fresh run are regressions (a silently dropped row must not
-//! pass the gate); new keys in the fresh run are notes.
+//! `steal_count`/`task_count` — schedule footprint, not output — and a
+//! file's host header: `commit`, `cores`, `cpu_model`, `profile`) and the
+//! spread of a wall-time row (`*_iqr_ns`, beside its gated median) are
+//! informational: drift is noted, never fatal. Keys present in the
+//! baseline but missing from the fresh run are regressions (a silently
+//! dropped row must not pass the gate); new keys in the fresh run are
+//! notes.
 
 use std::fs;
 use std::path::Path;
@@ -107,7 +110,12 @@ enum Rule {
 
 /// Classify a leaf by its key name.
 fn rule_for(key: &str) -> Rule {
-    if matches!(key, "threads" | "path" | "seed" | "steal_count" | "task_count") {
+    if matches!(
+        key,
+        "threads" | "path" | "seed" | "steal_count" | "task_count" | "commit" | "cores"
+            | "cpu_model" | "profile"
+    ) || key.ends_with("_iqr_ns")
+    {
         return Rule::Ignore;
     }
     if key.ends_with("_ns") {
@@ -320,6 +328,10 @@ mod tests {
         assert_eq!(rule_for("path"), Rule::Ignore);
         assert_eq!(rule_for("steal_count"), Rule::Ignore);
         assert_eq!(rule_for("task_count"), Rule::Ignore);
+        assert_eq!(rule_for("commit"), Rule::Ignore);
+        assert_eq!(rule_for("cpu_model"), Rule::Ignore);
+        assert_eq!(rule_for("parse_iqr_ns"), Rule::Ignore);
+        assert_eq!(rule_for("parse_median_ns"), Rule::Timing);
         assert_eq!(rule_for("proposals"), Rule::Exact);
         assert_eq!(rule_for("n"), Rule::Exact);
         assert_eq!(rule_for("peak_rss_bytes"), Rule::Bytes);

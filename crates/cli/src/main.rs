@@ -2357,6 +2357,40 @@ mod tests {
     }
 
     #[test]
+    fn batch_input_rejects_a_declared_n_its_lists_do_not_build() {
+        let dir = std::env::temp_dir().join("kmatch-cli-test-declared-n");
+        std::fs::create_dir_all(&dir).unwrap();
+        let gs = dir.join("gs.json");
+        std::fs::write(
+            &gs,
+            r#"[{"n":2,"proposers":[[0,1],[1,0]],"responders":[[0,1],[1,0]]},
+                {"n":2,"proposers":[[0,1],[1,0]],"responders":[[0,1],[1,0]]},
+                {"n":5,"proposers":[[0,1],[1,0]],"responders":[[0,1],[1,0]]}]"#,
+        )
+        .unwrap();
+        let err = call(&["batch", "--input", gs.to_str().unwrap()]).unwrap_err();
+        assert!(
+            err.contains("1 of 3")
+                && err.contains("index 2: shape mismatch in declared n: expected 5, got 2"),
+            "got: {err}"
+        );
+        let rm = dir.join("rm.json");
+        std::fs::write(&rm, r#"[{"n":9,"lists":[[1],[0]]}]"#).unwrap();
+        let err = call(&[
+            "batch",
+            "--kind",
+            "roommates",
+            "--input",
+            rm.to_str().unwrap(),
+        ])
+        .unwrap_err();
+        assert!(
+            err.contains("index 0: shape mismatch in declared n: expected 9, got 2"),
+            "got: {err}"
+        );
+    }
+
+    #[test]
     fn batch_input_happy_path_writes_empty_error_summary() {
         let dir = std::env::temp_dir().join("kmatch-cli-test5");
         std::fs::create_dir_all(&dir).unwrap();

@@ -46,15 +46,21 @@ impl TryFrom<KPartiteDto> for KPartiteInstance {
                 actual: inst.k(),
             });
         }
-        if inst.n() != dto.n {
-            return Err(PrefsError::ShapeMismatch {
-                what: "declared n",
-                expected: dto.n,
-                actual: inst.n(),
-            });
-        }
+        declared_n(dto.n, inst.n())?;
         Ok(inst)
     }
+}
+
+/// A DTO's declared `n` must be the size its lists build.
+fn declared_n(declared: usize, built: usize) -> Result<(), PrefsError> {
+    if declared != built {
+        return Err(PrefsError::ShapeMismatch {
+            what: "declared n",
+            expected: declared,
+            actual: built,
+        });
+    }
+    Ok(())
 }
 
 /// Serializable form of a [`BipartiteInstance`].
@@ -89,7 +95,9 @@ impl TryFrom<BipartiteDto> for BipartiteInstance {
     type Error = PrefsError;
 
     fn try_from(dto: BipartiteDto) -> Result<Self, PrefsError> {
-        BipartiteInstance::from_lists(&dto.proposers, &dto.responders)
+        let inst = BipartiteInstance::from_lists(&dto.proposers, &dto.responders)?;
+        declared_n(dto.n, inst.n())?;
+        Ok(inst)
     }
 }
 
@@ -117,7 +125,9 @@ impl TryFrom<RoommatesDto> for RoommatesInstance {
     type Error = PrefsError;
 
     fn try_from(dto: RoommatesDto) -> Result<Self, PrefsError> {
-        RoommatesInstance::from_lists(dto.lists)
+        let inst = RoommatesInstance::from_lists(dto.lists)?;
+        declared_n(dto.n, inst.n())?;
+        Ok(inst)
     }
 }
 
@@ -247,6 +257,32 @@ mod tests {
         let mut dto = KPartiteDto::from(&inst);
         dto.k = 7;
         assert!(KPartiteInstance::try_from(dto).is_err());
+    }
+
+    #[test]
+    fn declared_n_must_match_the_lists() {
+        let bipartite: BipartiteDto =
+            serde_json::from_str(r#"{"n":5,"proposers":[[0,1],[1,0]],"responders":[[0,1],[1,0]]}"#)
+                .unwrap();
+        assert_eq!(
+            BipartiteInstance::try_from(bipartite).unwrap_err(),
+            PrefsError::ShapeMismatch {
+                what: "declared n",
+                expected: 5,
+                actual: 2
+            }
+        );
+        let roommates: RoommatesDto = serde_json::from_str(r#"{"n":9,"lists":[[1],[0]]}"#).unwrap();
+        assert_eq!(
+            RoommatesInstance::try_from(roommates).unwrap_err(),
+            PrefsError::ShapeMismatch {
+                what: "declared n",
+                expected: 9,
+                actual: 2
+            }
+        );
+        let roommates: RoommatesDto = serde_json::from_str(r#"{"n":2,"lists":[[1],[0]]}"#).unwrap();
+        assert_eq!(RoommatesInstance::try_from(roommates).unwrap().n(), 2);
     }
 
     #[test]

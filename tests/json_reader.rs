@@ -57,7 +57,13 @@ fn assert_agree_all(s: &str) {
     agree::<GenderId>(s);
 }
 
-fn ws(rng: &mut CaseRng, out: &mut String) {
+/// Free whitespace, or none at all in a `dense` render: a dense array
+/// of plain integers is read as one integer run, while any whitespace
+/// between elements routes the reader around the run.
+fn ws(rng: &mut CaseRng, dense: bool, out: &mut String) {
+    if dense {
+        return;
+    }
     for _ in 0..rng.bounded(3) {
         out.push([' ', '\n', '\t', '\r'][rng.bounded(4) as usize]);
     }
@@ -86,11 +92,12 @@ fn render_key(key: &str, rng: &mut CaseRng, out: &mut String) {
     }
 }
 
-/// Render `v` as JSON with free whitespace; every object gets its fields
-/// shuffled, unknown keys mixed in and junk duplicates of its keys
-/// appended, none of which changes what it reads as.
-fn render(v: &Value, rng: &mut CaseRng, out: &mut String) {
-    ws(rng, out);
+/// Render `v` as JSON with free whitespace (none when `dense`); every
+/// object gets its fields shuffled, unknown keys mixed in and junk
+/// duplicates of its keys appended, none of which changes what it reads
+/// as.
+fn render(v: &Value, rng: &mut CaseRng, dense: bool, out: &mut String) {
+    ws(rng, dense, out);
     match v {
         Value::Array(items) => {
             out.push('[');
@@ -98,9 +105,9 @@ fn render(v: &Value, rng: &mut CaseRng, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                render(item, rng, out);
+                render(item, rng, dense, out);
             }
-            ws(rng, out);
+            ws(rng, dense, out);
             out.push(']');
         }
         Value::Object(fields) => {
@@ -122,18 +129,18 @@ fn render(v: &Value, rng: &mut CaseRng, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                ws(rng, out);
+                ws(rng, dense, out);
                 render_key(key, rng, out);
-                ws(rng, out);
+                ws(rng, dense, out);
                 out.push(':');
-                render(item, rng, out);
+                render(item, rng, dense, out);
             }
-            ws(rng, out);
+            ws(rng, dense, out);
             out.push('}');
         }
         leaf => out.push_str(&serde_json::to_string(leaf).expect("leaf renders")),
     }
-    ws(rng, out);
+    ws(rng, dense, out);
 }
 
 fn rows(rng: &mut CaseRng, count: usize, len: usize) -> Vec<Vec<u32>> {
@@ -198,7 +205,8 @@ fn check_all_shapes(rng: &mut CaseRng) {
     ];
     for (value, read) in docs {
         let mut text = String::new();
-        render(&value, rng, &mut text);
+        let dense = rng.bounded(2) == 0;
+        render(&value, rng, dense, &mut text);
         assert_eq!(read(&text), Ok(format!("{value:?}")), "{text}");
         assert_same::<Value>(&text).expect("every render is valid JSON");
         assert_agree_all(&text);
@@ -284,6 +292,196 @@ fn one_defect_gives_the_same_error_on_both_paths() {
             assert_same::<GenderId>(doc).is_err(),
             "{doc:?} should not parse"
         );
+    }
+}
+
+/// `s` read as `T`, rendered as compact JSON, after checking that the
+/// typed and the tree path read the same value or fail the same way.
+fn read_json<T: Deserialize + Serialize>(s: &str) -> Result<String, String> {
+    assert_same::<T>(s)?;
+    let t = serde_json::from_str::<T>(s).expect("read above");
+    Ok(serde_json::to_string(&t).expect("renders"))
+}
+
+/// One document read as `Vec<u8>`, `Vec<u32>`, `Vec<i64>`, `Vec<usize>`
+/// and `Value`, in that order.
+fn read_all_runs(s: &str) -> [Result<String, String>; 5] {
+    [
+        read_json::<Vec<u8>>(s),
+        read_json::<Vec<u32>>(s),
+        read_json::<Vec<i64>>(s),
+        read_json::<Vec<usize>>(s),
+        read_json::<Value>(s),
+    ]
+}
+
+#[test]
+fn integer_runs_read_what_the_token_rules_read() {
+    type Want = [Result<&'static str, &'static str>; 5];
+    let all = |want: Result<&'static str, &'static str>| -> Want { [want; 5] };
+    let range = |x: &'static str| -> [String; 4] {
+        ["u8", "u32", "i64", "usize"].map(|t| format!("number {x} out of range for {t}"))
+    };
+    let cases: Vec<(&str, Want)> = vec![
+        ("[1,2,3]", all(Ok("[1,2,3]"))),
+        ("[1 ,2]", all(Ok("[1,2]"))),
+        ("[1, 2]", all(Ok("[1,2]"))),
+        ("[1,\n2]", all(Ok("[1,2]"))),
+        ("[1,1e2]", all(Ok("[1,100]"))),
+        ("[007,1]", all(Ok("[7,1]"))),
+        ("[1,]", all(Err("unexpected character `]` at byte 3"))),
+        ("[1,,2]", all(Err("unexpected character `,` at byte 3"))),
+        (
+            "[1,2 3]",
+            all(Err("expected `,` or `]`, got `3` at byte 5")),
+        ),
+        ("[1,2x]", all(Err("expected `,` or `]`, got `x` at byte 4"))),
+        ("[1,2", all(Err("unexpected end of JSON"))),
+        ("[1,2+3]", all(Err("invalid number `2+3`"))),
+    ];
+    for (doc, want) in cases {
+        assert_eq!(
+            read_all_runs(doc),
+            want.map(|w| w.map(String::from).map_err(String::from)),
+            "{doc}"
+        );
+    }
+
+    // Elements that some of the types reject: the run hands each one to
+    // the token rules, which name it in their error.
+    let [u8_big, u32_big, ..] = range("4294967296");
+    let [u8_neg, u32_neg, _, usize_neg] = range("-2");
+    let [u8_frac, u32_frac, i64_frac, usize_frac] = range("2.5");
+    let [u8_15, u32_15, ..] = range("999999999999999");
+    let [u8_16, u32_16, ..] = range("1234567890123456");
+    let [u8_53, u32_53, ..] = range("9007199254740992");
+    let [u8_256, ..] = range("256");
+    let cases: Vec<(&str, [Result<String, String>; 5])> = vec![
+        (
+            "[1,4294967296]",
+            [
+                Err(u8_big),
+                Err(u32_big),
+                Ok("[1,4294967296]".into()),
+                Ok("[1,4294967296]".into()),
+                Ok("[1,4294967296]".into()),
+            ],
+        ),
+        (
+            "[1,-2]",
+            [
+                Err(u8_neg),
+                Err(u32_neg),
+                Ok("[1,-2]".into()),
+                Err(usize_neg),
+                Ok("[1,-2]".into()),
+            ],
+        ),
+        (
+            "[1,2.5]",
+            [
+                Err(u8_frac),
+                Err(u32_frac),
+                Err(i64_frac),
+                Err(usize_frac),
+                Ok("[1,2.5]".into()),
+            ],
+        ),
+        (
+            // 15 digits: inside the run.
+            "[1,999999999999999,2]",
+            [
+                Err(u8_15),
+                Err(u32_15),
+                Ok("[1,999999999999999,2]".into()),
+                Ok("[1,999999999999999,2]".into()),
+                Ok("[1,999999999999999,2]".into()),
+            ],
+        ),
+        (
+            // 16 digits: read by `str::parse`, exactly here.
+            "[1,1234567890123456,2]",
+            [
+                Err(u8_16),
+                Err(u32_16),
+                Ok("[1,1234567890123456,2]".into()),
+                Ok("[1,1234567890123456,2]".into()),
+                Ok("[1,1234567890123456,2]".into()),
+            ],
+        ),
+        (
+            // 2^53 + 1 rounds to 2^53 as an `f64`, on every path.
+            "[1,9007199254740993,2]",
+            [
+                Err(u8_53),
+                Err(u32_53),
+                Ok("[1,9007199254740992,2]".into()),
+                Ok("[1,9007199254740992,2]".into()),
+                Ok("[1,9007199254740992,2]".into()),
+            ],
+        ),
+        (
+            "[255,256,0]",
+            [
+                Err(u8_256),
+                Ok("[255,256,0]".into()),
+                Ok("[255,256,0]".into()),
+                Ok("[255,256,0]".into()),
+                Ok("[255,256,0]".into()),
+            ],
+        ),
+    ];
+    for (doc, want) in cases {
+        assert_eq!(read_all_runs(doc), want, "{doc}");
+    }
+    // Rendering goes through `f64`, so compare the 2^53 + 1 case's
+    // integers directly: a 16-digit run element would read it exactly.
+    let doc = "[1,9007199254740993,2]";
+    assert_eq!(
+        serde_json::from_str::<Vec<i64>>(doc).unwrap(),
+        [1, 9_007_199_254_740_992, 2]
+    );
+    assert_eq!(
+        serde_json::from_str::<Vec<u64>>(doc).unwrap(),
+        [1, 9_007_199_254_740_992, 2]
+    );
+    assert_eq!(
+        serde_json::from_str::<Vec<usize>>(doc).unwrap(),
+        [1, 9_007_199_254_740_992, 2]
+    );
+    assert_eq!(
+        read_json::<Vec<Vec<u32>>>("[[1,2],[3,4294967296],[5]]"),
+        Err("number 4294967296 out of range for u32".to_string())
+    );
+
+    // A run cut at every byte fails as the end of the text.
+    let eof = || Err::<String, _>("unexpected end of JSON".to_string());
+    let doc = "[12,255,0,7,100,99]";
+    for prefix in truncations(doc) {
+        let want = if prefix == doc {
+            Ok(doc.to_string())
+        } else {
+            eof()
+        };
+        assert_eq!(
+            read_all_runs(prefix),
+            [(); 5].map(|_| want.clone()),
+            "{prefix:?}"
+        );
+    }
+    let doc = "[123456789012345,4294967296,0,1]";
+    for prefix in truncations(doc) {
+        let want = if prefix == doc {
+            Ok(doc.to_string())
+        } else {
+            eof()
+        };
+        let got = [
+            read_json::<Vec<i64>>(prefix),
+            read_json::<Vec<usize>>(prefix),
+            read_json::<Value>(prefix),
+        ];
+        assert_eq!(got, [(); 3].map(|_| want.clone()), "{prefix:?}");
     }
 }
 

@@ -117,6 +117,27 @@ status=0
 grep -qF 'index 1: field `proposers` of BipartiteDto: number 4294967296 out of range for u32' \
     "$SMOKE_DIR/range.err" \
     || { echo "hostile smoke: range.json did not report index 1's range error"; exit 1; }
+# n above the 65 536 cap of the half-width rank tables must be a typed
+# error raised before any n^2 table is allocated: 65 537 empty rows per
+# side would otherwise ask for tens of gigabytes.
+python3 -c 'import sys; rows = ",".join(["[]"] * 65537)
+sys.stdout.write("[{\"n\":65537,\"proposers\":[%s],\"responders\":[%s]}]" % (rows, rows))' \
+    > "$SMOKE_DIR/huge.json"
+status=0
+./target/release/kmatch batch --input "$SMOKE_DIR/huge.json" \
+    > /dev/null 2> "$SMOKE_DIR/huge.err" || status=$?
+[ "$status" -eq 1 ] \
+    || { echo "hostile smoke: huge.json exited $status, expected 1"; exit 1; }
+! grep -q 'panicked' "$SMOKE_DIR/huge.err" \
+    || { echo "hostile smoke: huge.json panicked"; exit 1; }
+grep -qF 'index 0: instance too large: n exceeds 65536 members per side' \
+    "$SMOKE_DIR/huge.err" \
+    || { echo "hostile smoke: huge.json did not report the size cap"; exit 1; }
+# A data error is the one error line; usage follows argument errors only.
+for bad in deep range huge; do
+  [ "$(wc -l < "$SMOKE_DIR/$bad.err")" -eq 1 ] \
+      || { echo "hostile smoke: $bad.err is not one line"; exit 1; }
+done
 
 echo "==> trace smoke"
 # A single-solve trace keeps full fidelity: the chrome export must be

@@ -13,8 +13,9 @@
 //!
 //! Each document is read `REPS` times after one warm-up read; a row
 //! records the median and interquartile range of the parse and of the
-//! conversion/build wall times, and the document's exact size counters
-//! (bytes, numbers). A header records the commit, core count, CPU model
+//! conversion/build wall times, the document's exact size counters
+//! (bytes, numbers) and the bytes the built instances hold (their
+//! `resident_bytes`, gated one-sided by `bench_diff`). A header records the commit, core count, CPU model
 //! and build profile the times were taken with. Run with
 //! `cargo run --release --bin bench_ingest_json`.
 
@@ -60,6 +61,8 @@ struct Row {
     /// Document length in bytes, and the numbers it holds.
     bytes: u64,
     numbers: u64,
+    /// Bytes the built instances' tables hold.
+    instance_bytes: u64,
     parse_median_ns: f64,
     parse_iqr_ns: f64,
     /// Conversion of the parsed form and the instance build.
@@ -75,6 +78,7 @@ impl_json_struct!(Row {
     n,
     bytes,
     numbers,
+    instance_bytes,
     parse_median_ns,
     parse_iqr_ns,
     build_median_ns,
@@ -197,6 +201,7 @@ fn bipartite_row() -> Row {
         n: N,
         bytes: text.len() as u64,
         numbers,
+        instance_bytes: insts.iter().map(|i| i.resident_bytes() as u64).sum(),
         parse_median_ns,
         parse_iqr_ns,
         build_median_ns,
@@ -224,6 +229,7 @@ fn kpartite_row() -> Row {
         n: N,
         bytes: text.len() as u64,
         numbers,
+        instance_bytes: inst.resident_bytes() as u64,
         parse_median_ns,
         parse_iqr_ns,
         build_median_ns,
@@ -235,12 +241,13 @@ fn main() {
     let rows = vec![bipartite_row(), kpartite_row()];
     for row in &rows {
         println!(
-            "{:>9} ({}): {} bytes, {} numbers; parse {:.2} ms (IQR {:.2}), \
-             build {:.2} ms (IQR {:.2}), {:.0} MB/s parse",
+            "{:>9} ({}): {} bytes, {} numbers, {} instance bytes; \
+             parse {:.2} ms (IQR {:.2}), build {:.2} ms (IQR {:.2}), {:.0} MB/s parse",
             row.document,
             row.read,
             row.bytes,
             row.numbers,
+            row.instance_bytes,
             row.parse_median_ns / 1e6,
             row.parse_iqr_ns / 1e6,
             row.build_median_ns / 1e6,

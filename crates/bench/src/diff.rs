@@ -336,6 +336,7 @@ mod tests {
         assert_eq!(rule_for("n"), Rule::Exact);
         assert_eq!(rule_for("peak_rss_bytes"), Rule::Bytes);
         assert_eq!(rule_for("arena_bytes"), Rule::Bytes);
+        assert_eq!(rule_for("instance_bytes"), Rule::Bytes);
         assert_eq!(rule_for("proposals_per_nlogn"), Rule::Exact);
     }
 

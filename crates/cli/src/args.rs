@@ -3,6 +3,7 @@
 //! Supports `--flag value` and `--flag=value` forms plus a positional
 //! subcommand chain; unknown flags are an error so typos fail loudly.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// Parsed command line: positional words followed by `--key value` flags.
@@ -12,6 +13,9 @@ use std::collections::BTreeMap;
 pub struct Args {
     positional: Vec<String>,
     flags: BTreeMap<String, Vec<String>>,
+    /// Set when a lookup rejected the command line itself (unknown flag,
+    /// missing or unparseable value), so the caller knows to print usage.
+    misused: Cell<bool>,
 }
 
 impl Args {
@@ -37,6 +41,18 @@ impl Args {
             }
         }
         Ok(out)
+    }
+
+    /// Whether a lookup on these arguments failed: the error the command
+    /// returns is then about the command line, not the data it names.
+    pub fn misused(&self) -> bool {
+        self.misused.get()
+    }
+
+    /// Record an argument error and hand back its message.
+    pub fn misuse(&self, msg: String) -> String {
+        self.misused.set(true);
+        msg
     }
 
     /// Positional word at `idx`.
@@ -66,7 +82,7 @@ impl Args {
             None => Ok(default),
             Some(v) => v
                 .parse()
-                .map_err(|_| format!("invalid value for --{key}: {v}")),
+                .map_err(|_| self.misuse(format!("invalid value for --{key}: {v}"))),
         }
     }
 
@@ -74,19 +90,19 @@ impl Args {
     pub fn require<T: std::str::FromStr>(&self, key: &str) -> Result<T, String> {
         let v = self
             .flag(key)
-            .ok_or_else(|| format!("missing required flag --{key}"))?;
+            .ok_or_else(|| self.misuse(format!("missing required flag --{key}")))?;
         v.parse()
-            .map_err(|_| format!("invalid value for --{key}: {v}"))
+            .map_err(|_| self.misuse(format!("invalid value for --{key}: {v}")))
     }
 
     /// Error on flags not in the allow list (catches typos).
     pub fn check_known(&self, known: &[&str]) -> Result<(), String> {
         for key in self.flags.keys() {
             if !known.contains(&key.as_str()) {
-                return Err(format!(
+                return Err(self.misuse(format!(
                     "unknown flag --{key} (expected one of: {})",
                     known.join(", ")
-                ));
+                )));
             }
         }
         Ok(())
@@ -126,7 +142,21 @@ mod tests {
     #[test]
     fn require_reports_missing() {
         let a = parse(&["x"]);
+        assert!(!a.misused());
         assert!(a.require::<usize>("k").is_err());
+        assert!(a.misused(), "a missing flag is an argument error");
+    }
+
+    #[test]
+    fn lookups_that_succeed_are_not_misuse() {
+        let a = parse(&["solve", "--n", "8"]);
+        assert_eq!(a.require::<usize>("n").unwrap(), 8);
+        assert_eq!(a.flag_or("seed", 3u64).unwrap(), 3);
+        a.check_known(&["n"]).unwrap();
+        assert!(!a.misused());
+        assert!(a.flag_or::<u64>("n", 0).is_ok());
+        assert!(a.require::<bool>("n").is_err());
+        assert!(a.misused(), "an unparseable value is an argument error");
     }
 
     #[test]

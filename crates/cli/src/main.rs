@@ -93,10 +93,10 @@ USAGE:
   KMATCH_STEAL_SEED.
 
   solve roommates runs the escalating truncated driver over the lazy
-  seeded oracle: top-K sub-instances (K starting at ~4sqrt(n), doubling
-  on certificate failure — twice after a hopeless phase-1 abort) solved
-  until an outcome certifies for the complete instance, so n = 10^6
-  runs in O(n*K) probes instead of O(n^2). --prefs truncated --keep K
+  seeded oracle: top-K sub-instances (the first cut K = 4*max(32,
+  ceil(4*sqrt(n))), doubling on each certificate failure) solved until
+  an outcome certifies for the complete instance, so n = 10^6 runs in
+  O(n*K) probes instead of O(n^2). --prefs truncated --keep K
   probes one fixed cut and reports certified/inconclusive;
   batch --kind roommates --prefs random|truncated sweeps seeded
   instances the same way.
@@ -160,37 +160,45 @@ USAGE:
 ";
 
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    match run(raw) {
+    // Usage follows argument errors only; an error about the data a
+    // command read is the one `error:` line.
+    let (result, misused) = match Args::parse(std::env::args().skip(1)) {
+        Ok(args) => (run(&args), args.misused()),
+        Err(e) => (Err(e), true),
+    };
+    match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            if misused {
+                eprintln!("error: {e}\n\n{USAGE}");
+            } else {
+                eprintln!("error: {e}");
+            }
             ExitCode::FAILURE
         }
     }
 }
 
-fn run(raw: Vec<String>) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+fn run(args: &Args) -> Result<(), String> {
     match (args.positional(0), args.positional(1)) {
-        (Some("gen"), Some("kpartite")) => gen_kpartite(&args),
-        (Some("gen"), Some("theorem1")) => gen_theorem1(&args),
-        (Some("solve"), Some("kary")) => solve_kary(&args),
-        (Some("solve"), Some("binary")) => solve_binary(&args),
-        (Some("solve"), Some("smp")) => solve_smp(&args),
-        (Some("solve"), Some("roommates")) => solve_roommates(&args),
-        (Some("batch"), _) => batch_cmd(&args),
-        (Some("serve"), _) => serve_cmd(&args),
-        (Some("delta"), _) => delta_cmd(&args),
-        (Some("bind"), _) => bind_cmd(&args),
-        (Some("report"), Some("validate")) => report_validate(&args),
-        (Some("postmortem"), Some("validate")) => postmortem_cmd(&args, false),
-        (Some("postmortem"), Some("inspect")) => postmortem_cmd(&args, true),
-        (Some("verify"), Some("kary")) => verify_kary(&args),
-        (Some("lattice"), _) => lattice(&args),
-        (Some("trace"), _) => trace_cmd(&args),
-        (Some("render-tree"), _) => render_tree_cmd(&args),
-        _ => Err("unrecognized command".to_string()),
+        (Some("gen"), Some("kpartite")) => gen_kpartite(args),
+        (Some("gen"), Some("theorem1")) => gen_theorem1(args),
+        (Some("solve"), Some("kary")) => solve_kary(args),
+        (Some("solve"), Some("binary")) => solve_binary(args),
+        (Some("solve"), Some("smp")) => solve_smp(args),
+        (Some("solve"), Some("roommates")) => solve_roommates(args),
+        (Some("batch"), _) => batch_cmd(args),
+        (Some("serve"), _) => serve_cmd(args),
+        (Some("delta"), _) => delta_cmd(args),
+        (Some("bind"), _) => bind_cmd(args),
+        (Some("report"), Some("validate")) => report_validate(args),
+        (Some("postmortem"), Some("validate")) => postmortem_cmd(args, false),
+        (Some("postmortem"), Some("inspect")) => postmortem_cmd(args, true),
+        (Some("verify"), Some("kary")) => verify_kary(args),
+        (Some("lattice"), _) => lattice(args),
+        (Some("trace"), _) => trace_cmd(args),
+        (Some("render-tree"), _) => render_tree_cmd(args),
+        _ => Err(args.misuse("unrecognized command".to_string())),
     }
 }
 
@@ -2148,14 +2156,38 @@ fn verify_kary(args: &Args) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    fn parse(words: &[&str]) -> Args {
+        Args::parse(words.iter().map(|s| s.to_string())).unwrap()
+    }
+
     fn call(words: &[&str]) -> Result<(), String> {
-        run(words.iter().map(|s| s.to_string()).collect())
+        run(&parse(words))
+    }
+
+    /// Whether the command fails with an argument error (one `main`
+    /// follows with the usage text).
+    fn misused(words: &[&str]) -> bool {
+        let args = parse(words);
+        run(&args).is_err() && args.misused()
     }
 
     #[test]
     fn usage_error_on_nonsense() {
         assert!(call(&["frobnicate"]).is_err());
         assert!(call(&[]).is_err());
+        assert!(misused(&["frobnicate"]));
+        assert!(misused(&[]));
+    }
+
+    #[test]
+    fn usage_follows_argument_errors_only() {
+        assert!(misused(&["solve", "smp", "--bogus", "1"]));
+        assert!(misused(&["solve", "kary"]), "missing --input");
+        assert!(misused(&["solve", "smp", "--n", "many"]));
+        // A file that cannot be read is a data error: one line, no usage.
+        let missing = ["solve", "kary", "--input", "/nonexistent/kmatch-input.json"];
+        assert!(call(&missing).is_err());
+        assert!(!misused(&missing));
     }
 
     #[test]

@@ -3,16 +3,24 @@
 //!
 //! `BipartiteInstance` is the `k = 2` specialization used by the
 //! Gale–Shapley engine in `kmatch-gs`. It stores, for both sides, the
-//! preference **lists** (proposal order) and the inverse **rank tables**
-//! (acceptance tests), all in flat row-major `Vec<u32>`s.
+//! preference **lists** (proposal order) as flat row-major `Vec<u32>`s and
+//! the inverse **rank tables** (acceptance tests) at half width, as
+//! `Vec<u16>`s: a rank is below `n`, and `n` is capped at
+//! [`CSR_MAX_N`] = 65 536, so 16 bits hold it. The rank accessors widen
+//! to [`Rank`]. Each rank row is written by the one validating inverter
+//! the crate shares, in the same pass that checks its list is a
+//! permutation; a larger `n` is [`PrefsError::TooLarge`], rejected before
+//! any table is allocated.
 //!
 //! By convention side `0` is the *proposer* side ("men" in the paper's
 //! description of the GS algorithm) and side `1` the *responder* side
 //! ("women"); [`crate::views::ReverseView`] swaps the roles without copying.
 
+use crate::csr::CSR_MAX_N;
 use crate::delta::{DeltaSide, PrefDelta};
 use crate::error::PrefsError;
 use crate::ids::Rank;
+use crate::invert::invert_permutation;
 
 /// A complete, balanced bipartite preference instance of size `n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,40 +33,9 @@ pub struct BipartiteInstance {
     /// position `r`.
     side1_lists: Vec<u32>,
     /// `side0_ranks[m * n + w]` = rank of responder `w` in `m`'s list.
-    side0_ranks: Vec<Rank>,
+    side0_ranks: Vec<u16>,
     /// `side1_ranks[w * n + m]` = rank of proposer `m` in `w`'s list.
-    side1_ranks: Vec<Rank>,
-}
-
-/// Validate that `list` is a permutation of `0..n`, using `seen` as scratch.
-pub(crate) fn check_permutation(list: &[u32], n: usize, seen: &mut [bool]) -> bool {
-    if list.len() != n {
-        return false;
-    }
-    seen.iter_mut().for_each(|s| *s = false);
-    for &x in list {
-        let Some(slot) = seen.get_mut(x as usize) else {
-            return false;
-        };
-        if *slot {
-            return false;
-        }
-        *slot = true;
-    }
-    true
-}
-
-/// Build a rank table (member → position) from a flat block of `rows`
-/// preference lists each of length `n`.
-pub(crate) fn invert_lists(lists: &[u32], rows: usize, n: usize) -> Vec<Rank> {
-    let mut ranks = vec![0 as Rank; rows * n];
-    for row in 0..rows {
-        let base = row * n;
-        for (r, &member) in lists[base..base + n].iter().enumerate() {
-            ranks[base + member as usize] = r as Rank;
-        }
-    }
-    ranks
+    side1_ranks: Vec<u16>,
 }
 
 impl BipartiteInstance {
@@ -79,34 +56,38 @@ impl BipartiteInstance {
                 actual: side1.len(),
             });
         }
-        if n > u32::MAX as usize / 2 {
+        if n > CSR_MAX_N {
             return Err(PrefsError::TooLarge {
-                what: "n exceeds u32 range",
+                what: "n exceeds 65536 members per side",
             });
         }
-        let mut seen = vec![false; n];
-        let mut flat0 = Vec::with_capacity(n * n);
-        let mut flat1 = Vec::with_capacity(n * n);
-        for (side_idx, (side, flat)) in [(side0, &mut flat0), (side1, &mut flat1)]
-            .into_iter()
-            .enumerate()
-        {
+        // The tables are sized only once every list has length `n`, so a
+        // short document cannot reserve n² cells it does not hold. A
+        // malformed list is still found in row order, through one scratch
+        // row, so the error is the one a full build reports.
+        let shaped = side0.iter().chain(side1).all(|list| list.len() == n);
+        let cells = if shaped { n * n } else { 0 };
+        let mut lists = [Vec::with_capacity(cells), Vec::with_capacity(cells)];
+        let mut ranks = [vec![0u16; cells.max(n)], vec![0u16; cells.max(n)]];
+        for (side_idx, side) in [side0, side1].into_iter().enumerate() {
             for (i, list) in side.iter().enumerate() {
-                if !check_permutation(list, n, &mut seen) {
+                let base = if shaped { i * n } else { 0 };
+                if !invert_permutation(list, &mut ranks[side_idx][base..base + n]) {
                     return Err(PrefsError::NotAPermutation {
                         owner: (side_idx, i),
                         over: 1 - side_idx,
                     });
                 }
-                flat.extend_from_slice(list);
+                lists[side_idx].extend_from_slice(list);
             }
         }
-        let side0_ranks = invert_lists(&flat0, n, n);
-        let side1_ranks = invert_lists(&flat1, n, n);
+        assert!(shaped, "a list of the wrong length is not a permutation");
+        let [side0_lists, side1_lists] = lists;
+        let [side0_ranks, side1_ranks] = ranks;
         Ok(BipartiteInstance {
             n,
-            side0_lists: flat0,
-            side1_lists: flat1,
+            side0_lists,
+            side1_lists,
             side0_ranks,
             side1_ranks,
         })
@@ -135,13 +116,20 @@ impl BipartiteInstance {
     /// Rank of responder `w` in proposer `m`'s list (0 = best).
     #[inline]
     pub fn proposer_rank(&self, m: u32, w: u32) -> Rank {
-        self.side0_ranks[m as usize * self.n + w as usize]
+        self.side0_ranks[m as usize * self.n + w as usize] as Rank
     }
 
     /// Rank of proposer `m` in responder `w`'s list (0 = best).
     #[inline]
     pub fn responder_rank(&self, w: u32, m: u32) -> Rank {
-        self.side1_ranks[w as usize * self.n + m as usize]
+        self.side1_ranks[w as usize * self.n + m as usize] as Rank
+    }
+
+    /// Bytes held by the instance's four tables: two `u32` list tables and
+    /// two `u16` rank tables, `12·n²` in all.
+    pub fn resident_bytes(&self) -> usize {
+        (self.side0_lists.capacity() + self.side1_lists.capacity()) * size_of::<u32>()
+            + (self.side0_ranks.capacity() + self.side1_ranks.capacity()) * size_of::<u16>()
     }
 
     /// Does proposer `m` strictly prefer responder `a` over responder `b`?
@@ -171,9 +159,10 @@ impl BipartiteInstance {
         let base = delta.row() as usize * n;
         let list = &mut lists[base..base + n];
         delta.apply_to_row(list);
-        for (r, &member) in list.iter().enumerate() {
-            ranks[base + member as usize] = r as Rank;
-        }
+        assert!(
+            invert_permutation(list, &mut ranks[base..base + n]),
+            "a validated delta keeps the row a permutation"
+        );
         Ok(())
     }
 

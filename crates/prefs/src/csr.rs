@@ -28,6 +28,7 @@
 use crate::delta::{DeltaSide, PrefDelta};
 use crate::error::PrefsError;
 use crate::ids::Rank;
+use crate::invert::invert_permutation;
 use crate::oracle::{PrefOracle, PROPOSAL_STRIP};
 use crate::views::{BipartitePrefs, ResponderListSlice};
 
@@ -103,8 +104,17 @@ impl CsrPrefs {
         self.responder_ranks.clear();
         self.proposer_ranks.resize(square, 0);
         self.responder_ranks.resize(square, 0);
-        invert_into(&self.proposer_lists, n, &mut self.proposer_ranks);
-        invert_into(&self.responder_lists, n, &mut self.responder_ranks);
+        for row in 0..n {
+            let cells = row * n..row * n + n;
+            let valid = invert_permutation(
+                &self.proposer_lists[cells.clone()],
+                &mut self.proposer_ranks[cells.clone()],
+            ) && invert_permutation(
+                &self.responder_lists[cells.clone()],
+                &mut self.responder_ranks[cells],
+            );
+            assert!(valid, "preference views hold permutations");
+        }
         self.entries.clear();
         self.entries.reserve(square);
         for m in 0..n {
@@ -156,7 +166,16 @@ impl CsrPrefs {
         }
         self.proposer_ranks.clear();
         self.proposer_ranks.resize(square, 0);
-        invert_into(&self.proposer_lists, n, &mut self.proposer_ranks);
+        for row in 0..n {
+            let cells = row * n..row * n + n;
+            assert!(
+                invert_permutation(
+                    &self.proposer_lists[cells.clone()],
+                    &mut self.proposer_ranks[cells]
+                ),
+                "complete oracles rank every responder once"
+            );
+        }
         self.responder_lists.clear();
         self.responder_lists.resize(square, 0);
         self.responder_ranks.clear();
@@ -296,16 +315,6 @@ impl CsrPrefs {
 #[inline]
 fn widen_entry(e: u32) -> u64 {
     ((e >> 16) as u64) << 32 | (e & 0xFFFF) as u64
-}
-
-/// Invert `n` packed preference lists into a half-width rank table.
-fn invert_into(lists: &[u32], n: usize, ranks: &mut [u16]) {
-    for row in 0..n {
-        let base = row * n;
-        for (r, &member) in lists[base..base + n].iter().enumerate() {
-            ranks[base + member as usize] = r as u16;
-        }
-    }
 }
 
 impl BipartitePrefs for CsrPrefs {

@@ -24,7 +24,9 @@
 //! [`BipartiteInstance::apply_delta`]: crate::BipartiteInstance::apply_delta
 //! [`CsrPrefs::apply_delta`]: crate::CsrPrefs::apply_delta
 
+use crate::csr::CSR_MAX_N;
 use crate::error::PrefsError;
+use crate::invert::invert_permutation;
 
 /// Which side of a bipartite instance a [`PrefDelta`] touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,12 +96,19 @@ impl PrefDelta {
 
     /// Check this delta against an instance with `n` members per side:
     /// the row and every position must be in range, and a
-    /// [`PrefDelta::SetRow`] must carry a permutation of `0..n`.
+    /// [`PrefDelta::SetRow`] must carry a permutation of `0..n`. No
+    /// instance holds more than [`CSR_MAX_N`] members per side, so a larger
+    /// `n` is [`PrefsError::TooLarge`].
     ///
     /// Errors name the first violation in that order, as
     /// [`crate::BipartiteInstance::apply_delta`] and
     /// [`crate::CsrPrefs::apply_delta`] report them.
     pub fn validate(&self, n: usize) -> Result<(), PrefsError> {
+        if n > CSR_MAX_N {
+            return Err(PrefsError::TooLarge {
+                what: "n exceeds 65536 members per side",
+            });
+        }
         let row = self.row() as usize;
         if row >= n {
             return Err(PrefsError::ShapeMismatch {
@@ -121,8 +130,7 @@ impl PrefDelta {
         };
         match self {
             PrefDelta::SetRow { prefs, .. } => {
-                let mut seen = vec![false; n];
-                if !crate::bipartite::check_permutation(prefs, n, &mut seen) {
+                if !invert_permutation(prefs, &mut vec![0u16; n]) {
                     let side = match self.side() {
                         DeltaSide::Proposer => 0,
                         DeltaSide::Responder => 1,

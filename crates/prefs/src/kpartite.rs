@@ -7,23 +7,32 @@
 //! opposed to preference order over a combination of members". A member of a
 //! tripartite instance with `n = 2` therefore stores two lists of two
 //! entries each (`2n` entries total), exactly as in Fig. 3 of the paper.
+//!
+//! The lists are stored as `u32` and their inverse rank tables at half
+//! width, as `u16`: a rank is below `n`, and `n` is capped at
+//! [`CSR_MAX_N`] = 65 536 ([`PrefsError::TooLarge`] above it, checked
+//! before any table is allocated). Every rank row is written by the one
+//! validating inverter the crate shares, in the same pass that checks its
+//! list is a permutation, both on build and in
+//! [`KPartiteInstance::set_pref_row`].
 
-use crate::bipartite::{check_permutation, invert_lists};
+use crate::csr::CSR_MAX_N;
 use crate::error::PrefsError;
 use crate::ids::{GenderId, Member, Rank};
+use crate::invert::invert_permutation;
 
 /// A balanced, complete k-partite preference instance.
 ///
 /// Storage is a single dense table per direction:
 /// `lists[(g·n + i)·k·n + h·n + r]` is the index of the member of gender `h`
-/// that member `(g, i)` ranks at position `r`; `ranks` is its inverse. The
-/// diagonal blocks (`h == g`) are unused and zero-filled.
+/// that member `(g, i)` ranks at position `r`; `ranks` is its half-width
+/// inverse. The diagonal blocks (`h == g`) are unused and zero-filled.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KPartiteInstance {
     k: usize,
     n: usize,
     lists: Vec<u32>,
-    ranks: Vec<Rank>,
+    ranks: Vec<u16>,
 }
 
 impl KPartiteInstance {
@@ -50,13 +59,33 @@ impl KPartiteInstance {
         if n == 0 {
             return Err(PrefsError::Empty);
         }
+        if n > CSR_MAX_N {
+            return Err(PrefsError::TooLarge {
+                what: "n exceeds 65536 members per gender",
+            });
+        }
         if (k * n) > u32::MAX as usize / 2 {
             return Err(PrefsError::TooLarge {
                 what: "k*n exceeds u32 range",
             });
         }
-        let mut flat = vec![0u32; k * n * k * n];
-        let mut seen = vec![false; n];
+        // The tables are sized only once every list has the length its
+        // place demands, so a short document cannot reserve (k·n)² cells
+        // it does not hold. A malformed shape is still walked in order,
+        // through one scratch row, and fails where a full build would.
+        let shaped = lists.iter().enumerate().all(|(g, gender)| {
+            gender.len() == n
+                && gender.iter().all(|member| {
+                    member.len() == k
+                        && member
+                            .iter()
+                            .enumerate()
+                            .all(|(h, block)| block.len() == if h == g { 0 } else { n })
+                })
+        });
+        let cells = if shaped { k * n * k * n } else { 0 };
+        let mut flat = vec![0u32; cells];
+        let mut ranks = vec![0u16; cells.max(n)];
         for (g, gender) in lists.iter().enumerate() {
             if gender.len() != n {
                 return Err(PrefsError::ShapeMismatch {
@@ -80,18 +109,20 @@ impl KPartiteInstance {
                         }
                         continue;
                     }
-                    if !check_permutation(block, n, &mut seen) {
+                    let base = if shaped { ((g * n + i) * k + h) * n } else { 0 };
+                    if !invert_permutation(block, &mut ranks[base..base + n]) {
                         return Err(PrefsError::NotAPermutation {
                             owner: (g, i),
                             over: h,
                         });
                     }
-                    let base = ((g * n + i) * k + h) * n;
-                    flat[base..base + n].copy_from_slice(block);
+                    if shaped {
+                        flat[base..base + n].copy_from_slice(block);
+                    }
                 }
             }
         }
-        let ranks = invert_lists(&flat, k * n * k, n);
+        assert!(shaped, "the walk rejects every malformed shape");
         Ok(KPartiteInstance {
             k,
             n,
@@ -141,7 +172,14 @@ impl KPartiteInstance {
     /// Rank member `m` assigns to member `(h, j)` (0 = best).
     #[inline]
     pub fn rank_of(&self, m: Member, h: GenderId, j: u32) -> Rank {
-        self.ranks[self.base(m, h) + j as usize]
+        self.ranks[self.base(m, h) + j as usize] as Rank
+    }
+
+    /// Bytes held by the instance's two `k·n × k·n` tables: the `u32`
+    /// lists and the `u16` ranks, `6·(k·n)²` in all (diagonal blocks
+    /// included).
+    pub fn resident_bytes(&self) -> usize {
+        self.lists.capacity() * size_of::<u32>() + self.ranks.capacity() * size_of::<u16>()
     }
 
     /// Replace member `m`'s preference row over gender `h` with `row` (a
@@ -160,8 +198,10 @@ impl KPartiteInstance {
                 actual: m.gender.idx() * self.n + m.index as usize,
             });
         }
-        let mut seen = vec![false; self.n];
-        if !crate::bipartite::check_permutation(row, self.n, &mut seen) {
+        // Invert into scratch first, so a rejected row leaves the
+        // instance unchanged.
+        let mut fresh = vec![0u16; self.n];
+        if !invert_permutation(row, &mut fresh) {
             return Err(PrefsError::NotAPermutation {
                 owner: (m.gender.idx(), m.index as usize),
                 over: h.idx(),
@@ -170,9 +210,7 @@ impl KPartiteInstance {
         let base = self.base(m, h);
         let n = self.n;
         self.lists[base..base + n].copy_from_slice(row);
-        for (r, &j) in row.iter().enumerate() {
-            self.ranks[base + j as usize] = r as Rank;
-        }
+        self.ranks[base..base + n].copy_from_slice(&fresh);
         Ok(())
     }
 

@@ -17,12 +17,15 @@
 //!
 //! ## Representation
 //!
-//! All hot-path structures are dense, flat `Vec<u32>` tables so that the one
+//! All hot-path structures are dense, flat tables so that the one
 //! operation every algorithm performs millions of times —
 //! *"does x prefer a over b?"* — is two array loads and a compare
 //! ([`KPartiteInstance::prefers`]). Preference **lists** (best-to-worst
-//! member indices) and **rank tables** (member → position) are both stored;
-//! the former drives proposal order, the latter drives acceptance tests.
+//! member indices, `u32`) and **rank tables** (member → position) are both
+//! stored; the former drives proposal order, the latter drives acceptance
+//! tests. The materialized bipartite and k-partite rank tables are
+//! half-width (`u16`), which caps `n` at [`CSR_MAX_N`] = 65 536, and each
+//! rank row is written in the same pass that validates its list.
 //!
 //! Members are index-based: a member of a k-partite instance is a
 //! [`Member`] `{ gender, index }`; strings never appear in hot paths.
@@ -36,6 +39,7 @@ pub mod delta;
 pub mod error;
 pub mod gen;
 pub mod ids;
+mod invert;
 pub mod kpartite;
 pub mod oracle;
 pub mod roommates;

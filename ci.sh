@@ -242,11 +242,12 @@ echo "==> executor determinism smoke"
 # schedule-independent fields directly.
 cargo test -q -p kmatch-parallel --release \
     || { echo "executor smoke: kmatch-parallel release tests failed"; exit 1; }
+for kind in gs roommates; do
 for seed in 0 99; do
-  KMATCH_STEAL_SEED="$seed" ./target/release/kmatch batch --kind gs \
+  KMATCH_STEAL_SEED="$seed" ./target/release/kmatch batch --kind "$kind" \
       --n 32 --count 64 --seed 9 --threads 4 \
-      --metrics-out "$SMOKE_DIR/steal_$seed.json"
-  python3 - "$SMOKE_DIR/steal_$seed.json" "$SMOKE_DIR/steal_$seed.stable" <<'EOF'
+      --metrics-out "$SMOKE_DIR/steal_${kind}_$seed.json"
+  python3 - "$SMOKE_DIR/steal_${kind}_$seed.json" "$SMOKE_DIR/steal_${kind}_$seed.stable" <<'EOF'
 import json, sys
 r = json.load(open(sys.argv[1]))
 hists = {k: v for k, v in r["metrics"]["histograms"].items()
@@ -263,10 +264,24 @@ with open(sys.argv[2], "w") as f:
     json.dump(stable, f, sort_keys=True)
 EOF
 done
-cmp -s "$SMOKE_DIR/steal_0.stable" "$SMOKE_DIR/steal_99.stable" \
-    || { echo "executor smoke: outputs differ across steal schedules"; exit 1; }
-grep -qF '"executor"' "$SMOKE_DIR/steal_0.json" \
-    || { echo "executor smoke: missing executor section in report"; exit 1; }
+cmp -s "$SMOKE_DIR/steal_${kind}_0.stable" "$SMOKE_DIR/steal_${kind}_99.stable" \
+    || { echo "executor smoke: $kind outputs differ across steal schedules"; exit 1; }
+grep -qF '"executor"' "$SMOKE_DIR/steal_${kind}_0.json" \
+    || { echo "executor smoke: missing executor section in $kind report"; exit 1; }
+done
+# Every batch front-end takes a thread count: the traced and the cached
+# batch run on the same executor as the plain one.
+./target/release/kmatch batch --kind gs --n 16 --count 40 --seed 3 --threads 2 \
+    --trace-out "$SMOKE_DIR/threads.trace.json" > "$SMOKE_DIR/threads_trace.out"
+grep -qF 'executor       : stealing (2 threads' "$SMOKE_DIR/threads_trace.out" \
+    || { echo "executor smoke: traced batch did not run on 2 threads"; exit 1; }
+python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
+    "$SMOKE_DIR/threads.trace.json" \
+    || { echo "executor smoke: traced batch trace is not valid JSON"; exit 1; }
+THREADS_CACHE_OUT="$(./target/release/kmatch batch --input "$SMOKE_DIR/batch.json" \
+    --input "$SMOKE_DIR/batch.json" --cache on --threads 2)"
+echo "$THREADS_CACHE_OUT" | grep -qF '1 hits / 1 misses' \
+    || { echo "executor smoke: cached batch with --threads failed"; exit 1; }
 
 echo "==> ops smoke"
 # A live `kmatch serve` on an ephemeral port must expose every required

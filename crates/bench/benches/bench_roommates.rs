@@ -46,6 +46,7 @@ fn bench_roommates_batch(c: &mut Criterion) {
     let mut r = rng(303);
     let batch: Vec<_> = (0..256).map(|_| uniform_roommates(64, &mut r)).collect();
     let mut ws = RoommatesWorkspace::new();
+    let threads = kmatch_parallel::default_threads();
     group.bench_function("serial_reuse_256x64", |b| {
         b.iter(|| {
             batch
@@ -56,7 +57,8 @@ fn bench_roommates_batch(c: &mut Criterion) {
     });
     group.bench_function("solve_batch_256x64", |b| {
         b.iter(|| {
-            kmatch_parallel::roommates::solve_batch(&batch)
+            kmatch_parallel::roommates::solve_batch_stealing(&batch, threads, 0)
+                .0
                 .iter()
                 .filter(|o| o.is_stable())
                 .count()

@@ -9,13 +9,14 @@
 //! * `fastpath_csr` — the same fast path reading a [`CsrPrefs`] snapshot,
 //!   whose fused proposal-entry rows make every proposal one sequential
 //!   load (the headline configuration; see `results/BENCH_gs.json`).
-//! * `batch_serial` vs `solve_batch` — 1000 instances solved through one
-//!   workspace serially, then fanned across the rayon pool.
+//! * `batch_serial` vs `solve_batch_stealing` — 1000 instances solved
+//!   through one workspace serially, then fanned across the stealing
+//!   executor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use kmatch_bench::rng;
 use kmatch_gs::{gale_shapley_reference, GsWorkspace};
-use kmatch_parallel::solve_batch;
+use kmatch_parallel::{default_threads, solve_batch_stealing};
 use kmatch_prefs::gen::uniform::uniform_bipartite;
 use kmatch_prefs::{BipartiteInstance, CsrPrefs};
 use std::time::Duration;
@@ -62,7 +63,7 @@ fn bench_batch(c: &mut Criterion) {
         })
     });
     group.bench_function("solve_batch_1000x64", |b| {
-        b.iter(|| solve_batch(&batch).len())
+        b.iter(|| solve_batch_stealing(&batch, default_threads(), 0).0.len())
     });
     group.finish();
 }

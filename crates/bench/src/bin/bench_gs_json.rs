@@ -21,22 +21,23 @@
 //! 3. A placement sweep: cold n = 2000 solves through workspaces created
 //!    after 0–96 KiB of heap padding, reporting the fastest and slowest —
 //!    the allocator's choice of addresses must not move the solve time.
-//! 4. `solve_batch` throughput on 1000 instances vs a serial loop.
+//! 4. `solve_batch_stealing` throughput on 1000 instances vs a serial loop.
 //! 5. `SolverMetrics` / flight-recorder / operator-plane / forensic-
 //!    profiler overhead on an n = 2000 batch (acceptance target < 5%
 //!    each).
 //!
 //! Run with `cargo run --release --bin bench_gs_json`.
 
-use kmatch_bench::harness::{
-    bipartite_batch, measure_blocks, rayon_threads, write_results, OverheadRow,
-};
+use kmatch_bench::harness::{bipartite_batch, measure_blocks, write_results, OverheadRow};
 use kmatch_bench::rng;
 use kmatch_gs::{gale_shapley_reference, GsWorkspace};
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, StdClock};
 use kmatch_ops::{Level, OpsConfig, OpsState};
 use kmatch_forensics::{start_sampler, ProbeSet, RegisterSet, SharedProfile};
-use kmatch_parallel::{solve_batch, solve_batch_metered, solve_batch_probed, solve_batch_traced};
+use kmatch_parallel::{
+    default_threads, solve_batch_probed, solve_batch_stealing, solve_batch_stealing_metered,
+    solve_batch_traced, steal_seed,
+};
 use kmatch_prefs::gen::uniform::uniform_bipartite;
 use kmatch_prefs::{CsrPrefs, PrefOracle, RandomOracle, ScoreOracle};
 use serde::impl_json_struct;
@@ -330,19 +331,18 @@ fn batch_row() -> BatchRow {
                     .sum()
             },
             &mut || {
-                solve_batch(&batch)
+                solve_batch_stealing(&batch, default_threads(), steal_seed())
+                    .0
                     .iter()
                     .map(|o| o.stats.proposals)
                     .sum()
             },
         ],
     );
-    let threads = rayon_threads();
-    // One un-timed pass through the explicit stealing front-end for the
-    // schedule footprint of the measured configuration (solve_batch
-    // dispatches to the same executor).
-    let (_, steal_report) =
-        kmatch_parallel::solve_batch_stealing(&batch, threads, kmatch_parallel::steal_seed());
+    let threads = default_threads();
+    // One un-timed pass for the schedule footprint of the measured
+    // configuration.
+    let (_, steal_report) = solve_batch_stealing(&batch, threads, steal_seed());
     let speedup = serial_ns / solve_batch_ns;
     BatchRow {
         instances,
@@ -358,7 +358,7 @@ fn batch_row() -> BatchRow {
     }
 }
 
-/// Measure `solve_batch_metered` against `solve_batch` on an n = 2000
+/// Measure `solve_batch_stealing_metered` against `solve_batch_stealing` on an n = 2000
 /// batch, and emit the metered run's merged metrics as a RunReport.
 fn overhead_row() -> (OverheadRow, RunReport) {
     let (instances, n, reps) = (32usize, 2000usize, 4);
@@ -370,16 +370,24 @@ fn overhead_row() -> (OverheadRow, RunReport) {
         reps,
         [
             &mut || {
-                solve_batch(&batch)
+                solve_batch_stealing(&batch, default_threads(), steal_seed())
+                    .0
                     .iter()
                     .map(|o| o.stats.proposals)
                     .sum()
             },
             &mut || {
-                solve_batch_metered(&batch, &registry, &clock)
-                    .iter()
-                    .map(|o| o.stats.proposals)
-                    .sum()
+                solve_batch_stealing_metered(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    &registry,
+                    &clock,
+                )
+                .0
+                .iter()
+                .map(|o| o.stats.proposals)
+                .sum()
             },
         ],
     );
@@ -390,7 +398,7 @@ fn overhead_row() -> (OverheadRow, RunReport) {
         n,
         instances,
         0x5EED_0000 + 303,
-        rayon_threads(),
+        default_threads(),
         metered_ns as u64,
         merged,
         None,
@@ -414,13 +422,27 @@ fn trace_overhead_row() -> OverheadRow {
         reps,
         [
             &mut || {
-                solve_batch_metered(&batch, &registry, &clock)
-                    .iter()
-                    .map(|o| o.stats.proposals)
-                    .sum()
+                solve_batch_stealing_metered(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    &registry,
+                    &clock,
+                )
+                .0
+                .iter()
+                .map(|o| o.stats.proposals)
+                .sum()
             },
             &mut || {
-                let (outs, _traces) = solve_batch_traced(&batch, &registry, &clock, 1 << 12);
+                let (outs, _, _) = solve_batch_traced(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    &registry,
+                    &clock,
+                    1 << 12,
+                );
                 outs.iter().map(|o| o.stats.proposals).sum()
             },
         ],
@@ -448,16 +470,30 @@ fn ops_overhead_row() -> OverheadRow {
         reps,
         [
             &mut || {
-                solve_batch_metered(&batch, &registry, &clock)
-                    .iter()
-                    .map(|o| o.stats.proposals)
-                    .sum()
+                solve_batch_stealing_metered(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    &registry,
+                    &clock,
+                )
+                .0
+                .iter()
+                .map(|o| o.stats.proposals)
+                .sum()
             },
             &mut || {
-                let total: u64 = solve_batch_metered(&batch, state.registry(), &clock)
-                    .iter()
-                    .map(|o| o.stats.proposals)
-                    .sum();
+                let total: u64 = solve_batch_stealing_metered(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    state.registry(),
+                    &clock,
+                )
+                .0
+                .iter()
+                .map(|o| o.stats.proposals)
+                .sum();
                 wave += 1;
                 state.note_wave(n as u64);
                 state.tick(&[wave]);
@@ -487,7 +523,7 @@ fn profiler_overhead_row() -> OverheadRow {
     let batch = bipartite_batch(instances, n, 306);
     let registry = BatchRegistry::new();
     let clock = StdClock::new();
-    let lanes = rayon_threads().max(1);
+    let lanes = default_threads();
     let probes = ProbeSet::new(lanes);
     let registers = std::sync::Arc::new(RegisterSet::new(lanes));
     let profile = std::sync::Arc::new(SharedProfile::new());
@@ -502,12 +538,27 @@ fn profiler_overhead_row() -> OverheadRow {
         reps,
         [
             &mut || {
-                let (outs, _traces) = solve_batch_traced(&batch, &registry, &clock, 1 << 12);
+                let (outs, _, _) = solve_batch_traced(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    &registry,
+                    &clock,
+                    1 << 12,
+                );
                 outs.iter().map(|o| o.stats.proposals).sum()
             },
             &mut || {
-                let (outs, _traces) =
-                    solve_batch_probed(&batch, &registry, &clock, &probes, &registers, 1 << 12);
+                let (outs, _, _) = solve_batch_probed(
+                    &batch,
+                    lanes,
+                    steal_seed(),
+                    &registry,
+                    &clock,
+                    &probes,
+                    &registers,
+                    1 << 12,
+                );
                 outs.iter().map(|o| o.stats.proposals).sum()
             },
         ],
@@ -561,7 +612,7 @@ fn main() {
             profiler_overhead.metered_ns,
         );
     let report = Report {
-        threads: rayon_threads(),
+        threads: default_threads(),
         scaling,
         single,
         placement: placement_row(),

@@ -5,7 +5,7 @@
 //! Records the acceptance numbers of the zero-alloc Irving engine work —
 //! fast-path speedup over `solve_reference` on random roommates instances
 //! at n ∈ {256, 1024, 2000} (fresh-workspace and workspace-reuse
-//! variants), `kmatch_parallel::roommates::solve_batch` throughput on
+//! variants), `kmatch_parallel::roommates::solve_batch_stealing` throughput on
 //! 1000 instances relative to a serial workspace-reuse loop, and the
 //! `SolverMetrics` overhead of the metered batch path on an n = 2000
 //! batch (acceptance target < 5%). The `schedule` section tallies the
@@ -13,12 +13,13 @@
 //! many seeds, so `bench_diff` pins it exactly. Run with
 //! `cargo run --release --bin bench_roommates_json`.
 
-use kmatch_bench::harness::{
-    measure_blocks, rayon_threads, roommates_batch, write_results, OverheadRow,
-};
+use kmatch_bench::harness::{measure_blocks, roommates_batch, write_results, OverheadRow};
 use kmatch_bench::rng;
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, SolverMetrics, StdClock};
-use kmatch_parallel::roommates::{solve_batch, solve_batch_metered, solve_batch_traced};
+use kmatch_parallel::roommates::{
+    solve_batch_stealing, solve_batch_stealing_metered, solve_batch_traced,
+};
+use kmatch_parallel::{default_threads, steal_seed};
 use kmatch_prefs::gen::uniform::uniform_roommates;
 use kmatch_prefs::CachedRoommatesOracle;
 use kmatch_roommates::solve_reference;
@@ -297,7 +298,11 @@ fn single_row(n: usize, reps: usize) -> SingleRow {
 fn batch_row() -> BatchRow {
     let (instances, n, reps) = (1000usize, 64usize, 25);
     let batch = roommates_batch(instances, n, 402);
-    let solvable = solve_batch(&batch).iter().filter(|o| o.is_stable()).count();
+    let solvable = solve_batch_stealing(&batch, default_threads(), steal_seed())
+        .0
+        .iter()
+        .filter(|o| o.is_stable())
+        .count();
     let mut ws = RoommatesWorkspace::new();
     let [serial_ns, solve_batch_ns] = measure_blocks(
         4,
@@ -310,14 +315,15 @@ fn batch_row() -> BatchRow {
                     .sum()
             },
             &mut || {
-                solve_batch(&batch)
+                solve_batch_stealing(&batch, default_threads(), steal_seed())
+                    .0
                     .iter()
                     .map(|o| o.stats().proposals)
                     .sum()
             },
         ],
     );
-    let threads = rayon_threads();
+    let threads = default_threads();
     let speedup = serial_ns / solve_batch_ns;
     BatchRow {
         instances,
@@ -331,7 +337,7 @@ fn batch_row() -> BatchRow {
     }
 }
 
-/// Measure `solve_batch_metered` against `solve_batch` on an n = 2000
+/// Measure `solve_batch_stealing_metered` against `solve_batch_stealing` on an n = 2000
 /// batch, and emit the run's merged metrics as a RunReport. The registry
 /// arrives pre-loaded with the scaling series' shards, so the report
 /// carries the escalation counters (attempts, certificates, cut
@@ -345,16 +351,24 @@ fn overhead_row(registry: &BatchRegistry) -> (OverheadRow, RunReport) {
         reps,
         [
             &mut || {
-                solve_batch(&batch)
+                solve_batch_stealing(&batch, default_threads(), steal_seed())
+                    .0
                     .iter()
                     .map(|o| o.stats().proposals)
                     .sum()
             },
             &mut || {
-                solve_batch_metered(&batch, registry, &clock)
-                    .iter()
-                    .map(|o| o.stats().proposals)
-                    .sum()
+                solve_batch_stealing_metered(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    registry,
+                    &clock,
+                )
+                .0
+                .iter()
+                .map(|o| o.stats().proposals)
+                .sum()
             },
         ],
     );
@@ -364,7 +378,7 @@ fn overhead_row(registry: &BatchRegistry) -> (OverheadRow, RunReport) {
         n,
         instances,
         0x5EED_0000 + 403,
-        rayon_threads(),
+        default_threads(),
         metered_ns as u64,
         merged,
         None,
@@ -388,13 +402,27 @@ fn trace_overhead_row() -> OverheadRow {
         reps,
         [
             &mut || {
-                solve_batch_metered(&batch, &registry, &clock)
-                    .iter()
-                    .map(|o| o.stats().proposals)
-                    .sum()
+                solve_batch_stealing_metered(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    &registry,
+                    &clock,
+                )
+                .0
+                .iter()
+                .map(|o| o.stats().proposals)
+                .sum()
             },
             &mut || {
-                let (outs, _traces) = solve_batch_traced(&batch, &registry, &clock, 1 << 12);
+                let (outs, _, _) = solve_batch_traced(
+                    &batch,
+                    default_threads(),
+                    steal_seed(),
+                    &registry,
+                    &clock,
+                    1 << 12,
+                );
                 outs.iter().map(|o| o.stats().proposals).sum()
             },
         ],
@@ -423,7 +451,7 @@ fn main() {
         trace_overhead.metered_ns,
     );
     let report = Report {
-        threads: rayon_threads(),
+        threads: default_threads(),
         scaling,
         schedule,
         single,

@@ -18,7 +18,7 @@ use kmatch_graph::{
     all_trees, even_odd_path_schedule, random_tree, tree_count, tree_edge_coloring, BindingTree,
 };
 use kmatch_gs::{gale_shapley, mean_proposer_rank, mean_responder_rank};
-use kmatch_parallel::{crew_cost, erew_cost, parallel_bind_scheduled};
+use kmatch_parallel::{crew_cost, default_threads, erew_cost, parallel_bind_scheduled, steal_seed};
 use kmatch_prefs::gen::paper;
 use kmatch_prefs::gen::structured::{cyclic_bipartite, identical_bipartite};
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite};
@@ -324,7 +324,7 @@ fn t8_corollary1_erew(quick: bool) {
         ("star", BindingTree::star(k, 0)),
     ] {
         let schedule = tree_edge_coloring(&tree);
-        let par = parallel_bind_scheduled(&inst, &tree, &schedule);
+        let par = parallel_bind_scheduled(&inst, &tree, &schedule, default_threads(), steal_seed());
         let cost = erew_cost(&tree, &par.per_edge, None);
         let seq: u64 = par.per_edge.iter().map(|s| s.proposals).sum();
         t.row(cells!(
@@ -352,7 +352,7 @@ fn t9_corollary2_even_odd(quick: bool) {
         let inst = uniform_kpartite(k, n, &mut r);
         let tree = BindingTree::path(k);
         let schedule = even_odd_path_schedule(&tree).expect("path");
-        let par = parallel_bind_scheduled(&inst, &tree, &schedule);
+        let par = parallel_bind_scheduled(&inst, &tree, &schedule, default_threads(), steal_seed());
         let seq = bind_with_stats(&inst, &tree);
         t.row(cells!(
             k,

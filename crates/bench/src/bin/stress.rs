@@ -8,7 +8,7 @@
 //! Checks per iteration (all fatal on disagreement):
 //! 1. GS == McVitie–Wilson == distributed GS (matching + proposal count);
 //! 2. Algorithm 1 output stable (pruned DFS) == naive exhaustive verdict,
-//!    and rayon/scheduled/distributed executors equal sequential;
+//!    and parallel/distributed executors equal sequential;
 //! 3. Irving == brute force existence on small roommates instances, and
 //!    the zero-alloc fast path (reused workspace) == `solve_reference`
 //!    on larger ones (matching, certificate, proposal/rotation counts);
@@ -25,7 +25,7 @@ use kmatch_core::{
 use kmatch_distsim::{distributed_bind, distributed_gale_shapley};
 use kmatch_graph::{maximum_matching, random_tree, tree_edge_coloring};
 use kmatch_gs::{gale_shapley, mcvitie_wilson};
-use kmatch_parallel::parallel_bind;
+use kmatch_parallel::{default_threads, parallel_bind, steal_seed};
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite, uniform_roommates};
 use kmatch_roommates::brute::stable_matching_exists_brute;
 use kmatch_roommates::{solve, solve_reference, RoommatesWorkspace};
@@ -76,9 +76,9 @@ fn main() {
         let tree = random_tree(k, &mut rng);
         let seq = bind_with_stats(&inst, &tree);
         assert_eq!(
-            parallel_bind(&inst, &tree).matching,
+            parallel_bind(&inst, &tree, default_threads(), steal_seed()).matching,
             seq.matching,
-            "rayon (k={k})"
+            "parallel bind (k={k})"
         );
         let schedule = tree_edge_coloring(&tree);
         assert_eq!(

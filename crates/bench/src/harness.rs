@@ -44,13 +44,6 @@ pub fn measure_blocks<const K: usize>(
     best
 }
 
-/// Worker threads the rayon front-ends will use on this host.
-pub fn rayon_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 /// `count` uniform bipartite instances of size `n` from the deterministic
 /// stream [`rng`]`(tag)`.
 pub fn bipartite_batch(count: usize, n: usize, tag: u64) -> Vec<BipartiteInstance> {

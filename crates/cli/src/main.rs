@@ -876,36 +876,26 @@ fn run_lazy_gs_batch<P: kmatch_prefs::PrefOracle + Sync>(
     let count = batch.len();
     let start = std::time::Instant::now();
     let mut chunk_traces: Option<Vec<kmatch_parallel::ChunkTrace>> = None;
-    let mut executor: Option<kmatch_obs::ExecutorSection> = None;
-    let outcomes = if topts.enabled() {
-        let (outs, traces) =
-            kmatch_parallel::solve_batch_traced(batch, registry, clock, topts.chunk_capacity());
-        chunk_traces = Some(traces);
-        outs
-    } else if metered {
-        let (outs, report) = kmatch_parallel::solve_batch_stealing_metered(
-            batch,
-            threads,
-            kmatch_parallel::steal_seed(),
-            registry,
-            clock,
+    let steal_seed = kmatch_parallel::steal_seed();
+    let (outcomes, report) = if topts.enabled() {
+        let capacity = topts.chunk_capacity();
+        let (outs, traces, report) = kmatch_parallel::solve_batch_traced(
+            batch, threads, steal_seed, registry, clock, capacity,
         );
-        executor = Some(report.to_section());
-        outs
+        chunk_traces = Some(traces);
+        (outs, report)
+    } else if metered {
+        kmatch_parallel::solve_batch_stealing_metered(batch, threads, steal_seed, registry, clock)
     } else {
-        let (outs, report) =
-            kmatch_parallel::solve_batch_stealing(batch, threads, kmatch_parallel::steal_seed());
-        executor = Some(report.to_section());
-        outs
+        kmatch_parallel::solve_batch_stealing(batch, threads, steal_seed)
     };
     let elapsed = start.elapsed();
+    let executor = report.to_section();
     let stats = kmatch_parallel::batch_stats(&outcomes);
     println!("instances      : {count} x n={n} (gs, {backend} oracle)");
     println!("total proposals: {}", stats.proposals);
     println!("max rounds     : {}", stats.rounds);
-    if let Some(section) = &executor {
-        print_executor(section);
-    }
+    print_executor(&executor);
     if let Some(rss) = kmatch_obs::peak_rss_bytes() {
         println!("peak rss bytes : {rss}");
     }
@@ -916,8 +906,7 @@ fn run_lazy_gs_batch<P: kmatch_prefs::PrefOracle + Sync>(
     );
     write_chunk_traces(topts, chunk_traces)?;
     if let Some(handle) = ops {
-        let heartbeats = executor_heartbeats(executor.as_ref(), count);
-        handle.note_wave(n, &heartbeats, None);
+        handle.note_wave(n, &executor_heartbeats(&executor), None);
     }
     write_metrics(
         args,
@@ -928,21 +917,14 @@ fn run_lazy_gs_batch<P: kmatch_prefs::PrefOracle + Sync>(
         threads,
         elapsed.as_nanos() as u64,
         registry.take(),
-        executor,
+        Some(executor),
         ops,
     )
 }
 
-/// Per-worker heartbeat readings for the stall watchdog: cumulative
-/// tasks per lane when the executor reported lanes, else one lane
-/// carrying the instance count.
-fn executor_heartbeats(executor: Option<&kmatch_obs::ExecutorSection>, count: usize) -> Vec<u64> {
-    match executor {
-        Some(section) if !section.lanes.is_empty() => {
-            section.lanes.iter().map(|l| l.tasks).collect()
-        }
-        _ => vec![count as u64],
-    }
+/// Per-worker heartbeat readings for the stall watchdog: tasks per lane.
+fn executor_heartbeats(executor: &kmatch_obs::ExecutorSection) -> Vec<u64> {
+    executor.lanes.iter().map(|l| l.tasks).collect()
 }
 
 /// One console line naming the executor path a batch took and its steal
@@ -959,9 +941,10 @@ fn print_executor(section: &kmatch_obs::ExecutorSection) {
 }
 
 /// Solve a stream of instances through the parallel batch front-ends —
-/// the CLI face of `kmatch_parallel::solve_batch` (`--kind gs`) and
-/// `kmatch_parallel::roommates::solve_batch` (`--kind roommates`), both
-/// with per-thread reusable workspaces and zero steady-state allocation.
+/// the CLI face of `kmatch_parallel::solve_batch_stealing` (`--kind gs`)
+/// and `kmatch_parallel::roommates::solve_batch_stealing` (`--kind
+/// roommates`), both with per-thread reusable workspaces and zero
+/// steady-state allocation.
 /// Instances are generated from `--n/--count/--seed` or read from
 /// `--input` (a JSON array of DTOs); `--metrics-out` switches to the
 /// metered engines and writes a structured RunReport.
@@ -989,21 +972,13 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
     let seed: u64 = args.flag_or("seed", 0)?;
     let kind = args.flag("kind").unwrap_or("gs");
     let prefs = args.flag("prefs").unwrap_or("csr");
-    let threads: usize = args.flag_or("threads", rayon::current_num_threads())?;
+    let threads: usize = args.flag_or("threads", kmatch_parallel::default_threads())?;
     if threads == 0 {
         return Err("need --threads >= 1".to_string());
     }
     if args.flag("threads").is_some() {
         if !matches!(kind, "gs" | "roommates") {
             return Err("--threads is only supported for --kind gs|roommates".to_string());
-        }
-        if topts.enabled() {
-            return Err("--threads is not supported with --trace-out (traced \
-                        batches size themselves to the worker pool)"
-                .to_string());
-        }
-        if args.flag("cache") == Some("on") {
-            return Err("--threads is not supported with --cache on".to_string());
         }
         if prefs == "truncated" {
             return Err(
@@ -1193,54 +1168,41 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             let n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
             let start = std::time::Instant::now();
             let mut chunk_traces: Option<Vec<kmatch_parallel::ChunkTrace>> = None;
-            let mut executor: Option<kmatch_obs::ExecutorSection> = None;
-            let (outcomes, cache_line) = if cache_on {
+            let mut cache_line = None;
+            let steal_seed = kmatch_parallel::steal_seed();
+            let (outcomes, report) = if cache_on {
                 let mut cache = SolveCache::default();
-                let cached =
-                    kmatch_parallel::solve_batch_cached(&batch, &mut cache, registry, &clock);
-                let line = format!(
+                let cached = kmatch_parallel::solve_batch_cached(
+                    &batch, threads, steal_seed, &mut cache, registry, &clock,
+                );
+                cache_line = Some(format!(
                     "{} hits / {} misses ({:.1}% hit rate)",
                     cached.hits,
                     cached.misses,
                     100.0 * cached.hit_rate()
-                );
-                (cached.outcomes, Some(line))
+                ));
+                (cached.outcomes, cached.executor)
             } else if topts.enabled() {
-                let (outs, traces) = kmatch_parallel::solve_batch_traced(
-                    &batch,
-                    registry,
-                    &clock,
-                    topts.chunk_capacity(),
+                let capacity = topts.chunk_capacity();
+                let (outs, traces, report) = kmatch_parallel::solve_batch_traced(
+                    &batch, threads, steal_seed, registry, &clock, capacity,
                 );
                 chunk_traces = Some(traces);
-                (outs, None)
+                (outs, report)
             } else if metered {
-                let (outs, report) = kmatch_parallel::solve_batch_stealing_metered(
-                    &batch,
-                    threads,
-                    kmatch_parallel::steal_seed(),
-                    registry,
-                    &clock,
-                );
-                executor = Some(report.to_section());
-                (outs, None)
+                kmatch_parallel::solve_batch_stealing_metered(
+                    &batch, threads, steal_seed, registry, &clock,
+                )
             } else {
-                let (outs, report) = kmatch_parallel::solve_batch_stealing(
-                    &batch,
-                    threads,
-                    kmatch_parallel::steal_seed(),
-                );
-                executor = Some(report.to_section());
-                (outs, None)
+                kmatch_parallel::solve_batch_stealing(&batch, threads, steal_seed)
             };
             let elapsed = start.elapsed();
+            let executor = report.to_section();
             let stats = kmatch_parallel::batch_stats(&outcomes);
             println!("instances      : {count} x n={n} (gs)");
             println!("total proposals: {}", stats.proposals);
             println!("max rounds     : {}", stats.rounds);
-            if let Some(section) = &executor {
-                print_executor(section);
-            }
+            print_executor(&executor);
             if let Some(line) = cache_line {
                 println!("cache          : {line}");
             }
@@ -1251,8 +1213,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             );
             write_chunk_traces(&topts, chunk_traces)?;
             if let Some(handle) = &ops {
-                let heartbeats = executor_heartbeats(executor.as_ref(), count);
-                handle.note_wave(n, &heartbeats, None);
+                handle.note_wave(n, &executor_heartbeats(&executor), None);
             }
             write_metrics(
                 args,
@@ -1263,7 +1224,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                 threads,
                 elapsed.as_nanos() as u64,
                 registry.take(),
-                executor,
+                Some(executor),
                 ops.as_ref(),
             )?;
         }
@@ -1414,36 +1375,23 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             let n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
             let start = std::time::Instant::now();
             let mut chunk_traces: Option<Vec<kmatch_parallel::ChunkTrace>> = None;
-            let mut executor: Option<kmatch_obs::ExecutorSection> = None;
-            let outcomes = if topts.enabled() {
-                let (outs, traces) = kmatch_parallel::roommates::solve_batch_traced(
-                    &batch,
-                    registry,
-                    &clock,
-                    topts.chunk_capacity(),
+            let steal_seed = kmatch_parallel::steal_seed();
+            let (outcomes, report) = if topts.enabled() {
+                let capacity = topts.chunk_capacity();
+                let (outs, traces, report) = kmatch_parallel::roommates::solve_batch_traced(
+                    &batch, threads, steal_seed, registry, &clock, capacity,
                 );
                 chunk_traces = Some(traces);
-                outs
+                (outs, report)
             } else if metered {
-                let (outs, report) = kmatch_parallel::roommates::solve_batch_stealing_metered(
-                    &batch,
-                    threads,
-                    kmatch_parallel::steal_seed(),
-                    registry,
-                    &clock,
-                );
-                executor = Some(report.to_section());
-                outs
+                kmatch_parallel::roommates::solve_batch_stealing_metered(
+                    &batch, threads, steal_seed, registry, &clock,
+                )
             } else {
-                let (outs, report) = kmatch_parallel::roommates::solve_batch_stealing(
-                    &batch,
-                    threads,
-                    kmatch_parallel::steal_seed(),
-                );
-                executor = Some(report.to_section());
-                outs
+                kmatch_parallel::roommates::solve_batch_stealing(&batch, threads, steal_seed)
             };
             let elapsed = start.elapsed();
+            let executor = report.to_section();
             let stats = kmatch_parallel::roommates::batch_stats(&outcomes);
             println!("instances      : {count} x n={n} (roommates)");
             println!(
@@ -1453,9 +1401,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             );
             println!("total proposals: {}", stats.proposals);
             println!("total rotations: {}", stats.rotations);
-            if let Some(section) = &executor {
-                print_executor(section);
-            }
+            print_executor(&executor);
             println!(
                 "wall time      : {:.3} ms ({:.1} instances/s)",
                 elapsed.as_secs_f64() * 1e3,
@@ -1463,8 +1409,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             );
             write_chunk_traces(&topts, chunk_traces)?;
             if let Some(handle) = &ops {
-                let heartbeats = executor_heartbeats(executor.as_ref(), count);
-                handle.note_wave(n, &heartbeats, None);
+                handle.note_wave(n, &executor_heartbeats(&executor), None);
             }
             write_metrics(
                 args,
@@ -1475,7 +1420,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                 threads,
                 elapsed.as_nanos() as u64,
                 registry.take(),
-                executor,
+                Some(executor),
                 ops.as_ref(),
             )?;
         }
@@ -1577,11 +1522,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 
     // Arm the forensic plane: one probe/register lane per executor
     // worker (the escalating driver is serial — one lane).
-    let lanes = if kind == "gs" {
-        rayon::current_num_threads().max(1)
-    } else {
-        1
-    };
+    let threads = kmatch_parallel::default_threads();
+    let lanes = if kind == "gs" { threads } else { 1 };
     let mut plane = kmatch_ops::ForensicsPlane::new(lanes)
         .with_seed(seed)
         .with_config("cmd", "serve")
@@ -1676,8 +1618,10 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                         kmatch_prefs::RandomOracle::new(n, wave_seed.wrapping_add((i as u64) << 32))
                     })
                     .collect();
-                let (outs, traces) = kmatch_parallel::solve_batch_probed(
+                let (outs, traces, _) = kmatch_parallel::solve_batch_probed(
                     &batch,
+                    threads,
+                    kmatch_parallel::steal_seed(),
                     registry,
                     &clock,
                     &plane.probes,
@@ -1700,8 +1644,10 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                     }
                 };
                 let wave_n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
-                let (outs, traces) = kmatch_parallel::solve_batch_probed(
+                let (outs, traces, _) = kmatch_parallel::solve_batch_probed(
                     &batch,
+                    threads,
+                    kmatch_parallel::steal_seed(),
                     registry,
                     &clock,
                     &plane.probes,
@@ -1758,10 +1704,15 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                     }
                 };
                 let wave_n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
-                let outs =
-                    kmatch_parallel::roommates::solve_batch_metered(&batch, registry, &clock);
-                // The roommates batch path reports no per-worker lanes:
-                // one heartbeat lane carries cumulative solves.
+                let (outs, _) = kmatch_parallel::roommates::solve_batch_stealing_metered(
+                    &batch,
+                    threads,
+                    kmatch_parallel::steal_seed(),
+                    registry,
+                    &clock,
+                );
+                // The roommates batch publishes no progress probes: one
+                // heartbeat lane carries cumulative solves.
                 heartbeats = vec![total_instances + outs.len() as u64];
                 (wave_n, outs.len())
             }
@@ -1772,7 +1723,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             wave_n,
             total_instances as usize,
             seed,
-            rayon::current_num_threads(),
+            threads,
             start.elapsed().as_nanos() as u64,
             registry.snapshot(),
             None,

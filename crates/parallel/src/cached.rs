@@ -6,9 +6,9 @@
 //! again. [`solve_batch_cached`] keys every instance by its 128-bit
 //! content fingerprint (`kmatch_incremental::bipartite_fingerprint`) and
 //! serves repeats straight from a caller-owned [`SolveCache`]; only the
-//! missing instances go through the regular batch machinery
-//! ([`crate::batch::solve_batch_metered`], which picks the serial or
-//! parallel path itself). Hits, misses, and evictions land in the
+//! missing instances go through the batch runner, metered and on the
+//! stealing executor like [`crate::batch::solve_batch_stealing_metered`].
+//! Hits, misses, and evictions land in the
 //! [`BatchRegistry`]'s merged `SolverMetrics`, and the returned
 //! [`CachedBatchOutcome`] carries the same counts for callers (the CLI
 //! hit-rate printout) that do not drain the registry.
@@ -17,9 +17,10 @@ use kmatch_gs::{BipartiteMatching, GsOutcome, GsStats, GsWorkspace};
 use kmatch_incremental::{bipartite_fingerprint, SolveCache};
 use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics};
 use kmatch_prefs::{BipartitePrefs, ResponderListSlice};
-use rayon::prelude::*;
+use kmatch_trace::NoSpans;
 
-use crate::batch::batch_path;
+use crate::runner::{absorb, run_batch};
+use crate::steal::StealReport;
 
 /// A cached batch solve: the outcomes plus this call's cache traffic.
 #[derive(Debug)]
@@ -31,6 +32,8 @@ pub struct CachedBatchOutcome {
     pub hits: u64,
     /// Instances that had to be solved.
     pub misses: u64,
+    /// The executor's account of solving the misses.
+    pub executor: StealReport,
 }
 
 impl CachedBatchOutcome {
@@ -51,9 +54,12 @@ impl CachedBatchOutcome {
 /// content, whether a literal resubmission or a delta stream that undid
 /// itself) returns a clone of its cached proposer-optimal matching. The
 /// cache outlives the call, so a sweep can thread one cache through many
-/// batches.
+/// batches. The misses are solved with `threads` workers and steal seed
+/// `seed`; outcomes do not depend on either.
 pub fn solve_batch_cached<P, C>(
     instances: &[P],
+    threads: usize,
+    seed: u64,
     cache: &mut SolveCache<BipartiteMatching>,
     registry: &BatchRegistry,
     clock: &C,
@@ -91,61 +97,41 @@ where
     }
     let hits = shard.cache_hits;
     let misses = shard.cache_misses;
-    // Second pass: solve the misses — serially through one workspace on a
-    // one-thread pool, otherwise fanned out like the plain batch path.
-    if !miss_idx.is_empty() {
-        let solved: Vec<GsOutcome> = if batch_path() == "serial" {
-            let mut ws = GsWorkspace::new();
-            let mut engine = SolverMetrics::new();
-            let outs = miss_idx
-                .iter()
-                .map(|&i| {
-                    let t0 = clock.now_ns();
-                    let out = ws.solve_metered(&instances[i], &mut engine);
-                    engine.solve_ns(clock.now_ns().saturating_sub(t0));
-                    out
-                })
-                .collect();
-            registry.absorb(engine);
-            outs
-        } else {
-            miss_idx
-                .par_iter()
-                .map_init(GsWorkspace::new, |ws, &i| {
-                    let mut engine = SolverMetrics::new();
-                    let t0 = clock.now_ns();
-                    let out = ws.solve_metered(&instances[i], &mut engine);
-                    engine.solve_ns(clock.now_ns().saturating_sub(t0));
-                    registry.absorb(engine);
-                    out
-                })
-                .collect()
-        };
-        // Keep this batch's results aside for in-batch repeats — a tiny
-        // cache may already have evicted an early key by the time a late
-        // duplicate needs it.
-        let mut solved_map: std::collections::HashMap<(u64, u64), BipartiteMatching> =
-            std::collections::HashMap::with_capacity(miss_idx.len());
-        for (&i, out) in miss_idx.iter().zip(solved) {
-            if cache.insert(keys[i], out.matching.clone()) {
-                shard.cache_eviction();
-            }
-            if !dup_idx.is_empty() {
-                solved_map.insert(keys[i], out.matching.clone());
-            }
-            outcomes[i] = Some(out);
+    // Second pass: solve the misses on the executor.
+    let run = run_batch(
+        miss_idx.len(),
+        |k| &instances[miss_idx[k]],
+        threads,
+        seed,
+        clock,
+        |_| (GsWorkspace::new(), NoSpans),
+        |_| SolverMetrics::new(),
+    );
+    absorb(registry, run.shards, &run.report);
+    // Keep this batch's results aside for in-batch repeats — a tiny
+    // cache may already have evicted an early key by the time a late
+    // duplicate needs it.
+    let mut solved_map: std::collections::HashMap<(u64, u64), BipartiteMatching> =
+        std::collections::HashMap::with_capacity(miss_idx.len());
+    for (&i, out) in miss_idx.iter().zip(run.outcomes) {
+        if cache.insert(keys[i], out.matching.clone()) {
+            shard.cache_eviction();
         }
-        for i in dup_idx {
-            let matching = solved_map
-                .get(&keys[i])
-                .expect("every duplicate's representative was solved")
-                .clone();
-            outcomes[i] = Some(GsOutcome {
-                matching,
-                stats: GsStats::default(),
-                trace: None,
-            });
+        if !dup_idx.is_empty() {
+            solved_map.insert(keys[i], out.matching.clone());
         }
+        outcomes[i] = Some(out);
+    }
+    for i in dup_idx {
+        let matching = solved_map
+            .get(&keys[i])
+            .expect("every duplicate's representative was solved")
+            .clone();
+        outcomes[i] = Some(GsOutcome {
+            matching,
+            stats: GsStats::default(),
+            trace: None,
+        });
     }
     registry.absorb(shard);
     CachedBatchOutcome {
@@ -155,6 +141,7 @@ where
             .collect(),
         hits,
         misses,
+        executor: run.report,
     }
 }
 
@@ -182,7 +169,7 @@ mod tests {
             .collect();
         let mut cache = SolveCache::default();
         let registry = BatchRegistry::new();
-        let out = solve_batch_cached(&batch, &mut cache, &registry, &ManualClock::new());
+        let out = solve_batch_cached(&batch, 2, 0, &mut cache, &registry, &ManualClock::new());
         assert_eq!(out.misses, 8, "first sighting of each instance solves");
         assert_eq!(out.hits, 16, "both repeats of each instance hit");
         assert!((out.hit_rate() - 2.0 / 3.0).abs() < 1e-9);
@@ -203,9 +190,9 @@ mod tests {
         let mut cache = SolveCache::default();
         let registry = BatchRegistry::new();
         let clock = ManualClock::new();
-        let first = solve_batch_cached(&batch, &mut cache, &registry, &clock);
+        let first = solve_batch_cached(&batch, 2, 0, &mut cache, &registry, &clock);
         assert_eq!(first.hits, 0);
-        let second = solve_batch_cached(&batch, &mut cache, &registry, &clock);
+        let second = solve_batch_cached(&batch, 2, 0, &mut cache, &registry, &clock);
         assert_eq!(second.hits, 6, "second batch is fully cached");
         assert_eq!(second.misses, 0);
         for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
@@ -220,7 +207,7 @@ mod tests {
             (0..10).map(|_| uniform_bipartite(10, &mut rng)).collect();
         let mut cache = SolveCache::new(3);
         let registry = BatchRegistry::new();
-        let out = solve_batch_cached(&batch, &mut cache, &registry, &ManualClock::new());
+        let out = solve_batch_cached(&batch, 2, 0, &mut cache, &registry, &ManualClock::new());
         assert_eq!(out.misses, 10);
         assert!(cache.len() <= 3);
         let merged = registry.take();
@@ -235,7 +222,7 @@ mod tests {
         let empty: Vec<BipartiteInstance> = Vec::new();
         let mut cache = SolveCache::default();
         let registry = BatchRegistry::new();
-        let out = solve_batch_cached(&empty, &mut cache, &registry, &ManualClock::new());
+        let out = solve_batch_cached(&empty, 2, 0, &mut cache, &registry, &ManualClock::new());
         assert!(out.outcomes.is_empty());
         assert_eq!(out.hit_rate(), 0.0);
     }

@@ -1,4 +1,4 @@
-//! Rayon-based parallel binding executor.
+//! Parallel binding executor on the stealing executor.
 //!
 //! Each `GS(i, j)` binding reads only the preference tables of genders `i`
 //! and `j` and writes only its own pair list, so bindings with disjoint
@@ -7,16 +7,18 @@
 //! results never feed each other; only the final class merge is shared) or
 //! round-by-round following a schedule ([`parallel_bind_scheduled`] —
 //! the paper's PRAM discipline, where a gender's data is held exclusively
-//! by one binding per round).
+//! by one binding per round). Either way the edges are the tasks of the
+//! crate's one batch runner, each worker reusing one [`WorkerScratch`].
 
 use kmatch_core::binding::BindingOutcome;
 use kmatch_core::{merge_edge_pairs, KAryMatching};
 use kmatch_graph::{BindingTree, Schedule};
 use kmatch_gs::GsStats;
-use kmatch_obs::{BatchRegistry, Metrics, NoMetrics, SolverMetrics};
+use kmatch_obs::{Metrics, NoMetrics, StdClock};
 use kmatch_prefs::{GenderId, KPartiteInstance, KPartitePairView, Member};
-use rayon::prelude::*;
+use kmatch_trace::{NoSpans, SpanSink};
 
+use crate::runner::{run_batch, Engine};
 use crate::scratch::WorkerScratch;
 
 /// Outcome of a parallel binding run.
@@ -40,43 +42,83 @@ impl From<ParallelBindingOutcome> for BindingOutcome {
     }
 }
 
+/// One binding-tree edge `(i, j)` of an instance: the item a
+/// [`WorkerScratch`] solves.
+pub(crate) struct Edge<'a> {
+    inst: &'a KPartiteInstance,
+    idx: usize,
+    genders: (u16, u16),
+}
+
 type EdgeResult = (usize, Vec<(u32, u32)>, GsStats);
 
-/// Run one binding edge, returning (edge index, global-id pairs, stats).
-fn run_edge<M: Metrics>(
-    inst: &KPartiteInstance,
-    scratch: &mut WorkerScratch,
-    edge_idx: usize,
-    i: u16,
-    j: u16,
-    metrics: &mut M,
-) -> EdgeResult {
-    let n = inst.n() as u32;
-    let view = KPartitePairView::new(inst, GenderId(i), GenderId(j));
-    // The CSR snapshot preserves lists and ranks exactly, so the outcome
-    // (matching and stats) is identical to solving the view directly.
-    scratch.csr.load(&view);
-    let out = scratch.ws.solve_metered(&scratch.csr, metrics);
-    metrics.binding_edge(out.stats.proposals);
-    let pairs: Vec<(u32, u32)> = out
-        .matching
-        .pairs()
-        .map(|(m, w)| {
-            (
-                Member {
-                    gender: GenderId(i),
-                    index: m,
-                }
-                .global(n),
-                Member {
-                    gender: GenderId(j),
-                    index: w,
-                }
-                .global(n),
-            )
-        })
-        .collect();
-    (edge_idx, pairs, out.stats)
+impl Engine<Edge<'_>> for WorkerScratch {
+    /// (edge index, global-id pairs, stats).
+    type Outcome = EdgeResult;
+
+    fn run<M: Metrics, S: SpanSink>(
+        &mut self,
+        edge: &Edge<'_>,
+        metrics: &mut M,
+        spans: &mut S,
+    ) -> EdgeResult {
+        let (i, j) = edge.genders;
+        let n = edge.inst.n() as u32;
+        let view = KPartitePairView::new(edge.inst, GenderId(i), GenderId(j));
+        // The CSR snapshot preserves lists and ranks exactly, so the
+        // outcome (matching and stats) is identical to solving the view
+        // directly.
+        self.csr.load(&view);
+        let out = self.ws.solve_spanned(&self.csr, metrics, spans);
+        let global = |gender: u16, index: u32| {
+            Member {
+                gender: GenderId(gender),
+                index,
+            }
+            .global(n)
+        };
+        let pairs: Vec<(u32, u32)> = out
+            .matching
+            .pairs()
+            .map(|(m, w)| (global(i, m), global(j, w)))
+            .collect();
+        (edge.idx, pairs, out.stats)
+    }
+}
+
+/// The tree's edges as runner items, after checking that the tree spans
+/// the instance's genders.
+fn edges<'a>(inst: &'a KPartiteInstance, tree: &BindingTree) -> Vec<Edge<'a>> {
+    assert_eq!(
+        tree.k(),
+        inst.k(),
+        "binding tree must span the instance's genders"
+    );
+    tree.edges()
+        .iter()
+        .enumerate()
+        .map(|(idx, &genders)| Edge { inst, idx, genders })
+        .collect()
+}
+
+/// Bind the edges `picked` selects from `edges` as one executor batch.
+fn bind_batch(
+    edges: &[Edge<'_>],
+    picked: impl Fn(usize) -> usize + Sync,
+    len: usize,
+    threads: usize,
+    seed: u64,
+) -> Vec<EdgeResult> {
+    run_batch(
+        len,
+        |e| &edges[picked(e)],
+        threads,
+        seed,
+        &StdClock::new(),
+        |_| (WorkerScratch::default(), NoSpans),
+        |_| NoMetrics,
+    )
+    .outcomes
 }
 
 fn merge(
@@ -100,89 +142,39 @@ fn merge(
     }
 }
 
-/// Bind all tree edges concurrently on the rayon pool and merge.
+/// Bind all tree edges concurrently with `threads` workers and steal seed
+/// `seed`, then merge.
 ///
-/// Result is identical to `kmatch_core::binding::bind_with_stats` — the
-/// union–find merge is order-insensitive and each GS run is deterministic.
-pub fn parallel_bind(inst: &KPartiteInstance, tree: &BindingTree) -> ParallelBindingOutcome {
-    assert_eq!(
-        tree.k(),
-        inst.k(),
-        "binding tree must span the instance's genders"
-    );
-    let results: Vec<EdgeResult> = tree
-        .edges()
-        .par_iter()
-        .enumerate()
-        .map_init(WorkerScratch::default, |scratch, (idx, &(i, j))| {
-            run_edge(inst, scratch, idx, i, j, &mut NoMetrics)
-        })
-        .collect();
-    merge(inst, tree.edges().len(), results, 1)
-}
-
-/// [`parallel_bind`] with sharded metrics: each binding edge runs with its
-/// own thread-private [`SolverMetrics`] shard (absorbed into `registry`
-/// when the edge completes), recording per-edge proposal counts via
-/// [`Metrics::binding_edge`]; after the merge one final shard carries the
-/// [`Metrics::theorem3_check`] of the total against `(k−1)·n²`, so every
-/// metered parallel binding validates Theorem 3 empirically.
-pub fn parallel_bind_metered(
+/// Result is identical to `kmatch_core::binding::bind_with_stats` for any
+/// `threads` and `seed` — the union–find merge is order-insensitive and
+/// each GS run is deterministic.
+pub fn parallel_bind(
     inst: &KPartiteInstance,
     tree: &BindingTree,
-    registry: &BatchRegistry,
+    threads: usize,
+    seed: u64,
 ) -> ParallelBindingOutcome {
-    assert_eq!(
-        tree.k(),
-        inst.k(),
-        "binding tree must span the instance's genders"
-    );
-    let results: Vec<EdgeResult> = tree
-        .edges()
-        .par_iter()
-        .enumerate()
-        .map(|(idx, &(i, j))| {
-            let mut scratch = WorkerScratch::default();
-            let mut shard = SolverMetrics::new();
-            let r = run_edge(inst, &mut scratch, idx, i, j, &mut shard);
-            registry.absorb(shard);
-            r
-        })
-        .collect();
-    let outcome = merge(inst, tree.edges().len(), results, 1);
-    let total: u64 = outcome.per_edge.iter().map(|s| s.proposals).sum();
-    let bound = ((inst.k() - 1) * inst.n() * inst.n()) as u64;
-    let mut tail = SolverMetrics::new();
-    tail.theorem3_check(total, bound);
-    registry.absorb(tail);
-    outcome
+    let edges = edges(inst, tree);
+    let results = bind_batch(&edges, |e| e, edges.len(), threads, seed);
+    merge(inst, edges.len(), results, 1)
 }
 
 /// Bind round-by-round following `schedule`: edges within a round run
-/// concurrently, rounds are separated by barriers — the EREW PRAM
-/// discipline of Corollary 1.
+/// concurrently on `threads` workers, rounds are separated by barriers —
+/// the EREW PRAM discipline of Corollary 1.
 pub fn parallel_bind_scheduled(
     inst: &KPartiteInstance,
     tree: &BindingTree,
     schedule: &Schedule,
+    threads: usize,
+    seed: u64,
 ) -> ParallelBindingOutcome {
-    assert_eq!(
-        tree.k(),
-        inst.k(),
-        "binding tree must span the instance's genders"
-    );
-    let mut results: Vec<EdgeResult> = Vec::with_capacity(tree.edges().len());
+    let edges = edges(inst, tree);
+    let mut results: Vec<EdgeResult> = Vec::with_capacity(edges.len());
     for round in schedule.rounds() {
-        let mut batch: Vec<EdgeResult> = round
-            .par_iter()
-            .map_init(WorkerScratch::default, |scratch, &e| {
-                let (i, j) = tree.edges()[e];
-                run_edge(inst, scratch, e, i, j, &mut NoMetrics)
-            })
-            .collect();
-        results.append(&mut batch);
+        results.extend(bind_batch(&edges, |r| round[r], round.len(), threads, seed));
     }
-    merge(inst, tree.edges().len(), results, schedule.depth())
+    merge(inst, edges.len(), results, schedule.depth())
 }
 
 #[cfg(test)]
@@ -203,7 +195,7 @@ mod tests {
             let inst = uniform_kpartite(k, n, &mut rng);
             let tree = random_tree(k, &mut rng);
             let seq = bind_with_stats(&inst, &tree);
-            let par = parallel_bind(&inst, &tree);
+            let par = parallel_bind(&inst, &tree, 3, 0);
             assert_eq!(par.matching, seq.matching, "k={k}, n={n}");
             assert_eq!(par.per_edge, seq.per_edge);
         }
@@ -217,7 +209,7 @@ mod tests {
             let tree = random_tree(k, &mut rng);
             let schedule = tree_edge_coloring(&tree);
             let seq = bind_with_stats(&inst, &tree);
-            let par = parallel_bind_scheduled(&inst, &tree, &schedule);
+            let par = parallel_bind_scheduled(&inst, &tree, &schedule, 3, 0);
             assert_eq!(par.matching, seq.matching);
             assert_eq!(par.rounds_executed, tree.max_degree());
         }
@@ -229,30 +221,9 @@ mod tests {
         let inst = uniform_kpartite(7, 6, &mut rng);
         let tree = BindingTree::path(7);
         let schedule = even_odd_path_schedule(&tree).unwrap();
-        let par = parallel_bind_scheduled(&inst, &tree, &schedule);
+        let par = parallel_bind_scheduled(&inst, &tree, &schedule, 3, 0);
         assert_eq!(par.rounds_executed, 2, "Corollary 2");
         assert_eq!(par.matching, bind_with_stats(&inst, &tree).matching);
-    }
-
-    #[test]
-    fn metered_bind_equals_plain_and_checks_theorem3() {
-        let mut rng = ChaCha8Rng::seed_from_u64(46);
-        let registry = BatchRegistry::new();
-        for (k, n) in [(3usize, 8usize), (6, 5)] {
-            let inst = uniform_kpartite(k, n, &mut rng);
-            let tree = random_tree(k, &mut rng);
-            let plain = parallel_bind(&inst, &tree);
-            let metered = parallel_bind_metered(&inst, &tree, &registry);
-            assert_eq!(plain.matching, metered.matching);
-            assert_eq!(plain.per_edge, metered.per_edge);
-        }
-        let merged = registry.take();
-        // (3−1) + (6−1) binding edges, one theorem-3 check per bind call.
-        assert_eq!(merged.binding_edges, 7);
-        assert_eq!(merged.proposals_per_edge.count(), 7);
-        assert_eq!(merged.theorem3_checks, 2);
-        assert_eq!(merged.theorem3_violations, 0, "Theorem 3 must hold");
-        assert_eq!(merged.proposals, merged.proposals_per_edge.sum());
     }
 
     #[test]
@@ -260,7 +231,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(44);
         let inst = uniform_kpartite(4, 5, &mut rng);
         let tree = BindingTree::star(4, 3);
-        let par = parallel_bind(&inst, &tree);
+        let par = parallel_bind(&inst, &tree, 3, 0);
         assert!(is_kary_stable(&inst, &par.matching));
     }
 
@@ -269,7 +240,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(45);
         let inst = uniform_kpartite(3, 4, &mut rng);
         let tree = BindingTree::path(3);
-        let par = parallel_bind(&inst, &tree);
+        let par = parallel_bind(&inst, &tree, 3, 0);
         let total: u64 = par.per_edge.iter().map(|s| s.proposals).sum();
         let bo: BindingOutcome = par.into();
         assert_eq!(bo.total_proposals(), total);

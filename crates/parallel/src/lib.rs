@@ -8,22 +8,24 @@
 //!
 //! This crate provides:
 //!
-//! * [`executor`] — a real shared-memory executor on the rayon work-stealing
-//!   pool: independent `GS(i, j)` bindings of each schedule round run
-//!   concurrently. Its output is bit-identical to the sequential
-//!   Algorithm 1 (GS is deterministic per edge and edges touch disjoint
-//!   data), which the tests enforce.
-//! * [`batch`] — a throughput front-end: [`solve_batch`] fans many
-//!   independent bipartite instances across the workers, giving each
-//!   worker thread one reusable `GsWorkspace` so the per-instance
-//!   allocation cost is just the returned matchings.
-//! * [`steal`] — the deterministic work-stealing executor behind the
-//!   batch front-ends: fine-grained task chunks on per-worker deques,
-//!   seeded victim order (`KMATCH_STEAL_SEED`), task-id-ordered
-//!   reduction so outputs and merged metrics are byte-identical for any
-//!   steal schedule, and per-worker lane accounting for the straggler
-//!   section of run reports.
-//! * [`roommates`] — the same front-end for Irving's stable-roommates
+//! * [`steal`] — the deterministic work-stealing executor every parallel
+//!   path runs on: fine-grained task chunks on per-worker deques, seeded
+//!   victim order (`KMATCH_STEAL_SEED`), task-id-ordered reduction so
+//!   outputs and merged metrics are byte-identical for any thread count
+//!   and steal schedule, and per-worker lane accounting for the
+//!   straggler section of run reports. One crate-private runner drives
+//!   it for every front-end below; one thread is its serial case.
+//! * [`executor`] — the binding executor: independent `GS(i, j)` bindings
+//!   (all at once, or each schedule round) run as executor tasks. Its
+//!   output is bit-identical to the sequential Algorithm 1 (GS is
+//!   deterministic per edge and edges touch disjoint data), which the
+//!   tests enforce.
+//! * [`batch`] — throughput front-ends: [`solve_batch_stealing`] and its
+//!   metered, traced and probed variants fan many independent bipartite
+//!   instances across the workers, giving each worker one reusable
+//!   `GsWorkspace` so the per-instance allocation cost is just the
+//!   returned matchings; [`cached`] serves repeats from a solve cache.
+//! * [`roommates`] — the same front-ends for Irving's stable-roommates
 //!   solver (one reusable `RoommatesWorkspace` per worker), feeding the
 //!   solvability sweeps.
 //! * [`pram`] — the paper's own cost model, implemented as an explicit
@@ -34,7 +36,7 @@
 //!
 //! The host machine for this reproduction has a single core, so wall-clock
 //! speedups are reported by the PRAM model (the paper's metric) while the
-//! rayon executor is validated for correctness and scales on real
+//! stealing executor is validated for correctness and scales on real
 //! multicore hardware.
 
 #![forbid(unsafe_code)]
@@ -45,20 +47,18 @@ pub mod cached;
 pub mod executor;
 pub mod pram;
 pub mod roommates;
+mod runner;
 pub mod scratch;
 pub mod steal;
 
 pub use batch::{
-    batch_path, batch_stats, solve_batch, solve_batch_metered, solve_batch_probed,
+    batch_stats, solve_batch_probed, solve_batch_stealing, solve_batch_stealing_metered,
     solve_batch_traced, ChunkTrace,
 };
 pub use cached::{solve_batch_cached, CachedBatchOutcome};
-pub use executor::{
-    parallel_bind, parallel_bind_metered, parallel_bind_scheduled, ParallelBindingOutcome,
-};
+pub use executor::{parallel_bind, parallel_bind_scheduled, ParallelBindingOutcome};
 pub use pram::{crew_cost, erew_cost, replication_rounds, PramCost, PramModel};
 pub use scratch::WorkerScratch;
 pub use steal::{
-    solve_batch_stealing, solve_batch_stealing_metered, steal_seed, StealReport, WorkerLane,
-    STEAL_SEED_ENV, TASKS_PER_WORKER,
+    default_threads, steal_seed, StealReport, WorkerLane, STEAL_SEED_ENV, TASKS_PER_WORKER,
 };

@@ -1,178 +1,27 @@
-//! Batch throughput front-end for the stable-roommates solver.
+//! Batch throughput front-ends for the stable-roommates solver.
 //!
 //! The solvability experiments behind `roommates_solvability.csv` (and the
 //! Mertens-style scaling studies the ROADMAP aims at) need thousands of
 //! independent Irving solves per data point. Like [`crate::batch`] for
-//! Gale–Shapley, [`solve_batch`] fans the instances across the rayon pool
-//! with one reusable [`RoommatesWorkspace`] per worker thread, so the
-//! steady-state cost per instance is the solve itself — the only
+//! Gale–Shapley, these front-ends fan the instances across the stealing
+//! executor with one reusable [`RoommatesWorkspace`] per worker thread,
+//! so the steady-state cost per instance is the solve itself — the only
 //! per-instance allocation is the partner array owned by each stable
 //! matching (unsolvable instances allocate nothing at all).
 //!
 //! Results are returned in input order and are identical to calling
-//! [`kmatch_roommates::solve`] on each instance serially (Irving's
-//! algorithm with a fixed seed policy is deterministic and instances share
-//! no state).
+//! [`kmatch_roommates::solve`] on each instance serially, for any thread
+//! count or steal seed (Irving's algorithm with a fixed seed policy is
+//! deterministic and instances share no state).
 
-use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics, StdClock};
+use kmatch_obs::{BatchRegistry, Clock, NoMetrics, SolverMetrics, StdClock};
 use kmatch_prefs::RoommatesInstance;
 use kmatch_roommates::{RoommatesOutcome, RoommatesWorkspace};
-use kmatch_trace::{span, FlightRecorder, SpanSink};
-use rayon::prelude::*;
+use kmatch_trace::{FlightRecorder, NoSpans};
 
 use crate::batch::ChunkTrace;
-use crate::steal::{run_tasks, task_layout, StealReport, WorkerLane};
-
-/// Solve every roommates instance with the zero-allocation Irving fast
-/// path, fanning the batch across the rayon pool with one reusable
-/// [`RoommatesWorkspace`] per worker thread.
-///
-/// Output order matches input order, and each outcome equals the one
-/// [`kmatch_roommates::solve`] would produce for that instance.
-///
-/// ```
-/// use kmatch_parallel::roommates::solve_batch;
-/// use kmatch_prefs::gen::uniform::uniform_roommates;
-/// use rand::SeedableRng;
-/// use rand_chacha::ChaCha8Rng;
-///
-/// let mut rng = ChaCha8Rng::seed_from_u64(1);
-/// let batch: Vec<_> = (0..32).map(|_| uniform_roommates(16, &mut rng)).collect();
-/// let outcomes = solve_batch(&batch);
-/// assert_eq!(outcomes.len(), 32);
-/// ```
-pub fn solve_batch(instances: &[RoommatesInstance]) -> Vec<RoommatesOutcome> {
-    if crate::batch::batch_path() == "serial" {
-        let mut ws = RoommatesWorkspace::new();
-        return instances.iter().map(|inst| ws.solve(inst)).collect();
-    }
-    instances
-        .par_iter()
-        .map_init(RoommatesWorkspace::new, |ws, inst| ws.solve(inst))
-        .collect()
-}
-
-/// [`solve_batch`] with sharded metrics and per-solve wall timing.
-///
-/// Mirrors [`crate::batch::solve_batch_metered`]: each worker solves a
-/// contiguous chunk through its own [`RoommatesWorkspace`] and
-/// thread-private [`SolverMetrics`] shard (no atomics or locks on the hot
-/// path), absorbing the shard into `registry` once when the chunk
-/// completes; per-solve wall time is sampled from the injected `clock` at
-/// this front-end so the engine stays clock-free.
-pub fn solve_batch_metered<C: Clock + Sync>(
-    instances: &[RoommatesInstance],
-    registry: &BatchRegistry,
-    clock: &C,
-) -> Vec<RoommatesOutcome> {
-    let len = instances.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    if crate::batch::batch_path() == "serial" {
-        let mut ws = RoommatesWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let outs: Vec<RoommatesOutcome> = instances
-            .iter()
-            .map(|inst| {
-                let t0 = clock.now_ns();
-                let out = ws.solve_metered(inst, &mut shard);
-                shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                out
-            })
-            .collect();
-        registry.absorb(shard);
-        return outs;
-    }
-    let threads = rayon::current_num_threads().clamp(1, len);
-    let chunk = len.div_ceil(threads);
-    let chunks = len.div_ceil(chunk);
-    let per_chunk: Vec<Vec<RoommatesOutcome>> = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(len);
-            let mut ws = RoommatesWorkspace::new();
-            let mut shard = SolverMetrics::new();
-            let outs: Vec<RoommatesOutcome> = instances[lo..hi]
-                .iter()
-                .map(|inst| {
-                    let t0 = clock.now_ns();
-                    let out = ws.solve_metered(inst, &mut shard);
-                    shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                    out
-                })
-                .collect();
-            registry.absorb(shard);
-            outs
-        })
-        .collect();
-    per_chunk.into_iter().flatten().collect()
-}
-
-/// [`solve_batch_metered`] that additionally records a span timeline per
-/// worker chunk — the roommates mirror of
-/// [`crate::batch::solve_batch_traced`]. Each chunk's [`FlightRecorder`]
-/// (capacity `flight_capacity`, preallocated, never allocating while
-/// recording) wraps the chunk in a `batch.chunk` span around the
-/// per-solve `irving.*` spans; the returned [`ChunkTrace`]s feed
-/// `kmatch_trace::TraceTrack::workers` directly.
-pub fn solve_batch_traced<C: Clock + Sync>(
-    instances: &[RoommatesInstance],
-    registry: &BatchRegistry,
-    clock: &C,
-    flight_capacity: usize,
-) -> (Vec<RoommatesOutcome>, Vec<ChunkTrace>) {
-    let len = instances.len();
-    if len == 0 {
-        return (Vec::new(), Vec::new());
-    }
-    let solve_chunk = |c: usize, chunk_insts: &[RoommatesInstance]| {
-        let mut ws = RoommatesWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let mut rec = FlightRecorder::new(clock, flight_capacity);
-        rec.begin(span::BATCH_CHUNK, c as u64);
-        let outs: Vec<RoommatesOutcome> = chunk_insts
-            .iter()
-            .map(|inst| {
-                let t0 = clock.now_ns();
-                let out = ws.solve_spanned(inst, &mut shard, &mut rec);
-                shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                out
-            })
-            .collect();
-        rec.end(span::BATCH_CHUNK);
-        registry.absorb(shard);
-        let trace = ChunkTrace {
-            worker: c,
-            dropped: rec.dropped(),
-            events: rec.events(),
-        };
-        (outs, trace)
-    };
-    if crate::batch::batch_path() == "serial" {
-        let (outs, trace) = solve_chunk(0, instances);
-        return (outs, vec![trace]);
-    }
-    let threads = rayon::current_num_threads().clamp(1, len);
-    let chunk = len.div_ceil(threads);
-    let chunks = len.div_ceil(chunk);
-    let per_chunk: Vec<(Vec<RoommatesOutcome>, ChunkTrace)> = (0..chunks)
-        .into_par_iter()
-        .map(|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(len);
-            solve_chunk(c, &instances[lo..hi])
-        })
-        .collect();
-    let mut outs = Vec::with_capacity(len);
-    let mut traces = Vec::with_capacity(chunks);
-    for (chunk_outs, trace) in per_chunk {
-        outs.extend(chunk_outs);
-        traces.push(trace);
-    }
-    (outs, traces)
-}
+use crate::runner::{absorb, run_batch};
+use crate::steal::StealReport;
 
 /// Solve a roommates batch through the deterministic work-stealing
 /// executor (see [`crate::steal`]) with `threads` OS workers and the
@@ -180,55 +29,40 @@ pub fn solve_batch_traced<C: Clock + Sync>(
 ///
 /// Outcomes are in input order and byte-identical to a serial
 /// [`RoommatesWorkspace::solve`] loop for **any** `threads`/`seed`
-/// combination — Irving's algorithm with the fixed seed policy is
-/// deterministic and instances share no state — so only the returned
-/// [`StealReport`] reflects the actual schedule. `threads <= 1` (or a
-/// trivial batch) takes the serial path with no worker threads at all.
+/// combination, so only the returned [`StealReport`] reflects the actual
+/// schedule. `threads <= 1` (or a trivial batch) takes the serial path
+/// with no worker threads at all.
+///
+/// ```
+/// use kmatch_parallel::roommates::solve_batch_stealing;
+/// use kmatch_prefs::gen::uniform::uniform_roommates;
+/// use rand::SeedableRng;
+/// use rand_chacha::ChaCha8Rng;
+///
+/// let mut rng = ChaCha8Rng::seed_from_u64(1);
+/// let batch: Vec<_> = (0..32).map(|_| uniform_roommates(16, &mut rng)).collect();
+/// let (outcomes, _) = solve_batch_stealing(&batch, 2, 0);
+/// assert_eq!(outcomes.len(), 32);
+/// ```
 pub fn solve_batch_stealing(
     instances: &[RoommatesInstance],
     threads: usize,
     seed: u64,
 ) -> (Vec<RoommatesOutcome>, StealReport) {
-    let len = instances.len();
-    if threads <= 1 || len <= 1 {
-        let clock = StdClock::new();
-        let t0 = clock.now_ns();
-        let mut ws = RoommatesWorkspace::new();
-        let outs: Vec<RoommatesOutcome> = instances.iter().map(|inst| ws.solve(inst)).collect();
-        let busy = clock.now_ns().saturating_sub(t0);
-        let lane = WorkerLane {
-            worker: 0,
-            tasks: 1,
-            steals: 0,
-            busy_ns: busy,
-            wall_ns: busy,
-        };
-        return (outs, StealReport::serial(1, seed, lane));
-    }
-    let (chunk, task_count) = task_layout(len, threads);
-    let (per_task, _, report) = run_tasks(
-        task_count,
+    let run = run_batch(
+        instances.len(),
+        |i| &instances[i],
         threads,
         seed,
-        |_| RoommatesWorkspace::new(),
-        |ws: &mut RoommatesWorkspace, t: usize| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            instances[lo..hi]
-                .iter()
-                .map(|inst| ws.solve(inst))
-                .collect::<Vec<RoommatesOutcome>>()
-        },
+        &StdClock::new(),
+        |_| (RoommatesWorkspace::new(), NoSpans),
+        |_| NoMetrics,
     );
-    let mut outs = Vec::with_capacity(len);
-    for (_, task_outs) in per_task {
-        outs.extend(task_outs);
-    }
-    (outs, report)
+    (run.outcomes, run.report)
 }
 
 /// [`solve_batch_stealing`] with sharded metrics and per-solve wall
-/// timing, mirroring [`crate::steal::solve_batch_stealing_metered`].
+/// timing, mirroring [`crate::batch::solve_batch_stealing_metered`].
 ///
 /// Each *task* accumulates into its own thread-private [`SolverMetrics`]
 /// shard; shards are absorbed into `registry` in task-id order after the
@@ -243,61 +77,48 @@ pub fn solve_batch_stealing_metered<C>(
 where
     C: Clock + Sync,
 {
-    let len = instances.len();
-    if threads <= 1 || len <= 1 {
-        let t0 = clock.now_ns();
-        let mut ws = RoommatesWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let outs: Vec<RoommatesOutcome> = instances
-            .iter()
-            .map(|inst| {
-                let s0 = clock.now_ns();
-                let out = ws.solve_metered(inst, &mut shard);
-                shard.solve_ns(clock.now_ns().saturating_sub(s0));
-                out
-            })
-            .collect();
-        if !outs.is_empty() {
-            registry.absorb(shard);
-        }
-        let wall = clock.now_ns().saturating_sub(t0);
-        let lane = WorkerLane {
-            worker: 0,
-            tasks: 1,
-            steals: 0,
-            busy_ns: wall,
-            wall_ns: wall,
-        };
-        return (outs, StealReport::serial(1, seed, lane));
-    }
-    let (chunk, task_count) = task_layout(len, threads);
-    let (per_task, _, report) = run_tasks(
-        task_count,
+    let run = run_batch(
+        instances.len(),
+        |i| &instances[i],
         threads,
         seed,
-        |_| RoommatesWorkspace::new(),
-        |ws: &mut RoommatesWorkspace, t: usize| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            let mut shard = SolverMetrics::new();
-            let outs: Vec<RoommatesOutcome> = instances[lo..hi]
-                .iter()
-                .map(|inst| {
-                    let s0 = clock.now_ns();
-                    let out = ws.solve_metered(inst, &mut shard);
-                    shard.solve_ns(clock.now_ns().saturating_sub(s0));
-                    out
-                })
-                .collect();
-            (outs, shard)
-        },
+        clock,
+        |_| (RoommatesWorkspace::new(), NoSpans),
+        |_| SolverMetrics::new(),
     );
-    let mut outs = Vec::with_capacity(len);
-    for (_, (task_outs, shard)) in per_task {
-        outs.extend(task_outs);
-        registry.absorb(shard);
-    }
-    (outs, report)
+    absorb(registry, run.shards, &run.report);
+    (run.outcomes, run.report)
+}
+
+/// [`solve_batch_stealing_metered`] that additionally records a span
+/// timeline per worker — the roommates mirror of
+/// [`crate::batch::solve_batch_traced`]. Each worker's [`FlightRecorder`]
+/// (capacity `flight_capacity`, preallocated, never allocating while
+/// recording) wraps every task in a `batch.chunk` span (arg = task id)
+/// around the per-solve `irving.*` spans; the returned [`ChunkTrace`]s
+/// feed `kmatch_trace::TraceTrack::workers` directly.
+pub fn solve_batch_traced<C: Clock + Sync>(
+    instances: &[RoommatesInstance],
+    threads: usize,
+    seed: u64,
+    registry: &BatchRegistry,
+    clock: &C,
+    flight_capacity: usize,
+) -> (Vec<RoommatesOutcome>, Vec<ChunkTrace>, StealReport) {
+    let run = run_batch(
+        instances.len(),
+        |i| &instances[i],
+        threads,
+        seed,
+        clock,
+        |_| {
+            let recorder = FlightRecorder::new(clock, flight_capacity);
+            (RoommatesWorkspace::new(), recorder)
+        },
+        |_| SolverMetrics::new(),
+    );
+    absorb(registry, run.shards, &run.report);
+    (run.outcomes, ChunkTrace::collect(run.spans), run.report)
 }
 
 /// Aggregate statistics of a solved roommates batch.
@@ -338,7 +159,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(61);
         let batch: Vec<RoommatesInstance> =
             (0..200).map(|_| uniform_roommates(20, &mut rng)).collect();
-        let par = solve_batch(&batch);
+        let (par, _) = solve_batch_stealing(&batch, 4, 0);
         assert_eq!(par.len(), batch.len());
         for (inst, out) in batch.iter().zip(&par) {
             let seq = solve(inst);
@@ -357,7 +178,7 @@ mod tests {
             .take(64)
             .map(|&n| uniform_roommates(n, &mut rng))
             .collect();
-        let par = solve_batch(&batch);
+        let (par, _) = solve_batch_stealing(&batch, 3, 7);
         for (inst, out) in batch.iter().zip(&par) {
             let seq = solve(inst);
             assert_eq!(out.matching(), seq.matching());
@@ -372,8 +193,9 @@ mod tests {
         let batch: Vec<RoommatesInstance> =
             (0..100).map(|_| uniform_roommates(12, &mut rng)).collect();
         let registry = BatchRegistry::new();
-        let metered = solve_batch_metered(&batch, &registry, &ManualClock::new());
-        let plain = solve_batch(&batch);
+        let (metered, _) =
+            solve_batch_stealing_metered(&batch, 3, 0, &registry, &ManualClock::new());
+        let (plain, _) = solve_batch_stealing(&batch, 1, 0);
         for (a, b) in metered.iter().zip(&plain) {
             assert_eq!(a.matching(), b.matching());
             assert_eq!(a.stats(), b.stats());
@@ -457,7 +279,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(63);
         let batch: Vec<RoommatesInstance> =
             (0..40).map(|_| uniform_roommates(10, &mut rng)).collect();
-        let out = solve_batch(&batch);
+        let (out, _) = solve_batch_stealing(&batch, 2, 0);
         let agg = batch_stats(&out);
         assert_eq!(agg.solvable, out.iter().filter(|o| o.is_stable()).count());
         assert_eq!(

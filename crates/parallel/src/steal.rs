@@ -1,15 +1,15 @@
 //! Deterministic work-stealing batch executor.
 //!
-//! The static chunk fan-out of the original batch front-end assigns each
-//! worker one contiguous `len / threads` slice. That is optimal when every
-//! instance costs the same, but real sweeps mix sizes: one oversized chunk
-//! stalls the whole batch behind a single straggler. This module replaces
-//! the static split with fine-grained **task** chunks served from
-//! per-worker deques: a worker drains its own deque front-to-back and,
-//! when empty, steals from the *back* of a victim's deque — the classic
-//! work-stealing discipline, here built on `std` only (`Mutex<VecDeque>`
-//! deques; the workspace forbids `unsafe`, so a lock-free Chase–Lev ring
-//! is off the table, and the lock is uncontended except during steals).
+//! A static split that gives each worker one contiguous `len / threads`
+//! slice is optimal only when every instance costs the same; real sweeps
+//! mix sizes, and one oversized slice stalls the whole batch behind a
+//! single straggler. This executor instead serves fine-grained **task**
+//! chunks from per-worker deques: a worker drains its own deque
+//! front-to-back and, when empty, steals from the *back* of a victim's
+//! deque — the classic work-stealing discipline, here built on `std` only
+//! (`Mutex<VecDeque>` deques; the workspace forbids `unsafe`, so a
+//! lock-free Chase–Lev ring is off the table, and the lock is
+//! uncontended except during steals).
 //!
 //! **Determinism.** Steal timing is inherently racy, so the executor is
 //! engineered to make the *schedule* unobservable:
@@ -20,9 +20,9 @@
 //! * every task's results are keyed by task id and concatenated in task-id
 //!   order after the join, so the output `Vec` is byte-identical no matter
 //!   who ran what when;
-//! * per-task metric shards are absorbed into the [`BatchRegistry`] in
-//!   task-id order after the join, so merged metrics are byte-identical
-//!   too;
+//! * per-task metric shards are absorbed into the
+//!   [`kmatch_obs::BatchRegistry`] in task-id order after the join, so
+//!   merged metrics are byte-identical too;
 //! * victim selection is a seeded permutation per worker
 //!   ([`steal_seed`], from `KMATCH_STEAL_SEED`), so even the steal
 //!   *attempt order* is reproducible for a given seed — and the executor
@@ -38,12 +38,11 @@
 //! everything the solver computes is schedule-independent.
 
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use kmatch_gs::{GsOutcome, GsWorkspace};
-use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics, StdClock};
-use kmatch_prefs::PrefOracle;
+use kmatch_obs::{Clock, StdClock};
 
 /// Environment variable holding the steal-schedule seed consumed by
 /// [`steal_seed`]. The seed perturbs victim order only — outputs are
@@ -65,6 +64,14 @@ pub fn steal_seed() -> u64 {
         .unwrap_or(0)
 }
 
+/// Worker threads a batch uses when the caller names no count: the
+/// host's available parallelism, or 1 when it cannot be read.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(NonZeroUsize::get)
+        .unwrap_or(1)
+}
+
 /// One worker's execution accounting for a stealing run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkerLane {
@@ -80,8 +87,8 @@ pub struct WorkerLane {
     pub wall_ns: u64,
 }
 
-/// Execution report of one [`solve_batch_stealing`] run: the schedule's
-/// observable footprint (the outputs themselves are schedule-independent).
+/// Execution report of one batch run: the schedule's observable
+/// footprint (the outputs themselves are schedule-independent).
 #[derive(Debug, Clone, PartialEq)]
 pub struct StealReport {
     /// Worker threads the run used.
@@ -147,14 +154,21 @@ impl StealReport {
         }
     }
 
-    pub(crate) fn serial(task_count: usize, seed: u64, lane: WorkerLane) -> Self {
+    /// The report of a batch run as one task on the calling thread.
+    pub(crate) fn serial(seed: u64, busy_ns: u64) -> Self {
         StealReport {
             threads: 1,
             seed,
-            task_count,
+            task_count: 1,
             steal_count: 0,
             path: "serial",
-            lanes: vec![lane],
+            lanes: vec![WorkerLane {
+                worker: 0,
+                tasks: 1,
+                steals: 0,
+                busy_ns,
+                wall_ns: busy_ns,
+            }],
         }
     }
 }
@@ -180,7 +194,8 @@ fn victim_order(threads: usize, worker: usize, seed: u64) -> Vec<usize> {
     victims
 }
 
-/// Run `task_count` tasks across `threads` workers with work stealing.
+/// Run `task_count` tasks across `threads` workers with work stealing,
+/// starting no more workers than there are tasks.
 ///
 /// `init` builds one scratch state per worker (it receives the worker
 /// index, so worker-lane artifacts — probes, span registers — can bind to
@@ -202,6 +217,7 @@ where
     F: Fn(&mut S, usize) -> T + Sync,
     G: Fn(usize) -> S + Sync,
 {
+    let threads = threads.clamp(1, task_count.max(1));
     let clock = StdClock::new();
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -312,138 +328,12 @@ pub(crate) fn task_layout(len: usize, threads: usize) -> (usize, usize) {
     (chunk, len.div_ceil(chunk))
 }
 
-/// Solve a batch through the work-stealing executor with `threads` OS
-/// workers and the given steal-schedule seed.
-///
-/// Outcomes are in input order and byte-identical to a serial
-/// [`GsWorkspace::solve`] loop for **any** `threads`/`seed` combination;
-/// only the returned [`StealReport`] reflects the actual schedule.
-/// `threads <= 1` (or a trivial batch) takes the serial path with no
-/// worker threads at all.
-pub fn solve_batch_stealing<P>(
-    instances: &[P],
-    threads: usize,
-    seed: u64,
-) -> (Vec<GsOutcome>, StealReport)
-where
-    P: PrefOracle + Sync,
-{
-    let len = instances.len();
-    if threads <= 1 || len <= 1 {
-        let clock = StdClock::new();
-        let t0 = clock.now_ns();
-        let mut ws = GsWorkspace::new();
-        let outs: Vec<GsOutcome> = instances.iter().map(|inst| ws.solve(inst)).collect();
-        let busy = clock.now_ns().saturating_sub(t0);
-        let lane = WorkerLane {
-            worker: 0,
-            tasks: 1,
-            steals: 0,
-            busy_ns: busy,
-            wall_ns: busy,
-        };
-        return (outs, StealReport::serial(1, seed, lane));
-    }
-    let (chunk, task_count) = task_layout(len, threads);
-    let (per_task, _, report) = run_tasks(
-        task_count,
-        threads,
-        seed,
-        |_| GsWorkspace::new(),
-        |ws: &mut GsWorkspace, t: usize| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            instances[lo..hi]
-                .iter()
-                .map(|inst| ws.solve(inst))
-                .collect::<Vec<GsOutcome>>()
-        },
-    );
-    let mut outs = Vec::with_capacity(len);
-    for (_, task_outs) in per_task {
-        outs.extend(task_outs);
-    }
-    (outs, report)
-}
-
-/// [`solve_batch_stealing`] with sharded metrics and per-solve wall
-/// timing, mirroring the metered static front-end.
-///
-/// Each *task* accumulates into its own thread-private [`SolverMetrics`]
-/// shard; shards are absorbed into `registry` in task-id order after the
-/// join, so the merged metrics are byte-identical for any steal schedule.
-pub fn solve_batch_stealing_metered<P, C>(
-    instances: &[P],
-    threads: usize,
-    seed: u64,
-    registry: &BatchRegistry,
-    clock: &C,
-) -> (Vec<GsOutcome>, StealReport)
-where
-    P: PrefOracle + Sync,
-    C: Clock + Sync,
-{
-    let len = instances.len();
-    if threads <= 1 || len <= 1 {
-        let t0 = clock.now_ns();
-        let mut ws = GsWorkspace::new();
-        let mut shard = SolverMetrics::new();
-        let outs: Vec<GsOutcome> = instances
-            .iter()
-            .map(|inst| {
-                let s0 = clock.now_ns();
-                let out = ws.solve_metered(inst, &mut shard);
-                shard.solve_ns(clock.now_ns().saturating_sub(s0));
-                out
-            })
-            .collect();
-        if !outs.is_empty() {
-            registry.absorb(shard);
-        }
-        let wall = clock.now_ns().saturating_sub(t0);
-        let lane = WorkerLane {
-            worker: 0,
-            tasks: 1,
-            steals: 0,
-            busy_ns: wall,
-            wall_ns: wall,
-        };
-        return (outs, StealReport::serial(1, seed, lane));
-    }
-    let (chunk, task_count) = task_layout(len, threads);
-    let (per_task, _, report) = run_tasks(
-        task_count,
-        threads,
-        seed,
-        |_| GsWorkspace::new(),
-        |ws: &mut GsWorkspace, t: usize| {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(len);
-            let mut shard = SolverMetrics::new();
-            let outs: Vec<GsOutcome> = instances[lo..hi]
-                .iter()
-                .map(|inst| {
-                    let s0 = clock.now_ns();
-                    let out = ws.solve_metered(inst, &mut shard);
-                    shard.solve_ns(clock.now_ns().saturating_sub(s0));
-                    out
-                })
-                .collect();
-            (outs, shard)
-        },
-    );
-    let mut outs = Vec::with_capacity(len);
-    for (_, (task_outs, shard)) in per_task {
-        outs.extend(task_outs);
-        registry.absorb(shard);
-    }
-    (outs, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmatch_obs::ManualClock;
+    use crate::batch::{solve_batch_stealing, solve_batch_stealing_metered};
+    use kmatch_gs::{GsOutcome, GsWorkspace};
+    use kmatch_obs::{BatchRegistry, ManualClock};
     use kmatch_prefs::gen::uniform::uniform_bipartite;
     use kmatch_prefs::BipartiteInstance;
     use rand::SeedableRng;
@@ -508,6 +398,20 @@ mod tests {
         assert_eq!(report.path, "serial");
         assert_eq!(report.threads, 1);
         assert_eq!(report.steal_count, 0);
+    }
+
+    #[test]
+    fn small_batch_starts_no_more_workers_than_tasks() {
+        let batch = mixed_batch(3, 75);
+        let (outs, report) = solve_batch_stealing(&batch, 64, 0);
+        assert_eq!(outs.len(), 3);
+        assert!(
+            report.lanes.len() <= report.task_count,
+            "{} lanes for {} tasks",
+            report.lanes.len(),
+            report.task_count
+        );
+        assert_eq!(report.threads, report.lanes.len());
     }
 
     #[test]
@@ -605,7 +509,7 @@ mod tests {
         let mut skewed = balanced.clone();
         skewed.lanes[1].busy_ns = 300;
         assert!((skewed.straggler_ratio() - 1.5).abs() < 1e-12);
-        let empty = StealReport::serial(0, 0, WorkerLane::default());
+        let empty = StealReport::serial(0, 0);
         assert_eq!(empty.straggler_ratio(), 0.0);
     }
 

@@ -1,28 +1,18 @@
-//! Traced batch front-ends: per-chunk `batch.chunk` timelines through
+//! Traced batch front-ends: per-worker `batch.chunk` timelines through
 //! fixed-capacity flight recorders, identical outcomes to the plain path.
 
 use kmatch_obs::{BatchRegistry, ManualClock};
-use kmatch_parallel::{roommates, solve_batch, solve_batch_traced};
+use kmatch_parallel::{roommates, solve_batch_stealing, solve_batch_traced, ChunkTrace};
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_roommates};
 use kmatch_prefs::{BipartiteInstance, RoommatesInstance};
 use kmatch_trace::{check_well_formed, span, EventKind};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-#[test]
-fn traced_gs_batch_matches_plain_and_chunks_are_well_formed() {
-    let mut rng = ChaCha8Rng::seed_from_u64(65);
-    let batch: Vec<BipartiteInstance> =
-        (0..120).map(|_| uniform_bipartite(20, &mut rng)).collect();
-    let registry = BatchRegistry::new();
-    let clock = ManualClock::new();
-    let (outs, traces) = solve_batch_traced(&batch, &registry, &clock, 1 << 16);
-    let plain = solve_batch(&batch);
-    assert_eq!(outs.len(), plain.len());
-    for (a, b) in outs.iter().zip(&plain) {
-        assert_eq!(a.matching, b.matching);
-        assert_eq!(a.stats, b.stats);
-    }
+/// Check unwrapped per-worker traces and count the `solve` spans on them:
+/// each worker's timeline is well formed and opens and closes with
+/// `batch.chunk`, and every task id of the run appears exactly once.
+fn solves_on_worker_tracks(traces: &[ChunkTrace], task_count: usize, solve: &str) -> usize {
     assert!(!traces.is_empty());
     let mut solves = 0usize;
     let mut chunk_ids = Vec::new();
@@ -49,12 +39,31 @@ fn traced_gs_batch_matches_plain_and_chunks_are_well_formed() {
         solves += t
             .events
             .iter()
-            .filter(|e| e.kind == EventKind::Begin && e.name == span::GS_SOLVE)
+            .filter(|e| e.kind == EventKind::Begin && e.name == solve)
             .count();
     }
     chunk_ids.sort_unstable();
-    let expected: Vec<u64> = (0..chunk_ids.len() as u64).collect();
+    let expected: Vec<u64> = (0..task_count as u64).collect();
     assert_eq!(chunk_ids, expected, "every task appears exactly once");
+    solves
+}
+
+#[test]
+fn traced_gs_batch_matches_plain_and_chunks_are_well_formed() {
+    let mut rng = ChaCha8Rng::seed_from_u64(65);
+    let batch: Vec<BipartiteInstance> =
+        (0..120).map(|_| uniform_bipartite(20, &mut rng)).collect();
+    let registry = BatchRegistry::new();
+    let clock = ManualClock::new();
+    let (outs, traces, report) = solve_batch_traced(&batch, 3, 0, &registry, &clock, 1 << 16);
+    let (plain, _) = solve_batch_stealing(&batch, 1, 0);
+    assert_eq!(outs.len(), plain.len());
+    for (a, b) in outs.iter().zip(&plain) {
+        assert_eq!(a.matching, b.matching);
+        assert_eq!(a.stats, b.stats);
+    }
+    assert_eq!(traces.len(), report.lanes.len());
+    let solves = solves_on_worker_tracks(&traces, report.task_count, span::GS_SOLVE);
     assert_eq!(solves, batch.len(), "every solve appears on some track");
     assert_eq!(registry.take().solves, batch.len() as u64);
 }
@@ -70,7 +79,7 @@ fn tiny_flight_recorder_wraps_but_keeps_the_tail() {
     // around one gs.solve span is 4 events), so every worker that ran a
     // task wraps, whatever the thread count and steal schedule.
     const SLOTS: usize = 3;
-    let (outs, traces) = solve_batch_traced(&batch, &registry, &clock, SLOTS);
+    let (outs, traces, _) = solve_batch_traced(&batch, 2, 0, &registry, &clock, SLOTS);
     assert_eq!(outs.len(), batch.len());
     assert!(traces.iter().any(|t| !t.events.is_empty()));
     for t in &traces {
@@ -97,26 +106,15 @@ fn traced_roommates_batch_matches_plain() {
         (0..80).map(|_| uniform_roommates(12, &mut rng)).collect();
     let registry = BatchRegistry::new();
     let clock = ManualClock::new();
-    let (outs, traces) = roommates::solve_batch_traced(&batch, &registry, &clock, 1 << 16);
-    let plain = roommates::solve_batch(&batch);
+    let (outs, traces, report) =
+        roommates::solve_batch_traced(&batch, 3, 0, &registry, &clock, 1 << 16);
+    let (plain, _) = roommates::solve_batch_stealing(&batch, 1, 0);
     for (a, b) in outs.iter().zip(&plain) {
         assert_eq!(a.matching(), b.matching());
         assert_eq!(a.stats(), b.stats());
     }
-    let mut phase1 = 0usize;
-    for (i, t) in traces.iter().enumerate() {
-        check_well_formed(&t.events, false).unwrap();
-        assert_eq!(
-            t.events.first().map(|e| (e.name, e.arg)),
-            Some((span::BATCH_CHUNK, i as u64))
-        );
-        phase1 += t
-            .events
-            .iter()
-            .filter(|e| e.kind == EventKind::Begin && e.name == span::IRVING_PHASE1)
-            .count();
-    }
-    assert_eq!(phase1, batch.len());
+    let phase1 = solves_on_worker_tracks(&traces, report.task_count, span::IRVING_PHASE1);
+    assert_eq!(phase1, batch.len(), "every solve appears on some track");
     assert_eq!(registry.take().solves, batch.len() as u64);
 }
 
@@ -125,7 +123,7 @@ fn empty_traced_batch_returns_nothing() {
     let registry = BatchRegistry::new();
     let clock = ManualClock::new();
     let empty: Vec<BipartiteInstance> = Vec::new();
-    let (outs, traces) = solve_batch_traced(&empty, &registry, &clock, 128);
+    let (outs, traces, _) = solve_batch_traced(&empty, 4, 0, &registry, &clock, 128);
     assert!(outs.is_empty());
     assert!(traces.is_empty());
     assert_eq!(registry.shards_absorbed(), 0);

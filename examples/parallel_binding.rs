@@ -6,7 +6,7 @@
 //! cargo run --example parallel_binding --release
 //! ```
 
-use kmatch::parallel::{crew_cost, erew_cost, replication_rounds};
+use kmatch::parallel::{crew_cost, default_threads, erew_cost, replication_rounds, steal_seed};
 use kmatch::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,7 +32,7 @@ fn main() {
         // Run the real parallel executor with the Δ-round schedule; verify
         // it matches the sequential algorithm, then model the PRAM cost.
         let schedule = tree_edge_coloring(tree);
-        let par = parallel_bind_scheduled(&inst, tree, &schedule);
+        let par = parallel_bind_scheduled(&inst, tree, &schedule, default_threads(), steal_seed());
         let seq = bind_with_stats(&inst, tree);
         assert_eq!(
             par.matching, seq.matching,
@@ -55,7 +55,7 @@ fn main() {
     println!("\n== Corollary 2: the even–odd path schedule ==\n");
     let path = BindingTree::path(k);
     let even_odd = even_odd_path_schedule(&path).expect("path tree");
-    let par = parallel_bind_scheduled(&inst, &path, &even_odd);
+    let par = parallel_bind_scheduled(&inst, &path, &even_odd, default_threads(), steal_seed());
     let cost = erew_cost(&path, &par.per_edge, Some(&even_odd));
     println!(
         "k = {k}: {} bindings execute in exactly {} rounds ({} processors in the wide round)",

@@ -107,6 +107,6 @@ fn large_scale_smoke() {
     assert_eq!(out.matching.n(), n);
     assert!(out.total_proposals() <= ((k - 1) * n * n) as u64);
     // Parallel executor agrees at scale.
-    let par = parallel_bind(&inst, &tree);
+    let par = parallel_bind(&inst, &tree, 2, 0);
     assert_eq!(par.matching, out.matching);
 }

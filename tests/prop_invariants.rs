@@ -51,16 +51,16 @@ proptest! {
         }
     }
 
-    /// The rayon executor is bit-identical to sequential Algorithm 1.
+    /// The stealing executor is bit-identical to sequential Algorithm 1.
     #[test]
     fn parallel_equals_sequential(seed in 0u64..1_000_000, k in 2usize..7, n in 1usize..8) {
         let mut r = rng(seed);
         let inst = kmatch::gen::uniform_kpartite(k, n, &mut r);
         let tree = random_tree(k, &mut r);
         let seq = bind(&inst, &tree);
-        prop_assert_eq!(parallel_bind(&inst, &tree).matching, seq.clone());
+        prop_assert_eq!(parallel_bind(&inst, &tree, 3, seed).matching, seq.clone());
         let schedule = tree_edge_coloring(&tree);
-        prop_assert_eq!(parallel_bind_scheduled(&inst, &tree, &schedule).matching, seq);
+        prop_assert_eq!(parallel_bind_scheduled(&inst, &tree, &schedule, 3, seed).matching, seq);
     }
 
     /// Prüfer: decode(encode(t)) == t and the degree sequence matches the

@@ -124,7 +124,7 @@ fn corollary2_even_odd_two_rounds_and_identical_output() {
         let tree = BindingTree::path(k);
         let schedule = even_odd_path_schedule(&tree).unwrap();
         assert_eq!(schedule.depth(), 2);
-        let par = parallel_bind_scheduled(&inst, &tree, &schedule);
+        let par = parallel_bind_scheduled(&inst, &tree, &schedule, 2, 0);
         assert_eq!(par.matching, bind(&inst, &tree));
     }
 }

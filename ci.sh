@@ -18,6 +18,11 @@ cargo test --offline --release --manifest-path perfbench/Cargo.toml
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc -D warnings"
+# Every intra-doc link must resolve, so no doc names a deleted or private
+# item.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
@@ -133,8 +138,27 @@ status=0
 grep -qF 'index 0: instance too large: n exceeds 65536 members per side' \
     "$SMOKE_DIR/huge.err" \
     || { echo "hostile smoke: huge.json did not report the size cap"; exit 1; }
+# Degenerate generator sizes (no agents, fewer than two roommates or
+# genders) must be a typed error naming the bound, not a generator panic.
+while read -r name cmd; do
+  status=0
+  # shellcheck disable=SC2086
+  ./target/release/kmatch $cmd > /dev/null 2> "$SMOKE_DIR/$name.err" || status=$?
+  [ "$status" -eq 1 ] \
+      || { echo "hostile smoke: '$cmd' exited $status, expected 1"; exit 1; }
+  grep -qE '^error: need --[nk] >= [12]$' "$SMOKE_DIR/$name.err" \
+      || { echo "hostile smoke: '$cmd' gave no size error"; exit 1; }
+done <<'EOF'
+kp_n0 gen kpartite --k 3 --n 0
+kp_k0 gen kpartite --k 0 --n 3
+kp_k1 gen kpartite --k 1 --n 3
+smp_n0 solve smp --n 0
+gs_n0 batch --kind gs --n 0
+rm_n1 batch --kind roommates --n 1
+serve_n1 serve --listen 127.0.0.1:0 --kind roommates --n 1
+EOF
 # A data error is the one error line; usage follows argument errors only.
-for bad in deep range huge; do
+for bad in deep range huge kp_n0 kp_k0 kp_k1 smp_n0 gs_n0 rm_n1 serve_n1; do
   [ "$(wc -l < "$SMOKE_DIR/$bad.err")" -eq 1 ] \
       || { echo "hostile smoke: $bad.err is not one line"; exit 1; }
 done

@@ -388,10 +388,9 @@ fn overhead_row(registry: &BatchRegistry) -> (OverheadRow, RunReport) {
 
 /// Measure the traced batch path (per-chunk flight recorders, phase-level
 /// spans, `StdClock` timestamps) against the metered one on the same
-/// n = 2000 batch. `solve_batch_traced` is the metered path plus a ring,
-/// and `solve_spanned` with `NoSpans` *is* `solve_metered`, so this
-/// isolates exactly what arming the flight recorder costs — the
-/// acceptance target is < 5%.
+/// n = 2000 batch. `solve_batch_traced` is the metered path with a ring
+/// paired beside each shard, so this isolates exactly what arming the
+/// flight recorder costs — the acceptance target is < 5%.
 fn trace_overhead_row() -> OverheadRow {
     let (instances, n, reps) = (32usize, 2000usize, 4);
     let batch = roommates_batch(instances, n, 404);

@@ -1,18 +1,18 @@
 //! Differential property suite for the span layer: on random instances,
-//! every spanned entry point must (a) return exactly what its unspanned
-//! twin returns and (b) record a well-formed timeline — balanced,
+//! every metered entry point with a span recorder must (a) return exactly
+//! what the unmetered entry point returns and (b) record a well-formed timeline — balanced,
 //! strictly nested, nondecreasing timestamps — whose phase counts agree
 //! with the solver statistics. A fourth property checks the
 //! flight-recorder contract: any suffix kept by the ring still passes
 //! the truncated-head well-formedness check and accounts for every
 //! dropped event.
 
-use kmatch_core::{bind_spanned, bind_with_stats};
+use kmatch_core::{bind_metered, bind_with_stats};
 use kmatch_gs::GsWorkspace;
-use kmatch_obs::{NoMetrics, StdClock};
+use kmatch_obs::{Metrics, StdClock};
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite, uniform_roommates};
 use kmatch_roommates::RoommatesWorkspace;
-use kmatch_trace::{check_well_formed, span, EventKind, FlightRecorder, SpanSink, TraceRecorder};
+use kmatch_trace::{check_well_formed, span, EventKind, FlightRecorder, TraceRecorder};
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -33,7 +33,7 @@ proptest! {
         let plain = GsWorkspace::new().solve(&inst);
         let clock = StdClock::new();
         let mut rec = TraceRecorder::new(&clock);
-        let spanned = GsWorkspace::new().solve_spanned(&inst, &mut NoMetrics, &mut rec);
+        let spanned = GsWorkspace::new().solve_metered(&inst, &mut rec);
         prop_assert_eq!(&spanned.matching, &plain.matching);
         prop_assert_eq!(spanned.stats, plain.stats);
         let events = rec.take();
@@ -49,7 +49,7 @@ proptest! {
         let clock = StdClock::new();
         let mut rec = TraceRecorder::new(&clock);
         let spanned =
-            RoommatesWorkspace::new().solve_spanned(&inst, &mut NoMetrics, &mut rec);
+            RoommatesWorkspace::new().solve_metered(&inst, &mut rec);
         prop_assert_eq!(spanned.matching(), plain.matching());
         prop_assert_eq!(spanned.stats(), plain.stats());
         let events = rec.take();
@@ -74,7 +74,7 @@ proptest! {
         let plain = bind_with_stats(&inst, &tree);
         let clock = StdClock::new();
         let mut rec = TraceRecorder::new(&clock);
-        let spanned = bind_spanned(&inst, &tree, &mut NoMetrics, &mut rec);
+        let spanned = bind_metered(&inst, &tree, &mut rec);
         prop_assert_eq!(&spanned.matching, &plain.matching);
         prop_assert_eq!(&spanned.per_edge, &plain.per_edge);
         let events = rec.take();
@@ -99,11 +99,11 @@ proptest! {
         // fine-grained round spans, so a TraceRecorder stream would be
         // longer.)
         let mut full = FlightRecorder::new(&clock, 1 << 20);
-        GsWorkspace::new().solve_spanned(&inst, &mut NoMetrics, &mut full);
+        GsWorkspace::new().solve_metered(&inst, &mut full);
         prop_assert_eq!(full.dropped(), 0);
         let total = full.events().len();
         let mut ring = FlightRecorder::new(&clock, cap);
-        GsWorkspace::new().solve_spanned(&inst, &mut NoMetrics, &mut ring);
+        GsWorkspace::new().solve_metered(&inst, &mut ring);
         let dropped = ring.dropped() as usize;
         let kept = ring.events();
         prop_assert_eq!(dropped + kept.len(), total);
@@ -136,18 +136,18 @@ proptest! {
         for _ in 0..ops {
             depth_at.push(stack.len());
             if !stack.is_empty() && rng.gen_bool(0.45) {
-                rec.end(stack.pop().unwrap());
+                rec.span_end(stack.pop().unwrap());
             } else if rng.gen_bool(0.2) {
-                rec.instant(NAMES[rng.gen_range(0..NAMES.len())], 0);
+                rec.span_instant(NAMES[rng.gen_range(0..NAMES.len())], 0);
             } else {
                 let name = NAMES[rng.gen_range(0..NAMES.len())];
                 stack.push(name);
-                rec.begin(name, 0);
+                rec.span_begin(name, 0);
             }
         }
         while let Some(name) = stack.pop() {
             depth_at.push(stack.len() + 1);
-            rec.end(name);
+            rec.span_end(name);
         }
         let events = rec.take();
         for start in 0..events.len() {

@@ -3,7 +3,7 @@
 //! ```text
 //! kmatch gen kpartite  --k 4 --n 8 --seed 1 [--alpha 0.0] --out inst.json
 //! kmatch gen theorem1  --k 3 --n 4 --out rm.json
-//! kmatch solve kary    --input inst.json [--tree path|star|random|priority] [--seed 7]
+//! kmatch solve kary    --input inst.json [--tree path|star|balanced|random|priority] [--seed 7]
 //! kmatch solve binary  --input rm.json
 //! kmatch solve smp     --n 16 --seed 3 [--mode gs|fair|man|woman]
 //! kmatch verify kary   --input inst.json --matching matching.json [--weak]
@@ -43,7 +43,7 @@ kmatch — stable matching beyond bipartite graphs (IPPS 2016 reproduction)
 USAGE:
   kmatch gen kpartite  --k K --n N [--seed S] [--alpha A] [--out FILE]
   kmatch gen theorem1  --k K --n N [--out FILE]
-  kmatch solve kary    --input FILE [--tree path|star|random|priority] [--seed S]
+  kmatch solve kary    --input FILE [--tree path|star|balanced|random|priority] [--seed S]
   kmatch solve binary  --input FILE
   kmatch solve smp     --n N [--seed S] [--mode gs|fair|man|woman]
                        [--prefs csr|random|scores|truncated] [--keep K]
@@ -68,7 +68,7 @@ USAGE:
   kmatch delta         --input FILE --deltas FILE [--metrics-out FILE]
                        [--trace-out FILE] [--trace-format chrome|json]
                        [--flight-recorder N]
-  kmatch bind          --input FILE [--tree path|star|random|priority] [--seed S]
+  kmatch bind          --input FILE [--tree path|star|balanced|random|priority] [--seed S]
                        [--incremental true] [--updates FILE] [--metrics-out FILE]
                        [--trace-out FILE] [--trace-format chrome|json]
                        [--flight-recorder N]
@@ -76,7 +76,7 @@ USAGE:
   kmatch verify kary   --input FILE --matching FILE [--weak]
   kmatch lattice       --n N [--seed S] [--limit L]
   kmatch trace         --input FILE            (roommates JSON, paper-style trace)
-  kmatch render-tree   --k K [--tree path|star|balanced|random] [--seed S]
+  kmatch render-tree   --k K [--tree path|star|balanced|random|priority] [--seed S]
 
   batch --input takes a JSON array of instances (bipartite DTOs for
   --kind gs, roommates DTOs for --kind roommates) and may repeat; the
@@ -207,6 +207,7 @@ fn lattice(args: &Args) -> Result<(), String> {
     let n: usize = args.require("n")?;
     let seed: u64 = args.flag_or("seed", 0)?;
     let limit: usize = args.flag_or("limit", 100_000)?;
+    check_min_n(n, 1)?;
     let inst =
         kmatch_prefs::gen::uniform::uniform_bipartite(n, &mut ChaCha8Rng::seed_from_u64(seed));
     let lattice = kmatch_gs::rotations::enumerate_stable_lattice(&inst, limit)?;
@@ -254,13 +255,11 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn render_tree_cmd(args: &Args) -> Result<(), String> {
-    args.check_known(&["k", "tree", "seed"])?;
-    let k: usize = args.require("k")?;
-    if k < 2 {
-        return Err("need --k >= 2".to_string());
-    }
-    let tree = match args.flag("tree").unwrap_or("path") {
+/// The binding tree over `k` genders that `--tree` names (default
+/// `path`): `path`, `star`, `balanced`, `random` (seeded by `--seed`) or
+/// `priority`. Every command that takes `--tree` parses it here.
+fn parse_tree(args: &Args, k: usize) -> Result<BindingTree, String> {
+    Ok(match args.flag("tree").unwrap_or("path") {
         "path" => BindingTree::path(k),
         "star" => BindingTree::star(k, (k - 1) as u16),
         "balanced" => BindingTree::balanced_binary(k),
@@ -268,8 +267,18 @@ fn render_tree_cmd(args: &Args) -> Result<(), String> {
             let seed: u64 = args.flag_or("seed", 0)?;
             random_tree(k, &mut ChaCha8Rng::seed_from_u64(seed))
         }
+        "priority" => priority_binding_tree(&GenderPriorities::by_id(k), AttachChoice::Chain),
         other => return Err(format!("unknown tree kind: {other}")),
-    };
+    })
+}
+
+fn render_tree_cmd(args: &Args) -> Result<(), String> {
+    args.check_known(&["k", "tree", "seed"])?;
+    let k: usize = args.require("k")?;
+    if k < 2 {
+        return Err("need --k >= 2".to_string());
+    }
+    let tree = parse_tree(args, k)?;
     println!("{tree}");
     print!("{}", kmatch_viz::render_tree(&tree));
     println!(
@@ -300,6 +309,10 @@ fn gen_kpartite(args: &Args) -> Result<(), String> {
     let n: usize = args.require("n")?;
     let seed: u64 = args.flag_or("seed", 0)?;
     let alpha: f64 = args.flag_or("alpha", 0.0)?;
+    if k < 2 {
+        return Err("need --k >= 2".to_string());
+    }
+    check_min_n(n, 1)?;
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let inst = if alpha > 0.0 {
         kmatch_prefs::gen::correlated::correlated_kpartite(k, n, alpha, &mut rng)
@@ -318,6 +331,7 @@ fn gen_theorem1(args: &Args) -> Result<(), String> {
     if k < 3 {
         return Err("theorem1 needs --k >= 3".to_string());
     }
+    check_min_n(n, 1)?;
     let inst = kmatch_prefs::gen::adversarial::theorem1_roommates(k, n);
     let json =
         serde_json::to_string_pretty(&RoommatesDto::from(&inst)).map_err(|e| e.to_string())?;
@@ -335,16 +349,7 @@ fn solve_kary(args: &Args) -> Result<(), String> {
     let input: String = args.require("input")?;
     let inst = load_kpartite(&input)?;
     let k = inst.k();
-    let tree = match args.flag("tree").unwrap_or("path") {
-        "path" => BindingTree::path(k),
-        "star" => BindingTree::star(k, (k - 1) as u16),
-        "random" => {
-            let seed: u64 = args.flag_or("seed", 0)?;
-            random_tree(k, &mut ChaCha8Rng::seed_from_u64(seed))
-        }
-        "priority" => priority_binding_tree(&GenderPriorities::by_id(k), AttachChoice::Chain),
-        other => return Err(format!("unknown tree kind: {other}")),
-    };
+    let tree = parse_tree(args, k)?;
     let out = bind_with_stats(&inst, &tree);
     let stable = find_blocking_family(&inst, &out.matching).is_none();
     let cost = family_cost(&inst, &out.matching);
@@ -394,14 +399,22 @@ fn solve_binary(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Reject a `--n` below `min` before a generator is asked for an
+/// instance that small: the generators need one agent per side, or two
+/// roommates, and panic below that.
+fn check_min_n(n: usize, min: usize) -> Result<(), String> {
+    if n < min {
+        return Err(format!("need --n >= {min}"));
+    }
+    Ok(())
+}
+
 /// Reject a `--n` the seeded lazy oracles cannot hold before anything is
 /// sized for it: below `min`, or above [`kmatch_prefs::ORACLE_MAX_N`]
 /// (agents and positions are `u32`).
 fn check_lazy_n(n: usize, min: usize) -> Result<(), String> {
     use kmatch_prefs::ORACLE_MAX_N;
-    if n < min {
-        return Err(format!("need --n >= {min}"));
-    }
+    check_min_n(n, min)?;
     if n > ORACLE_MAX_N {
         return Err(format!(
             "--n {n} exceeds the lazy oracle limit of {ORACLE_MAX_N}"
@@ -574,6 +587,7 @@ fn solve_smp(args: &Args) -> Result<(), String> {
         }
         return solve_smp_lazy(args, prefs, n, seed);
     }
+    check_min_n(n, 1)?;
     let inst =
         kmatch_prefs::gen::uniform::uniform_bipartite(n, &mut ChaCha8Rng::seed_from_u64(seed));
     if topts.enabled() && mode != "gs" {
@@ -584,8 +598,7 @@ fn solve_smp(args: &Args) -> Result<(), String> {
     let matching = match (mode, sink.as_mut()) {
         ("gs", Some(sink)) => {
             let mut ws = GsWorkspace::new();
-            ws.solve_spanned(&inst, &mut kmatch_obs::NoMetrics, sink)
-                .matching
+            ws.solve_metered(&inst, sink).matching
         }
         ("gs", None) => gale_shapley(&inst).matching,
         ("fair", _) => fair_stable_marriage(&inst).matching,
@@ -1148,6 +1161,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
         "gs" => {
             let batch: Vec<BipartiteInstance> = if inputs.is_empty() {
                 let n: usize = args.require("n")?;
+                check_min_n(n, 1)?;
                 let count: usize = args.flag_or("count", 1000)?;
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 (0..count)
@@ -1364,6 +1378,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             } else {
                 {
                     let n: usize = args.require("n")?;
+                    check_min_n(n, 2)?;
                     let count: usize = args.flag_or("count", 1000)?;
                     let mut rng = ChaCha8Rng::seed_from_u64(seed);
                     (0..count)
@@ -1477,9 +1492,10 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     if n == 0 || count == 0 {
         return Err("need --n >= 1 and --count >= 1".to_string());
     }
+    // A roommates instance needs two participants, a bipartite one one agent.
+    let min_n = if kind == "roommates" { 2 } else { 1 };
     if prefs == "random" {
-        // A roommates instance needs two participants, a bipartite one one agent.
-        check_lazy_n(n, if kind == "roommates" { 2 } else { 1 })?;
+        check_lazy_n(n, min_n)?;
     }
     let interval_ms: u64 = args.flag_or("interval-ms", 200)?;
     let iterations: u64 = args.flag_or("iterations", 0)?;
@@ -1490,6 +1506,9 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     let inputs: Vec<&str> = args.flag_values("input").collect();
     if prefs == "random" && !inputs.is_empty() {
         return Err("--input requires --prefs csr (files carry materialized lists)".to_string());
+    }
+    if inputs.is_empty() {
+        check_min_n(n, min_n)?;
     }
     let postmortem_dir: Option<std::path::PathBuf> =
         args.flag("postmortem-dir").map(std::path::PathBuf::from);
@@ -1671,18 +1690,20 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                         n,
                         wave_seed.wrapping_add((i as u64) << 32),
                     );
-                    let mut shard = Probed::new(SolverMetrics::new(), plane.probes.probe(0));
+                    let mut shard = SolverMetrics::new();
+                    let mut progress = Probed::new(plane.probes.probe(0));
                     if stall_armed {
-                        shard = shard.with_stall_once_ms(inject_stall_ms);
+                        progress = progress.with_stall_once_ms(inject_stall_ms);
                         stall_armed = false;
                     }
                     let t0 = clock.now_ns();
-                    let (_outcome, _report) =
-                        kmatch_roommates::solve_escalating_metered(&oracle, &mut rm_ws, &mut shard);
-                    shard
-                        .inner_mut()
-                        .solve_ns(clock.now_ns().saturating_sub(t0));
-                    registry.absorb(shard.into_inner());
+                    let (_outcome, _report) = kmatch_roommates::solve_escalating_metered(
+                        &oracle,
+                        &mut rm_ws,
+                        &mut (&mut shard, &mut progress),
+                    );
+                    shard.solve_ns(clock.now_ns().saturating_sub(t0));
+                    registry.absorb(shard);
                 }
                 registry.record_execution(kmatch_obs::ExecutionRecord {
                     path: "serial",
@@ -1816,7 +1837,7 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
     let mut cold_csr = CsrPrefs::new();
     cold_csr.load(&shadow);
     let base = match sink.as_mut() {
-        Some(sink) => session.solve_spanned(&mut metrics, sink),
+        Some(sink) => session.solve_metered(&mut (&mut metrics, sink)),
         None => session.solve_metered(&mut metrics),
     };
     let cold_base = cold_ws.solve(&cold_csr);
@@ -1836,7 +1857,7 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
         let seen = (metrics.cache_hits, metrics.warm_solves);
         let t0 = std::time::Instant::now();
         let warm = match sink.as_mut() {
-            Some(sink) => session.solve_spanned(&mut metrics, sink),
+            Some(sink) => session.solve_metered(&mut (&mut metrics, sink)),
             None => session.solve_metered(&mut metrics),
         };
         let w_ns = t0.elapsed().as_nanos() as u64;
@@ -1939,22 +1960,13 @@ fn bind_cmd(args: &Args) -> Result<(), String> {
     let input: String = args.require("input")?;
     let inst = load_kpartite(&input)?;
     let (k, n) = (inst.k(), inst.n());
-    let tree = match args.flag("tree").unwrap_or("path") {
-        "path" => BindingTree::path(k),
-        "star" => BindingTree::star(k, (k - 1) as u16),
-        "random" => {
-            let seed: u64 = args.flag_or("seed", 0)?;
-            random_tree(k, &mut ChaCha8Rng::seed_from_u64(seed))
-        }
-        "priority" => priority_binding_tree(&GenderPriorities::by_id(k), AttachChoice::Chain),
-        other => return Err(format!("unknown tree kind: {other}")),
-    };
+    let tree = parse_tree(args, k)?;
     let incremental: bool = args.flag_or("incremental", false)?;
     let trace_clock = kmatch_obs::StdClock::new();
     let mut sink = topts.enabled().then(|| topts.sink(&trace_clock));
     if !incremental {
         let out = match sink.as_mut() {
-            Some(sink) => kmatch_core::bind_spanned(&inst, &tree, &mut kmatch_obs::NoMetrics, sink),
+            Some(sink) => kmatch_core::bind_metered(&inst, &tree, sink),
             None => bind_with_stats(&inst, &tree),
         };
         let stable = find_blocking_family(&inst, &out.matching).is_none();
@@ -1970,7 +1982,7 @@ fn bind_cmd(args: &Args) -> Result<(), String> {
     let start = std::time::Instant::now();
     let mut binder = IncrementalBinder::new(inst, tree);
     let first = match sink.as_mut() {
-        Some(sink) => binder.bind_spanned(&mut metrics, sink),
+        Some(sink) => binder.bind_metered(&mut (&mut metrics, sink)),
         None => binder.bind_metered(&mut metrics),
     };
     println!("binding tree : {}", binder.tree());
@@ -1994,7 +2006,7 @@ fn bind_cmd(args: &Args) -> Result<(), String> {
         }
         let (dirty0, clean0) = (metrics.edges_dirty, metrics.edges_clean);
         let rebound = match sink.as_mut() {
-            Some(sink) => binder.bind_spanned(&mut metrics, sink),
+            Some(sink) => binder.bind_metered(&mut (&mut metrics, sink)),
             None => binder.bind_metered(&mut metrics),
         };
         let stable = find_blocking_family(binder.instance(), &rebound.matching).is_none();
@@ -2282,6 +2294,38 @@ mod tests {
     }
 
     #[test]
+    fn render_tree_accepts_priority() {
+        call(&["render-tree", "--k", "5", "--tree", "priority"]).unwrap();
+    }
+
+    #[test]
+    fn solve_kary_and_bind_accept_balanced() {
+        let dir = std::env::temp_dir().join("kmatch-cli-test-trees");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("k5.json");
+        let p = path.to_str().unwrap();
+        call(&["gen", "kpartite", "--k", "5", "--n", "3", "--seed", "2", "--out", p]).unwrap();
+        call(&["solve", "kary", "--input", p, "--tree", "balanced"]).unwrap();
+        call(&["bind", "--input", p, "--tree", "balanced"]).unwrap();
+    }
+
+    #[test]
+    fn every_tree_flag_keeps_the_unknown_kind_error() {
+        let dir = std::env::temp_dir().join("kmatch-cli-test-trees2");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("k3.json");
+        let p = path.to_str().unwrap();
+        call(&["gen", "kpartite", "--k", "3", "--n", "3", "--seed", "2", "--out", p]).unwrap();
+        for words in [
+            &["render-tree", "--k", "3", "--tree", "oak"][..],
+            &["solve", "kary", "--input", p, "--tree", "oak"][..],
+            &["bind", "--input", p, "--tree", "oak"][..],
+        ] {
+            assert_eq!(call(words).unwrap_err(), "unknown tree kind: oak");
+        }
+    }
+
+    #[test]
     fn batch_kinds_run() {
         call(&["batch", "--n", "8", "--count", "16", "--seed", "2"]).unwrap();
         call(&[
@@ -2493,6 +2537,24 @@ mod tests {
         let serve = "serve --listen 127.0.0.1:0 --kind roommates --prefs random --n 1";
         let err = call(&serve.split(' ').collect::<Vec<_>>()).expect_err(serve);
         assert!(err.contains("need --n >= 2"), "{serve}: {err}");
+    }
+
+    #[test]
+    fn degenerate_generator_sizes_are_typed_errors() {
+        for (cmd, want) in [
+            ("gen kpartite --k 3 --n 0", "need --n >= 1"),
+            ("gen kpartite --k 0 --n 3", "need --k >= 2"),
+            ("gen kpartite --k 1 --n 3", "need --k >= 2"),
+            ("gen theorem1 --k 3 --n 0", "need --n >= 1"),
+            ("solve smp --n 0", "need --n >= 1"),
+            ("lattice --n 0", "need --n >= 1"),
+            ("batch --kind gs --n 0", "need --n >= 1"),
+            ("batch --kind roommates --n 1", "need --n >= 2"),
+            ("serve --listen 127.0.0.1:0 --kind roommates --n 1", "need --n >= 2"),
+        ] {
+            let words: Vec<&str> = cmd.split(' ').collect();
+            assert_eq!(call(&words).expect_err(cmd), want, "{cmd}");
+        }
     }
 
     #[test]

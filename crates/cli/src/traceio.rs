@@ -7,9 +7,9 @@
 
 use std::fs;
 
-use kmatch_obs::Clock;
+use kmatch_obs::{Clock, Metrics};
 use kmatch_trace::{
-    to_chrome_json, to_trace_json, FlightRecorder, SpanSink, TraceEvent, TraceRecorder, TraceTrack,
+    to_chrome_json, to_trace_json, FlightRecorder, TraceEvent, TraceRecorder, TraceTrack,
 };
 
 use crate::args::Args;
@@ -89,8 +89,9 @@ impl TraceOpts {
 
 /// Runtime-selected recorder: the unbounded [`TraceRecorder`] by
 /// default, the ring-buffer [`FlightRecorder`] under
-/// `--flight-recorder N`. Engines stay monomorphized over `SpanSink`;
-/// the CLI pays one match per hook, which is noise at command-line
+/// `--flight-recorder N`. It is a `Metrics` observer over the span hooks
+/// only, so engines stay monomorphized over one observer type; the CLI
+/// pays one match per span event, which is noise at command-line
 /// granularity.
 pub enum CliSink<'c, C: Clock> {
     /// Unbounded recorder (keeps the whole timeline).
@@ -113,7 +114,7 @@ impl<C: Clock> CliSink<'_, C> {
     }
 }
 
-impl<C: Clock> SpanSink for CliSink<'_, C> {
+impl<C: Clock> Metrics for CliSink<'_, C> {
     const ENABLED: bool = true;
     // `--trace-out` is an explicit request to trace one run, so the CLI
     // sink keeps full (per-round) fidelity even when `--flight-recorder`
@@ -121,26 +122,26 @@ impl<C: Clock> SpanSink for CliSink<'_, C> {
     // handed and simply wraps sooner. The phase-level-only discipline
     // applies where a FlightRecorder is armed *implicitly* — the traced
     // batch front-ends, which monomorphize over the ring directly.
-    const FINE: bool = true;
+    const FINE_SPANS: bool = true;
 
-    fn begin(&mut self, name: &'static str, arg: u64) {
+    fn span_begin(&mut self, name: &'static str, arg: u64) {
         match self {
-            CliSink::Full(rec) => rec.begin(name, arg),
-            CliSink::Flight(rec) => rec.begin(name, arg),
+            CliSink::Full(rec) => rec.span_begin(name, arg),
+            CliSink::Flight(rec) => rec.span_begin(name, arg),
         }
     }
 
-    fn end(&mut self, name: &'static str) {
+    fn span_end(&mut self, name: &'static str) {
         match self {
-            CliSink::Full(rec) => rec.end(name),
-            CliSink::Flight(rec) => rec.end(name),
+            CliSink::Full(rec) => rec.span_end(name),
+            CliSink::Flight(rec) => rec.span_end(name),
         }
     }
 
-    fn instant(&mut self, name: &'static str, arg: u64) {
+    fn span_instant(&mut self, name: &'static str, arg: u64) {
         match self {
-            CliSink::Full(rec) => rec.instant(name, arg),
-            CliSink::Flight(rec) => rec.instant(name, arg),
+            CliSink::Full(rec) => rec.span_instant(name, arg),
+            CliSink::Flight(rec) => rec.span_instant(name, arg),
         }
     }
 }

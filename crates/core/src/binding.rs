@@ -15,7 +15,7 @@ use kmatch_graph::{BindingTree, UnionFind};
 use kmatch_gs::{gale_shapley, GsStats, GsWorkspace};
 use kmatch_obs::Metrics;
 use kmatch_prefs::{GenderId, KPartiteInstance, KPartitePairView, Member};
-use kmatch_trace::{span, NoSpans, SpanSink};
+use kmatch_trace::span;
 
 use crate::kary::KAryMatching;
 
@@ -121,11 +121,15 @@ pub fn bind(inst: &KPartiteInstance, tree: &BindingTree) -> KAryMatching {
     bind_with_stats(inst, tree).matching
 }
 
-/// [`bind_with_stats`] with metric hooks: per-binding-edge proposal counts
-/// feed [`Metrics::binding_edge`] (the `proposals_per_edge` histogram), and
-/// the run ends with one [`Metrics::theorem3_check`] of the total against
-/// the paper's `(k−1)·n²` bound — so every metered k-ary run validates
-/// Theorem 3 empirically. All bindings solve through one reused
+/// [`bind_with_stats`] reporting to the observer `metrics`: per-binding-edge
+/// proposal counts feed [`Metrics::binding_edge`] (the
+/// `proposals_per_edge` histogram), and the run ends with one
+/// [`Metrics::theorem3_check`] of the total against the paper's
+/// `(k−1)·n²` bound — so every metered k-ary run validates Theorem 3
+/// empirically. The span timeline has one `bind.edge` span per binding
+/// edge (arg = edge index in tree order), each enclosing the edge's
+/// `gs.solve`/`gs.round` spans — the timeline form of Theorem 3's
+/// per-edge decomposition. All bindings solve through one reused
 /// [`GsWorkspace`], so the engine-level workspace fresh/reuse counters see
 /// `k − 2` reuses per call after the first edge.
 ///
@@ -135,24 +139,6 @@ pub fn bind_metered<M: Metrics>(
     inst: &KPartiteInstance,
     tree: &BindingTree,
     metrics: &mut M,
-) -> BindingOutcome {
-    bind_spanned(inst, tree, metrics, &mut NoSpans)
-}
-
-/// [`bind_metered`] that additionally emits a span timeline: one
-/// `bind.edge` span per binding edge (arg = edge index in tree order),
-/// each enclosing the edge's `gs.solve`/`gs.round` spans — the timeline
-/// form of Theorem 3's per-edge decomposition. With
-/// [`kmatch_trace::NoSpans`] this monomorphizes to exactly
-/// [`bind_metered`].
-///
-/// # Panics
-/// If the tree's gender count differs from the instance's.
-pub fn bind_spanned<M: Metrics, S: SpanSink>(
-    inst: &KPartiteInstance,
-    tree: &BindingTree,
-    metrics: &mut M,
-    spans: &mut S,
 ) -> BindingOutcome {
     let (k, n) = (inst.k(), inst.n());
     assert_eq!(tree.k(), k, "binding tree must span the instance's genders");
@@ -164,8 +150,8 @@ pub fn bind_spanned<M: Metrics, S: SpanSink>(
         .enumerate()
         .map(|(e, &(i, j))| {
             let view = KPartitePairView::new(inst, GenderId(i), GenderId(j));
-            spans.begin(span::BIND_EDGE, e as u64);
-            let out = ws.solve_spanned(&view, metrics, spans);
+            metrics.span_begin(span::BIND_EDGE, e as u64);
+            let out = ws.solve_metered(&view, metrics);
             for (m, w) in out.matching.pairs() {
                 let a = Member {
                     gender: GenderId(i),
@@ -180,7 +166,7 @@ pub fn bind_spanned<M: Metrics, S: SpanSink>(
                 uf.union(a, b);
             }
             metrics.binding_edge(out.stats.proposals);
-            spans.end(span::BIND_EDGE);
+            metrics.span_end(span::BIND_EDGE);
             out.stats
         })
         .collect();

@@ -36,7 +36,7 @@ pub mod quorum;
 pub mod theorems;
 pub mod weak;
 
-pub use binding::{bind, bind_metered, bind_spanned, bind_with_stats, merge_edge_pairs, BindingOutcome};
+pub use binding::{bind, bind_metered, bind_with_stats, merge_edge_pairs, BindingOutcome};
 pub use blocking::{
     find_blocking_family, find_blocking_family_bitset, find_blocking_family_naive, is_kary_stable,
     BlockingFamily,

@@ -1,11 +1,11 @@
 //! Span timelines of Algorithm 1's iterative binding: one `bind.edge`
 //! span per tree edge, each enclosing that edge's GS spans.
 
-use kmatch_core::{bind_metered, bind_spanned};
+use kmatch_core::bind_metered;
 use kmatch_graph::BindingTree;
 use kmatch_obs::{ManualClock, NoMetrics};
 use kmatch_prefs::gen::uniform::uniform_kpartite;
-use kmatch_trace::{check_well_formed, span, EventKind, NoSpans, TraceRecorder};
+use kmatch_trace::{check_well_formed, span, EventKind, TraceRecorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -17,7 +17,7 @@ fn one_edge_span_per_tree_edge_in_order() {
     let tree = BindingTree::path(k);
     let clock = ManualClock::new();
     let mut rec = TraceRecorder::new(&clock);
-    bind_spanned(&inst, &tree, &mut NoMetrics, &mut rec);
+    bind_metered(&inst, &tree, &mut rec);
     let events = rec.events();
     check_well_formed(events, false).unwrap();
     let edge_args: Vec<u64> = events
@@ -42,7 +42,7 @@ fn spanned_matches_metered_exactly() {
         let tree = BindingTree::star(k, 0);
         let clock = ManualClock::new();
         let mut rec = TraceRecorder::new(&clock);
-        let spanned = bind_spanned(&inst, &tree, &mut NoMetrics, &mut rec);
+        let spanned = bind_metered(&inst, &tree, &mut rec);
         let plain = bind_metered(&inst, &tree, &mut NoMetrics);
         assert_eq!(spanned.matching, plain.matching);
         assert_eq!(spanned.per_edge, plain.per_edge);
@@ -55,7 +55,7 @@ fn nospans_sink_is_a_noop_instantiation() {
     let mut rng = ChaCha8Rng::seed_from_u64(73);
     let inst = uniform_kpartite(3, 6, &mut rng);
     let tree = BindingTree::path(3);
-    let a = bind_spanned(&inst, &tree, &mut NoMetrics, &mut NoSpans);
+    let a = bind_metered(&inst, &tree, &mut NoMetrics);
     let b = bind_metered(&inst, &tree, &mut NoMetrics);
     assert_eq!(a.matching, b.matching);
 }

@@ -5,12 +5,11 @@
 //! this crate answers *where it is right now* and *why it died*:
 //!
 //! * [`WorkerProbe`] / [`ProbeSet`] — per-worker seqlock slots (safe
-//!   Rust, individual atomics) that the [`Probed`] metrics adapter
-//!   publishes phase/round/proposals/cut/attempt into. Engines stay
-//!   untouched beyond their existing `Metrics` generics: [`Probed`]
-//!   folds the hook stream, and the [`NoProgress`] target erases every
-//!   probe branch at compile time (pinned by the counting-allocator
-//!   suites in `kmatch-gs` / `kmatch-roommates`).
+//!   Rust, individual atomics) that the [`Probed`] observer publishes
+//!   phase/round/proposals/cut/attempt into. Engines stay untouched
+//!   beyond their one `Metrics` parameter: [`Probed`] is a `Metrics`
+//!   observer that folds the hook stream, riding beside the worker's
+//!   metrics shard as a pair, `(&mut shard, &mut probed)`.
 //! * [`SpanRegister`] / [`RegisterSink`] / [`SamplerCore`] — the
 //!   lock-free leaf-span register beside the FlightRecorder, plus the
 //!   sampler that folds register snapshots into collapsed span-stacks
@@ -19,10 +18,10 @@
 //!   crash/stall artifacts, written atomically, re-validated from disk
 //!   by `kmatch postmortem validate`.
 //!
-//! Layering: depends only on `kmatch-obs` (the `Metrics` hook set and
-//! phase ids) and `kmatch-trace` (the `SpanSink` hook set and
-//! `TraceEvent`). `kmatch-ops` mounts this crate's state behind its
-//! HTTP endpoints; engines never see it.
+//! Layering: depends only on `kmatch-obs` (the `Metrics` hook set, span
+//! hooks included, and phase ids) and `kmatch-trace` (`TraceEvent`).
+//! `kmatch-ops` mounts this crate's state behind its HTTP endpoints;
+//! engines never see it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +37,7 @@ pub use bundle::{
     POSTMORTEM_SCHEMA,
 };
 pub use probe::{ProbeSet, ProgressSnapshot, WorkerProbe, SNAPSHOT_RETRIES};
-pub use probed::{NoProgress, ProbeTarget, Probed, PUBLISH_EVERY};
+pub use probed::{Probed, PUBLISH_EVERY};
 pub use profiler::{
     start_sampler, ProfileAggregate, SamplerCore, SamplerHandle, SharedProfile, PROFILE_SCHEMA,
 };

@@ -10,7 +10,7 @@
 //! *composite* read is detectable (sequence mismatch) but never
 //! undefined behavior, because every field is itself an atomic word.
 //!
-//! * The **single writer** (the worker's `Probed` adapter) bumps `seq`
+//! * The **single writer** (the worker's `Probed` observer) bumps `seq`
 //!   to odd with `Release`, stores the fields `Relaxed`, then bumps
 //!   `seq` to even with `Release`. Publishing is wait-free: five
 //!   uncontended atomic stores.

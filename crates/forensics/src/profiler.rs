@@ -221,7 +221,7 @@ pub fn start_sampler(
 mod tests {
     use super::*;
     use kmatch_obs::{Clock, ManualClock};
-    use kmatch_trace::SpanSink;
+    use kmatch_obs::Metrics;
 
     #[test]
     fn manual_clock_sampling_is_exact() {
@@ -234,14 +234,14 @@ mod tests {
         let mut sink = set.sink(0);
         let mut core = SamplerCore::new();
 
-        sink.begin("gs.solve", 4);
-        sink.begin("gs.round", 1);
+        sink.span_begin("gs.solve", 4);
+        sink.span_begin("gs.round", 1);
         for _ in 0..3 {
             clock.advance(10_000_000); // 10 ms per tick
             core.sample_at(clock.now_ns(), &set);
         }
-        sink.end("gs.round");
-        sink.end("gs.solve");
+        sink.span_end("gs.round");
+        sink.span_end("gs.solve");
         for _ in 0..2 {
             clock.advance(10_000_000);
             core.sample_at(clock.now_ns(), &set);
@@ -269,7 +269,7 @@ mod tests {
         let profile = Arc::new(SharedProfile::new());
         let clock: Arc<dyn Clock + Send + Sync> = Arc::new(kmatch_obs::StdClock::new());
         let mut sink = set.sink(0);
-        sink.begin("irving.solve", 8);
+        sink.span_begin("irving.solve", 8);
         let handle = start_sampler(
             Arc::clone(&set),
             Arc::clone(&profile),

@@ -4,10 +4,11 @@
 //! happened recently"; the profiler needs "what is open *right now*".
 //! [`SpanRegister`] is a per-worker seqlock (same discipline as
 //! [`crate::probe::WorkerProbe`]) holding the current span *stack* as
-//! interned name ids; [`RegisterSink`] is the [`SpanSink`] adapter that
-//! maintains it from the engine's begin/end stream. It opts out of
-//! fine-grained spans (`FINE = false`) — per-round spans churn faster
-//! than any sampler samples, so maintaining them would be pure overhead.
+//! interned name ids; [`RegisterSink`] is the [`Metrics`] observer that
+//! maintains it from the engine's span begin/end stream. It opts out of
+//! fine-grained spans (`FINE_SPANS = false`) — per-round spans churn
+//! faster than any sampler samples, so maintaining them would be pure
+//! overhead.
 //!
 //! Names are interned in a [`NameTable`] shared between the writers and
 //! the sampler; interning locks a mutex, but only on span *begin* of
@@ -17,7 +18,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use kmatch_trace::SpanSink;
+use kmatch_obs::Metrics;
 
 /// Deepest stack the register stores. Deeper nesting keeps balanced
 /// depth accounting but samples truncate to this many frames (the
@@ -180,7 +181,7 @@ impl RegisterSet {
         &self.lanes[i]
     }
 
-    /// A span sink maintaining lane `i` (one per worker; single-writer).
+    /// An observer maintaining lane `i` (one per worker; single-writer).
     pub fn sink(&self, i: usize) -> RegisterSink<'_> {
         RegisterSink {
             reg: &self.lanes[i],
@@ -189,8 +190,8 @@ impl RegisterSet {
     }
 }
 
-/// [`SpanSink`] adapter keeping one [`SpanRegister`] current. Coarse
-/// only (`FINE = false`): per-round spans are invisible to the sampler
+/// Span observer keeping one [`SpanRegister`] current. Coarse only
+/// (`FINE_SPANS = false`): per-round spans are invisible to the sampler
 /// by design — they churn faster than sampling resolves.
 #[derive(Debug)]
 pub struct RegisterSink<'a> {
@@ -198,23 +199,19 @@ pub struct RegisterSink<'a> {
     names: &'a NameTable,
 }
 
-impl SpanSink for RegisterSink<'_> {
+impl Metrics for RegisterSink<'_> {
     const ENABLED: bool = true;
-    const FINE: bool = false;
 
     #[inline]
-    fn begin(&mut self, name: &'static str, _arg: u64) {
+    fn span_begin(&mut self, name: &'static str, _arg: u64) {
         let id = self.names.intern(name);
         self.reg.push(id);
     }
 
     #[inline]
-    fn end(&mut self, _name: &'static str) {
+    fn span_end(&mut self, _name: &'static str) {
         self.reg.pop();
     }
-
-    #[inline(always)]
-    fn instant(&mut self, _name: &'static str, _arg: u64) {}
 }
 
 #[cfg(test)]
@@ -226,20 +223,20 @@ mod tests {
         let set = RegisterSet::new(1);
         let mut sink = set.sink(0);
         assert!(set.register(0).snapshot_stack().is_empty());
-        sink.begin("irving.solve", 10);
-        sink.begin("irving.phase1", 10);
+        sink.span_begin("irving.solve", 10);
+        sink.span_begin("irving.phase1", 10);
         let stack = set.register(0).snapshot_stack();
         assert_eq!(stack.len(), 2);
         assert_eq!(set.names().name_of(stack[0]), "irving.solve");
         assert_eq!(set.names().name_of(stack[1]), "irving.phase1");
-        sink.end("irving.phase1");
+        sink.span_end("irving.phase1");
         assert_eq!(set.register(0).snapshot_stack().len(), 1);
-        sink.end("irving.solve");
+        sink.span_end("irving.solve");
         assert!(set.register(0).snapshot_stack().is_empty());
         // Orphan end (truncated stream): saturates, no underflow.
-        sink.end("irving.solve");
+        sink.span_end("irving.solve");
         assert!(set.register(0).snapshot_stack().is_empty());
-        sink.begin("gs.solve", 4);
+        sink.span_begin("gs.solve", 4);
         assert_eq!(set.register(0).snapshot_stack().len(), 1);
     }
 
@@ -260,15 +257,15 @@ mod tests {
         let set = RegisterSet::new(1);
         let mut sink = set.sink(0);
         for _ in 0..(MAX_DEPTH + 4) {
-            sink.begin("bind.edge", 0);
+            sink.span_begin("bind.edge", 0);
         }
         assert_eq!(set.register(0).snapshot_stack().len(), MAX_DEPTH);
         for _ in 0..4 {
-            sink.end("bind.edge");
+            sink.span_end("bind.edge");
         }
         assert_eq!(set.register(0).snapshot_stack().len(), MAX_DEPTH);
         for _ in 0..MAX_DEPTH {
-            sink.end("bind.edge");
+            sink.span_end("bind.edge");
         }
         assert!(set.register(0).snapshot_stack().is_empty());
     }
@@ -284,10 +281,10 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let mut sink = w.sink(0);
             for _ in 0..30_000 {
-                sink.begin("irving.solve", 0);
-                sink.begin("irving.phase1", 0);
-                sink.end("irving.phase1");
-                sink.end("irving.solve");
+                sink.span_begin("irving.solve", 0);
+                sink.span_begin("irving.phase1", 0);
+                sink.span_end("irving.phase1");
+                sink.span_end("irving.solve");
             }
         });
         while !writer.is_finished() {

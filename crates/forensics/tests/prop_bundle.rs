@@ -6,8 +6,8 @@
 use kmatch_forensics::{
     bundle_json, validate_bundle, BundleInputs, ProbeSet, RegisterSet, SamplerCore,
 };
-use kmatch_obs::{Clock, ManualClock, SolverMetrics};
-use kmatch_trace::{FlightRecorder, SpanSink};
+use kmatch_obs::{Clock, ManualClock, Metrics, SolverMetrics};
+use kmatch_trace::FlightRecorder;
 use proptest::{prop_assert, proptest, ProptestConfig};
 use serde::Value;
 
@@ -49,17 +49,17 @@ proptest! {
             match rng.next() % 3 {
                 0 => {
                     let name = NAMES[(rng.next() % 4) as usize];
-                    ring.begin(name, rng.next() % 100);
+                    ring.span_begin(name, rng.next() % 100);
                     stack.push(name);
                 }
                 1 => {
                     if let Some(name) = stack.pop() {
-                        ring.end(name);
+                        ring.span_end(name);
                     } else {
-                        ring.instant(NAMES[4], 0);
+                        ring.span_instant(NAMES[4], 0);
                     }
                 }
-                _ => ring.instant(NAMES[4], rng.next() % 10),
+                _ => ring.span_instant(NAMES[4], rng.next() % 10),
             }
         }
 

@@ -49,7 +49,7 @@
 
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{BipartitePrefs, DeltaSide, PrefDelta, PrefOracle, ResponderListSlice};
-use kmatch_trace::{reason, span, NoSpans, SpanSink};
+use kmatch_trace::{reason, span};
 
 use crate::incomplete::{PartialMatching, UNMATCHED};
 use crate::matching::BipartiteMatching;
@@ -239,7 +239,7 @@ impl GsWorkspace {
     /// arena. Incomplete oracles (`P::COMPLETE == false`) must go through
     /// [`GsWorkspace::solve_incomplete`] instead.
     pub fn solve<P: PrefOracle>(&mut self, prefs: &P) -> GsOutcome {
-        run_core(prefs, self, &mut NoTrace, &mut NoMetrics, &mut NoSpans)
+        run_core(prefs, self, &mut NoTrace, &mut NoMetrics)
     }
 
     /// Deferred acceptance over an incomplete-list oracle
@@ -263,7 +263,6 @@ impl GsWorkspace {
             self,
             &mut NoTrace,
             &mut NoMetrics,
-            &mut NoSpans,
             &mut stats,
         );
         // `solved_n` stays 0: a partial execution is not a valid replay
@@ -271,34 +270,22 @@ impl GsWorkspace {
         finish_partial(self, stats)
     }
 
-    /// [`GsWorkspace::solve`] with metric hooks. The engine records
-    /// proposals, rejections, holder swaps, rounds, workspace
-    /// fresh/reuse, and the per-solve summary; wall time is the
-    /// front-end's job (engines stay clock-free). With
-    /// [`kmatch_obs::NoMetrics`] this monomorphizes to exactly
-    /// [`GsWorkspace::solve`].
+    /// [`GsWorkspace::solve`] reporting to the observer `metrics`. The
+    /// engine records proposals, rejections, holder swaps, rounds,
+    /// workspace fresh/reuse, and the per-solve summary, and emits a span
+    /// timeline: a `gs.solve` span enclosing one `gs.round` span per
+    /// proposal round (see [`kmatch_trace::span`]). Round spans are
+    /// fine-grained and emitted only when [`Metrics::FINE_SPANS`] holds —
+    /// the flight recorder opts out and records the `gs.solve` phase span
+    /// alone. Wall time is the front-end's job (engines stay
+    /// clock-free). With [`kmatch_obs::NoMetrics`] this monomorphizes to
+    /// exactly [`GsWorkspace::solve`].
     pub fn solve_metered<P: PrefOracle, M: Metrics>(
         &mut self,
         prefs: &P,
         metrics: &mut M,
     ) -> GsOutcome {
-        run_core(prefs, self, &mut NoTrace, metrics, &mut NoSpans)
-    }
-
-    /// [`GsWorkspace::solve_metered`] that additionally emits a span
-    /// timeline: a `gs.solve` span enclosing one `gs.round` span per
-    /// proposal round (see [`kmatch_trace::span`]). Round spans are
-    /// fine-grained and emitted only when `S::FINE` holds — the
-    /// flight recorder opts out and records the `gs.solve` phase span
-    /// alone. With [`kmatch_trace::NoSpans`] this monomorphizes to
-    /// exactly [`GsWorkspace::solve_metered`].
-    pub fn solve_spanned<P: PrefOracle, M: Metrics, S: SpanSink>(
-        &mut self,
-        prefs: &P,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> GsOutcome {
-        run_core(prefs, self, &mut NoTrace, metrics, spans)
+        run_core(prefs, self, &mut NoTrace, metrics)
     }
 
     /// Whether `delta` is *dead* for the execution this workspace holds:
@@ -361,14 +348,13 @@ impl GsWorkspace {
     /// and a `gs.warm.fallback` instant carrying the [`reason`] —
     /// `COLD_START` (no held execution), `SIZE_MISMATCH` (one of another
     /// size) or `PREFIX_MISS` (a live delta) — then runs
-    /// [`GsWorkspace::solve_spanned`].
-    pub fn resolve<P: PrefOracle, M: Metrics, S: SpanSink>(
+    /// [`GsWorkspace::solve_metered`].
+    pub fn resolve<P: PrefOracle, M: Metrics>(
         &mut self,
         prefs: &P,
         live: bool,
         touched: &[u32],
         metrics: &mut M,
-        spans: &mut S,
     ) -> GsOutcome {
         let miss = if self.solved_n == 0 {
             Some(reason::COLD_START)
@@ -379,10 +365,10 @@ impl GsWorkspace {
         };
         if let Some(why) = miss {
             metrics.warm_fallback();
-            spans.instant(span::GS_WARM_FALLBACK, why);
-            return self.solve_spanned(prefs, metrics, spans);
+            metrics.span_instant(span::GS_WARM_FALLBACK, why);
+            return self.solve_metered(prefs, metrics);
         }
-        spans.instant(span::GS_WARM_RESOLVE, 0);
+        metrics.span_instant(span::GS_WARM_RESOLVE, 0);
         metrics.workspace(false);
         metrics.phase_enter(kmatch_obs::phase::GS_WARM);
         for &w in touched {
@@ -395,14 +381,12 @@ impl GsWorkspace {
     }
 }
 
-/// The engine core, monomorphized per tracer, metrics sink, and span
-/// sink.
-fn run_core<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
+/// The engine core, monomorphized per tracer and observer.
+fn run_core<P: PrefOracle, T: Tracer, M: Metrics>(
     prefs: &P,
     ws: &mut GsWorkspace,
     tracer: &mut T,
     metrics: &mut M,
-    spans: &mut S,
 ) -> GsOutcome {
     // Compile-time constant: the branch folds away per monomorphization.
     assert!(
@@ -415,10 +399,10 @@ fn run_core<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
     metrics.workspace(fresh);
     let mut stats = GsStats::default();
 
-    spans.begin(span::GS_SOLVE, n as u64);
+    metrics.span_begin(span::GS_SOLVE, n as u64);
     metrics.phase_enter(kmatch_obs::phase::GS_ROUNDS);
-    run_rounds(prefs, ws, tracer, metrics, spans, &mut stats);
-    spans.end(span::GS_SOLVE);
+    run_rounds(prefs, ws, tracer, metrics, &mut stats);
+    metrics.span_end(span::GS_SOLVE);
     metrics.solve_done(true, stats.proposals);
     ws.solved_n = n;
 
@@ -472,12 +456,11 @@ fn finish_partial(ws: &GsWorkspace, stats: GsStats) -> (PartialMatching, GsStats
 /// are compile-time constants: complete oracles — every materialized view
 /// and the lazy complete backends — monomorphize to exactly the
 /// pre-oracle instruction stream.
-fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
+fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics>(
     prefs: &P,
     ws: &mut GsWorkspace,
     tracer: &mut T,
     metrics: &mut M,
-    spans: &mut S,
     stats: &mut GsStats,
 ) {
     // Inactive tracer + complete lists: dispatch to the branchless strip
@@ -489,7 +472,7 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
     // keep it for the exhaustion/cutoff branches. Both conditions are
     // compile-time constants, so each monomorphization carries one loop.
     if !T::ACTIVE && P::COMPLETE {
-        run_rounds_kernel(prefs, ws, metrics, spans, stats);
+        run_rounds_kernel(prefs, ws, metrics, stats);
         return;
     }
     // The round state lives in locals, so the rounds never write to the
@@ -502,10 +485,10 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
         tracer.round_start(stats.rounds);
         metrics.round();
         // Round spans are fine-grained (thousands per large solve, a
-        // few hundred ns each): only sinks that declare `FINE` get
-        // them, so the always-armed flight recorder stays cheap.
-        if S::FINE {
-            spans.begin(span::GS_ROUND, stats.rounds as u64);
+        // few hundred ns each): only observers that declare `FINE_SPANS`
+        // get them, so the always-armed flight recorder stays cheap.
+        if M::FINE_SPANS {
+            metrics.span_begin(span::GS_ROUND, stats.rounds as u64);
         }
         let mut nf_len = 0;
         let mut reject = |m: u32| {
@@ -558,8 +541,8 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics, S: SpanSink>(
                 metrics.rejection();
             }
         }
-        if S::FINE {
-            spans.end(span::GS_ROUND);
+        if M::FINE_SPANS {
+            metrics.span_end(span::GS_ROUND);
         }
         std::mem::swap(&mut free, &mut next_free);
         free_len = nf_len;
@@ -595,11 +578,10 @@ const LANES: usize = kmatch_prefs::PROPOSAL_STRIP;
 /// Outcome counts (rejections, holder swaps) accumulate in registers and
 /// flush once per round through [`Metrics::round_bulk`]; per-event metric
 /// calls never appear in the lane bodies.
-fn run_rounds_kernel<P: PrefOracle, M: Metrics, S: SpanSink>(
+fn run_rounds_kernel<P: PrefOracle, M: Metrics>(
     prefs: &P,
     ws: &mut GsWorkspace,
     metrics: &mut M,
-    spans: &mut S,
     stats: &mut GsStats,
 ) {
     // Round state — which buffer holds the free list, and its length —
@@ -616,8 +598,8 @@ fn run_rounds_kernel<P: PrefOracle, M: Metrics, S: SpanSink>(
     while free_len > 0 {
         stats.rounds += 1;
         metrics.round();
-        if S::FINE {
-            spans.begin(span::GS_ROUND, stats.rounds as u64);
+        if M::FINE_SPANS {
+            metrics.span_begin(span::GS_ROUND, stats.rounds as u64);
         }
         // The loser store is unconditional (the index advances only for
         // real losers); `next_free` is `n` long, and a round never
@@ -626,8 +608,8 @@ fn run_rounds_kernel<P: PrefOracle, M: Metrics, S: SpanSink>(
             kernel_round(prefs, &free[..free_len], next, best, next_free);
         stats.proposals += free_len as u64;
         metrics.round_bulk(free_len as u64, rejections, swaps);
-        if S::FINE {
-            spans.end(span::GS_ROUND);
+        if M::FINE_SPANS {
+            metrics.span_end(span::GS_ROUND);
         }
         std::mem::swap(&mut free, &mut next_free);
         free_len = nf_len;
@@ -779,7 +761,6 @@ pub fn gale_shapley_traced<P: PrefOracle>(prefs: &P) -> GsOutcome {
             events: &mut events,
         },
         &mut NoMetrics,
-        &mut NoSpans,
     );
     out.trace = Some(events);
     out
@@ -1132,7 +1113,7 @@ mod tests {
             }
             inst.apply_delta(delta).unwrap();
         }
-        ws.resolve(inst, live, &touched, metrics, &mut NoSpans)
+        ws.resolve(inst, live, &touched, metrics)
     }
 
     #[test]
@@ -1182,7 +1163,7 @@ mod tests {
         let inst = uniform_bipartite(17, &mut rng);
         let mut ws = GsWorkspace::new();
         let cold = ws.solve(&inst);
-        let warm = ws.resolve(&inst, false, &[], &mut NoMetrics, &mut NoSpans);
+        let warm = ws.resolve(&inst, false, &[], &mut NoMetrics);
         assert_eq!(warm.matching, cold.matching);
         assert_eq!(warm.stats.proposals, 0);
         assert_eq!(warm.stats.rounds, 0);
@@ -1196,13 +1177,13 @@ mod tests {
         ws.solve(&uniform_bipartite(9, &mut rng));
         let other = uniform_bipartite(14, &mut rng);
         let mut m = SolverMetrics::new();
-        let out = ws.resolve(&other, false, &[], &mut m, &mut NoSpans);
+        let out = ws.resolve(&other, false, &[], &mut m);
         assert_eq!(out.matching, gale_shapley(&other).matching);
         assert_eq!(m.warm_fallbacks, 1);
         assert_eq!(m.warm_solves, 0);
         // A fresh workspace has no previous execution at all.
         let mut cold_ws = GsWorkspace::new();
-        let out2 = cold_ws.resolve(&other, false, &[], &mut m, &mut NoSpans);
+        let out2 = cold_ws.resolve(&other, false, &[], &mut m);
         assert_eq!(out2.matching, out.matching);
         assert_eq!(m.warm_fallbacks, 2);
     }
@@ -1343,7 +1324,7 @@ mod tests {
         let oracle = RandomOracle::new(29, 3);
         let mut ws = GsWorkspace::new();
         let cold = ws.solve(&oracle);
-        let warm = ws.resolve(&oracle, false, &[], &mut NoMetrics, &mut NoSpans);
+        let warm = ws.resolve(&oracle, false, &[], &mut NoMetrics);
         assert_eq!(warm.matching, cold.matching);
         assert_eq!(warm.stats.proposals, 0);
     }

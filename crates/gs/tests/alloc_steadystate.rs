@@ -107,15 +107,16 @@ fn metered_steady_state_allocates_like_plain() {
 
 #[test]
 fn nospans_steady_state_allocates_like_plain() {
+    // The span hooks default to no-ops, so the metered entry point over
+    // `NoMetrics` — every span call included — is the plain path.
     use kmatch_obs::NoMetrics;
-    use kmatch_trace::NoSpans;
     let mut rng = ChaCha8Rng::seed_from_u64(13);
     let inst = uniform_bipartite(64, &mut rng);
     let csr = CsrPrefs::from_prefs(&inst);
     let mut ws = GsWorkspace::new();
     // Warm both entry points past any one-time lazy allocation.
     ws.solve(&csr);
-    ws.solve_spanned(&csr, &mut NoMetrics, &mut NoSpans);
+    ws.solve_metered(&csr, &mut NoMetrics);
     let reps = 50u64;
     let plain = allocations_in(|| {
         for _ in 0..reps {
@@ -124,12 +125,12 @@ fn nospans_steady_state_allocates_like_plain() {
     });
     let spanned = allocations_in(|| {
         for _ in 0..reps {
-            std::hint::black_box(ws.solve_spanned(&csr, &mut NoMetrics, &mut NoSpans));
+            std::hint::black_box(ws.solve_metered(&csr, &mut NoMetrics));
         }
     });
     assert!(
         spanned <= plain && spanned <= reps * ALLOCS_PER_SOLVE,
-        "the NoSpans sink must add zero allocations over the plain path \
+        "the no-op span hooks must add zero allocations over the plain path \
          (plain {plain}, spanned {spanned})"
     );
 }
@@ -169,17 +170,19 @@ fn strip_kernel_steady_state_allocates_only_the_matching() {
 }
 
 #[test]
-fn noprogress_probed_steady_state_allocates_like_plain() {
-    // `Probed<_, NoProgress>` must monomorphize to the plain metered
-    // path: every probe branch is gated on `ENABLED = false`, so the
-    // adapter is the inner metrics bit for bit — zero extra heap.
-    use kmatch_forensics::{NoProgress, Probed};
+fn flight_recorder_pair_steady_state_allocates_like_plain() {
+    // A shard paired with a preallocated flight recorder: the ring
+    // overwrites in place, so recording the solve spans beside the
+    // counters adds zero heap traffic over the bare metered path.
+    use kmatch_obs::ManualClock;
+    use kmatch_trace::FlightRecorder;
     let mut rng = ChaCha8Rng::seed_from_u64(14);
     let inst = uniform_bipartite(64, &mut rng);
     let csr = CsrPrefs::from_prefs(&inst);
     let mut ws = GsWorkspace::new();
-    let mut probed = Probed::new(SolverMetrics::new(), NoProgress);
-    ws.solve_metered(&csr, &mut probed);
+    let clock = ManualClock::new();
+    let (mut shard, mut ring) = (SolverMetrics::new(), FlightRecorder::new(&clock, 64));
+    ws.solve_metered(&csr, &mut (&mut shard, &mut ring));
     let reps = 50u64;
     let mut metrics = SolverMetrics::new();
     let plain = allocations_in(|| {
@@ -187,31 +190,37 @@ fn noprogress_probed_steady_state_allocates_like_plain() {
             std::hint::black_box(ws.solve_metered(&csr, &mut metrics));
         }
     });
-    let through_probe = allocations_in(|| {
+    let recorded = allocations_in(|| {
         for _ in 0..reps {
-            std::hint::black_box(ws.solve_metered(&csr, &mut probed));
+            std::hint::black_box(ws.solve_metered(&csr, &mut (&mut shard, &mut ring)));
         }
     });
     assert_eq!(
-        through_probe, plain,
-        "Probed<_, NoProgress> must add zero allocations over bare SolverMetrics"
+        recorded, plain,
+        "(SolverMetrics, FlightRecorder) must add zero allocations over bare SolverMetrics"
     );
-    assert_eq!(probed.inner().solves, reps + 1);
+    assert_eq!(shard.solves, reps + 1);
+    assert_eq!(
+        ring.len() as u64 + ring.dropped(),
+        2 * (reps + 1),
+        "one gs.solve span each"
+    );
 }
 
 #[test]
 fn live_probe_steady_state_allocates_like_plain() {
     // The live lane is five uncontended atomic stores per publish — no
-    // heap either. Warm one solve, then the probed loop must allocate
-    // exactly as much as the bare metered loop.
+    // heap either. Warm one solve, then the loop through the
+    // (shard, progress) pair must allocate exactly as much as the bare
+    // metered loop.
     use kmatch_forensics::{ProbeSet, Probed};
     let mut rng = ChaCha8Rng::seed_from_u64(15);
     let inst = uniform_bipartite(64, &mut rng);
     let csr = CsrPrefs::from_prefs(&inst);
     let probes = ProbeSet::new(1);
     let mut ws = GsWorkspace::new();
-    let mut probed = Probed::new(SolverMetrics::new(), probes.probe(0));
-    ws.solve_metered(&csr, &mut probed);
+    let (mut shard, mut progress) = (SolverMetrics::new(), Probed::new(probes.probe(0)));
+    ws.solve_metered(&csr, &mut (&mut shard, &mut progress));
     let reps = 50u64;
     let mut metrics = SolverMetrics::new();
     let plain = allocations_in(|| {
@@ -221,7 +230,7 @@ fn live_probe_steady_state_allocates_like_plain() {
     });
     let live = allocations_in(|| {
         for _ in 0..reps {
-            std::hint::black_box(ws.solve_metered(&csr, &mut probed));
+            std::hint::black_box(ws.solve_metered(&csr, &mut (&mut shard, &mut progress)));
         }
     });
     assert_eq!(
@@ -230,6 +239,7 @@ fn live_probe_steady_state_allocates_like_plain() {
     );
     let snap = &probes.snapshot()[0];
     assert!(snap.generation > 0, "the lane actually published");
+    assert_eq!(shard.solves, reps + 1);
 }
 
 #[test]

@@ -6,9 +6,7 @@ use kmatch_gs::{gale_shapley, GsWorkspace};
 use kmatch_obs::{ManualClock, NoMetrics, SolverMetrics};
 use kmatch_prefs::gen::uniform::uniform_bipartite;
 use kmatch_prefs::{DeltaSide, PrefDelta};
-use kmatch_trace::{
-    check_well_formed, reason, span, EventKind, FlightRecorder, NoSpans, TraceRecorder,
-};
+use kmatch_trace::{check_well_formed, reason, span, EventKind, FlightRecorder, TraceRecorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -19,7 +17,7 @@ fn solve_spanned_emits_one_round_span_per_round() {
     let clock = ManualClock::new();
     let mut rec = TraceRecorder::new(&clock);
     let mut ws = GsWorkspace::new();
-    let out = ws.solve_spanned(&inst, &mut NoMetrics, &mut rec);
+    let out = ws.solve_metered(&inst, &mut rec);
     let events = rec.events();
     check_well_formed(events, false).unwrap();
 
@@ -49,7 +47,7 @@ fn spanned_solve_matches_unspanned_exactly() {
         let inst = uniform_bipartite(n, &mut rng);
         let mut ws = GsWorkspace::new();
         let mut rec = TraceRecorder::new(&clock);
-        let spanned = ws.solve_spanned(&inst, &mut NoMetrics, &mut rec);
+        let spanned = ws.solve_metered(&inst, &mut rec);
         let plain = gale_shapley(&inst);
         assert_eq!(spanned.matching, plain.matching, "n = {n}");
         assert_eq!(spanned.stats, plain.stats, "n = {n}");
@@ -66,7 +64,7 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
 
     // A fresh workspace has nothing to replay: cold fallback.
     let mut rec = TraceRecorder::new(&clock);
-    ws.resolve(&inst, false, &[], &mut NoMetrics, &mut rec);
+    ws.resolve(&inst, false, &[], &mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::GS_WARM_FALLBACK);
@@ -83,7 +81,7 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
     inst.apply_delta(&dead).unwrap();
     let mut m = SolverMetrics::new();
     let mut rec = TraceRecorder::new(&clock);
-    let out = ws.resolve(&inst, false, &[], &mut m, &mut rec);
+    let out = ws.resolve(&inst, false, &[], &mut (&mut m, &mut rec));
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     let resolve = events
@@ -106,7 +104,7 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
     assert!(!ws.delta_is_dead(&inst, &live));
     inst.apply_delta(&live).unwrap();
     let mut rec = TraceRecorder::new(&clock);
-    let out = ws.resolve(&inst, true, &[], &mut NoMetrics, &mut rec);
+    let out = ws.resolve(&inst, true, &[], &mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::GS_WARM_FALLBACK);
@@ -117,7 +115,7 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
     // A size change falls back with SIZE_MISMATCH.
     let other = uniform_bipartite(n + 5, &mut rng);
     let mut rec = TraceRecorder::new(&clock);
-    ws.resolve(&other, false, &[], &mut NoMetrics, &mut rec);
+    ws.resolve(&other, false, &[], &mut rec);
     let events = rec.take();
     assert_eq!(events[0].name, span::GS_WARM_FALLBACK);
     assert_eq!(events[0].arg, reason::SIZE_MISMATCH);
@@ -134,7 +132,7 @@ fn flight_recorder_gets_phase_spans_but_no_round_spans() {
     let clock = ManualClock::new();
     let mut ring = FlightRecorder::new(&clock, 1 << 10);
     let mut ws = GsWorkspace::new();
-    let out = ws.solve_spanned(&inst, &mut NoMetrics, &mut ring);
+    let out = ws.solve_metered(&inst, &mut ring);
     assert_eq!(out.matching, gale_shapley(&inst).matching);
     assert!(out.stats.rounds > 1, "a 32-way instance takes several rounds");
     let events = ring.events();
@@ -149,6 +147,6 @@ fn nospans_sink_changes_nothing() {
     let mut rng = ChaCha8Rng::seed_from_u64(24);
     let inst = uniform_bipartite(20, &mut rng);
     let mut ws = GsWorkspace::new();
-    let spanned = ws.solve_spanned(&inst, &mut NoMetrics, &mut NoSpans);
+    let spanned = ws.solve_metered(&inst, &mut NoMetrics);
     assert_eq!(spanned.matching, gale_shapley(&inst).matching);
 }

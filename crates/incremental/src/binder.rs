@@ -24,7 +24,7 @@ use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{
     CsrPrefs, GenderId, KPartiteInstance, KPartitePairView, Member, PrefsError,
 };
-use kmatch_trace::{span, NoSpans, SpanSink};
+use kmatch_trace::span;
 
 use crate::fingerprint::{hash_row_fp, mix, patch, Fp};
 
@@ -145,29 +145,18 @@ impl IncrementalBinder {
         self.bind_metered(&mut NoMetrics)
     }
 
-    /// [`IncrementalBinder::bind`] with metric hooks.
+    /// [`IncrementalBinder::bind`] reporting to the observer `metrics`.
     ///
     /// Every edge records one [`Metrics::binding_edge_reuse`] (dirty or
     /// clean) and one [`Metrics::binding_edge`] proposal sample — **zero**
     /// for clean edges, which execute no GS work at all. The returned
     /// `per_edge` stats likewise report work actually executed this call,
-    /// so a clean edge shows zero proposals and zero rounds.
-    pub fn bind_metered<M: Metrics>(&mut self, metrics: &mut M) -> BindingOutcome {
-        self.bind_spanned(metrics, &mut NoSpans)
-    }
-
-    /// [`IncrementalBinder::bind_metered`] that additionally emits a span
-    /// timeline: each edge gets a `bind.edge.dirty` or `bind.edge.clean`
+    /// so a clean edge shows zero proposals and zero rounds. On the span
+    /// timeline each edge gets a `bind.edge.dirty` or `bind.edge.clean`
     /// span (arg = edge index in tree order), and dirty edges enclose
     /// their GS re-solve's `gs.solve`/`gs.round` spans — clean spans are
     /// near-instant, making fingerprint reuse visible on the timeline.
-    /// With [`kmatch_trace::NoSpans`] this monomorphizes to exactly
-    /// [`IncrementalBinder::bind_metered`].
-    pub fn bind_spanned<M: Metrics, S: SpanSink>(
-        &mut self,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> BindingOutcome {
+    pub fn bind_metered<M: Metrics>(&mut self, metrics: &mut M) -> BindingOutcome {
         let n = self.inst.n() as u32;
         let (k, nn) = (self.inst.k(), self.inst.n());
         let mut per_edge = Vec::with_capacity(self.edges.len());
@@ -178,10 +167,10 @@ impl IncrementalBinder {
             let dirty = cached.key != Some(key);
             metrics.binding_edge_reuse(dirty);
             if dirty {
-                spans.begin(span::BIND_EDGE_DIRTY, e as u64);
+                metrics.span_begin(span::BIND_EDGE_DIRTY, e as u64);
                 let view = KPartitePairView::new(&self.inst, GenderId(i), GenderId(j));
                 self.csr.load(&view);
-                let out = self.ws.solve_spanned(&self.csr, metrics, spans);
+                let out = self.ws.solve_metered(&self.csr, metrics);
                 cached.pairs.clear();
                 cached.pairs.extend(out.matching.pairs().map(|(m, w)| {
                     (
@@ -200,12 +189,12 @@ impl IncrementalBinder {
                 cached.stats = out.stats;
                 cached.key = Some(key);
                 metrics.binding_edge(out.stats.proposals);
-                spans.end(span::BIND_EDGE_DIRTY);
+                metrics.span_end(span::BIND_EDGE_DIRTY);
                 per_edge.push(out.stats);
             } else {
-                spans.begin(span::BIND_EDGE_CLEAN, e as u64);
+                metrics.span_begin(span::BIND_EDGE_CLEAN, e as u64);
                 metrics.binding_edge(0);
-                spans.end(span::BIND_EDGE_CLEAN);
+                metrics.span_end(span::BIND_EDGE_CLEAN);
                 per_edge.push(GsStats::default());
             }
             all_pairs.extend_from_slice(&cached.pairs);

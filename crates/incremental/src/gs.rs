@@ -45,7 +45,7 @@
 use kmatch_gs::{BipartiteMatching, GsOutcome, GsStats, GsWorkspace};
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{BipartiteInstance, CsrPrefs, DeltaSide, PrefDelta, PrefsError};
-use kmatch_trace::{span, NoSpans, SpanSink};
+use kmatch_trace::span;
 
 use crate::cache::SolveCache;
 use crate::fingerprint::{bipartite_fingerprint, patch_delta, Fp};
@@ -144,30 +144,18 @@ impl IncrementalGs {
         self.solve_metered(&mut NoMetrics)
     }
 
-    /// [`IncrementalGs::solve`] with metric hooks: every call records one
-    /// [`Metrics::cache_lookup`]; engine runs add the replay/fallback
-    /// counters of [`GsWorkspace::resolve`]; insertions that push an
-    /// older entry out record [`Metrics::cache_eviction`].
+    /// [`IncrementalGs::solve`] reporting to the observer `metrics`: every
+    /// call records one [`Metrics::cache_lookup`] and a `cache.hit` or
+    /// `cache.miss` instant; engine runs add the replay/fallback counters
+    /// and spans of [`GsWorkspace::resolve`] (a `gs.warm.resolve` instant,
+    /// or a `gs.warm.fallback` instant and the cold `gs.solve` span);
+    /// insertions that push an older entry out record
+    /// [`Metrics::cache_eviction`].
     pub fn solve_metered<M: Metrics>(&mut self, metrics: &mut M) -> GsOutcome {
-        self.solve_spanned(metrics, &mut NoSpans)
-    }
-
-    /// [`IncrementalGs::solve_metered`] that additionally emits a span
-    /// timeline: a `cache.hit` or `cache.miss` instant for the lookup,
-    /// and on a miss the engine spans of [`GsWorkspace::resolve`] (a
-    /// `gs.warm.resolve` instant, or a `gs.warm.fallback` instant and the
-    /// cold `gs.solve` span). With
-    /// [`kmatch_trace::NoSpans`] this monomorphizes to exactly
-    /// [`IncrementalGs::solve_metered`].
-    pub fn solve_spanned<M: Metrics, S: SpanSink>(
-        &mut self,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> GsOutcome {
         let key = self.fp;
         if let Some(matching) = self.cache.get(key) {
             metrics.cache_lookup(true);
-            spans.instant(span::CACHE_HIT, 0);
+            metrics.span_instant(span::CACHE_HIT, 0);
             return GsOutcome {
                 matching: matching.clone(),
                 stats: GsStats::default(),
@@ -175,10 +163,10 @@ impl IncrementalGs {
             };
         }
         metrics.cache_lookup(false);
-        spans.instant(span::CACHE_MISS, 0);
+        metrics.span_instant(span::CACHE_MISS, 0);
         let out = self
             .ws
-            .resolve(&self.csr, self.live, &self.touched, metrics, spans);
+            .resolve(&self.csr, self.live, &self.touched, metrics);
         self.live = false;
         self.touched.clear();
         if self.cache.insert(key, out.matching.clone()) {

@@ -14,7 +14,7 @@
 
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{PrefsError, RoommatesInstance};
-use kmatch_trace::{span, NoSpans, SpanSink};
+use kmatch_trace::span;
 use kmatch_roommates::{
     RoommatesMatching, RoommatesOutcome, RoommatesRowDelta, RoommatesWorkspace, SolveStats,
 };
@@ -142,37 +142,24 @@ impl IncrementalRoommates {
         self.solve_metered(&mut NoMetrics)
     }
 
-    /// [`IncrementalRoommates::solve`] with metric hooks (one
-    /// [`Metrics::cache_lookup`] per call, warm/cold counters from
-    /// [`RoommatesWorkspace::resolve_delta_metered`], and
-    /// [`Metrics::cache_eviction`] on overflow).
+    /// [`IncrementalRoommates::solve`] reporting to the observer `metrics`:
+    /// one [`Metrics::cache_lookup`] and a `cache.hit` or `cache.miss`
+    /// instant per call, the warm/cold counters and spans of
+    /// [`RoommatesWorkspace::resolve_delta_metered`] on a miss
+    /// (`irving.warm.resolve` / `irving.warm.fallback` instants plus the
+    /// phase spans), and [`Metrics::cache_eviction`] on overflow.
     pub fn solve_metered<M: Metrics>(&mut self, metrics: &mut M) -> RoommatesOutcome {
-        self.solve_spanned(metrics, &mut NoSpans)
-    }
-
-    /// [`IncrementalRoommates::solve_metered`] that additionally emits a
-    /// span timeline: a `cache.hit` or `cache.miss` instant for the
-    /// lookup, and on a miss the warm/cold Irving spans of
-    /// [`RoommatesWorkspace::resolve_delta`] (`irving.warm.resolve` /
-    /// `irving.warm.fallback` instants plus the phase spans). With
-    /// [`kmatch_trace::NoSpans`] this monomorphizes to exactly
-    /// [`IncrementalRoommates::solve_metered`].
-    pub fn solve_spanned<M: Metrics, S: SpanSink>(
-        &mut self,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> RoommatesOutcome {
         let key = self.combined;
         if let Some(cached) = self.cache.get(key) {
             metrics.cache_lookup(true);
-            spans.instant(span::CACHE_HIT, 0);
+            metrics.span_instant(span::CACHE_HIT, 0);
             return cached.replay();
         }
         metrics.cache_lookup(false);
-        spans.instant(span::CACHE_MISS, 0);
+        metrics.span_instant(span::CACHE_MISS, 0);
         let out = self
             .ws
-            .resolve_delta_spanned(&self.inst, &self.pending, metrics, spans);
+            .resolve_delta_metered(&self.inst, &self.pending, metrics);
         self.pending.clear();
         if self.cache.insert(key, CachedRoommates::of(&out)) {
             metrics.cache_eviction();

@@ -3,7 +3,7 @@
 //! fallback instants.
 
 use kmatch_incremental::{IncrementalBinder, IncrementalGs, IncrementalRoommates};
-use kmatch_obs::{ManualClock, NoMetrics};
+use kmatch_obs::ManualClock;
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite, uniform_roommates};
 use kmatch_prefs::{DeltaSide, GenderId, Member, PrefDelta};
 use kmatch_trace::{check_well_formed, reason, span, EventKind, TraceRecorder};
@@ -29,7 +29,7 @@ fn binder_tags_edges_dirty_then_clean() {
 
     // First bind: every edge is dirty and encloses a GS solve.
     let mut rec = TraceRecorder::new(&clock);
-    binder.bind_spanned(&mut NoMetrics, &mut rec);
+    binder.bind_metered(&mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     let dirty: Vec<u64> = events
@@ -42,7 +42,7 @@ fn binder_tags_edges_dirty_then_clean() {
 
     // Untouched rebind: every edge is clean, no GS spans at all.
     let mut rec = TraceRecorder::new(&clock);
-    binder.bind_spanned(&mut NoMetrics, &mut rec);
+    binder.bind_metered(&mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     let clean: Vec<u64> = events
@@ -66,7 +66,7 @@ fn binder_tags_edges_dirty_then_clean() {
         )
         .unwrap();
     let mut rec = TraceRecorder::new(&clock);
-    binder.bind_spanned(&mut NoMetrics, &mut rec);
+    binder.bind_metered(&mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     let dirty: Vec<u64> = events
@@ -86,7 +86,7 @@ fn gs_session_emits_cache_instants() {
     let clock = ManualClock::new();
 
     let mut rec = TraceRecorder::new(&clock);
-    session.solve_spanned(&mut NoMetrics, &mut rec);
+    session.solve_metered(&mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::CACHE_MISS);
@@ -96,7 +96,7 @@ fn gs_session_emits_cache_instants() {
 
     // Same state again: pure cache hit, single instant, no engine spans.
     let mut rec = TraceRecorder::new(&clock);
-    session.solve_spanned(&mut NoMetrics, &mut rec);
+    session.solve_metered(&mut rec);
     let events = rec.take();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].name, span::CACHE_HIT);
@@ -113,7 +113,7 @@ fn gs_session_emits_cache_instants() {
         })
         .unwrap();
     let mut rec = TraceRecorder::new(&clock);
-    session.solve_spanned(&mut NoMetrics, &mut rec);
+    session.solve_metered(&mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::CACHE_MISS);
@@ -133,7 +133,7 @@ fn gs_session_emits_cache_instants() {
         })
         .unwrap();
     let mut rec = TraceRecorder::new(&clock);
-    session.solve_spanned(&mut NoMetrics, &mut rec);
+    session.solve_metered(&mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::CACHE_MISS);
@@ -151,14 +151,14 @@ fn roommates_session_emits_cache_instants() {
     let clock = ManualClock::new();
 
     let mut rec = TraceRecorder::new(&clock);
-    session.solve_spanned(&mut NoMetrics, &mut rec);
+    session.solve_metered(&mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::CACHE_MISS);
     assert!(events.iter().any(|e| e.name == span::IRVING_PHASE1));
 
     let mut rec = TraceRecorder::new(&clock);
-    session.solve_spanned(&mut NoMetrics, &mut rec);
+    session.solve_metered(&mut rec);
     let events = rec.take();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].name, span::CACHE_HIT);

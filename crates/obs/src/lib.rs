@@ -7,12 +7,15 @@
 //! crate restores visibility the standard production way: cheap always-on
 //! counters and histograms with a compile-time zero-cost off switch.
 //!
-//! * [`Metrics`] — the hook set engines are generic over, monomorphized
-//!   exactly like `Tracer`: the [`NoMetrics`] unit impl erases every call
-//!   site (the default solver entry points use it, so their codegen is
-//!   unchanged), while [`SolverMetrics`] is a plain struct of `u64`
-//!   counters plus [`Log2Histogram`]s — increments only, no locks, no
-//!   atomics, no allocation.
+//! * [`Metrics`] — the one observer hook set engines are generic over,
+//!   monomorphized exactly like `Tracer`: counter hooks, span hooks
+//!   (recorded by `kmatch-trace`) and phase hooks (published by
+//!   `kmatch-forensics`), each a no-op by default. The [`NoMetrics`] unit
+//!   impl erases every call site (the default solver entry points use it,
+//!   so their codegen is unchanged), while [`SolverMetrics`] is a plain
+//!   struct of `u64` counters plus [`Log2Histogram`]s — increments only,
+//!   no locks, no atomics, no allocation. Observers compose as a pair:
+//!   `(&mut a, &mut b)` is a `Metrics` that feeds both.
 //! * [`BatchRegistry`] — the shard/merge discipline for the parallel batch
 //!   front-ends: each worker accumulates into a private [`SolverMetrics`]
 //!   shard and the shards are merged under one short lock **after** the

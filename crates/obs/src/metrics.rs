@@ -1,60 +1,93 @@
-//! The metric hook set and its two instantiations.
+//! The engine hook set, its two counter instantiations, and the pair.
 //!
 //! [`Metrics`] mirrors the `Tracer`/`NoTrace` discipline of the engine
 //! crates: solvers take a `&mut M: Metrics` and the compiler monomorphizes
 //! the hot loop once per implementation. [`NoMetrics`] is the unit impl —
 //! every hook is an empty `#[inline(always)]` body, so the untraced,
 //! unmetered instantiation (what `GsWorkspace::solve` and
-//! `RoommatesWorkspace::solve` compile to) is bit-for-bit the PR 1/2 fast
-//! path. [`SolverMetrics`] is the production impl: plain `u64` counters
-//! and [`Log2Histogram`]s, increments only — no locks, no atomics, no
-//! allocation, measured < 5% overhead on the n = 2000 batch workload.
+//! `RoommatesWorkspace::solve` compile to) is bit-for-bit the
+//! uninstrumented fast path. [`SolverMetrics`] is the production impl:
+//! plain `u64` counters and [`Log2Histogram`]s, increments only — no
+//! locks, no atomics, no allocation, measured < 5% overhead on the
+//! n = 2000 batch workload.
+//!
+//! Counters are one kind of observer among several: span recorders
+//! (`kmatch-trace`) and live progress probes (`kmatch-forensics`) implement
+//! the same trait, overriding only the hooks they watch. Observers compose
+//! as a pair — `(&mut a, &mut b)` is itself a [`Metrics`] that hands every
+//! hook to `a` and then to `b` — so each engine has one entry point per
+//! solve kind, whatever is watching it.
 
 use crate::histogram::Log2Histogram;
 use serde::Value;
 
-/// Compile-time metric hook set.
+/// Compile-time hook set: the one observer interface of every engine.
 ///
-/// Engines call the counter hooks from their hot loops; front-ends (batch
-/// drivers, the CLI, benches) call the per-solve hooks — including
-/// [`Metrics::solve_ns`], which is fed from a [`crate::Clock`] *outside*
-/// the engine so engines stay clock-free.
+/// Engines call the counter hooks from their hot loops and the span hooks
+/// at their phase boundaries; front-ends (batch drivers, the CLI, benches)
+/// call the per-solve hooks — including [`Metrics::solve_ns`], which is
+/// fed from a [`crate::Clock`] *outside* the engine so engines stay
+/// clock-free. Every hook defaults to a no-op, so an observer overrides
+/// only what it watches.
 pub trait Metrics {
     /// Whether hooks observe anything (lets callers skip setup work, the
-    /// way `Tracer::ENABLED` gates removed-entry collection).
+    /// way `Tracer::ENABLED` gates removed-entry collection, or the batch
+    /// runner skips reading the clock per solve).
     const ENABLED: bool;
+
+    /// Whether this observer admits *fine-grained* spans — the per-round
+    /// `gs.round` class, emitted thousands of times per large solve
+    /// (~2 800 rounds at n = 2000, each a few hundred nanoseconds).
+    /// Engines gate those emissions on `M::FINE_SPANS`, so an observer
+    /// that opts out pays nothing for them, not even the call. Defaults to
+    /// `false`; the unbounded trace recorder and the CLI's `--trace-out`
+    /// recorder set it, while the always-armed flight recorder does not —
+    /// timestamping a sub-microsecond round costs more than the round
+    /// itself. Phase-level spans (solve, Irving phases, binding edges,
+    /// batch chunks) and instants are never gated.
+    const FINE_SPANS: bool = false;
 
     // ---- engine hot-loop hooks ----
     /// One proposal was issued (GS proposal or Irving phase-1 proposal).
-    fn proposal(&mut self);
+    fn proposal(&mut self) {}
     /// A proposer was rejected (GS: pushed back to the free list).
-    fn rejection(&mut self);
+    fn rejection(&mut self) {}
     /// A responder traded up, displacing its provisional holder (GS), or a
     /// participant's held proposal was displaced (Irving phase 1).
-    fn holder_swap(&mut self);
+    fn holder_swap(&mut self) {}
     /// One synchronous GS proposal round completed.
-    fn round(&mut self);
+    fn round(&mut self) {}
     /// An Irving phase-1 truncation tightened a rank threshold.
-    fn phase1_truncation(&mut self);
+    fn phase1_truncation(&mut self) {}
     /// An Irving phase-2 rotation was eliminated.
-    fn phase2_rotation(&mut self);
+    fn phase2_rotation(&mut self) {}
 
     // ---- per-solve hooks (front-end and engine epilogue) ----
     /// A workspace was prepared for a solve; `fresh` means its participant
     /// tables had to grow (allocate) rather than being reused.
-    fn workspace(&mut self, fresh: bool);
+    fn workspace(&mut self, fresh: bool) {
+        let _ = fresh;
+    }
     /// A solve finished: whether a matching exists and how many proposals
     /// it took.
-    fn solve_done(&mut self, solvable: bool, proposals: u64);
+    fn solve_done(&mut self, solvable: bool, proposals: u64) {
+        let _ = (solvable, proposals);
+    }
     /// Wall time of one solve, measured by the front-end's clock.
-    fn solve_ns(&mut self, ns: u64);
+    fn solve_ns(&mut self, ns: u64) {
+        let _ = ns;
+    }
 
     // ---- k-ary binding hooks ----
     /// One binding edge `GS(i, j)` completed with this many proposals.
-    fn binding_edge(&mut self, proposals: u64);
+    fn binding_edge(&mut self, proposals: u64) {
+        let _ = proposals;
+    }
     /// A full binding run finished with `total` proposals against the
     /// Theorem-3 bound `(k−1)·n²`.
-    fn theorem3_check(&mut self, total: u64, bound: u64);
+    fn theorem3_check(&mut self, total: u64, bound: u64) {
+        let _ = (total, bound);
+    }
 
     // ---- incremental-solving hooks ----
     /// The solve cache was consulted; `hit` means a stored matching was
@@ -99,7 +132,7 @@ pub trait Metrics {
     /// The engine entered a named execution phase — an id from
     /// [`crate::phase`] (Irving phase 1/2, GS rounds, escalation verify,
     /// …). Default is a no-op: counters don't need it. The forensic
-    /// progress adapter (`kmatch-forensics`) overrides it to publish
+    /// progress observer (`kmatch-forensics`) overrides it to publish
     /// "where the solver is right now" into a lock-free probe slot, which
     /// is why it rides on `Metrics` instead of adding a new generic
     /// parameter to every engine signature.
@@ -126,6 +159,21 @@ pub trait Metrics {
         for _ in 0..swaps {
             self.holder_swap();
         }
+    }
+
+    // ---- span hooks ----
+    /// Open a span named `name` (a `kmatch_trace::span` constant) with an
+    /// event-specific `arg` (round number, edge index, `n`, …).
+    fn span_begin(&mut self, name: &'static str, arg: u64) {
+        let _ = (name, arg);
+    }
+    /// Close the innermost open span; `name` repeats its `span_begin`'s.
+    fn span_end(&mut self, name: &'static str) {
+        let _ = name;
+    }
+    /// Record a point event (a cache hit, a warm-resolve fallback, …).
+    fn span_instant(&mut self, name: &'static str, arg: u64) {
+        let _ = (name, arg);
     }
 }
 
@@ -353,6 +401,128 @@ impl Metrics for SolverMetrics {
     #[inline(always)]
     fn escalation_fullwidth(&mut self) {
         self.escalation_fullwidth += 1;
+    }
+}
+
+/// Two observers as one: every hook goes to `a`, then to `b`.
+///
+/// This is how engines serve several observers through their one
+/// `&mut M` parameter — a metrics shard beside a span recorder, a shard
+/// beside a live progress probe — and pairs nest, so
+/// `(&mut shard, &mut (&mut recorder, &mut register))` feeds three.
+/// `ENABLED` and `FINE_SPANS` are the OR of the members', so a
+/// coarse-only member paired with a fine one *will* receive the
+/// per-round spans the pair admits; pair observers of equal span
+/// fidelity when that matters.
+impl<A: Metrics, B: Metrics> Metrics for (&mut A, &mut B) {
+    const ENABLED: bool = A::ENABLED || B::ENABLED;
+    const FINE_SPANS: bool = A::FINE_SPANS || B::FINE_SPANS;
+    #[inline(always)]
+    fn proposal(&mut self) {
+        self.0.proposal();
+        self.1.proposal();
+    }
+    #[inline(always)]
+    fn rejection(&mut self) {
+        self.0.rejection();
+        self.1.rejection();
+    }
+    #[inline(always)]
+    fn holder_swap(&mut self) {
+        self.0.holder_swap();
+        self.1.holder_swap();
+    }
+    #[inline(always)]
+    fn round(&mut self) {
+        self.0.round();
+        self.1.round();
+    }
+    #[inline(always)]
+    fn phase1_truncation(&mut self) {
+        self.0.phase1_truncation();
+        self.1.phase1_truncation();
+    }
+    #[inline(always)]
+    fn phase2_rotation(&mut self) {
+        self.0.phase2_rotation();
+        self.1.phase2_rotation();
+    }
+    fn workspace(&mut self, fresh: bool) {
+        self.0.workspace(fresh);
+        self.1.workspace(fresh);
+    }
+    fn solve_done(&mut self, solvable: bool, proposals: u64) {
+        self.0.solve_done(solvable, proposals);
+        self.1.solve_done(solvable, proposals);
+    }
+    fn solve_ns(&mut self, ns: u64) {
+        self.0.solve_ns(ns);
+        self.1.solve_ns(ns);
+    }
+    fn binding_edge(&mut self, proposals: u64) {
+        self.0.binding_edge(proposals);
+        self.1.binding_edge(proposals);
+    }
+    fn theorem3_check(&mut self, total: u64, bound: u64) {
+        self.0.theorem3_check(total, bound);
+        self.1.theorem3_check(total, bound);
+    }
+    fn cache_lookup(&mut self, hit: bool) {
+        self.0.cache_lookup(hit);
+        self.1.cache_lookup(hit);
+    }
+    fn cache_eviction(&mut self) {
+        self.0.cache_eviction();
+        self.1.cache_eviction();
+    }
+    fn binding_edge_reuse(&mut self, dirty: bool) {
+        self.0.binding_edge_reuse(dirty);
+        self.1.binding_edge_reuse(dirty);
+    }
+    fn warm_resolve(&mut self, refreed: u64) {
+        self.0.warm_resolve(refreed);
+        self.1.warm_resolve(refreed);
+    }
+    fn warm_fallback(&mut self) {
+        self.0.warm_fallback();
+        self.1.warm_fallback();
+    }
+    fn escalation_attempt(&mut self, cut: u32) {
+        self.0.escalation_attempt(cut);
+        self.1.escalation_attempt(cut);
+    }
+    fn certified_stable(&mut self) {
+        self.0.certified_stable();
+        self.1.certified_stable();
+    }
+    fn certified_unsolvable(&mut self) {
+        self.0.certified_unsolvable();
+        self.1.certified_unsolvable();
+    }
+    fn escalation_fullwidth(&mut self) {
+        self.0.escalation_fullwidth();
+        self.1.escalation_fullwidth();
+    }
+    fn phase_enter(&mut self, phase: u32) {
+        self.0.phase_enter(phase);
+        self.1.phase_enter(phase);
+    }
+    #[inline(always)]
+    fn round_bulk(&mut self, proposals: u64, rejections: u64, swaps: u64) {
+        self.0.round_bulk(proposals, rejections, swaps);
+        self.1.round_bulk(proposals, rejections, swaps);
+    }
+    fn span_begin(&mut self, name: &'static str, arg: u64) {
+        self.0.span_begin(name, arg);
+        self.1.span_begin(name, arg);
+    }
+    fn span_end(&mut self, name: &'static str) {
+        self.0.span_end(name);
+        self.1.span_end(name);
+    }
+    fn span_instant(&mut self, name: &'static str, arg: u64) {
+        self.0.span_instant(name, arg);
+        self.1.span_instant(name, arg);
     }
 }
 
@@ -811,6 +981,121 @@ mod tests {
         // Unlabelled form omits braces entirely.
         let plain = sample().to_prometheus("");
         assert!(plain.contains("kmatch_proposals_total 2"));
+    }
+
+    /// Logs every hook call, tagged with the member it reached, into a
+    /// log shared by both members of a pair.
+    struct Log<'a>(char, &'a std::cell::RefCell<Vec<String>>);
+
+    /// Implements `Metrics` for `Log`, recording each listed hook as
+    /// `tag:hook(args)`.
+    macro_rules! log_hooks {
+        ($($hook:ident($($arg:ident: $ty:ty),*);)*) => {
+            impl Metrics for Log<'_> {
+                const ENABLED: bool = true;
+                const FINE_SPANS: bool = true;
+                $(fn $hook(&mut self, $($arg: $ty),*) {
+                    let call = format!("{}:{}{:?}", self.0, stringify!($hook), ($($arg,)*));
+                    self.1.borrow_mut().push(call);
+                })*
+            }
+        };
+    }
+
+    // A hook added to `Metrics` must be listed here and driven below, so
+    // the pair test sees whether the pair forwards it.
+    log_hooks! {
+        proposal();
+        rejection();
+        holder_swap();
+        round();
+        phase1_truncation();
+        phase2_rotation();
+        workspace(fresh: bool);
+        solve_done(solvable: bool, proposals: u64);
+        solve_ns(ns: u64);
+        binding_edge(proposals: u64);
+        theorem3_check(total: u64, bound: u64);
+        cache_lookup(hit: bool);
+        cache_eviction();
+        binding_edge_reuse(dirty: bool);
+        warm_resolve(refreed: u64);
+        warm_fallback();
+        escalation_attempt(cut: u32);
+        certified_stable();
+        certified_unsolvable();
+        escalation_fullwidth();
+        phase_enter(phase: u32);
+        round_bulk(proposals: u64, rejections: u64, swaps: u64);
+        span_begin(name: &'static str, arg: u64);
+        span_end(name: &'static str);
+        span_instant(name: &'static str, arg: u64);
+    }
+
+    #[test]
+    fn pair_forwards_every_hook_to_both_members_in_order() {
+        type Pair<'p, 'l> = (&'p mut Log<'l>, &'p mut Log<'l>);
+        type Call = fn(&mut Pair);
+        let calls: [(Call, &str); 25] = [
+            (|p| p.proposal(), "proposal()"),
+            (|p| p.rejection(), "rejection()"),
+            (|p| p.holder_swap(), "holder_swap()"),
+            (|p| p.round(), "round()"),
+            (|p| p.phase1_truncation(), "phase1_truncation()"),
+            (|p| p.phase2_rotation(), "phase2_rotation()"),
+            (|p| p.workspace(true), "workspace(true,)"),
+            (|p| p.solve_done(false, 7), "solve_done(false, 7)"),
+            (|p| p.solve_ns(1500), "solve_ns(1500,)"),
+            (|p| p.binding_edge(3), "binding_edge(3,)"),
+            (|p| p.theorem3_check(5, 16), "theorem3_check(5, 16)"),
+            (|p| p.cache_lookup(true), "cache_lookup(true,)"),
+            (|p| p.cache_eviction(), "cache_eviction()"),
+            (
+                |p| p.binding_edge_reuse(false),
+                "binding_edge_reuse(false,)",
+            ),
+            (|p| p.warm_resolve(2), "warm_resolve(2,)"),
+            (|p| p.warm_fallback(), "warm_fallback()"),
+            (|p| p.escalation_attempt(64), "escalation_attempt(64,)"),
+            (|p| p.certified_stable(), "certified_stable()"),
+            (|p| p.certified_unsolvable(), "certified_unsolvable()"),
+            (|p| p.escalation_fullwidth(), "escalation_fullwidth()"),
+            (|p| p.phase_enter(3), "phase_enter(3,)"),
+            (|p| p.round_bulk(4, 2, 1), "round_bulk(4, 2, 1)"),
+            (
+                |p| p.span_begin("gs.solve", 8),
+                "span_begin(\"gs.solve\", 8)",
+            ),
+            (
+                |p| p.span_instant("cache.hit", 0),
+                "span_instant(\"cache.hit\", 0)",
+            ),
+            (|p| p.span_end("gs.solve"), "span_end(\"gs.solve\",)"),
+        ];
+        let out = std::cell::RefCell::new(Vec::new());
+        let (mut a, mut b) = (Log('a', &out), Log('b', &out));
+        let mut expected = Vec::new();
+        for (call, logged) in calls {
+            call(&mut (&mut a, &mut b));
+            expected.extend([format!("a:{logged}"), format!("b:{logged}")]);
+        }
+        assert_eq!(*out.borrow(), expected);
+    }
+
+    #[test]
+    fn pair_flags_are_the_or_of_its_members() {
+        type Counting<'a> = (&'a mut SolverMetrics, &'a mut NoMetrics);
+        type Nested<'a> = (
+            &'a mut NoMetrics,
+            &'a mut (&'a mut NoMetrics, &'a mut Log<'a>),
+        );
+        const {
+            assert!(!<(&mut NoMetrics, &mut NoMetrics) as Metrics>::ENABLED);
+            assert!(<Counting as Metrics>::ENABLED);
+            assert!(!<Counting as Metrics>::FINE_SPANS, "counters take no spans");
+            assert!(<Nested as Metrics>::ENABLED);
+            assert!(<Nested as Metrics>::FINE_SPANS);
+        }
     }
 
     #[test]

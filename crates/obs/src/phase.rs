@@ -2,14 +2,14 @@
 //!
 //! Engines announce phase transitions through
 //! [`Metrics::phase_enter`](crate::Metrics::phase_enter) using these
-//! small integer ids, so a probe adapter (see `kmatch-forensics`) can
+//! small integer ids, so a progress observer (see `kmatch-forensics`) can
 //! publish "where the solver is right now" without the engines knowing
 //! anything about probes. Ids are wire-stable: they appear in `/progress`
 //! responses and `kmatch.postmortem/v1` bundles, so renumbering an
 //! existing id is a schema break. New phases append.
 
 /// No solve in flight (the probe's rest state; engines never announce it
-/// — the probe adapter returns to it on `solve_done`).
+/// — the progress observer returns to it on `solve_done`).
 pub const IDLE: u32 = 0;
 /// Gale–Shapley synchronous proposal rounds (cold solve).
 pub const GS_ROUNDS: u32 = 1;

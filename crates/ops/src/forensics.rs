@@ -17,7 +17,7 @@ use kmatch_forensics::{ProbeSet, RegisterSet, SharedProfile};
 /// `GET /profile`, and to assemble postmortem bundles.
 #[derive(Clone)]
 pub struct ForensicsPlane {
-    /// Per-worker progress probes (the `Probed` adapters' targets).
+    /// Per-worker progress probes (what the workers' `Probed` observers publish into).
     pub probes: Arc<ProbeSet>,
     /// Per-worker leaf-span registers (the sampler's subjects).
     pub registers: Arc<RegisterSet>,

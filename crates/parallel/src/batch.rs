@@ -25,7 +25,7 @@ use kmatch_forensics::{ProbeSet, Probed, RegisterSet};
 use kmatch_gs::{GsOutcome, GsStats, GsWorkspace};
 use kmatch_obs::{BatchRegistry, Clock, NoMetrics, SolverMetrics, StdClock};
 use kmatch_prefs::PrefOracle;
-use kmatch_trace::{FlightRecorder, NoSpans, Tee, TraceEvent};
+use kmatch_trace::{FlightRecorder, TraceEvent};
 
 use crate::runner::{absorb, run_batch};
 use crate::steal::StealReport;
@@ -46,14 +46,14 @@ pub struct ChunkTrace {
 }
 
 impl ChunkTrace {
-    /// One trace per worker recorder, in worker order.
-    pub(crate) fn collect<'c, C: Clock + 'c>(
-        recorders: impl IntoIterator<Item = FlightRecorder<'c, C>>,
+    /// One trace per worker's recorder, in worker order.
+    pub(crate) fn collect<'c, W, C: Clock + 'c>(
+        workers: impl IntoIterator<Item = (W, FlightRecorder<'c, C>)>,
     ) -> Vec<ChunkTrace> {
-        recorders
+        workers
             .into_iter()
             .enumerate()
-            .map(|(worker, rec)| ChunkTrace {
+            .map(|(worker, (_, rec))| ChunkTrace {
                 worker,
                 dropped: rec.dropped(),
                 events: rec.events(),
@@ -97,7 +97,7 @@ where
         threads,
         seed,
         &StdClock::new(),
-        |_| (GsWorkspace::new(), NoSpans),
+        |_| GsWorkspace::new(),
         |_| NoMetrics,
     );
     (run.outcomes, run.report)
@@ -130,7 +130,7 @@ where
         threads,
         seed,
         clock,
-        |_| (GsWorkspace::new(), NoSpans),
+        |_| GsWorkspace::new(),
         |_| SolverMetrics::new(),
     );
     absorb(registry, run.shards, &run.report);
@@ -143,7 +143,7 @@ where
 /// Each worker owns one [`FlightRecorder`] of `flight_capacity` events
 /// (preallocated; recording never allocates) for its whole lifetime and
 /// wraps every task it runs in a `batch.chunk` span (arg = task id).
-/// Flight recorders are phase-level by design (`SpanSink::FINE = false`):
+/// Flight recorders are phase-level by design (`FINE_SPANS = false`):
 /// the tracks carry `batch.chunk` and one `gs.solve` span per instance,
 /// never the fine-grained `gs.round` spans — that is what keeps the
 /// traced batch within a few percent of the plain one (the
@@ -180,7 +180,7 @@ where
         |_| SolverMetrics::new(),
     );
     absorb(registry, run.shards, &run.report);
-    (run.outcomes, ChunkTrace::collect(run.spans), run.report)
+    (run.outcomes, ChunkTrace::collect(run.workers), run.report)
 }
 
 /// [`solve_batch_traced`] under live forensics: every worker publishes
@@ -192,18 +192,16 @@ where
 ///
 /// Worker `w` writes probe/register lane `w % lanes` (the lane sets are
 /// sized by the caller, normally to the thread count; the modulo keeps a
-/// mis-sized set observable rather than a panic). Each task solves
-/// through a fresh [`Probed`]`<SolverMetrics, &WorkerProbe>` shard —
-/// phase/round/proposal counters reset per task, exactly the resolution
-/// `GET /progress` reports — and the inner shards are absorbed into
-/// `registry` in task-id order. The span stream fans out through a
-/// [`Tee`] to the worker's [`FlightRecorder`] (capacity
-/// `flight_capacity`) and its register lane; both are `FINE = false`, so
-/// the tee'd stream stays coarse. Outcomes are byte-identical to
+/// mis-sized set observable rather than a panic). Each task solves into
+/// a fresh [`SolverMetrics`] shard, absorbed into `registry` in task-id
+/// order; beside it, each worker's observers see the same hooks: its
+/// [`FlightRecorder`] (capacity `flight_capacity`), its register lane,
+/// and a [`Probed`] progress observer whose round/proposal counters
+/// restart at every solve — exactly the resolution `GET /progress`
+/// reports. None of them takes fine-grained spans, so the recorded
+/// stream stays coarse. Outcomes are byte-identical to
 /// [`solve_batch_stealing`]'s for any schedule; only the live telemetry,
 /// the timelines, and the workspace fresh/reuse split reflect it.
-///
-/// [`WorkerProbe`]: kmatch_forensics::WorkerProbe
 #[allow(clippy::too_many_arguments)]
 pub fn solve_batch_probed<P, C>(
     instances: &[P],
@@ -225,22 +223,18 @@ where
         threads,
         seed,
         clock,
+        // Observers nest outward and see each hook in that order after
+        // the shard: recorder, register lane, progress probe.
         |w| {
+            let progress = Probed::new(probes.probe(w % probes.len()));
+            let register = registers.sink(w % registers.len());
             let recorder = FlightRecorder::new(clock, flight_capacity);
-            (
-                GsWorkspace::new(),
-                Tee::new(recorder, registers.sink(w % registers.len())),
-            )
+            (((GsWorkspace::new(), progress), register), recorder)
         },
-        |w| Probed::new(SolverMetrics::new(), probes.probe(w % probes.len())),
+        |_| SolverMetrics::new(),
     );
-    absorb(
-        registry,
-        run.shards.into_iter().map(Probed::into_inner),
-        &run.report,
-    );
-    let traces = ChunkTrace::collect(run.spans.into_iter().map(|tee| tee.a));
-    (run.outcomes, traces, run.report)
+    absorb(registry, run.shards, &run.report);
+    (run.outcomes, ChunkTrace::collect(run.workers), run.report)
 }
 
 /// Sum the instrumentation counters of a batch: total proposals and the
@@ -394,8 +388,8 @@ mod tests {
         }
         // The span register interned the solve span name.
         assert!(!registers.names().is_empty());
-        // The tee'd flight recorders captured real timelines alongside
-        // the live registers: every solve left a gs.solve span somewhere.
+        // The flight recorders captured real timelines alongside the
+        // live registers: every solve left a gs.solve span somewhere.
         let solve_spans: usize = traces
             .iter()
             .flat_map(|t| t.events.iter())

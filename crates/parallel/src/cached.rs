@@ -17,7 +17,6 @@ use kmatch_gs::{BipartiteMatching, GsOutcome, GsStats, GsWorkspace};
 use kmatch_incremental::{bipartite_fingerprint, SolveCache};
 use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics};
 use kmatch_prefs::{BipartitePrefs, ResponderListSlice};
-use kmatch_trace::NoSpans;
 
 use crate::runner::{absorb, run_batch};
 use crate::steal::StealReport;
@@ -104,7 +103,7 @@ where
         threads,
         seed,
         clock,
-        |_| (GsWorkspace::new(), NoSpans),
+        |_| GsWorkspace::new(),
         |_| SolverMetrics::new(),
     );
     absorb(registry, run.shards, &run.report);

@@ -16,7 +16,6 @@ use kmatch_graph::{BindingTree, Schedule};
 use kmatch_gs::GsStats;
 use kmatch_obs::{Metrics, NoMetrics, StdClock};
 use kmatch_prefs::{GenderId, KPartiteInstance, KPartitePairView, Member};
-use kmatch_trace::{NoSpans, SpanSink};
 
 use crate::runner::{run_batch, Engine};
 use crate::scratch::WorkerScratch;
@@ -56,12 +55,7 @@ impl Engine<Edge<'_>> for WorkerScratch {
     /// (edge index, global-id pairs, stats).
     type Outcome = EdgeResult;
 
-    fn run<M: Metrics, S: SpanSink>(
-        &mut self,
-        edge: &Edge<'_>,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> EdgeResult {
+    fn run<M: Metrics>(&mut self, edge: &Edge<'_>, obs: &mut M) -> EdgeResult {
         let (i, j) = edge.genders;
         let n = edge.inst.n() as u32;
         let view = KPartitePairView::new(edge.inst, GenderId(i), GenderId(j));
@@ -69,7 +63,7 @@ impl Engine<Edge<'_>> for WorkerScratch {
         // outcome (matching and stats) is identical to solving the view
         // directly.
         self.csr.load(&view);
-        let out = self.ws.solve_spanned(&self.csr, metrics, spans);
+        let out = self.ws.solve_metered(&self.csr, obs);
         let global = |gender: u16, index: u32| {
             Member {
                 gender: GenderId(gender),
@@ -115,7 +109,7 @@ fn bind_batch(
         threads,
         seed,
         &StdClock::new(),
-        |_| (WorkerScratch::default(), NoSpans),
+        |_| WorkerScratch::default(),
         |_| NoMetrics,
     )
     .outcomes

@@ -17,7 +17,7 @@
 use kmatch_obs::{BatchRegistry, Clock, NoMetrics, SolverMetrics, StdClock};
 use kmatch_prefs::RoommatesInstance;
 use kmatch_roommates::{RoommatesOutcome, RoommatesWorkspace};
-use kmatch_trace::{FlightRecorder, NoSpans};
+use kmatch_trace::FlightRecorder;
 
 use crate::batch::ChunkTrace;
 use crate::runner::{absorb, run_batch};
@@ -55,7 +55,7 @@ pub fn solve_batch_stealing(
         threads,
         seed,
         &StdClock::new(),
-        |_| (RoommatesWorkspace::new(), NoSpans),
+        |_| RoommatesWorkspace::new(),
         |_| NoMetrics,
     );
     (run.outcomes, run.report)
@@ -83,7 +83,7 @@ where
         threads,
         seed,
         clock,
-        |_| (RoommatesWorkspace::new(), NoSpans),
+        |_| RoommatesWorkspace::new(),
         |_| SolverMetrics::new(),
     );
     absorb(registry, run.shards, &run.report);
@@ -118,7 +118,7 @@ pub fn solve_batch_traced<C: Clock + Sync>(
         |_| SolverMetrics::new(),
     );
     absorb(registry, run.shards, &run.report);
-    (run.outcomes, ChunkTrace::collect(run.spans), run.report)
+    (run.outcomes, ChunkTrace::collect(run.workers), run.report)
 }
 
 /// Aggregate statistics of a solved roommates batch.

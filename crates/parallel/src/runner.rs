@@ -5,11 +5,14 @@
 //! roommates instances by a [`RoommatesWorkspace`], binding edges by a
 //! [`crate::WorkerScratch`]. [`run_batch`] splits the items into
 //! contiguous task ranges on the stealing executor ([`crate::steal`]),
-//! gives each worker one workspace and one span sink for its lifetime and
-//! each task one metrics shard, and returns the outcomes in item order.
-//! The public front-ends differ only in the sinks they hand it; with
-//! `NoMetrics`/`NoSpans` a solve is the same engine instantiation as the
-//! engine's plain `solve`.
+//! gives each worker one workspace for its lifetime and each task one
+//! metrics shard, and returns the outcomes in item order. A workspace
+//! may carry worker-lifetime observers — a span recorder, a live span
+//! register, a progress probe — as `(workspace, observer)`, and those
+//! see every hook the task's shard sees. The public front-ends differ
+//! only in the shards and observers they hand it; a bare workspace with
+//! a `NoMetrics` shard is the same engine instantiation as the engine's
+//! plain `solve`.
 
 use std::ops::Range;
 
@@ -17,7 +20,7 @@ use kmatch_gs::{GsOutcome, GsWorkspace};
 use kmatch_obs::{BatchRegistry, Clock, Metrics, SolverMetrics, StdClock};
 use kmatch_prefs::{PrefOracle, RoommatesOracle};
 use kmatch_roommates::{RoommatesOutcome, RoommatesWorkspace};
-use kmatch_trace::{span, SpanSink};
+use kmatch_trace::span;
 
 use crate::steal::{run_tasks, task_layout, StealReport};
 
@@ -26,49 +29,58 @@ pub(crate) trait Engine<P: ?Sized>: Send {
     /// What one solve returns.
     type Outcome: Send;
 
-    /// Solve `item`, reporting to `metrics` and `spans`.
-    fn run<M: Metrics, S: SpanSink>(
-        &mut self,
-        item: &P,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> Self::Outcome;
+    /// Solve `item`, reporting to the observer `obs`.
+    fn run<M: Metrics>(&mut self, item: &P, obs: &mut M) -> Self::Outcome;
+
+    /// Open (`Some(task)`) or close (`None`) a task's `batch.chunk` span
+    /// on `obs` and on the observers this workspace carries.
+    fn chunk<M: Metrics>(&mut self, obs: &mut M, task: Option<u64>) {
+        match task {
+            Some(t) => obs.span_begin(span::BATCH_CHUNK, t),
+            None => obs.span_end(span::BATCH_CHUNK),
+        }
+    }
 }
 
 impl<P: PrefOracle> Engine<P> for GsWorkspace {
     type Outcome = GsOutcome;
 
-    fn run<M: Metrics, S: SpanSink>(
-        &mut self,
-        inst: &P,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> GsOutcome {
-        self.solve_spanned(inst, metrics, spans)
+    fn run<M: Metrics>(&mut self, inst: &P, obs: &mut M) -> GsOutcome {
+        self.solve_metered(inst, obs)
     }
 }
 
 impl<P: RoommatesOracle> Engine<P> for RoommatesWorkspace {
     type Outcome = RoommatesOutcome;
 
-    fn run<M: Metrics, S: SpanSink>(
-        &mut self,
-        inst: &P,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> RoommatesOutcome {
-        self.solve_spanned(inst, metrics, spans)
+    fn run<M: Metrics>(&mut self, inst: &P, obs: &mut M) -> RoommatesOutcome {
+        self.solve_metered(inst, obs)
+    }
+}
+
+/// A workspace carrying a worker-lifetime observer: `S` sees every hook,
+/// `batch.chunk` spans included, right after the task's shard.
+impl<P: ?Sized, E: Engine<P>, S: Metrics + Send> Engine<P> for (E, S) {
+    type Outcome = E::Outcome;
+
+    fn run<M: Metrics>(&mut self, item: &P, obs: &mut M) -> E::Outcome {
+        self.0.run(item, &mut (obs, &mut self.1))
+    }
+
+    fn chunk<M: Metrics>(&mut self, obs: &mut M, task: Option<u64>) {
+        self.0.chunk(&mut (obs, &mut self.1), task);
     }
 }
 
 /// What [`run_batch`] returns.
-pub(crate) struct BatchRun<O, M, S> {
+pub(crate) struct BatchRun<O, M, W> {
     /// Outcomes in item order.
     pub outcomes: Vec<O>,
     /// One metrics shard per task, in task-id order.
     pub shards: Vec<M>,
-    /// Each worker's span sink, in worker order.
-    pub spans: Vec<S>,
+    /// Each worker's workspace (and the observers it carries), in worker
+    /// order.
+    pub workers: Vec<W>,
     /// The executor's account of the run.
     pub report: StealReport,
 }
@@ -76,63 +88,62 @@ pub(crate) struct BatchRun<O, M, S> {
 /// Solve items `0..len` (`item(i)` is the i-th) with `threads` workers
 /// and steal seed `seed`.
 ///
-/// `worker(w)` builds worker `w`'s workspace and span sink; `shard(w)`
-/// builds a fresh metrics shard for each task worker `w` runs. Every task
-/// is wrapped in a `batch.chunk` span whose arg is the task id, and each
-/// solve's wall time is read from `clock` only when `M::ENABLED`. With
+/// `worker(w)` builds worker `w`'s workspace; `shard(w)` builds a fresh
+/// metrics shard for each task worker `w` runs. Every task is wrapped in
+/// a `batch.chunk` span whose arg is the task id, and each solve's wall
+/// time is read from `clock` only when the shard's `M::ENABLED`. With
 /// `threads <= 1` or at most one item the batch is one task on the
 /// calling thread and the report is the serial one; an empty batch runs
 /// no task at all.
-pub(crate) fn run_batch<'a, P, W, M, S, C>(
+pub(crate) fn run_batch<'a, P, W, M, C>(
     len: usize,
     item: impl Fn(usize) -> &'a P + Sync,
     threads: usize,
     seed: u64,
     clock: &C,
-    worker: impl Fn(usize) -> (W, S) + Sync,
+    worker: impl Fn(usize) -> W + Sync,
     shard: impl Fn(usize) -> M + Sync,
-) -> BatchRun<W::Outcome, M, S>
+) -> BatchRun<W::Outcome, M, W>
 where
     P: 'a + Sync + ?Sized,
     W: Engine<P>,
     M: Metrics + Send,
-    S: SpanSink + Send,
     C: Clock + Sync,
 {
-    let task = |w: usize, (ws, spans): &mut (W, S), t: usize, range: Range<usize>| {
+    let task = |w: usize, ws: &mut W, t: usize, range: Range<usize>| {
         let mut metrics = shard(w);
-        spans.begin(span::BATCH_CHUNK, t as u64);
+        ws.chunk(&mut metrics, Some(t as u64));
         let outs: Vec<W::Outcome> = range
             .map(|i| {
                 let t0 = if M::ENABLED { clock.now_ns() } else { 0 };
-                let out = ws.run(item(i), &mut metrics, spans);
+                let out = ws.run(item(i), &mut metrics);
                 if M::ENABLED {
                     metrics.solve_ns(clock.now_ns().saturating_sub(t0));
                 }
                 out
             })
             .collect();
-        spans.end(span::BATCH_CHUNK);
+        ws.chunk(&mut metrics, None);
         (outs, metrics)
     };
     if len == 0 {
         return BatchRun {
             outcomes: Vec::new(),
             shards: Vec::new(),
-            spans: Vec::new(),
+            workers: Vec::new(),
             report: StealReport::serial(seed, 0),
         };
     }
     if threads <= 1 || len == 1 {
         let wall = StdClock::new();
         let t0 = wall.now_ns();
-        let mut state = worker(0);
-        let (outcomes, metrics) = task(0, &mut state, 0, 0..len);
+        let mut ws = worker(0);
+        let (outcomes, metrics) = task(0, &mut ws, 0, 0..len);
         let report = StealReport::serial(seed, wall.now_ns().saturating_sub(t0));
         return BatchRun {
             outcomes,
             shards: vec![metrics],
-            spans: vec![state.1],
+            workers: vec![ws],
             report,
         };
     }
@@ -142,7 +153,7 @@ where
         threads,
         seed,
         |w| (w, worker(w)),
-        |(w, state), t| task(*w, state, t, t * chunk..((t + 1) * chunk).min(len)),
+        |(w, ws), t| task(*w, ws, t, t * chunk..((t + 1) * chunk).min(len)),
     );
     let mut outcomes = Vec::with_capacity(len);
     let mut shards = Vec::with_capacity(task_count);
@@ -153,7 +164,7 @@ where
     BatchRun {
         outcomes,
         shards,
-        spans: states.into_iter().map(|(_, (_, spans))| spans).collect(),
+        workers: states.into_iter().map(|(_, ws)| ws).collect(),
         report,
     }
 }

@@ -35,7 +35,7 @@
 
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::RoommatesOracle;
-use kmatch_trace::{span, NoSpans, SpanSink};
+use kmatch_trace::span;
 
 use crate::matching::RoommatesMatching;
 use crate::policy::RotationPolicy;
@@ -290,27 +290,25 @@ fn eliminate_rotation(ws: &mut RoommatesWorkspace) -> Option<u32> {
     (culprit != NONE).then_some(culprit)
 }
 
-/// The engine core, monomorphized per tracer, metrics sink, and span
-/// sink.
-pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics, S: SpanSink>(
+/// The engine core, monomorphized per tracer and observer.
+pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
     policy: &RotationPolicy,
     tracer: &mut T,
     metrics: &mut M,
-    spans: &mut S,
 ) -> RoommatesOutcome {
     let mut stats = SolveStats::default();
     let fresh = ws.reset(inst);
     metrics.workspace(fresh);
 
-    spans.begin(span::IRVING_SOLVE, inst.n() as u64);
-    spans.begin(span::IRVING_PHASE1, inst.n() as u64);
+    metrics.span_begin(span::IRVING_SOLVE, inst.n() as u64);
+    metrics.span_begin(span::IRVING_PHASE1, inst.n() as u64);
     metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE1);
     let culprit = phase1(inst, ws, &mut stats.proposals, tracer, metrics);
-    spans.end(span::IRVING_PHASE1);
+    metrics.span_end(span::IRVING_PHASE1);
     if let Some(culprit) = culprit {
-        spans.end(span::IRVING_SOLVE);
+        metrics.span_end(span::IRVING_SOLVE);
         metrics.solve_done(false, stats.proposals);
         ws.footer = Some(crate::workspace::SolveFooter {
             n: inst.n(),
@@ -325,7 +323,7 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics, S: SpanSink>(
     // arena phase 2 operates on.
     ws.materialize(inst);
 
-    spans.begin(span::IRVING_PHASE2, inst.n() as u64);
+    metrics.span_begin(span::IRVING_PHASE2, inst.n() as u64);
     metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE2);
     let mut cursors = SeedCursors::new();
     while let Some(start) = cursors.pick(&ws.len, policy) {
@@ -335,8 +333,8 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics, S: SpanSink>(
         metrics.phase2_rotation();
         if let Some(culprit) = eliminate_rotation(ws) {
             tracer.list_emptied(culprit);
-            spans.end(span::IRVING_PHASE2);
-            spans.end(span::IRVING_SOLVE);
+            metrics.span_end(span::IRVING_PHASE2);
+            metrics.span_end(span::IRVING_SOLVE);
             metrics.solve_done(false, stats.proposals);
             ws.footer = Some(crate::workspace::SolveFooter {
                 n: inst.n(),
@@ -347,8 +345,8 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics, S: SpanSink>(
             return RoommatesOutcome::NoStableMatching { culprit, stats };
         }
     }
-    spans.end(span::IRVING_PHASE2);
-    spans.end(span::IRVING_SOLVE);
+    metrics.span_end(span::IRVING_PHASE2);
+    metrics.span_end(span::IRVING_SOLVE);
     metrics.solve_done(true, stats.proposals);
 
     // Every reduced list is a singleton: read off the matching.
@@ -385,14 +383,17 @@ impl RoommatesWorkspace {
         inst: &I,
         policy: &RotationPolicy,
     ) -> RoommatesOutcome {
-        run_core(inst, self, policy, &mut NoTrace, &mut NoMetrics, &mut NoSpans)
+        run_core(inst, self, policy, &mut NoTrace, &mut NoMetrics)
     }
 
-    /// [`RoommatesWorkspace::solve`] with metric hooks: proposals, holder
-    /// swaps, phase-1 threshold tightenings, phase-2 rotations, workspace
-    /// fresh/reuse, and the per-solve summary. Wall time is the front-end's
-    /// job (engines stay clock-free). With [`kmatch_obs::NoMetrics`] this
-    /// monomorphizes to exactly [`RoommatesWorkspace::solve`].
+    /// [`RoommatesWorkspace::solve`] reporting to the observer `metrics`:
+    /// proposals, holder swaps, phase-1 threshold tightenings, phase-2
+    /// rotations, workspace fresh/reuse, the per-solve summary, and a span
+    /// timeline — an `irving.solve` span enclosing `irving.phase1` and
+    /// `irving.phase2` phase spans (see [`kmatch_trace::span`]). Wall time
+    /// is the front-end's job (engines stay clock-free). With
+    /// [`kmatch_obs::NoMetrics`] this monomorphizes to exactly
+    /// [`RoommatesWorkspace::solve`].
     pub fn solve_metered<I: RoommatesOracle, M: Metrics>(
         &mut self,
         inst: &I,
@@ -409,33 +410,7 @@ impl RoommatesWorkspace {
         policy: &RotationPolicy,
         metrics: &mut M,
     ) -> RoommatesOutcome {
-        run_core(inst, self, policy, &mut NoTrace, metrics, &mut NoSpans)
-    }
-
-    /// [`RoommatesWorkspace::solve_metered`] that additionally emits a
-    /// span timeline: an `irving.solve` span enclosing `irving.phase1`
-    /// and `irving.phase2` phase spans (see [`kmatch_trace::span`]).
-    /// With [`kmatch_trace::NoSpans`] this monomorphizes to exactly
-    /// [`RoommatesWorkspace::solve_metered`].
-    pub fn solve_spanned<I: RoommatesOracle, M: Metrics, S: SpanSink>(
-        &mut self,
-        inst: &I,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> RoommatesOutcome {
-        self.solve_spanned_with(inst, &RotationPolicy::FirstAvailable, metrics, spans)
-    }
-
-    /// [`RoommatesWorkspace::solve_spanned`] with an explicit
-    /// rotation-seeding policy.
-    pub fn solve_spanned_with<I: RoommatesOracle, M: Metrics, S: SpanSink>(
-        &mut self,
-        inst: &I,
-        policy: &RotationPolicy,
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> RoommatesOutcome {
-        run_core(inst, self, policy, &mut NoTrace, metrics, spans)
+        run_core(inst, self, policy, &mut NoTrace, metrics)
     }
 }
 

@@ -135,7 +135,6 @@ pub fn solve_with_logged(
         &policy,
         &mut LogTrace { log },
         &mut kmatch_obs::NoMetrics,
-        &mut kmatch_trace::NoSpans,
     )
 }
 

@@ -32,7 +32,7 @@
 
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::RoommatesInstance;
-use kmatch_trace::{reason, span, NoSpans, SpanSink};
+use kmatch_trace::{reason, span};
 
 use crate::matching::RoommatesMatching;
 use crate::solver::RoommatesOutcome;
@@ -71,37 +71,25 @@ impl RoommatesWorkspace {
         self.resolve_delta_metered(inst, deltas, &mut NoMetrics)
     }
 
-    /// [`RoommatesWorkspace::resolve_delta`] with metric hooks: records
-    /// [`Metrics::warm_resolve`] on a replay and [`Metrics::warm_fallback`]
-    /// when it degrades to a cold solve.
+    /// [`RoommatesWorkspace::resolve_delta`] reporting to the observer
+    /// `metrics`: a replay records [`Metrics::warm_resolve`] and an
+    /// `irving.warm.resolve` instant; a cold solve records
+    /// [`Metrics::warm_fallback`] and an `irving.warm.fallback` instant
+    /// carrying a [`kmatch_trace::reason`] code, followed by the cold
+    /// solve's `irving.solve`/`irving.phase1`/`irving.phase2` spans.
     pub fn resolve_delta_metered<M: Metrics>(
         &mut self,
         inst: &RoommatesInstance,
         deltas: &[RoommatesRowDelta],
         metrics: &mut M,
     ) -> RoommatesOutcome {
-        self.resolve_delta_spanned(inst, deltas, metrics, &mut NoSpans)
-    }
-
-    /// [`RoommatesWorkspace::resolve_delta_metered`] that additionally
-    /// emits a span timeline: an `irving.warm.resolve` instant on a
-    /// replay, or an `irving.warm.fallback` instant carrying a
-    /// [`kmatch_trace::reason`] code followed by the cold solve's
-    /// `irving.solve`/`irving.phase1`/`irving.phase2` spans.
-    pub fn resolve_delta_spanned<M: Metrics, S: SpanSink>(
-        &mut self,
-        inst: &RoommatesInstance,
-        deltas: &[RoommatesRowDelta],
-        metrics: &mut M,
-        spans: &mut S,
-    ) -> RoommatesOutcome {
         if let Some(why) = self.warm_miss_reason(inst, deltas) {
             metrics.warm_fallback();
-            spans.instant(span::IRVING_WARM_FALLBACK, why);
-            return self.solve_spanned(inst, metrics, spans);
+            metrics.span_instant(span::IRVING_WARM_FALLBACK, why);
+            return self.solve_metered(inst, metrics);
         }
         let footer = self.footer.expect("warm_miss_reason checked the footer");
-        spans.instant(span::IRVING_WARM_RESOLVE, 0);
+        metrics.span_instant(span::IRVING_WARM_RESOLVE, 0);
         metrics.workspace(false);
         metrics.warm_resolve(0);
         metrics.solve_done(footer.stable, 0);

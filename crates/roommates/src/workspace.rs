@@ -15,7 +15,7 @@
 //! rule: when `y` holds a proposal from `x`, everything ranked below `x`
 //! on `y`'s list dies. So the reduced table is fully described by one
 //! monotone threshold per participant — `thresh[p]` = rank of the
-//! proposal `p` currently holds ([`NONE`] = untruncated) — and the pair
+//! proposal `p` currently holds (`NONE` = untruncated) — and the pair
 //! `(p, q)` is alive iff
 //!
 //! ```text
@@ -28,14 +28,14 @@
 //! permanently-dead entry passed — amortized O(1) per proposal.
 //!
 //! **Phase 2 — compact linked arena.** When phase 1 completes,
-//! [`RoommatesWorkspace::materialize`] evaluates the predicate once per
+//! `RoommatesWorkspace::materialize` evaluates the predicate once per
 //! still-plausible entry and packs the survivors (typically a tiny
 //! fraction of the instance) into a dense arena threaded with
 //! `succ`/`pred` links: `first`/`second`/`last` are O(1) pointer hops,
 //! the bidirectional delete of a pair is two O(1) unlinks, and
 //! `truncate_below` severs a tail in O(1) plus O(1) per actually-deleted
 //! entry. Emptiness is signalled by the delete that empties a list
-//! (`len` hitting zero in [`RoommatesWorkspace::unlink`]), replacing the
+//! (`len` hitting zero in `RoommatesWorkspace::unlink`), replacing the
 //! reference's O(n) post-rotation scan.
 //!
 //! Entries are only ever deleted, never restored, which is what makes the
@@ -577,7 +577,7 @@ impl RoommatesWorkspace {
     }
 
     /// Current reduced list of `p` in preference order (test/debug only —
-    /// allocates). Valid after [`RoommatesWorkspace::materialize`].
+    /// allocates). Valid after phase 1 has materialized the phase-2 arena.
     pub fn reduced_list(&self, p: u32) -> Vec<u32> {
         let mut out = Vec::new();
         let mut e = self.head[p as usize];

@@ -237,35 +237,45 @@ fn escalating_steady_state_reuses_the_workspace() {
 }
 
 #[test]
-fn noprogress_probed_escalating_allocates_like_plain() {
-    // The escalating driver through `Probed<_, NoProgress>` must cost
-    // exactly what the bare metered driver costs: the adapter's probe
-    // branches are compile-time erased, so phase publishing from Irving
-    // phase 1/2 and the escalation ladder adds zero heap traffic.
-    use kmatch_forensics::{NoProgress, Probed};
-    use kmatch_prefs::CachedRoommatesOracle;
-    use kmatch_roommates::escalate::solve_escalating_from;
-    let oracle = CachedRoommatesOracle::new(96, 11);
-    let mut ws = RoommatesWorkspace::new();
-    let mut plain_metrics = kmatch_obs::SolverMetrics::new();
-    let mut probed = Probed::new(kmatch_obs::SolverMetrics::new(), NoProgress);
-    solve_escalating_from(&oracle, &mut ws, 4, &mut plain_metrics);
-    solve_escalating_from(&oracle, &mut ws, 4, &mut probed);
-    let reps = 50u64;
-    let plain = allocations_in(|| {
-        for _ in 0..reps {
-            std::hint::black_box(solve_escalating_from(&oracle, &mut ws, 4, &mut plain_metrics));
+fn flight_recorder_pair_steady_state_allocates_like_plain() {
+    // A shard paired with a preallocated flight recorder: the ring
+    // overwrites in place, so recording every solve's Irving phase spans
+    // beside the counters adds zero heap traffic over the bare metered
+    // path — on the stable verdict and on the unsolvable one alike.
+    use kmatch_obs::ManualClock;
+    use kmatch_trace::FlightRecorder;
+    let mut rng = ChaCha8Rng::seed_from_u64(9);
+    let stable = loop {
+        let cand = uniform_roommates(48, &mut rng);
+        if RoommatesWorkspace::new().solve(&cand).is_stable() {
+            break cand;
         }
-    });
-    let through_probe = allocations_in(|| {
-        for _ in 0..reps {
-            std::hint::black_box(solve_escalating_from(&oracle, &mut ws, 4, &mut probed));
-        }
-    });
-    assert_eq!(
-        through_probe, plain,
-        "Probed<_, NoProgress> must add zero allocations over bare SolverMetrics"
-    );
+    };
+    let clock = ManualClock::new();
+    let mut shard = kmatch_obs::SolverMetrics::new();
+    let mut ring = FlightRecorder::new(&clock, 64);
+    let mut metrics = kmatch_obs::SolverMetrics::new();
+    for inst in [stable, no_stable_roommates_4()] {
+        let mut ws = RoommatesWorkspace::new();
+        ws.solve_metered(&inst, &mut (&mut shard, &mut ring));
+        let reps = 50u64;
+        let plain = allocations_in(|| {
+            for _ in 0..reps {
+                std::hint::black_box(ws.solve_metered(&inst, &mut metrics));
+            }
+        });
+        let recorded = allocations_in(|| {
+            for _ in 0..reps {
+                std::hint::black_box(ws.solve_metered(&inst, &mut (&mut shard, &mut ring)));
+            }
+        });
+        assert_eq!(
+            recorded, plain,
+            "(SolverMetrics, FlightRecorder) must add zero allocations over bare SolverMetrics"
+        );
+    }
+    assert_eq!(shard.solves, 102);
+    assert!(ring.dropped() > 0, "the ring wrapped while recording");
 }
 
 #[test]
@@ -280,9 +290,10 @@ fn live_probe_escalating_allocates_like_plain() {
     let probes = ProbeSet::new(1);
     let mut ws = RoommatesWorkspace::new();
     let mut plain_metrics = kmatch_obs::SolverMetrics::new();
-    let mut probed = Probed::new(kmatch_obs::SolverMetrics::new(), probes.probe(0));
+    let mut shard = kmatch_obs::SolverMetrics::new();
+    let mut progress = Probed::new(probes.probe(0));
     solve_escalating_from(&oracle, &mut ws, 4, &mut plain_metrics);
-    solve_escalating_from(&oracle, &mut ws, 4, &mut probed);
+    solve_escalating_from(&oracle, &mut ws, 4, &mut (&mut shard, &mut progress));
     let reps = 50u64;
     let plain = allocations_in(|| {
         for _ in 0..reps {
@@ -291,7 +302,8 @@ fn live_probe_escalating_allocates_like_plain() {
     });
     let live = allocations_in(|| {
         for _ in 0..reps {
-            std::hint::black_box(solve_escalating_from(&oracle, &mut ws, 4, &mut probed));
+            let mut pair = (&mut shard, &mut progress);
+            std::hint::black_box(solve_escalating_from(&oracle, &mut ws, 4, &mut pair));
         }
     });
     assert_eq!(

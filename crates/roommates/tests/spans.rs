@@ -2,7 +2,7 @@
 //! streams, phase-1/phase-2 spans on both verdicts, and warm-resolve
 //! instants with the right reason codes.
 
-use kmatch_obs::{ManualClock, NoMetrics};
+use kmatch_obs::ManualClock;
 use kmatch_prefs::gen::paper::{section3b_left, section3b_right};
 use kmatch_prefs::gen::uniform::uniform_roommates;
 use kmatch_roommates::{solve, RoommatesRowDelta, RoommatesWorkspace};
@@ -16,7 +16,7 @@ fn solvable_instance_emits_both_phases() {
     let clock = ManualClock::new();
     let mut rec = TraceRecorder::new(&clock);
     let mut ws = RoommatesWorkspace::new();
-    let out = ws.solve_spanned(&inst, &mut NoMetrics, &mut rec);
+    let out = ws.solve_metered(&inst, &mut rec);
     assert!(out.is_stable());
     let events = rec.events();
     check_well_formed(events, false).unwrap();
@@ -41,7 +41,7 @@ fn phase1_failure_still_closes_spans() {
     let clock = ManualClock::new();
     let mut rec = TraceRecorder::new(&clock);
     let mut ws = RoommatesWorkspace::new();
-    let out = ws.solve_spanned(&inst, &mut NoMetrics, &mut rec);
+    let out = ws.solve_metered(&inst, &mut rec);
     assert!(!out.is_stable());
     let events = rec.events();
     check_well_formed(events, false).unwrap();
@@ -58,7 +58,7 @@ fn spanned_matches_plain_across_random_instances() {
         for n in [6usize, 9, 12] {
             let inst = uniform_roommates(n, &mut rng);
             let mut rec = TraceRecorder::new(&clock);
-            let spanned = ws.solve_spanned(&inst, &mut NoMetrics, &mut rec);
+            let spanned = ws.solve_metered(&inst, &mut rec);
             let plain = solve(&inst);
             assert_eq!(spanned.matching(), plain.matching());
             assert_eq!(spanned.stats(), plain.stats());
@@ -75,7 +75,7 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
 
     // No footer yet: fallback with NO_FOOTER, then a full cold timeline.
     let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&inst, &[], &mut NoMetrics, &mut rec);
+    ws.resolve_delta_metered(&inst, &[], &mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::IRVING_WARM_FALLBACK);
@@ -84,7 +84,7 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
 
     // Finished execution + empty delta list: pure replay, no engine spans.
     let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&inst, &[], &mut NoMetrics, &mut rec);
+    ws.resolve_delta_metered(&inst, &[], &mut rec);
     let events = rec.take();
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].name, span::IRVING_WARM_RESOLVE);
@@ -100,7 +100,7 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
         old_row,
     };
     let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_spanned(&edited, std::slice::from_ref(&delta), &mut NoMetrics, &mut rec);
+    ws.resolve_delta_metered(&edited, std::slice::from_ref(&delta), &mut rec);
     let events = rec.take();
     check_well_formed(&events, false).unwrap();
     assert_eq!(events[0].name, span::IRVING_WARM_FALLBACK);

@@ -1,5 +1,5 @@
-//! The [`SpanSink`] trait, the zero-cost [`NoSpans`] sink, and the
-//! [`TraceEvent`] record shared by every recorder.
+//! The [`TraceEvent`] record shared by every recorder, and the
+//! well-formedness check for recorded streams.
 
 /// What a single [`TraceEvent`] marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,7 +21,7 @@ pub struct TraceEvent {
     /// A name from [`crate::span`] — interned `&'static str`, so
     /// recording never allocates.
     pub name: &'static str,
-    /// Sink-sampled clock reading, nanoseconds.
+    /// Recorder-sampled clock reading, nanoseconds.
     pub ts_ns: u64,
     /// Event-specific payload (round number, edge index, reason code…);
     /// `0` when unused. `end` events carry the arg of their `begin`
@@ -38,68 +38,6 @@ impl TraceEvent {
         ts_ns: 0,
         arg: 0,
     };
-}
-
-/// Receiver for span begin/end and instant events at engine phase
-/// boundaries.
-///
-/// Mirrors the `Tracer`/`Metrics` discipline of this workspace: engines
-/// take `&mut S` where `S: SpanSink` and call the hooks unconditionally;
-/// with [`NoSpans`] every call inlines to nothing. `ENABLED` lets a call
-/// site skip *argument preparation* that would otherwise run even for
-/// the no-op sink (e.g. formatting or counting work done only to feed a
-/// span arg).
-pub trait SpanSink {
-    /// `false` for [`NoSpans`]; lets call sites gate arg-preparation
-    /// work at compile time.
-    const ENABLED: bool;
-
-    /// Whether this sink admits *fine-grained* spans — the per-round
-    /// `gs.round` class, emitted thousands of times per large solve
-    /// (~2 800 rounds at n = 2000, each a few hundred nanoseconds).
-    /// Engines gate those emissions on `S::FINE`, so a sink that opts
-    /// out pays nothing for them, not even the call. Defaults to `true`
-    /// (full fidelity); the always-armed
-    /// [`FlightRecorder`](crate::FlightRecorder) sets it to `false` so
-    /// it can stay within its overhead budget — timestamping a
-    /// sub-microsecond round costs more than the round itself, which no
-    /// black-box recorder can afford. Phase-level spans (solve, Irving
-    /// phases, binding edges, batch chunks) and instants are never
-    /// gated.
-    const FINE: bool = true;
-
-    /// Open a span named `name` (a [`crate::span`] constant).
-    fn begin(&mut self, name: &'static str, arg: u64);
-
-    /// Close the innermost open span. `name` must equal the matching
-    /// `begin`'s name — [`check_well_formed`] enforces this for
-    /// recorded streams.
-    fn end(&mut self, name: &'static str);
-
-    /// Record a point event.
-    fn instant(&mut self, name: &'static str, arg: u64);
-}
-
-/// The sink that compiles to nothing: all hooks are empty
-/// `#[inline(always)]` bodies, so `SpanSink`-generic engines
-/// monomorphized with `NoSpans` emit exactly the pre-instrumentation
-/// machine code. The counting-allocator suites in `kmatch-gs` and
-/// `kmatch-roommates` pin the allocation part of that claim.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoSpans;
-
-impl SpanSink for NoSpans {
-    const ENABLED: bool = false;
-    const FINE: bool = false;
-
-    #[inline(always)]
-    fn begin(&mut self, _name: &'static str, _arg: u64) {}
-
-    #[inline(always)]
-    fn end(&mut self, _name: &'static str) {}
-
-    #[inline(always)]
-    fn instant(&mut self, _name: &'static str, _arg: u64) {}
 }
 
 /// Check that a recorded event stream is well-formed: every `end`
@@ -162,19 +100,6 @@ mod tests {
             ts_ns,
             arg: 0,
         }
-    }
-
-    #[test]
-    fn nospans_is_zero_sized_and_disabled() {
-        const {
-            assert!(std::mem::size_of::<NoSpans>() == 0);
-            assert!(!NoSpans::ENABLED);
-            assert!(!NoSpans::FINE);
-        }
-        let mut s = NoSpans;
-        s.begin("x", 1);
-        s.instant("y", 2);
-        s.end("x");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use serde::Value;
 
-use crate::sink::{EventKind, TraceEvent};
+use crate::event::{EventKind, TraceEvent};
 
 /// Schema tag of the native JSON export, alongside
 /// `kmatch.run_report/v1` in the run-report family.
@@ -263,7 +263,7 @@ pub fn chrome_trace_names(text: &str, required: &[&str]) -> Result<Vec<String>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::TraceEvent;
+    use crate::event::TraceEvent;
 
     fn sample_tracks() -> Vec<TraceTrack> {
         let t0 = vec![

@@ -2,22 +2,23 @@
 //!
 //! The observability layer (`kmatch-obs`) answers *how much* — counters
 //! and histograms over a whole run. This crate answers *where the time
-//! went inside one solve*: a [`SpanSink`] receives begin/end/instant
-//! events at the real phase boundaries of the engines (GS proposal
-//! rounds, Irving phase 1/2, binding edges, batch chunks, cache
-//! lookups), and recorders turn those events into timelines that export
-//! to Chrome trace-event JSON (loadable in Perfetto or
-//! `chrome://tracing`) or a self-describing `kmatch.trace/v1` document.
+//! went inside one solve*: the engines emit begin/end/instant events at
+//! their real phase boundaries (GS proposal rounds, Irving phase 1/2,
+//! binding edges, batch chunks, cache lookups) through the span hooks of
+//! [`kmatch_obs::Metrics`], and the recorders here turn those events into
+//! timelines that export to Chrome trace-event JSON (loadable in Perfetto
+//! or `chrome://tracing`) or a self-describing `kmatch.trace/v1`
+//! document.
 //!
-//! The design mirrors the `Tracer`/`Metrics` pattern used everywhere
-//! else in this workspace: the sink is a generic parameter that
-//! monomorphizes away. [`NoSpans`] has empty `#[inline(always)]` bodies
-//! and a `const ENABLED: bool = false` escape hatch, so the un-traced
-//! hot paths compile to exactly the code they were before this crate
-//! existed — proven by the counting-allocator suites in `kmatch-gs` and
+//! There is no separate span interface: a recorder is a `Metrics`
+//! observer that overrides only the span hooks, and it rides beside a
+//! metrics shard as a pair, `(&mut shard, &mut recorder)`. Counter
+//! observers keep the span hooks' empty defaults, so the un-traced hot
+//! paths compile to exactly the code they were before spans existed —
+//! proven by the counting-allocator suites in `kmatch-gs` and
 //! `kmatch-roommates`.
 //!
-//! Two real sinks are provided:
+//! Two recorders are provided:
 //!
 //! - [`TraceRecorder`] — an unbounded event log for bounded runs you
 //!   intend to export in full;
@@ -27,7 +28,7 @@
 //!   or slow run can be dumped post-hoc like an aircraft flight
 //!   recorder.
 //!
-//! Sinks sample their own injected [`Clock`](kmatch_obs::Clock) — the
+//! Recorders sample their own injected [`Clock`](kmatch_obs::Clock) — the
 //! engines stay clock-free, and a shared
 //! [`ManualClock`](kmatch_obs::ManualClock) makes timelines
 //! deterministic under test.
@@ -35,18 +36,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod event;
 mod export;
 mod recorder;
-mod sink;
-mod tee;
 
 pub use export::{
     chrome_trace_names, to_chrome_json, to_trace_json, validate_chrome_json, validate_trace_json,
     TraceTrack, TRACE_SCHEMA,
 };
+pub use event::{check_well_formed, EventKind, TraceEvent};
 pub use recorder::{FlightRecorder, TraceRecorder};
-pub use sink::{check_well_formed, EventKind, NoSpans, SpanSink, TraceEvent};
-pub use tee::Tee;
 
 /// The span/instant name taxonomy. Every instrumentation site in the
 /// workspace uses one of these `&'static str` constants, so exporters,

@@ -1,9 +1,10 @@
-//! The two real sinks: an unbounded [`TraceRecorder`] and the
-//! fixed-capacity [`FlightRecorder`] ring buffer.
+//! The two span recorders: an unbounded [`TraceRecorder`] and the
+//! fixed-capacity [`FlightRecorder`] ring buffer. Both are [`Metrics`]
+//! observers that override only the span hooks.
 
-use kmatch_obs::Clock;
+use kmatch_obs::{Clock, Metrics};
 
-use crate::sink::{EventKind, SpanSink, TraceEvent};
+use crate::event::{EventKind, TraceEvent};
 
 /// Unbounded event log. Timestamps come from the injected [`Clock`],
 /// taken by reference so one shared clock (e.g. a
@@ -45,21 +46,22 @@ impl<'c, C: Clock> TraceRecorder<'c, C> {
     }
 }
 
-impl<C: Clock> SpanSink for TraceRecorder<'_, C> {
+impl<C: Clock> Metrics for TraceRecorder<'_, C> {
     const ENABLED: bool = true;
+    const FINE_SPANS: bool = true;
 
     #[inline]
-    fn begin(&mut self, name: &'static str, arg: u64) {
+    fn span_begin(&mut self, name: &'static str, arg: u64) {
         self.push(EventKind::Begin, name, arg);
     }
 
     #[inline]
-    fn end(&mut self, name: &'static str) {
+    fn span_end(&mut self, name: &'static str) {
         self.push(EventKind::End, name, 0);
     }
 
     #[inline]
-    fn instant(&mut self, name: &'static str, arg: u64) {
+    fn span_instant(&mut self, name: &'static str, arg: u64) {
         self.push(EventKind::Instant, name, arg);
     }
 }
@@ -73,15 +75,14 @@ impl<C: Clock> SpanSink for TraceRecorder<'_, C> {
 /// something goes wrong. A capacity of `0` records nothing and counts
 /// every event as dropped.
 ///
-/// Because it is meant to stay armed, the flight recorder declares
-/// [`SpanSink::FINE`]` = false`: engines monomorphized directly over it
-/// skip the per-round `gs.round` spans and record phase-level events
-/// only. At n = 2000 a GS solve runs ~2 800 rounds of a few hundred
+/// Because it is meant to stay armed, the flight recorder keeps
+/// [`Metrics::FINE_SPANS`]` = false`: engines monomorphized over it skip
+/// the per-round `gs.round` spans and record phase-level events only. At n = 2000 a GS solve runs ~2 800 rounds of a few hundred
 /// nanoseconds each; clock-stamping every one costs more than the solve
 /// itself, which a black-box recorder cannot afford. For round-level
 /// zoom use the unbounded [`TraceRecorder`]. Wrappers that *forward*
-/// into a ring (e.g. an enum over both recorders) make their own `FINE`
-/// choice — the ring stores whatever it is handed.
+/// into a ring (e.g. an enum over both recorders) make their own
+/// `FINE_SPANS` choice — the ring stores whatever it is handed.
 #[derive(Debug)]
 pub struct FlightRecorder<'c, C: Clock> {
     clock: &'c C,
@@ -170,22 +171,21 @@ impl<'c, C: Clock> FlightRecorder<'c, C> {
     }
 }
 
-impl<C: Clock> SpanSink for FlightRecorder<'_, C> {
+impl<C: Clock> Metrics for FlightRecorder<'_, C> {
     const ENABLED: bool = true;
-    const FINE: bool = false;
 
     #[inline]
-    fn begin(&mut self, name: &'static str, arg: u64) {
+    fn span_begin(&mut self, name: &'static str, arg: u64) {
         self.push(EventKind::Begin, name, arg);
     }
 
     #[inline]
-    fn end(&mut self, name: &'static str) {
+    fn span_end(&mut self, name: &'static str) {
         self.push(EventKind::End, name, 0);
     }
 
     #[inline]
-    fn instant(&mut self, name: &'static str, arg: u64) {
+    fn span_instant(&mut self, name: &'static str, arg: u64) {
         self.push(EventKind::Instant, name, arg);
     }
 }
@@ -199,11 +199,11 @@ mod tests {
     fn trace_recorder_samples_injected_clock() {
         let clock = ManualClock::new();
         let mut rec = TraceRecorder::new(&clock);
-        rec.begin("a", 7);
+        rec.span_begin("a", 7);
         clock.advance(10);
-        rec.instant("i", 1);
+        rec.span_instant("i", 1);
         clock.advance(5);
-        rec.end("a");
+        rec.span_end("a");
         let evs = rec.events();
         assert_eq!(evs.len(), 3);
         assert_eq!(evs[0], TraceEvent {
@@ -224,9 +224,9 @@ mod tests {
         // the always-armed ring opts out of per-round spans.
         const {
             assert!(TraceRecorder::<ManualClock>::ENABLED);
-            assert!(TraceRecorder::<ManualClock>::FINE);
+            assert!(TraceRecorder::<ManualClock>::FINE_SPANS);
             assert!(FlightRecorder::<ManualClock>::ENABLED);
-            assert!(!FlightRecorder::<ManualClock>::FINE);
+            assert!(!FlightRecorder::<ManualClock>::FINE_SPANS);
         }
     }
 
@@ -237,7 +237,7 @@ mod tests {
         assert!(rec.is_empty());
         for i in 0..10u64 {
             clock.set(i);
-            rec.instant("tick", i);
+            rec.span_instant("tick", i);
         }
         assert_eq!(rec.capacity(), 4);
         assert_eq!(rec.len(), 4);
@@ -251,8 +251,8 @@ mod tests {
     fn flight_recorder_capacity_zero_drops_everything() {
         let clock = ManualClock::new();
         let mut rec = FlightRecorder::new(&clock, 0);
-        rec.begin("a", 0);
-        rec.end("a");
+        rec.span_begin("a", 0);
+        rec.span_end("a");
         assert!(rec.is_empty());
         assert_eq!(rec.dropped(), 2);
         assert!(rec.events().is_empty());
@@ -263,9 +263,9 @@ mod tests {
         let clock = ManualClock::new();
         let mut rec = FlightRecorder::new(&clock, 8);
         clock.set(1);
-        rec.begin("a", 0);
+        rec.span_begin("a", 0);
         clock.set(2);
-        rec.end("a");
+        rec.span_end("a");
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 0);
         let evs = rec.events();

@@ -8,8 +8,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use kmatch_obs::ManualClock;
-use kmatch_trace::{FlightRecorder, SpanSink};
+use kmatch_obs::{ManualClock, Metrics};
+use kmatch_trace::FlightRecorder;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -53,9 +53,9 @@ fn recording_allocates_nothing_even_after_wrap() {
         // 40 full laps around the ring: fill, wrap, overwrite.
         for i in 0..(256u64 * 40) {
             clock.set(i);
-            rec.begin("gs.round", i);
-            rec.instant("cache.miss", 0);
-            rec.end("gs.round");
+            rec.span_begin("gs.round", i);
+            rec.span_instant("cache.miss", 0);
+            rec.span_end("gs.round");
         }
     });
     assert_eq!(

@@ -244,13 +244,18 @@ done
 # The deciding attempt must actually have been truncated (no full-width
 # fallback for this seed), pinning the subquadratic path rather than a
 # silent degrade — and it must be the first attempt: the default cut
-# (5060 at this n) decides without a discarded attempt.
+# (5060 at this n) decides without a discarded attempt. The attempt runs
+# the engine core, so its proposals and threshold stores reach the
+# counters, while the solve reports one verdict.
 python3 - "$SMOKE_DIR/rm_report.json" <<'EOF'
 import json, sys
 c = json.load(open(sys.argv[1]))["metrics"]["counters"]
 assert c["escalation_attempts"] == 1, c
 assert c["certified_stable"] + c["certified_unsolvable"] == 1, c
 assert c["escalation_fullwidth"] == 0, c
+assert c["proposals"] > 0, c
+assert c["phase1_truncations"] > 0, c
+assert c["solves"] == 1, c
 EOF
 # Lazy roommates batches tally per-instance certificates.
 ./target/release/kmatch batch --kind roommates --prefs random --n 1000 \

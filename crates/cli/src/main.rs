@@ -509,7 +509,8 @@ fn solve_roommates(args: &Args) -> Result<(), String> {
         }
         "truncated" => {
             if args.flag("metrics-out").is_some() {
-                return Err("--metrics-out on solve roommates requires --prefs random                             (the fixed-cut probe is unmetered)"
+                return Err("--metrics-out on solve roommates requires --prefs random \
+                            (the fixed-cut probe is unmetered)"
                     .to_string());
             }
             let keep: u32 = args.flag_or("keep", 10)?;
@@ -2600,17 +2601,20 @@ mod tests {
         ])
         .is_err());
         // The fixed-cut probe is unmetered.
-        assert!(call(&[
-            "solve",
-            "roommates",
-            "--n",
-            "8",
-            "--prefs",
-            "truncated",
-            "--metrics-out",
-            "/tmp/kmatch-cli-rm-nope.json",
-        ])
-        .is_err());
+        assert_eq!(
+            call(&[
+                "solve",
+                "roommates",
+                "--n",
+                "8",
+                "--prefs",
+                "truncated",
+                "--metrics-out",
+                "/tmp/kmatch-cli-rm-nope.json",
+            ])
+            .unwrap_err(),
+            "--metrics-out on solve roommates requires --prefs random (the fixed-cut probe is unmetered)"
+        );
     }
 
     #[test]

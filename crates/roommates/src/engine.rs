@@ -1,12 +1,22 @@
 //! The zero-allocation Irving engine: phase 1 + phase 2 over the two-tier
 //! reduced tables of [`RoommatesWorkspace`].
 //!
-//! Mirrors the reference solver ([`crate::solver::solve_reference`])
-//! **exactly** — same proposal schedule, same rotation discovery order,
-//! same elimination order — so matchings, no-stable-matching certificates,
-//! proposal counts, and rotation counts are identical (pinned by the
-//! differential suite in `tests/prop_fastpath.rs`). What changes is the
-//! cost model:
+//! `run_core` is the crate's one Irving loop outside the reference
+//! solver, and it runs in one of two modes. **Strict** is Irving's
+//! verdict: the first emptied list stops the run and names the culprit —
+//! every `solve*` entry point runs this mode. **Partition** is Tan's
+//! stable-partition finder behind [`crate::partition`] and escalating
+//! solves ([`crate::escalate`]): an emptied list becomes a singleton
+//! counted against a budget, and an odd rotation is frozen as a party
+//! instead of eliminated. Both modes walk the same proposal schedule and
+//! rotation order, so on a solvable instance they are the same execution.
+//!
+//! The strict mode mirrors the reference solver
+//! ([`crate::solver::solve_reference`]) **exactly** — same proposal
+//! schedule, same rotation discovery order, same elimination order — so
+//! matchings, no-stable-matching certificates, proposal counts, and
+//! rotation counts are identical (pinned by the differential suite in
+//! `tests/prop_fastpath.rs`). What changes is the cost model:
 //!
 //! * Phase-1 deletions are **implicit**: a truncation is one store into a
 //!   rank threshold, and the millions of pair deletions it implies on
@@ -32,16 +42,22 @@
 //!   steady-state allocations when run through a reused workspace (the
 //!   partner array of a returned stable matching is the only per-solve
 //!   allocation).
+//!
+//! The core reports every per-event counter, the `workspace` hook and the
+//! `irving.*` spans to its observer in both modes; the verdict hook
+//! [`Metrics::solve_done`] is its callers' job, so an escalating solve that
+//! runs several partition attempts still reports one verdict.
 
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::RoommatesOracle;
 use kmatch_trace::span;
 
 use crate::matching::RoommatesMatching;
+use crate::partition::{extract_party, is_party_rotation, read_partition, StablePartition};
 use crate::policy::RotationPolicy;
 use crate::solver::{RoommatesOutcome, SolveStats};
 use crate::trace::RoommatesEvent;
-use crate::workspace::{RoommatesWorkspace, NONE};
+use crate::workspace::{RoommatesWorkspace, SolveFooter, NONE};
 
 /// Compile-time trace hook set; the [`NoTrace`] instantiation erases every
 /// call site and skips removed-entry collection entirely.
@@ -110,12 +126,13 @@ impl Tracer for LogTrace<'_> {
 /// solver's per-rotation `(0..n).filter(len ≥ 2)` rescan.
 ///
 /// Invariant: every participant left of a cursor permanently fails that
-/// cursor's predicate (`len ≥ 2`, plus side membership for the side
-/// cursors). Deletions only shrink lists and sides are static, so the
-/// invariant survives every rotation elimination and each cursor advances
-/// at most `n` positions over the whole solve.
+/// cursor's predicate (`len ≥ 2` and not frozen, plus side membership for
+/// the side cursors). Deletions only shrink lists, freezing a party is
+/// permanent and sides are static, so the invariant survives every
+/// rotation elimination or party extraction and each cursor advances at
+/// most `n` positions over the whole solve.
 struct SeedCursors {
-    /// Least index with `len ≥ 2` (candidate fallback `candidates[0]`).
+    /// Least index that can seed (candidate fallback `candidates[0]`).
     all: u32,
     /// Least candidate index on side `false` / side `true`.
     by_side: [u32; 2],
@@ -132,24 +149,24 @@ impl SeedCursors {
         }
     }
 
-    /// Least `p ≥ cursor` on `side == want` with `len(p) ≥ 2`, advancing
-    /// the side cursor past permanently disqualified participants.
-    fn side_min(&mut self, len: &[u32], side: &[bool], want: bool) -> Option<u32> {
+    /// Least `p ≥ cursor` on `side == want` that can seed, advancing the
+    /// side cursor past permanently disqualified participants.
+    fn side_min(&mut self, ws: &RoommatesWorkspace, side: &[bool], want: bool) -> Option<u32> {
         let c = &mut self.by_side[usize::from(want)];
-        let n = len.len() as u32;
-        while *c < n && (side[*c as usize] != want || len[*c as usize] < 2) {
+        let n = ws.len.len() as u32;
+        while *c < n && (side[*c as usize] != want || !ws.can_seed(*c)) {
             *c += 1;
         }
         (*c < n).then_some(*c)
     }
 
     /// Choose the next rotation seed, preserving [`crate::policy::SeedState`]
-    /// semantics exactly: `None` iff no list has length ≥ 2; sided policies
-    /// fall back to the overall least candidate; the alternation parity
-    /// advances only on successful picks.
-    fn pick(&mut self, len: &[u32], policy: &RotationPolicy) -> Option<u32> {
-        let n = len.len() as u32;
-        while self.all < n && len[self.all as usize] < 2 {
+    /// semantics exactly: `None` iff no participant can seed; sided
+    /// policies fall back to the overall least candidate; the alternation
+    /// parity advances only on successful picks.
+    fn pick(&mut self, ws: &RoommatesWorkspace, policy: &RotationPolicy) -> Option<u32> {
+        let n = ws.len.len() as u32;
+        while self.all < n && !ws.can_seed(self.all) {
             self.all += 1;
         }
         if self.all == n {
@@ -161,33 +178,90 @@ impl SeedCursors {
             RotationPolicy::AlternateSides { side } => {
                 let want = self.next_side;
                 self.next_side = !self.next_side;
-                Some(self.side_min(len, side, want).unwrap_or(fallback))
+                Some(self.side_min(ws, side, want).unwrap_or(fallback))
             }
             RotationPolicy::PreferSide { side, seed_from } => {
-                Some(self.side_min(len, side, *seed_from).unwrap_or(fallback))
+                Some(self.side_min(ws, side, *seed_from).unwrap_or(fallback))
             }
         }
     }
 }
 
+/// How [`run_core`] treats an emptied reduced list and an odd rotation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Mode {
+    /// Irving's verdict: the first emptied list stops the run.
+    Strict,
+    /// Tan's stable partition: an emptied list becomes a singleton, and
+    /// the run stops once more than `singleton_budget` lists have emptied
+    /// (each is a guaranteed singleton of the final partition — thresholds
+    /// only tighten — so a caller that will not certify past the budget
+    /// gains nothing from finishing). An odd rotation is frozen as a party
+    /// instead of eliminated, and the run ends in the party census.
+    Partition {
+        /// Emptied lists the run tolerates before it stops.
+        singleton_budget: u32,
+    },
+}
+
+impl Mode {
+    /// Emptied lists tolerated before the run stops.
+    fn budget(self) -> u32 {
+        match self {
+            Mode::Strict => 0,
+            Mode::Partition { singleton_budget } => singleton_budget,
+        }
+    }
+}
+
+/// How a [`run_core`] run ended.
+#[derive(Debug)]
+pub(crate) enum CoreEnd {
+    /// Every reduced list is a singleton: `partner[p]` is `p`'s partner.
+    Matching(Vec<u32>),
+    /// More lists emptied than the mode tolerates (strict: any). `culprit`
+    /// emptied first in the step that crossed the budget; `in_phase1`
+    /// says whether that happened before any rotation work.
+    OverBudget {
+        /// The participant whose emptied list stopped the run.
+        culprit: u32,
+        /// The run stopped in phase 1.
+        in_phase1: bool,
+    },
+    /// Partition mode: a rotation walk met a list without a second or
+    /// last entry — a table invariant the oracle broke. No claim is made.
+    Broken,
+    /// Partition mode: the stable-partition claim and its census.
+    Partition(StablePartition),
+}
+
 /// Phase 1 over the implicit threshold tables: the exact proposal
 /// schedule of [`crate::phase1::phase1_logged`] (same free-stack order,
-/// same truncations). Returns the culprit whose list emptied, if any.
+/// same truncations). An emptied proposer is dead in every list
+/// (thresholds only tighten), so it never holds a proposal again: the run
+/// counts it and goes on, until more than `budget` have emptied. Returns
+/// the emptied count, or the proposer that crossed the budget.
 fn phase1<I: RoommatesOracle, T: Tracer, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
-    proposals: &mut u64,
+    budget: u32,
+    stats: &mut SolveStats,
     tracer: &mut T,
     metrics: &mut M,
-) -> Option<u32> {
+) -> Result<u32, u32> {
+    let mut emptied = 0u32;
     while let Some(x) = ws.free.pop() {
         // Like the reference, an emptied participant surfaces when it
         // proposes — the only moment phase 1 looks at its list.
         let Some(y) = ws.p1_first(inst, x) else {
             tracer.list_emptied(x);
-            return Some(x);
+            emptied += 1;
+            if emptied > budget {
+                return Err(x);
+            }
+            continue;
         };
-        *proposals += 1;
+        stats.proposals += 1;
         metrics.proposal();
         // x is on y's reduced list, hence at least as good as y's current
         // holder — y trades up unconditionally.
@@ -224,16 +298,18 @@ fn phase1<I: RoommatesOracle, T: Tracer, M: Metrics>(
         }
     }
     debug_assert!(
-        ws.holds.iter().all(|&h| h != NONE),
-        "all participants hold a proposal when phase 1 succeeds"
+        emptied > 0 || ws.holds.iter().all(|&h| h != NONE),
+        "all participants hold a proposal when no list emptied"
     );
-    None
+    Ok(emptied)
 }
 
 /// Discover the rotation reachable from `start` into `ws.xs`/`ws.ys`,
 /// leaving `ws.pos` fully cleared. Same walk as
-/// [`crate::phase2::find_rotation`].
-fn find_rotation(ws: &mut RoommatesWorkspace, start: u32) {
+/// [`crate::phase2::find_rotation`], made total: returns `false` when the
+/// walk meets a list without a second or last entry, which the table
+/// invariants rule out unless the oracle breaks them.
+fn find_rotation(ws: &mut RoommatesWorkspace, start: u32) -> bool {
     debug_assert!(
         ws.len[start as usize] >= 2,
         "rotation seeds need a second preference"
@@ -243,35 +319,38 @@ fn find_rotation(ws: &mut RoommatesWorkspace, start: u32) {
     let cycle_start = loop {
         let seen = ws.pos[a as usize];
         if seen != NONE {
-            break seen as usize;
+            break Some(seen as usize);
         }
         ws.pos[a as usize] = ws.seq.len() as u32;
         ws.seq.push(a);
-        let b = ws
-            .second(a)
-            .expect("rotation path stays within length-2 lists");
-        a = ws
-            .last(b)
-            .expect("b holds a proposal, so its list is non-empty");
+        match ws.second(a).and_then(|b| ws.last(b)) {
+            Some(next) => a = next,
+            None => break None,
+        }
     };
-    ws.xs.clear();
-    ws.xs.extend_from_slice(&ws.seq[cycle_start..]);
-    ws.ys.clear();
-    for i in cycle_start..ws.seq.len() {
-        let x = ws.seq[i];
-        ws.ys
-            .push(ws.first(x).expect("rotation members hold a proposal"));
+    if let Some(cycle_start) = cycle_start {
+        ws.xs.clear();
+        ws.xs.extend_from_slice(&ws.seq[cycle_start..]);
+        ws.ys.clear();
+        for i in cycle_start..ws.seq.len() {
+            let x = ws.seq[i];
+            // x had a second, so it has a first.
+            ws.ys
+                .push(ws.first(x).expect("rotation members hold a proposal"));
+        }
     }
     for &p in &ws.seq {
         ws.pos[p as usize] = NONE;
     }
+    cycle_start.is_some()
 }
 
 /// Eliminate the rotation in `ws.xs`: gather the `(second(x_i), x_i)`
 /// targets against pre-elimination state, then truncate each in cycle
-/// order. Returns the first participant emptied by the eliminating
-/// truncations, straight from the delete-time signal.
-fn eliminate_rotation(ws: &mut RoommatesWorkspace) -> Option<u32> {
+/// order. Returns how many truncations emptied a list, and the first
+/// participant emptied (straight from the delete-time signal), or
+/// [`NONE`].
+fn eliminate_rotation(ws: &mut RoommatesWorkspace) -> (u32, u32) {
     // All second() lookups must reflect discovery-time state, before any
     // deletion of this round — hence the gather pass.
     let xs = std::mem::take(&mut ws.xs);
@@ -281,90 +360,151 @@ fn eliminate_rotation(ws: &mut RoommatesWorkspace) -> Option<u32> {
         ws.targets.push((y_next, x));
     }
     ws.xs = xs;
-    let mut culprit = NONE;
+    let (mut emptied, mut first) = (0u32, NONE);
     let targets = std::mem::take(&mut ws.targets);
     for &(y, x) in &targets {
+        // The signal reports the first list each truncation empties, so
+        // a truncation emptying two counts once — an undercount that only
+        // delays a partition run's budget stop.
+        let mut culprit = NONE;
         ws.truncate_below(y, x, &mut culprit, false);
+        emptied += u32::from(culprit != NONE);
+        if first == NONE {
+            first = culprit;
+        }
     }
     ws.targets = targets;
-    (culprit != NONE).then_some(culprit)
+    (emptied, first)
 }
 
-/// The engine core, monomorphized per tracer and observer.
+/// Phase 2 from the materialized arena: find and eliminate rotations
+/// until every open list is done, freezing odd rotations as parties in
+/// [`Mode::Partition`].
+fn phase2<T: Tracer, M: Metrics>(
+    ws: &mut RoommatesWorkspace,
+    policy: &RotationPolicy,
+    mode: Mode,
+    mut emptied: u32,
+    stats: &mut SolveStats,
+    tracer: &mut T,
+    metrics: &mut M,
+) -> CoreEnd {
+    let partition = mode != Mode::Strict;
+    let mut cursors = SeedCursors::new();
+    while let Some(start) = cursors.pick(ws, policy) {
+        if !find_rotation(ws, start) {
+            assert!(partition, "rotation path stays within length-2 lists");
+            return CoreEnd::Broken;
+        }
+        tracer.rotation(&ws.xs, &ws.ys);
+        stats.rotations += 1;
+        metrics.phase2_rotation();
+        if partition && is_party_rotation(ws) {
+            extract_party(ws);
+            continue;
+        }
+        let (count, culprit) = eliminate_rotation(ws);
+        if count > 0 {
+            tracer.list_emptied(culprit);
+            emptied += count;
+            if emptied > mode.budget() {
+                return CoreEnd::OverBudget {
+                    culprit,
+                    in_phase1: false,
+                };
+            }
+        }
+    }
+    // Strict runs end with every reduced list a singleton. A partition run
+    // got there only if it emptied no list (an emptied list stays empty)
+    // and froze no party (a frozen member keeps its first and last).
+    if partition && ws.len.iter().any(|&l| l != 1) {
+        return CoreEnd::Partition(read_partition(ws));
+    }
+    CoreEnd::Matching(ws.partners())
+}
+
+/// The engine core, monomorphized per tracer and observer: one Irving run
+/// of `inst` through `ws` in `mode`. Reports the per-event counters, the
+/// `workspace` hook and an `irving.solve` span enclosing `irving.phase1`
+/// and `irving.phase2`; the verdict hook and the warm-start footer are
+/// the caller's.
 pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics>(
+    inst: &I,
+    ws: &mut RoommatesWorkspace,
+    policy: &RotationPolicy,
+    mode: Mode,
+    tracer: &mut T,
+    metrics: &mut M,
+) -> (CoreEnd, SolveStats) {
+    let n = inst.n();
+    let mut stats = SolveStats::default();
+    metrics.workspace(ws.reset(inst));
+    if mode != Mode::Strict {
+        ws.frozen.resize(n, false);
+        ws.pi.resize(n, NONE);
+    }
+
+    metrics.span_begin(span::IRVING_SOLVE, n as u64);
+    metrics.span_begin(span::IRVING_PHASE1, n as u64);
+    metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE1);
+    let phase1 = phase1(inst, ws, mode.budget(), &mut stats, tracer, metrics);
+    metrics.span_end(span::IRVING_PHASE1);
+    let end = match phase1 {
+        Err(culprit) => CoreEnd::OverBudget {
+            culprit,
+            in_phase1: true,
+        },
+        Ok(emptied) => {
+            // Collapse the implicit phase-1 deletions into the compact
+            // linked arena phase 2 operates on.
+            ws.materialize(inst);
+            metrics.span_begin(span::IRVING_PHASE2, n as u64);
+            metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE2);
+            let end = phase2(ws, policy, mode, emptied, &mut stats, tracer, metrics);
+            metrics.span_end(span::IRVING_PHASE2);
+            end
+        }
+    };
+    metrics.span_end(span::IRVING_SOLVE);
+    (end, stats)
+}
+
+/// A strict run with its verdict: reports [`Metrics::solve_done`] and
+/// leaves the warm-start footer [`crate::warm`] replays.
+pub(crate) fn solve_strict<I: RoommatesOracle, T: Tracer, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
     policy: &RotationPolicy,
     tracer: &mut T,
     metrics: &mut M,
 ) -> RoommatesOutcome {
-    let mut stats = SolveStats::default();
-    let fresh = ws.reset(inst);
-    metrics.workspace(fresh);
-
-    metrics.span_begin(span::IRVING_SOLVE, inst.n() as u64);
-    metrics.span_begin(span::IRVING_PHASE1, inst.n() as u64);
-    metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE1);
-    let culprit = phase1(inst, ws, &mut stats.proposals, tracer, metrics);
-    metrics.span_end(span::IRVING_PHASE1);
-    if let Some(culprit) = culprit {
-        metrics.span_end(span::IRVING_SOLVE);
-        metrics.solve_done(false, stats.proposals);
-        ws.footer = Some(crate::workspace::SolveFooter {
-            n: inst.n(),
-            stable: false,
-            culprit,
-            stats,
-        });
-        return RoommatesOutcome::NoStableMatching { culprit, stats };
-    }
-
-    // Collapse the implicit phase-1 deletions into the compact linked
-    // arena phase 2 operates on.
-    ws.materialize(inst);
-
-    metrics.span_begin(span::IRVING_PHASE2, inst.n() as u64);
-    metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE2);
-    let mut cursors = SeedCursors::new();
-    while let Some(start) = cursors.pick(&ws.len, policy) {
-        find_rotation(ws, start);
-        tracer.rotation(&ws.xs, &ws.ys);
-        stats.rotations += 1;
-        metrics.phase2_rotation();
-        if let Some(culprit) = eliminate_rotation(ws) {
-            tracer.list_emptied(culprit);
-            metrics.span_end(span::IRVING_PHASE2);
-            metrics.span_end(span::IRVING_SOLVE);
-            metrics.solve_done(false, stats.proposals);
-            ws.footer = Some(crate::workspace::SolveFooter {
-                n: inst.n(),
-                stable: false,
-                culprit,
+    let (end, stats) = run_core(inst, ws, policy, Mode::Strict, tracer, metrics);
+    let (outcome, culprit) = match end {
+        CoreEnd::Matching(partner) => (
+            RoommatesOutcome::Stable {
+                matching: RoommatesMatching::new(partner),
                 stats,
-            });
-            return RoommatesOutcome::NoStableMatching { culprit, stats };
+            },
+            NONE,
+        ),
+        CoreEnd::OverBudget { culprit, .. } => (
+            RoommatesOutcome::NoStableMatching { culprit, stats },
+            culprit,
+        ),
+        CoreEnd::Broken | CoreEnd::Partition(_) => {
+            unreachable!("strict runs neither break nor partition")
         }
-    }
-    metrics.span_end(span::IRVING_PHASE2);
-    metrics.span_end(span::IRVING_SOLVE);
-    metrics.solve_done(true, stats.proposals);
-
-    // Every reduced list is a singleton: read off the matching.
-    let n = inst.n();
-    let mut partner = vec![0u32; n];
-    for (p, slot) in partner.iter_mut().enumerate() {
-        *slot = ws.first(p as u32).expect("singleton lists are non-empty");
-    }
-    ws.footer = Some(crate::workspace::SolveFooter {
-        n,
-        stable: true,
-        culprit: NONE,
+    };
+    let stable = culprit == NONE;
+    metrics.solve_done(stable, stats.proposals);
+    ws.footer = Some(SolveFooter {
+        n: inst.n(),
+        stable,
+        culprit,
         stats,
     });
-    RoommatesOutcome::Stable {
-        matching: RoommatesMatching::new(partner),
-        stats,
-    }
+    outcome
 }
 
 impl RoommatesWorkspace {
@@ -383,7 +523,7 @@ impl RoommatesWorkspace {
         inst: &I,
         policy: &RotationPolicy,
     ) -> RoommatesOutcome {
-        run_core(inst, self, policy, &mut NoTrace, &mut NoMetrics)
+        self.solve_metered_with(inst, policy, &mut NoMetrics)
     }
 
     /// [`RoommatesWorkspace::solve`] reporting to the observer `metrics`:
@@ -410,7 +550,7 @@ impl RoommatesWorkspace {
         policy: &RotationPolicy,
         metrics: &mut M,
     ) -> RoommatesOutcome {
-        run_core(inst, self, policy, &mut NoTrace, metrics)
+        solve_strict(inst, self, policy, &mut NoTrace, metrics)
     }
 }
 

@@ -27,8 +27,9 @@
 //!   is ever needed for a solvable truncated attempt.
 //! * **Unsolvable verdicts need a witness.** An emptied list in `I_K`
 //!   proves nothing about the full instance (the cut may have caused
-//!   it), so the tolerant engine ([`crate::partition`]) produces a
-//!   stable-partition claim instead, and
+//!   it), so each attempt runs the engine core in its partition mode
+//!   ([`crate::partition`]), which produces a stable-partition claim
+//!   instead, and
 //!   [`crate::partition::verify_partition`] re-checks it against the
 //!   **full** oracle in O(n·K). A verified partition with an odd party
 //!   (≥ 3) certifies that no complete stable matching exists (Tan);
@@ -45,12 +46,18 @@
 //! party). When the driver falls back to full width the result is
 //! byte-equal to [`RoommatesWorkspace::solve`] by construction — it *is*
 //! that solve.
+//!
+//! Every attempt runs the same core as [`RoommatesWorkspace::solve`], so
+//! the observer of an escalating solve sees each attempt's proposals,
+//! threshold stores, rotations and `irving.*` spans between its
+//! `escalation_attempt` hooks, and [`solve_escalating_from`] alone reports
+//! the one verdict (`solve_done`).
 
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{RoommatesOracle, TruncatedRoommates};
 
 use crate::matching::RoommatesMatching;
-use crate::partition::{tolerant_solve_budgeted, verify_partition, TolerantOutcome};
+use crate::partition::{partition_solve, verify_partition, TolerantOutcome};
 use crate::solver::RoommatesOutcome;
 use crate::workspace::{RoommatesWorkspace, NONE};
 
@@ -121,8 +128,10 @@ pub fn default_initial_cut(n: usize) -> u32 {
 }
 
 /// [`solve_escalating`] with metric hooks: per-attempt
-/// [`Metrics::escalation_attempt`], certificate counters, and one
-/// [`Metrics::solve_done`] for the final verdict.
+/// [`Metrics::escalation_attempt`] followed by the attempt's engine
+/// counters and spans (as [`RoommatesWorkspace::solve_metered`] reports
+/// them), certificate counters, and one [`Metrics::solve_done`] for the
+/// final verdict.
 pub fn solve_escalating_metered<I: RoommatesOracle, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
@@ -158,7 +167,7 @@ pub fn solve_escalating_from<I: RoommatesOracle, M: Metrics>(
         attempts += 1;
         metrics.escalation_attempt(cut);
         let truncated = TruncatedRoommates::new(inst, cut);
-        match tolerant_solve_budgeted(&truncated, ws, MAX_CERTIFIABLE_SINGLETONS) {
+        match partition_solve(&truncated, ws, MAX_CERTIFIABLE_SINGLETONS, metrics) {
             TolerantOutcome::Perfect { partner, stats } => {
                 metrics.certified_stable();
                 metrics.solve_done(true, stats.proposals);

@@ -55,9 +55,7 @@ pub use escalate::{solve_escalating, solve_escalating_metered, CertKind, Escalat
 pub use fair_smp::{fair_stable_marriage, oriented_stable_marriage, SmpOrientation};
 pub use kpartite::{solve_kpartite_binary, KPartiteBinaryOutcome};
 pub use matching::{find_roommates_blocking_pair, is_roommates_stable, RoommatesMatching};
-pub use partition::{
-    tolerant_solve, tolerant_solve_budgeted, verify_partition, StablePartition, TolerantOutcome,
-};
+pub use partition::{tolerant_solve_budgeted, verify_partition, StablePartition, TolerantOutcome};
 pub use policy::RotationPolicy;
 pub use solver::{
     solve, solve_metered, solve_reference, solve_traced, solve_with, solve_with_logged,

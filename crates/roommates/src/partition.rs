@@ -17,25 +17,31 @@
 //! pair beyond the cut is worse than an in-cut predecessor by
 //! construction.
 //!
-//! [`tolerant_solve`] runs the workspace engine's exact phase 1 + phase
-//! 2 schedule, but *tolerantly*: an emptied list becomes a singleton
-//! instead of aborting, and a rotation whose `x`-set equals its `y`-set
-//! (an **odd rotation**) is extracted as a frozen party — successor =
-//! current first, predecessor = current last — instead of eliminated.
-//! On solvable instances neither tolerance path triggers, so the run is
-//! bit-identical to [`crate::RoommatesWorkspace::solve`] and returns the
-//! same matching. [`verify_partition`] then checks any claimed partition
-//! against any oracle from scratch, so a finder bug can cost an escalation
-//! but never an unsound verdict.
+//! The finder is the workspace engine itself, run in its partition mode
+//! ([`crate::engine`]): the same phase 1 + phase 2 loop as
+//! [`crate::RoommatesWorkspace::solve`], except that an emptied list
+//! becomes a singleton instead of stopping the run, and a rotation whose
+//! `x`-set equals its `y`-set (an **odd rotation**) is frozen as a party
+//! by `extract_party` — successor = current first, predecessor =
+//! current last — instead of eliminated. On solvable instances neither
+//! path triggers, so the run is the plain solve's execution and returns
+//! the same matching. This module holds the partition-specific steps (the
+//! odd-rotation test, the extraction and the party census), the
+//! [`tolerant_solve_budgeted`] entry point, and [`verify_partition`],
+//! which checks any claimed partition against any oracle from scratch, so
+//! a finder bug can cost an escalation but never an unsound verdict.
 
+use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{RoommatesOracle, UNRANKED};
 
+use crate::engine::{run_core, CoreEnd, Mode, NoTrace};
+use crate::policy::RotationPolicy;
 use crate::solver::SolveStats;
 use crate::workspace::{RoommatesWorkspace, NONE};
 
-/// A stable partition candidate produced by [`tolerant_solve`], plus the
-/// party census the escalation driver branches on. `pi` is only a
-/// *claim* until [`verify_partition`] accepts it.
+/// A stable partition candidate produced by [`tolerant_solve_budgeted`],
+/// plus the party census that escalation branches on. `pi` is only
+/// a *claim* until [`verify_partition`] accepts it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StablePartition {
     /// Successor permutation: `pi[p]` is `p`'s party successor, or `p`
@@ -74,8 +80,9 @@ pub enum TolerantOutcome {
         /// extractions as well as eliminations).
         stats: SolveStats,
     },
-    /// A phase-2 walk invariant broke (possible only if the tolerant
-    /// table semantics are violated by the oracle). No claim is made;
+    /// The run stopped early: more lists emptied than the singleton
+    /// budget allows, or a phase-2 walk invariant broke (possible only if
+    /// the oracle violates the table semantics). No claim is made;
     /// callers escalate.
     Abort {
         /// Counters up to the failure.
@@ -88,101 +95,13 @@ pub enum TolerantOutcome {
     },
 }
 
-/// Tolerant phase 1: the engine's exact proposal schedule, except an
-/// emptied proposer becomes a singleton-in-waiting instead of aborting
-/// the solve. Returns the number of lists that emptied, or `None` as soon
-/// as that count exceeds `budget` (each emptied list is a guaranteed
-/// singleton of the final partition — thresholds only tighten — so a
-/// caller that cannot certify past `budget` singletons may as well stop
-/// mid-phase).
-fn phase1_tolerant<I: RoommatesOracle>(
-    inst: &I,
-    ws: &mut RoommatesWorkspace,
-    proposals: &mut u64,
-    budget: u32,
-) -> Option<u32> {
-    let mut emptied = 0u32;
-    while let Some(x) = ws.free.pop() {
-        let Some(y) = ws.p1_first(inst, x) else {
-            // x is dead in every list (thresholds only tighten), so it can
-            // never hold a proposal: a permanent singleton candidate.
-            emptied += 1;
-            if emptied > budget {
-                return None;
-            }
-            continue;
-        };
-        *proposals += 1;
-        let z = ws.holds[y as usize];
-        if z != NONE {
-            ws.free.push(z);
-        }
-        ws.holds[y as usize] = x;
-        let new_rank = inst.rank_of(y, x);
-        debug_assert!(new_rank <= ws.thresh[y as usize], "thresholds only tighten");
-        if ws.first_rank[y as usize] == NONE {
-            ws.first_rank[y as usize] = new_rank;
-        }
-        ws.thresh[y as usize] = new_rank;
-    }
-    Some(emptied)
-}
-
-/// The engine's rotation walk, made total: returns `false` (leaving the
-/// `pos` marks cleared) instead of panicking when the table invariants
-/// do not hold.
-fn find_rotation_tolerant(ws: &mut RoommatesWorkspace, start: u32) -> bool {
-    ws.seq.clear();
-    let mut a = start;
-    let cycle_start = loop {
-        let seen = ws.pos[a as usize];
-        if seen != NONE {
-            break seen as usize;
-        }
-        ws.pos[a as usize] = ws.seq.len() as u32;
-        ws.seq.push(a);
-        let Some(b) = ws.second(a) else {
-            for &p in &ws.seq {
-                ws.pos[p as usize] = NONE;
-            }
-            return false;
-        };
-        let Some(next) = ws.last(b) else {
-            for &p in &ws.seq {
-                ws.pos[p as usize] = NONE;
-            }
-            return false;
-        };
-        a = next;
-    };
-    ws.xs.clear();
-    ws.xs.extend_from_slice(&ws.seq[cycle_start..]);
-    ws.ys.clear();
-    for i in cycle_start..ws.seq.len() {
-        let x = ws.seq[i];
-        match ws.first(x) {
-            Some(y) => ws.ys.push(y),
-            None => {
-                for &p in &ws.seq {
-                    ws.pos[p as usize] = NONE;
-                }
-                return false;
-            }
-        }
-    }
-    for &p in &ws.seq {
-        ws.pos[p as usize] = NONE;
-    }
-    true
-}
-
 /// Is the discovered rotation an odd (singular) rotation — `{x_i} =
 /// {y_i}` as sets *and* of odd length? Closed even-length rotations are
 /// ordinary rotations (eliminating them is Irving's step and keeps the
 /// table stable); only the odd ones are Tan's parties — extracting an
 /// even closed cycle leaves antipodal members blocking each other. Uses
 /// the (all-[`NONE`]) `pos` scratch for the membership marks.
-fn is_party_rotation(ws: &mut RoommatesWorkspace) -> bool {
+pub(crate) fn is_party_rotation(ws: &mut RoommatesWorkspace) -> bool {
     for &x in &ws.xs {
         ws.pos[x as usize] = 0;
     }
@@ -203,7 +122,7 @@ fn is_party_rotation(ws: &mut RoommatesWorkspace) -> bool {
 /// for members is the party cycle itself), so the cross-deletions keep
 /// `first`/`last` of every other participant intact and no list empties
 /// here.
-fn extract_party(ws: &mut RoommatesWorkspace) {
+pub(crate) fn extract_party(ws: &mut RoommatesWorkspace) {
     let xs = std::mem::take(&mut ws.xs);
     for (i, &x) in xs.iter().enumerate() {
         ws.pi[x as usize] = ws.ys[i];
@@ -233,136 +152,21 @@ fn extract_party(ws: &mut RoommatesWorkspace) {
     ws.xs = xs;
 }
 
-/// Solve `inst` through `ws` with the engine's schedule, producing either
-/// the stable matching (solvable instances — bit-identical to
-/// [`RoommatesWorkspace::solve`]) or a stable-partition claim.
-///
-/// The workspace is reused exactly as by the plain engine: steady-state
-/// reruns through the same workspace do not allocate beyond the returned
-/// `partner`/`pi` vectors.
-pub fn tolerant_solve<I: RoommatesOracle>(
-    inst: &I,
-    ws: &mut RoommatesWorkspace,
-) -> TolerantOutcome {
-    tolerant_solve_budgeted(inst, ws, u32::MAX)
-}
-
-/// [`tolerant_solve`] with a singleton budget: aborts (→ escalation) as
-/// soon as more than `singleton_budget` lists have emptied, since every
-/// emptied list is a guaranteed singleton of the final partition and a
-/// caller that will not certify past the budget gains nothing from
-/// finishing the solve. The escalating driver passes its certifiable-
-/// singleton cap, which turns doomed low-cut attempts from full solves
-/// into early exits.
-pub fn tolerant_solve_budgeted<I: RoommatesOracle>(
-    inst: &I,
-    ws: &mut RoommatesWorkspace,
-    singleton_budget: u32,
-) -> TolerantOutcome {
-    let n = inst.n();
-    let mut stats = SolveStats::default();
-    ws.reset(inst);
-    ws.frozen.clear();
-    ws.frozen.resize(n, false);
-    ws.pi.clear();
-    ws.pi.resize(n, NONE);
-
-    let Some(emptied) = phase1_tolerant(inst, ws, &mut stats.proposals, singleton_budget) else {
-        return TolerantOutcome::Abort {
-            stats,
-            over_budget_in_phase1: true,
-        };
-    };
-    let mut emptied = emptied;
-    ws.materialize(inst);
-
-    // Phase 2 with the FirstAvailable monotone seed cursor, skipping
-    // frozen members (freezing is permanent, so the cursor invariant
-    // holds).
-    let mut frozen_any = false;
-    let mut cursor = 0usize;
-    loop {
-        while cursor < n && (ws.frozen[cursor] || ws.len[cursor] < 2) {
-            cursor += 1;
-        }
-        if cursor == n {
-            break;
-        }
-        if !find_rotation_tolerant(ws, cursor as u32) {
-            return TolerantOutcome::Abort {
-                stats,
-                over_budget_in_phase1: false,
-            };
-        }
-        stats.rotations += 1;
-        if is_party_rotation(ws) {
-            extract_party(ws);
-            frozen_any = true;
-        } else {
-            let xs = std::mem::take(&mut ws.xs);
-            ws.targets.clear();
-            let mut ok = true;
-            for &x in &xs {
-                match ws.second(x) {
-                    Some(y_next) => ws.targets.push((y_next, x)),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            ws.xs = xs;
-            if !ok {
-                return TolerantOutcome::Abort {
-                    stats,
-                    over_budget_in_phase1: false,
-                };
-            }
-            let mut culprit = NONE; // emptied lists become singletons
-            let targets = std::mem::take(&mut ws.targets);
-            for &(y, x) in &targets {
-                ws.truncate_below(y, x, &mut culprit, false);
-                if culprit != NONE {
-                    // At least one more permanent singleton (the signal
-                    // reports the first empty per truncation, so this
-                    // undercounts — which only delays the budget abort).
-                    emptied += 1;
-                    culprit = NONE;
-                }
-            }
-            ws.targets = targets;
-            if emptied > singleton_budget {
-                return TolerantOutcome::Abort {
-                    stats,
-                    over_budget_in_phase1: false,
-                };
-            }
-        }
-    }
-
-    if !frozen_any && emptied == 0 && (0..n).all(|p| ws.len[p] == 1) {
-        let partner: Vec<u32> = (0..n as u32)
-            .map(|p| ws.first(p).expect("singleton lists are non-empty"))
-            .collect();
-        return TolerantOutcome::Perfect { partner, stats };
-    }
-
-    // Read off the partition: frozen members keep their extraction-time
-    // successor; a length-1 list is half of a mutual pair (the final
-    // table's holder bijection makes `first` symmetric); an empty list is
-    // a singleton.
+/// Read the partition claim off a finished partition run: frozen members
+/// keep their extraction-time successor; a length-1 list is half of a
+/// mutual pair (the final table's holder bijection makes `first`
+/// symmetric); an empty list is a singleton. Then take the party census
+/// by cycle sweep (marks borrow the all-[`NONE`] `pos` scratch).
+pub(crate) fn read_partition(ws: &mut RoommatesWorkspace) -> StablePartition {
+    let n = ws.pi.len();
     for p in 0..n {
         if ws.frozen[p] {
             continue;
         }
-        ws.pi[p] = match ws.first(p as u32) {
-            Some(q) => q,
-            None => p as u32,
-        };
+        ws.pi[p] = ws.first(p as u32).unwrap_or(p as u32);
     }
     let pi = ws.pi.clone();
 
-    // Census by cycle sweep (marks borrow the all-NONE `pos` scratch).
     let mut singletons = 0u32;
     let mut odd_parties = 0u32;
     let mut first_odd_min = u32::MAX;
@@ -395,16 +199,61 @@ pub fn tolerant_solve_budgeted<I: RoommatesOracle>(
     for m in ws.pos.iter_mut() {
         *m = NONE;
     }
+    StablePartition {
+        pi,
+        singletons,
+        odd_parties,
+        first_odd_min,
+        largest_party,
+    }
+}
 
-    TolerantOutcome::Partition {
-        partition: StablePartition {
-            pi,
-            singletons,
-            odd_parties,
-            first_odd_min,
-            largest_party,
+/// Solve `inst` through `ws` with the engine's schedule, producing either
+/// the stable matching (solvable instances — bit-identical to
+/// [`RoommatesWorkspace::solve`]) or a stable-partition claim.
+///
+/// Aborts (→ escalation) as soon as more than `singleton_budget` lists
+/// have emptied, since every emptied list is a guaranteed singleton of
+/// the final partition and a caller that will not certify past the budget
+/// gains nothing from finishing the solve; `u32::MAX` never aborts on
+/// that count. Escalation passes its certifiable-singleton cap, which
+/// turns doomed low-cut attempts from full solves into early exits.
+///
+/// The workspace is reused exactly as by the plain engine: steady-state
+/// reruns through the same workspace do not allocate beyond the returned
+/// `partner`/`pi` vectors.
+pub fn tolerant_solve_budgeted<I: RoommatesOracle>(
+    inst: &I,
+    ws: &mut RoommatesWorkspace,
+    singleton_budget: u32,
+) -> TolerantOutcome {
+    partition_solve(inst, ws, singleton_budget, &mut NoMetrics)
+}
+
+/// [`tolerant_solve_budgeted`] reporting to the observer `metrics`
+/// everything the engine core reports (per-event counters, the
+/// `workspace` hook, the `irving.*` spans) — but no
+/// [`Metrics::solve_done`]: an attempt is not a verdict.
+pub(crate) fn partition_solve<I: RoommatesOracle, M: Metrics>(
+    inst: &I,
+    ws: &mut RoommatesWorkspace,
+    singleton_budget: u32,
+    metrics: &mut M,
+) -> TolerantOutcome {
+    let mode = Mode::Partition { singleton_budget };
+    let policy = RotationPolicy::FirstAvailable;
+    let (end, stats) = run_core(inst, ws, &policy, mode, &mut NoTrace, metrics);
+    match end {
+        CoreEnd::Matching(partner) => TolerantOutcome::Perfect { partner, stats },
+        CoreEnd::Partition(partition) => TolerantOutcome::Partition { partition, stats },
+        CoreEnd::OverBudget { in_phase1, .. } => TolerantOutcome::Abort {
+            stats,
+            over_budget_in_phase1: in_phase1,
         },
-        stats,
+        CoreEnd::Broken => TolerantOutcome::Abort {
+            stats,
+            over_budget_in_phase1: false,
+        },
     }
 }
 
@@ -516,7 +365,7 @@ mod tests {
     fn solvable_instances_take_the_engine_path() {
         let inst = section3b_left();
         let mut ws = RoommatesWorkspace::new();
-        let out = tolerant_solve(&inst, &mut ws);
+        let out = tolerant_solve_budgeted(&inst, &mut ws, u32::MAX);
         let reference = solve_reference(&inst);
         let TolerantOutcome::Perfect { partner, stats } = out else {
             panic!("solvable instance must produce a perfect matching");
@@ -535,7 +384,9 @@ mod tests {
     fn unsolvable_paper_instance_yields_verified_odd_party() {
         let inst = no_stable_roommates_4();
         let mut ws = RoommatesWorkspace::new();
-        let TolerantOutcome::Partition { partition, .. } = tolerant_solve(&inst, &mut ws) else {
+        let TolerantOutcome::Partition { partition, .. } =
+            tolerant_solve_budgeted(&inst, &mut ws, u32::MAX)
+        else {
             panic!("unsolvable instance must produce a partition");
         };
         // The classic 4-agent instance partitions as a triangle party
@@ -554,7 +405,7 @@ mod tests {
             for n in [6usize, 8, 9, 12, 15, 16] {
                 let inst = uniform_roommates(n, &mut rng);
                 let reference = solve_reference(&inst);
-                match tolerant_solve(&inst, &mut ws) {
+                match tolerant_solve_budgeted(&inst, &mut ws, u32::MAX) {
                     TolerantOutcome::Perfect { partner, stats } => {
                         solvable += 1;
                         let RoommatesOutcome::Stable {
@@ -595,7 +446,9 @@ mod tests {
     fn verifier_rejects_doctored_partitions() {
         let inst = no_stable_roommates_4();
         let mut ws = RoommatesWorkspace::new();
-        let TolerantOutcome::Partition { partition, .. } = tolerant_solve(&inst, &mut ws) else {
+        let TolerantOutcome::Partition { partition, .. } =
+            tolerant_solve_budgeted(&inst, &mut ws, u32::MAX)
+        else {
             panic!("unsolvable instance must produce a partition");
         };
         assert!(verify_partition(&inst, &partition.pi));

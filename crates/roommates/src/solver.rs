@@ -18,7 +18,7 @@
 use kmatch_prefs::RoommatesInstance;
 
 use crate::active::ActiveTable;
-use crate::engine::{run_core, LogTrace};
+use crate::engine::{solve_strict, LogTrace};
 use crate::matching::RoommatesMatching;
 use crate::phase1::{phase1_logged, Phase1Result};
 use crate::phase2::{eliminate_rotation, find_rotation};
@@ -128,10 +128,9 @@ pub fn solve_with_logged(
     policy: RotationPolicy,
     log: &mut dyn FnMut(RoommatesEvent),
 ) -> RoommatesOutcome {
-    let mut ws = RoommatesWorkspace::new();
-    run_core(
+    solve_strict(
         inst,
-        &mut ws,
+        &mut RoommatesWorkspace::new(),
         &policy,
         &mut LogTrace { log },
         &mut kmatch_obs::NoMetrics,

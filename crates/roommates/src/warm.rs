@@ -96,13 +96,8 @@ impl RoommatesWorkspace {
         if footer.stable {
             // Phase 2 left every reduced list a singleton; the arena heads
             // still spell out the matching.
-            let n = inst.n();
-            let mut partner = vec![0u32; n];
-            for (p, slot) in partner.iter_mut().enumerate() {
-                *slot = self.first(p as u32).expect("stable footer ⇒ singletons");
-            }
             RoommatesOutcome::Stable {
-                matching: RoommatesMatching::new(partner),
+                matching: RoommatesMatching::new(self.partners()),
                 stats: footer.stats,
             }
         } else {

@@ -140,7 +140,7 @@ pub struct RoommatesWorkspace {
     pub(crate) targets: Vec<(u32, u32)>,
     /// Partners removed by the current truncation (traced runs only).
     pub(crate) removed: Vec<u32>,
-    // ---- stable-partition scratch (tolerant runs only) ----
+    // ---- stable-partition scratch (partition runs only) ----
     /// `frozen[p]`: `p` belongs to an extracted party (skip in seeding).
     pub(crate) frozen: Vec<bool>,
     /// `pi[p]`: partition successor under construction (see
@@ -245,6 +245,9 @@ impl RoommatesWorkspace {
         self.ys.clear();
         self.targets.clear();
         self.removed.clear();
+        // Strict runs read an empty `frozen`; partition runs size both.
+        self.frozen.clear();
+        self.pi.clear();
         fresh
     }
 
@@ -444,6 +447,21 @@ impl RoommatesWorkspace {
     pub(crate) fn first(&self, p: u32) -> Option<u32> {
         let h = self.head[p as usize];
         (h != NONE).then(|| self.entries[h as usize])
+    }
+
+    /// Every participant's first surviving partner — the stable matching
+    /// once phase 2 has left every reduced list a singleton.
+    pub(crate) fn partners(&self) -> Vec<u32> {
+        (0..self.head.len() as u32)
+            .map(|p| self.first(p).expect("singleton lists are non-empty"))
+            .collect()
+    }
+
+    /// Can `p` still seed a rotation: a second preference, and not a member
+    /// of a frozen party (`frozen` is empty in strict runs).
+    #[inline]
+    pub(crate) fn can_seed(&self, p: u32) -> bool {
+        self.len[p as usize] >= 2 && !self.frozen.get(p as usize).is_some_and(|&f| f)
     }
 
     /// Second surviving partner of `p` — a single `succ` hop off the head.
@@ -836,7 +854,7 @@ mod tests {
     ) {
         ws.solve(inst);
         let engine = check_materialize(inst, ws, &format!("{what}, engine"));
-        crate::partition::tolerant_solve(inst, ws);
+        crate::partition::tolerant_solve_budgeted(inst, ws, u32::MAX);
         let tolerant = check_materialize(inst, ws, &format!("{what}, tolerant"));
         for (sum, (a, b)) in lower.iter_mut().zip(engine.into_iter().zip(tolerant)) {
             *sum += a + b;

@@ -276,6 +276,27 @@ fn flight_recorder_pair_steady_state_allocates_like_plain() {
     }
     assert_eq!(shard.solves, 102);
     assert!(ring.dropped() > 0, "the ring wrapped while recording");
+
+    // Escalation attempts report through the same core:
+    // recording their spans adds no allocation either.
+    use kmatch_roommates::escalate::solve_escalating_from;
+    let oracle = kmatch_prefs::CachedRoommatesOracle::new(96, 11);
+    let mut ws = RoommatesWorkspace::new();
+    solve_escalating_from(&oracle, &mut ws, 4, &mut (&mut shard, &mut ring));
+    let reps = 50u64;
+    let plain = allocations_in(|| {
+        for _ in 0..reps {
+            std::hint::black_box(solve_escalating_from(&oracle, &mut ws, 4, &mut metrics));
+        }
+    });
+    let recorded = allocations_in(|| {
+        for _ in 0..reps {
+            let mut pair = (&mut shard, &mut ring);
+            std::hint::black_box(solve_escalating_from(&oracle, &mut ws, 4, &mut pair));
+        }
+    });
+    assert_eq!(recorded, plain, "no extra allocation per escalation");
+    assert_eq!(shard.solves, 102 + reps + 1);
 }
 
 #[test]

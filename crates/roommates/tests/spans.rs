@@ -106,3 +106,34 @@ fn warm_resolve_spans_tag_replay_and_fallback() {
     assert_eq!(events[0].name, span::IRVING_WARM_FALLBACK);
     assert_eq!(events[0].arg, reason::PREFIX_MISS);
 }
+
+#[test]
+fn escalating_attempts_reach_the_observer() {
+    // Every truncated attempt runs the engine core, so a (SolverMetrics,
+    // FlightRecorder) pair records each attempt's phase-1 span and its
+    // proposals, while each call still reports one verdict.
+    use kmatch_prefs::CachedRoommatesOracle;
+    use kmatch_roommates::{escalate::solve_escalating_from, CertKind};
+    let clock = ManualClock::new();
+    let mut ring = kmatch_trace::FlightRecorder::new(&clock, 1 << 12);
+    let mut shard = kmatch_obs::SolverMetrics::new();
+    let mut ws = RoommatesWorkspace::new();
+    let (mut attempts, mut engine_runs, mut deciding_proposals) = (0, 0, 0);
+    for seed in 0..51u64 {
+        let oracle = CachedRoommatesOracle::new(96, seed);
+        let mut pair = (&mut shard, &mut ring);
+        let (out, report) = solve_escalating_from(&oracle, &mut ws, 4, &mut pair);
+        attempts += u64::from(report.attempts);
+        engine_runs += u64::from(report.attempts) + u64::from(report.cert == CertKind::FullWidth);
+        deciding_proposals += out.stats().proposals;
+    }
+    let events = ring.events();
+    check_well_formed(&events, false).unwrap();
+    let phase1 = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Begin && e.name == span::IRVING_PHASE1);
+    assert_eq!(phase1.count() as u64, engine_runs);
+    assert!(attempts > 51, "some calls escalate past attempt 1");
+    assert!(shard.proposals >= deciding_proposals && shard.phase1_truncations > 0);
+    assert_eq!((shard.solves, shard.escalation_attempts), (51, attempts));
+}

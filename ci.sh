@@ -194,6 +194,22 @@ done
     --trace-out "$SMOKE_DIR/bind.trace.json"
 grep -qF '"bind.edge"' "$SMOKE_DIR/bind.trace.json" \
     || { echo "trace smoke: missing bind.edge in bind trace"; exit 1; }
+# The paper's §III-B event dialogue: the left lists end in a stable
+# matching, the right lists in an emptied reduced list.
+cat > "$SMOKE_DIR/rm_left.json" <<'EOF'
+{"n": 6, "lists": [[5, 2, 3, 4], [5, 2, 4, 3], [0, 1, 5, 4],
+                   [1, 0, 4, 5], [0, 1, 3, 2], [0, 2, 3, 1]]}
+EOF
+cat > "$SMOKE_DIR/rm_right.json" <<'EOF'
+{"n": 6, "lists": [[3, 5, 4, 2], [3, 2, 4, 5], [1, 0, 4, 5],
+                   [0, 1, 4, 5], [0, 1, 2, 3], [0, 3, 2, 1]]}
+EOF
+./target/release/kmatch trace --input "$SMOKE_DIR/rm_left.json" > "$SMOKE_DIR/rm_left.out"
+grep -q '^stable matching: ' "$SMOKE_DIR/rm_left.out" \
+    || { echo "trace smoke: left lists printed no stable matching"; exit 1; }
+./target/release/kmatch trace --input "$SMOKE_DIR/rm_right.json" > "$SMOKE_DIR/rm_right.out"
+grep -qF 'reduced list is empty — no stable matching' "$SMOKE_DIR/rm_right.out" \
+    || { echo "trace smoke: right lists printed no empty-list certificate"; exit 1; }
 
 echo "==> lazy oracle smoke"
 # A 10^5-agent seeded random instance must solve through the lazy

@@ -15,14 +15,14 @@
 //!
 //! ## Engine structure
 //!
-//! The loop is compiled twice via the private `Tracer` parameter: the
-//! untraced instantiation ([`gale_shapley`], [`GsWorkspace::solve`]) has
-//! every trace hook inlined away — no `Option` checks anywhere in the
-//! proposal loop — while the traced instantiation
-//! ([`gale_shapley_traced`]) pushes [`GsEvent`]s. Both run the identical
-//! round schedule, so matchings, proposal counts, and round counts agree
-//! exactly; `gale_shapley_reference` preserves the original
-//! runtime-checked implementation as a differential baseline.
+//! The fast engine ([`gale_shapley`], [`GsWorkspace::solve`]) has one
+//! hook set, [`kmatch_obs::Metrics`]: with `NoMetrics` every hook inlines
+//! away, and complete oracles run the branchless strip kernel. The §II-A
+//! event dialogue ([`gale_shapley_traced`]) comes from
+//! `gale_shapley_reference`, the original runtime-checked implementation,
+//! run with an event log. Both engines run the identical round schedule,
+//! so matchings, proposal counts, and round counts agree exactly; the
+//! reference is also the fast engine's differential baseline.
 //!
 //! Three further fast-path properties matter at scale:
 //!
@@ -66,78 +66,16 @@ pub struct GsStats {
     pub rounds: u32,
 }
 
-/// Result of a GS run: the stable matching plus instrumentation, and the
-/// event trace when requested.
+/// Result of a GS run: the stable matching plus instrumentation.
 #[derive(Debug, Clone)]
 pub struct GsOutcome {
     /// The proposer-optimal stable matching.
     pub matching: BipartiteMatching,
     /// Proposal/round counters.
     pub stats: GsStats,
-    /// Event log (only from [`gale_shapley_traced`]).
-    pub trace: Option<Vec<GsEvent>>,
 }
 
 const FREE: u32 = u32::MAX;
-
-/// Compile-time trace hook set; the `NoTrace` instantiation erases every
-/// call site.
-trait Tracer {
-    /// Whether the hooks observe anything. Inactive tracers let
-    /// `run_rounds` dispatch to the branchless strip kernel, which counts
-    /// outcomes in registers instead of emitting per-event calls; active
-    /// tracers keep the event-ordered scalar loop so traces stay exact.
-    const ACTIVE: bool;
-    fn round_start(&mut self, round: u32);
-    fn propose(&mut self, proposer: u32, responder: u32);
-    fn engage(&mut self, proposer: u32, responder: u32);
-    fn reject(&mut self, proposer: u32, responder: u32);
-}
-
-/// Zero-sized tracer for the fast path.
-struct NoTrace;
-
-impl Tracer for NoTrace {
-    const ACTIVE: bool = false;
-    #[inline(always)]
-    fn round_start(&mut self, _round: u32) {}
-    #[inline(always)]
-    fn propose(&mut self, _proposer: u32, _responder: u32) {}
-    #[inline(always)]
-    fn engage(&mut self, _proposer: u32, _responder: u32) {}
-    #[inline(always)]
-    fn reject(&mut self, _proposer: u32, _responder: u32) {}
-}
-
-/// Tracer that appends to an event vector.
-struct VecTrace<'a> {
-    events: &'a mut Vec<GsEvent>,
-}
-
-impl Tracer for VecTrace<'_> {
-    const ACTIVE: bool = true;
-    fn round_start(&mut self, round: u32) {
-        self.events.push(GsEvent::RoundStart { round });
-    }
-    fn propose(&mut self, proposer: u32, responder: u32) {
-        self.events.push(GsEvent::Propose {
-            proposer,
-            responder,
-        });
-    }
-    fn engage(&mut self, proposer: u32, responder: u32) {
-        self.events.push(GsEvent::Engage {
-            proposer,
-            responder,
-        });
-    }
-    fn reject(&mut self, proposer: u32, responder: u32) {
-        self.events.push(GsEvent::Reject {
-            proposer,
-            responder,
-        });
-    }
-}
 
 /// Reusable scratch buffers for the Gale–Shapley engine.
 ///
@@ -239,7 +177,7 @@ impl GsWorkspace {
     /// arena. Incomplete oracles (`P::COMPLETE == false`) must go through
     /// [`GsWorkspace::solve_incomplete`] instead.
     pub fn solve<P: PrefOracle>(&mut self, prefs: &P) -> GsOutcome {
-        run_core(prefs, self, &mut NoTrace, &mut NoMetrics)
+        run_core(prefs, self, &mut NoMetrics)
     }
 
     /// Deferred acceptance over an incomplete-list oracle
@@ -251,20 +189,14 @@ impl GsWorkspace {
     /// Returns the proposer-optimal *stable-marriage-with-incomplete-lists*
     /// matching (every agent matched or inevitably unmatched; see
     /// [`crate::incomplete::is_smi_stable`] against the materialized
-    /// instance). Complete oracles are accepted too and simply never hit
-    /// the cutoff branches.
+    /// instance). Complete oracles are accepted too and run the strip
+    /// kernel of [`GsWorkspace::solve`].
     pub fn solve_incomplete<P: PrefOracle>(&mut self, prefs: &P) -> (PartialMatching, GsStats) {
         let n = prefs.n();
         assert!(n > 0, "empty instance");
         self.reset(n);
         let mut stats = GsStats::default();
-        run_rounds(
-            prefs,
-            self,
-            &mut NoTrace,
-            &mut NoMetrics,
-            &mut stats,
-        );
+        run_rounds(prefs, self, &mut NoMetrics, &mut stats);
         // `solved_n` stays 0: a partial execution is not a valid replay
         // seed (`resolve` would read FREE holders).
         finish_partial(self, stats)
@@ -285,7 +217,7 @@ impl GsWorkspace {
         prefs: &P,
         metrics: &mut M,
     ) -> GsOutcome {
-        run_core(prefs, self, &mut NoTrace, metrics)
+        run_core(prefs, self, metrics)
     }
 
     /// Whether `delta` is *dead* for the execution this workspace holds:
@@ -381,11 +313,10 @@ impl GsWorkspace {
     }
 }
 
-/// The engine core, monomorphized per tracer and observer.
-fn run_core<P: PrefOracle, T: Tracer, M: Metrics>(
+/// The engine core, monomorphized per oracle and observer.
+fn run_core<P: PrefOracle, M: Metrics>(
     prefs: &P,
     ws: &mut GsWorkspace,
-    tracer: &mut T,
     metrics: &mut M,
 ) -> GsOutcome {
     // Compile-time constant: the branch folds away per monomorphization.
@@ -401,7 +332,7 @@ fn run_core<P: PrefOracle, T: Tracer, M: Metrics>(
 
     metrics.span_begin(span::GS_SOLVE, n as u64);
     metrics.phase_enter(kmatch_obs::phase::GS_ROUNDS);
-    run_rounds(prefs, ws, tracer, metrics, &mut stats);
+    run_rounds(prefs, ws, metrics, &mut stats);
     metrics.span_end(span::GS_SOLVE);
     metrics.solve_done(true, stats.proposals);
     ws.solved_n = n;
@@ -421,7 +352,6 @@ fn finish(ws: &GsWorkspace, stats: GsStats) -> GsOutcome {
     GsOutcome {
         matching: BipartiteMatching::from_proposer_partners(partner),
         stats,
-        trace: None,
     }
 }
 
@@ -446,32 +376,21 @@ fn finish_partial(ws: &GsWorkspace, stats: GsStats) -> (PartialMatching, GsStats
     )
 }
 
-/// Event-ordered rounds: one pass per proposal, tracer hooks at the exact
-/// points the reference engine emits them. With `NoTrace` every hook
-/// vanishes, leaving a tight single-pass loop whose only work per
-/// proposal is the fused entry load, the packed compare, and the free-list
-/// bookkeeping for the loser.
-///
-/// The two `P::COMPLETE` branches (proposer exhaustion, responder cutoff)
-/// are compile-time constants: complete oracles — every materialized view
-/// and the lazy complete backends — monomorphize to exactly the
-/// pre-oracle instruction stream.
-fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics>(
+/// The proposal rounds of one solve. Complete oracles run the branchless
+/// strip kernel ([`run_rounds_kernel`]); incomplete ones
+/// (`P::COMPLETE == false`) run the scalar loop here, which adds the
+/// proposer-exhaustion and responder-cutoff branches. Both resolve
+/// proposals in free-list order within each round, so on a complete oracle
+/// they run the identical schedule (pinned by the strip-vs-scalar
+/// differential suites). `P::COMPLETE` is a compile-time constant, so each
+/// monomorphization carries one loop.
+fn run_rounds<P: PrefOracle, M: Metrics>(
     prefs: &P,
     ws: &mut GsWorkspace,
-    tracer: &mut T,
     metrics: &mut M,
     stats: &mut GsStats,
 ) {
-    // Inactive tracer + complete lists: dispatch to the branchless strip
-    // kernel. It runs the *identical* schedule — proposals are resolved in
-    // free-list order within each round, so the matching, the counters, and
-    // even the free-list contents of every round match this loop exactly
-    // (pinned by the strip-vs-scalar differential suites). Traced solves
-    // keep this event-ordered loop so traces stay exact; incomplete solves
-    // keep it for the exhaustion/cutoff branches. Both conditions are
-    // compile-time constants, so each monomorphization carries one loop.
-    if !T::ACTIVE && P::COMPLETE {
+    if P::COMPLETE {
         run_rounds_kernel(prefs, ws, metrics, stats);
         return;
     }
@@ -482,7 +401,6 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics>(
     let mut free_len = free.len();
     while free_len > 0 {
         stats.rounds += 1;
-        tracer.round_start(stats.rounds);
         metrics.round();
         // Round spans are fine-grained (thousands per large solve, a
         // few hundred ns each): only observers that declare `FINE_SPANS`
@@ -498,7 +416,7 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics>(
         for &m in &free[..free_len] {
             // An exhausted truncated row leaves the proposer unmatched:
             // drop it from the free list without a proposal.
-            if !P::COMPLETE && next[m as usize] >= prefs.row_len(m) {
+            if next[m as usize] >= prefs.row_len(m) {
                 continue;
             }
             // One fused load: `rank << 32 | responder` (see
@@ -508,14 +426,12 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics>(
             let w = entry as u32;
             next[m as usize] += 1;
             stats.proposals += 1;
-            tracer.propose(m, w);
             metrics.proposal();
             // Forbidden-pair check (§III-B): a responder rejects any
             // suitor she ranks at or beyond her cutoff, regardless of
             // her current engagement.
-            if !P::COMPLETE && (entry >> 32) as u32 >= prefs.responder_cutoff(w) {
+            if (entry >> 32) as u32 >= prefs.responder_cutoff(w) {
                 reject(m);
-                tracer.reject(m, w);
                 metrics.rejection();
                 continue;
             }
@@ -525,19 +441,13 @@ fn run_rounds<P: PrefOracle, T: Tracer, M: Metrics>(
             let cur = best[w as usize];
             if cand < cur {
                 best[w as usize] = cand;
-                let holder = cur as u32;
-                if holder == FREE {
-                    tracer.engage(m, w);
-                } else {
-                    reject(holder);
-                    tracer.reject(holder, w);
-                    tracer.engage(m, w);
+                if cur as u32 != FREE {
+                    reject(cur as u32);
                     metrics.holder_swap();
                     metrics.rejection();
                 }
             } else {
                 reject(m);
-                tracer.reject(m, w);
                 metrics.rejection();
             }
         }
@@ -720,7 +630,6 @@ fn resolve_strip(
     }
 }
 
-
 /// Run proposer-proposing Gale–Shapley; returns the proposer-optimal stable
 /// matching with proposal/round counts.
 ///
@@ -741,29 +650,14 @@ pub fn gale_shapley<P: PrefOracle>(prefs: &P) -> GsOutcome {
     GsWorkspace::new().solve(prefs)
 }
 
-/// [`gale_shapley`] recording counters into `metrics`; batch callers
-/// should hold a workspace and call [`GsWorkspace::solve_metered`].
-pub fn gale_shapley_metered<P: PrefOracle, M: Metrics>(
-    prefs: &P,
-    metrics: &mut M,
-) -> GsOutcome {
-    GsWorkspace::new().solve_metered(prefs, metrics)
-}
-
-/// [`gale_shapley`] with a full event trace attached to the outcome.
-pub fn gale_shapley_traced<P: PrefOracle>(prefs: &P) -> GsOutcome {
+/// Gale–Shapley with the full §II-A event dialogue: the reference engine
+/// run with an event log, so the events come in the exact order a
+/// proposal, its "maybe" and its rejections happen. Matching and counters
+/// equal [`gale_shapley`]'s.
+pub fn gale_shapley_traced<P: BipartitePrefs>(prefs: &P) -> (GsOutcome, Vec<GsEvent>) {
     let mut events = Vec::new();
-    let mut ws = GsWorkspace::new();
-    let mut out = run_core(
-        prefs,
-        &mut ws,
-        &mut VecTrace {
-            events: &mut events,
-        },
-        &mut NoMetrics,
-    );
-    out.trace = Some(events);
-    out
+    let out = run_reference(prefs, Some(&mut events));
+    (out, events)
 }
 
 /// The original runtime-checked implementation, kept verbatim as a
@@ -849,7 +743,6 @@ fn run_reference<P: BipartitePrefs>(
     GsOutcome {
         matching: BipartiteMatching::from_proposer_partners(partner),
         stats,
-        trace: None,
     }
 }
 
@@ -945,8 +838,7 @@ mod tests {
 
     #[test]
     fn trace_records_paper_dialogue() {
-        let out = gale_shapley_traced(&example1_first());
-        let trace = out.trace.unwrap();
+        let (_, trace) = gale_shapley_traced(&example1_first());
         // Round 1: both m and m' propose to w; w keeps m' (prefers m').
         assert!(trace.contains(&GsEvent::Propose {
             proposer: 0,
@@ -976,7 +868,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let inst = uniform_bipartite(30, &mut rng);
         let a = gale_shapley(&inst);
-        let b = gale_shapley_traced(&inst);
+        let (b, _) = gale_shapley_traced(&inst);
         assert_eq!(a.matching, b.matching);
         assert_eq!(a.stats, b.stats);
     }

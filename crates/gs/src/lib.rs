@@ -10,9 +10,9 @@
 //!   instance. Fully instrumented: proposal count (the paper's "iterations
 //!   of the matching process", Theorem 3) and round count (the PRAM cost
 //!   unit of §IV-C).
-//! * [`engine::gale_shapley_traced`] — the same algorithm emitting a full
-//!   event trace (proposals, engagements, rejections) for debugging and the
-//!   worked-example regression tests.
+//! * [`engine::gale_shapley_traced`] — the reference engine emitting the
+//!   full event trace (proposals, engagements, rejections) for debugging
+//!   and the worked-example regression tests.
 //! * [`mcvitie`] — the McVitie–Wilson proposer-rotation variant: same
 //!   matching (GS is confluent), different control flow; used as an
 //!   internal cross-check.
@@ -38,8 +38,8 @@ pub mod trace;
 
 pub use egalitarian::{all_rotations, egalitarian_stable_matching};
 pub use engine::{
-    gale_shapley, gale_shapley_metered, gale_shapley_reference, gale_shapley_traced,
-    responder_optimal, GsOutcome, GsStats, GsWorkspace,
+    gale_shapley, gale_shapley_reference, gale_shapley_traced, responder_optimal, GsOutcome,
+    GsStats, GsWorkspace,
 };
 pub use hospitals::{
     find_hr_blocking_pair, hospitals_residents, is_hr_stable, Assignment, HospitalsInstance,

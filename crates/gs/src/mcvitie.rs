@@ -55,7 +55,6 @@ pub fn mcvitie_wilson<P: BipartitePrefs>(prefs: &P) -> GsOutcome {
     GsOutcome {
         matching: BipartiteMatching::from_proposer_partners(partner),
         stats,
-        trace: None,
     }
 }
 

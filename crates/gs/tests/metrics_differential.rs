@@ -6,7 +6,7 @@
 //! All randomness is seeded `rand_chacha` driven by the deterministic
 //! proptest case stream.
 
-use kmatch_gs::{gale_shapley_metered, gale_shapley_traced, GsEvent};
+use kmatch_gs::{gale_shapley_traced, GsEvent, GsWorkspace};
 use kmatch_obs::SolverMetrics;
 use kmatch_prefs::gen::uniform::uniform_bipartite;
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
@@ -21,12 +21,11 @@ proptest! {
         let inst = uniform_bipartite(n, &mut rng);
 
         let mut m = SolverMetrics::new();
-        let metered = gale_shapley_metered(&inst, &mut m);
-        let traced = gale_shapley_traced(&inst);
+        let metered = GsWorkspace::new().solve_metered(&inst, &mut m);
+        let (traced, trace) = gale_shapley_traced(&inst);
         prop_assert_eq!(&metered.matching, &traced.matching);
         prop_assert_eq!(metered.stats, traced.stats);
 
-        let trace = traced.trace.unwrap();
         let count = |f: &dyn Fn(&GsEvent) -> bool| trace.iter().filter(|e| f(e)).count() as u64;
         let proposes = count(&|e| matches!(e, GsEvent::Propose { .. }));
         let rejects = count(&|e| matches!(e, GsEvent::Reject { .. }));
@@ -53,7 +52,7 @@ proptest! {
         let mut expect_proposals = 0u64;
         for n in [3usize, 9, 17] {
             let inst = uniform_bipartite(n, &mut rng);
-            let out = gale_shapley_metered(&inst, &mut m);
+            let out = GsWorkspace::new().solve_metered(&inst, &mut m);
             expect_proposals += out.stats.proposals;
         }
         prop_assert_eq!(m.solves, 3);

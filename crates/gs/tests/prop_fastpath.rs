@@ -1,13 +1,13 @@
 //! Differential property suite for the zero-allocation GS fast path.
 //!
-//! The workspace fast path, the traced path, and the CSR-arena path must
+//! The workspace fast path and the CSR-arena path must
 //! be *behaviorally indistinguishable* from `gale_shapley_reference` (the
 //! seed implementation, kept verbatim): identical matchings, identical
 //! proposal counts, identical round counts, on every instance. All
 //! randomness is seeded `rand_chacha` driven by the deterministic proptest
 //! case stream — failures reproduce exactly.
 
-use kmatch_gs::{gale_shapley_reference, gale_shapley_traced, GsWorkspace};
+use kmatch_gs::{gale_shapley_reference, GsWorkspace};
 use kmatch_prefs::gen::uniform::uniform_bipartite;
 use kmatch_prefs::CsrPrefs;
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
@@ -24,23 +24,6 @@ proptest! {
         let fast = GsWorkspace::new().solve(&inst);
         prop_assert_eq!(&fast.matching, &reference.matching);
         prop_assert_eq!(fast.stats, reference.stats);
-    }
-
-    fn traced_path_equals_reference(n in 1usize..32, seed in 0u64..1 << 32) {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let inst = uniform_bipartite(n, &mut rng);
-        let reference = gale_shapley_reference(&inst);
-        let traced = gale_shapley_traced(&inst);
-        prop_assert_eq!(&traced.matching, &reference.matching);
-        prop_assert_eq!(traced.stats, reference.stats);
-        // The trace must cover exactly the reference's proposal count.
-        let proposals = traced
-            .trace
-            .unwrap()
-            .iter()
-            .filter(|e| matches!(e, kmatch_gs::GsEvent::Propose { .. }))
-            .count() as u64;
-        prop_assert_eq!(proposals, reference.stats.proposals);
     }
 
     fn csr_arena_equals_reference(n in 1usize..48, seed in 0u64..1 << 32) {

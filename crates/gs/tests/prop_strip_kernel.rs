@@ -1,18 +1,17 @@
 //! Differential property suite for the branchless strip kernel.
 //!
-//! `GsWorkspace::solve` dispatches complete, untraced solves to the
-//! strip kernel (`PROPOSAL_STRIP`-lane gathers, branchless packed-entry
-//! resolution); traced solves and the seed implementation take the
-//! scalar round loop. The kernel's contract is *schedule identity*: it
-//! must resolve proposals in exactly the free-list order of the scalar
-//! loop, so matchings, proposal counts, round counts, and the proposal
-//! schedule the scalar trace records are all pinned against it here.
-//! All randomness is seeded `rand_chacha` driven by the deterministic
-//! proptest case stream — failures reproduce exactly.
+//! `GsWorkspace::solve` dispatches complete oracles to the strip kernel
+//! (`PROPOSAL_STRIP`-lane gathers, branchless packed-entry resolution);
+//! incomplete oracles take the scalar round loop. The kernel's contract
+//! is *schedule identity*: it must resolve proposals in exactly the
+//! free-list order of the scalar loop, so matchings, proposal counts and
+//! round counts are all pinned against it here. All randomness is seeded
+//! `rand_chacha` driven by the deterministic proptest case stream —
+//! failures reproduce exactly.
 
-use kmatch_gs::{gale_shapley_reference, gale_shapley_traced, GsEvent, GsWorkspace};
+use kmatch_gs::{gale_shapley_reference, GsWorkspace};
 use kmatch_prefs::gen::uniform::uniform_bipartite;
-use kmatch_prefs::{CsrPrefs, PrefOracle, RandomOracle, PROPOSAL_STRIP};
+use kmatch_prefs::{CsrPrefs, PrefOracle, RandomOracle, Truncated, PROPOSAL_STRIP};
 use proptest::{prop_assert_eq, proptest, ProptestConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -20,23 +19,21 @@ use rand_chacha::ChaCha8Rng;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Kernel (untraced fast path) vs the scalar traced loop on the same
-    /// instance: identical matchings and counters, and the scalar trace's
-    /// proposal schedule has exactly the kernel's proposal count — the
-    /// kernel executed the same schedule, proposal for proposal.
+    /// Kernel vs the scalar loop on the same instance: a cutoff of `n`
+    /// keeps every list whole but makes the oracle incomplete, so
+    /// `solve_incomplete` runs the scalar loop on the kernel's schedule.
+    /// Identical matchings and counters mean the kernel executed the same
+    /// schedule, proposal for proposal.
     fn strip_kernel_matches_scalar_trace(n in 1usize..72, seed in 0u64..1 << 32) {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let inst = uniform_bipartite(n, &mut rng);
         let kernel = GsWorkspace::new().solve(&inst);
-        let scalar = gale_shapley_traced(&inst);
-        prop_assert_eq!(&kernel.matching, &scalar.matching);
-        prop_assert_eq!(kernel.stats, scalar.stats);
-        let trace = scalar.trace.unwrap();
-        let proposals = trace
-            .iter()
-            .filter(|e| matches!(e, GsEvent::Propose { .. }))
-            .count() as u64;
-        prop_assert_eq!(proposals, kernel.stats.proposals);
+        let whole = Truncated::new(inst.clone(), n as u32);
+        let (scalar, stats) = GsWorkspace::new().solve_incomplete(&whole);
+        let kernel_partners: Vec<u32> =
+            (0..n as u32).map(|m| kernel.matching.partner_of_proposer(m)).collect();
+        prop_assert_eq!(kernel_partners, scalar.partner_of_proposer);
+        prop_assert_eq!(kernel.stats, stats);
     }
 
     /// The CSR strip override (eight back-to-back u32 arena loads, then

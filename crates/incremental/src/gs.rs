@@ -159,7 +159,6 @@ impl IncrementalGs {
             return GsOutcome {
                 matching: matching.clone(),
                 stats: GsStats::default(),
-                trace: None,
             };
         }
         metrics.cache_lookup(false);

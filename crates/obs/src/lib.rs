@@ -1,14 +1,14 @@
 //! # kmatch-obs — zero-overhead solver observability
 //!
-//! PR 1/2 erased tracing from the hot paths via `Tracer`/`NoTrace`
-//! monomorphization, which also made the paper's cost quantities —
-//! Theorem 3's `(k−1)·n²` proposal bound, Irving's phase-1/phase-2
-//! operation counts — invisible unless the slow traced path is run. This
-//! crate restores visibility the standard production way: cheap always-on
-//! counters and histograms with a compile-time zero-cost off switch.
+//! The fast engines carry no event hooks in their hot loops (the paper's
+//! event traces come from the reference solvers), so the paper's cost
+//! quantities — Theorem 3's `(k−1)·n²` proposal bound, Irving's
+//! phase-1/phase-2 operation counts — need another way out. This crate
+//! provides it the standard production way: cheap always-on counters and
+//! histograms with a compile-time zero-cost off switch.
 //!
 //! * [`Metrics`] — the one observer hook set engines are generic over,
-//!   monomorphized exactly like `Tracer`: counter hooks, span hooks
+//!   monomorphized per observer: counter hooks, span hooks
 //!   (recorded by `kmatch-trace`) and phase hooks (published by
 //!   `kmatch-forensics`), each a no-op by default. The [`NoMetrics`] unit
 //!   impl erases every call site (the default solver entry points use it,

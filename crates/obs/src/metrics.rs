@@ -1,8 +1,8 @@
 //! The engine hook set, its two counter instantiations, and the pair.
 //!
-//! [`Metrics`] mirrors the `Tracer`/`NoTrace` discipline of the engine
-//! crates: solvers take a `&mut M: Metrics` and the compiler monomorphizes
-//! the hot loop once per implementation. [`NoMetrics`] is the unit impl —
+//! [`Metrics`] is the one hook trait of the engine crates: solvers take a
+//! `&mut M: Metrics` and the compiler monomorphizes the hot loop once per
+//! implementation. [`NoMetrics`] is the unit impl —
 //! it overrides no hook, so every call is the trait's empty default and
 //! inlines away: the untraced, unmetered instantiation (what
 //! `GsWorkspace::solve` and `RoommatesWorkspace::solve` compile to) is
@@ -31,8 +31,7 @@ use serde::Value;
 /// only what it watches.
 pub trait Metrics {
     /// Whether hooks observe anything (lets callers skip setup work, the
-    /// way `Tracer::ENABLED` gates removed-entry collection, or the batch
-    /// runner skips reading the clock per solve).
+    /// way the batch runner skips reading the clock per solve).
     const ENABLED: bool;
 
     /// Whether this observer admits *fine-grained* spans — the per-round
@@ -69,7 +68,9 @@ pub trait Metrics {
         let _ = fresh;
     }
     /// A solve finished: whether a matching exists and how many proposals
-    /// it took.
+    /// it took. An escalating roommates solve reports once, with its
+    /// deciding run's proposals; the [`Metrics::proposal`] hook has
+    /// already counted every attempt's.
     fn solve_done(&mut self, solvable: bool, proposals: u64) {
         let _ = (solvable, proposals);
     }
@@ -255,7 +256,9 @@ pub struct SolverMetrics {
     pub escalation_fullwidth: u64,
     /// List cutoffs of truncated attempts.
     pub escalation_cuts: Log2Histogram,
-    /// Proposals per solve.
+    /// Proposals per solve. An escalating roommates solve records its
+    /// deciding run's proposals, while [`SolverMetrics::proposals`] sums
+    /// every attempt's, so `proposals_per_solve.sum()` can be lower.
     pub proposals_per_solve: Log2Histogram,
     /// Proposals per binding edge (the per-edge `n²` component of
     /// Theorem 3).

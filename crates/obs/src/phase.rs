@@ -17,7 +17,8 @@ pub const GS_ROUNDS: u32 = 1;
 pub const GS_WARM: u32 = 2;
 /// Irving phase 1: proposal/truncation to a stable table.
 pub const IRVING_PHASE1: u32 = 3;
-/// Irving phase 2: rotation elimination.
+/// Irving phase 2: building the arena of phase-1 survivors, then rotation
+/// elimination.
 pub const IRVING_PHASE2: u32 = 4;
 /// Escalating truncated-solve driver: a top-K attempt at the current cut.
 pub const ESCALATE: u32 = 5;

@@ -82,7 +82,6 @@ where
             outcomes.push(Some(GsOutcome {
                 matching: matching.clone(),
                 stats: GsStats::default(),
-                trace: None,
             }));
         } else if first_seen.insert(key) {
             shard.cache_lookup(false);
@@ -129,7 +128,6 @@ where
         outcomes[i] = Some(GsOutcome {
             matching,
             stats: GsStats::default(),
-            trace: None,
         });
     }
     registry.absorb(shard);

@@ -36,12 +36,13 @@
 //!   cursor advances amortized O(n) over the whole solve while preserving
 //!   [`RotationPolicy`] seed semantics bit-for-bit (`fair_smp` depends on
 //!   them).
-//! * Tracing is erased at compile time via the same `Tracer`/`NoTrace`
-//!   monomorphization as `kmatch-gs`: the untraced instantiation has no
-//!   event hooks, no removed-entry collection, and performs **zero**
-//!   steady-state allocations when run through a reused workspace (the
-//!   partner array of a returned stable matching is the only per-solve
-//!   allocation).
+//! * The engine's one hook set is [`kmatch_obs::Metrics`]: with
+//!   `NoMetrics` every hook inlines away, and a run through a reused
+//!   workspace performs **zero** steady-state allocations (the partner
+//!   array of a returned stable matching is the only per-solve
+//!   allocation). The §III-B event dialogue
+//!   ([`crate::solver::solve_traced`]) comes from the reference solver,
+//!   which emits the same events in the same order.
 //!
 //! The core reports every per-event counter, the `workspace` hook and the
 //! `irving.*` spans to its observer in both modes; the verdict hook
@@ -56,71 +57,7 @@ use crate::matching::RoommatesMatching;
 use crate::partition::{extract_party, is_party_rotation, read_partition, StablePartition};
 use crate::policy::RotationPolicy;
 use crate::solver::{RoommatesOutcome, SolveStats};
-use crate::trace::RoommatesEvent;
 use crate::workspace::{RoommatesWorkspace, SolveFooter, NONE};
-
-/// Compile-time trace hook set; the [`NoTrace`] instantiation erases every
-/// call site and skips removed-entry collection entirely.
-pub(crate) trait Tracer {
-    /// Whether hooks observe events (gates removed-entry collection).
-    const ENABLED: bool;
-    /// `from` proposed to `to`, displacing `displaced`.
-    fn proposal(&mut self, from: u32, to: u32, displaced: Option<u32>);
-    /// Holding the proposal pruned `holder`'s list below `kept`.
-    fn truncation(&mut self, holder: u32, kept: u32, removed: &[u32]);
-    /// Phase 2 found a rotation.
-    fn rotation(&mut self, xs: &[u32], ys: &[u32]);
-    /// A reduced list emptied.
-    fn list_emptied(&mut self, who: u32);
-}
-
-/// Zero-sized tracer for the fast path.
-pub(crate) struct NoTrace;
-
-impl Tracer for NoTrace {
-    const ENABLED: bool = false;
-    #[inline(always)]
-    fn proposal(&mut self, _from: u32, _to: u32, _displaced: Option<u32>) {}
-    #[inline(always)]
-    fn truncation(&mut self, _holder: u32, _kept: u32, _removed: &[u32]) {}
-    #[inline(always)]
-    fn rotation(&mut self, _xs: &[u32], _ys: &[u32]) {}
-    #[inline(always)]
-    fn list_emptied(&mut self, _who: u32) {}
-}
-
-/// Tracer forwarding paper-style [`RoommatesEvent`]s to a callback.
-pub(crate) struct LogTrace<'a> {
-    /// The event sink.
-    pub log: &'a mut dyn FnMut(RoommatesEvent),
-}
-
-impl Tracer for LogTrace<'_> {
-    const ENABLED: bool = true;
-    fn proposal(&mut self, from: u32, to: u32, displaced: Option<u32>) {
-        (self.log)(RoommatesEvent::Proposal {
-            from,
-            to,
-            displaced,
-        });
-    }
-    fn truncation(&mut self, holder: u32, kept: u32, removed: &[u32]) {
-        (self.log)(RoommatesEvent::Truncation {
-            holder,
-            kept,
-            removed: removed.to_vec(),
-        });
-    }
-    fn rotation(&mut self, xs: &[u32], ys: &[u32]) {
-        (self.log)(RoommatesEvent::Rotation {
-            xs: xs.to_vec(),
-            ys: ys.to_vec(),
-        });
-    }
-    fn list_emptied(&mut self, who: u32) {
-        (self.log)(RoommatesEvent::ListEmptied { who });
-    }
-}
 
 /// Monotone seed cursors — the incremental replacement for the reference
 /// solver's per-rotation `(0..n).filter(len ≥ 2)` rescan.
@@ -241,12 +178,11 @@ pub(crate) enum CoreEnd {
 /// (thresholds only tighten), so it never holds a proposal again: the run
 /// counts it and goes on, until more than `budget` have emptied. Returns
 /// the emptied count, or the proposer that crossed the budget.
-fn phase1<I: RoommatesOracle, T: Tracer, M: Metrics>(
+fn phase1<I: RoommatesOracle, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
     budget: u32,
     stats: &mut SolveStats,
-    tracer: &mut T,
     metrics: &mut M,
 ) -> Result<u32, u32> {
     let mut emptied = 0u32;
@@ -254,7 +190,6 @@ fn phase1<I: RoommatesOracle, T: Tracer, M: Metrics>(
         // Like the reference, an emptied participant surfaces when it
         // proposes — the only moment phase 1 looks at its list.
         let Some(y) = ws.p1_first(inst, x) else {
-            tracer.list_emptied(x);
             emptied += 1;
             if emptied > budget {
                 return Err(x);
@@ -276,7 +211,6 @@ fn phase1<I: RoommatesOracle, T: Tracer, M: Metrics>(
             metrics.rejection();
         }
         ws.holds[y as usize] = x;
-        tracer.proposal(x, y, (z != NONE).then_some(z));
         // The truncation "delete everything y ranks below x" is one
         // threshold store; its deletions stay implicit.
         let new_rank = inst.rank_of(y, x);
@@ -284,18 +218,11 @@ fn phase1<I: RoommatesOracle, T: Tracer, M: Metrics>(
         if ws.first_rank[y as usize] == NONE {
             ws.first_rank[y as usize] = new_rank;
         }
-        if T::ENABLED {
-            ws.removed.clear();
-            ws.collect_p1_removed(inst, y, new_rank);
-        }
         ws.thresh[y as usize] = new_rank;
         // Metric semantics: one "truncation" per threshold store (a
         // tightening of y's live bound), not per implied pair deletion —
         // the fast path never enumerates those.
         metrics.phase1_truncation();
-        if T::ENABLED && !ws.removed.is_empty() {
-            tracer.truncation(y, x, &ws.removed);
-        }
     }
     debug_assert!(
         emptied > 0 || ws.holds.iter().all(|&h| h != NONE),
@@ -367,7 +294,7 @@ fn eliminate_rotation(ws: &mut RoommatesWorkspace) -> (u32, u32) {
         // a truncation emptying two counts once — an undercount that only
         // delays a partition run's budget stop.
         let mut culprit = NONE;
-        ws.truncate_below(y, x, &mut culprit, false);
+        ws.truncate_below(y, x, &mut culprit);
         emptied += u32::from(culprit != NONE);
         if first == NONE {
             first = culprit;
@@ -380,13 +307,12 @@ fn eliminate_rotation(ws: &mut RoommatesWorkspace) -> (u32, u32) {
 /// Phase 2 from the materialized arena: find and eliminate rotations
 /// until every open list is done, freezing odd rotations as parties in
 /// [`Mode::Partition`].
-fn phase2<T: Tracer, M: Metrics>(
+fn phase2<M: Metrics>(
     ws: &mut RoommatesWorkspace,
     policy: &RotationPolicy,
     mode: Mode,
     mut emptied: u32,
     stats: &mut SolveStats,
-    tracer: &mut T,
     metrics: &mut M,
 ) -> CoreEnd {
     let partition = mode != Mode::Strict;
@@ -396,7 +322,6 @@ fn phase2<T: Tracer, M: Metrics>(
             assert!(partition, "rotation path stays within length-2 lists");
             return CoreEnd::Broken;
         }
-        tracer.rotation(&ws.xs, &ws.ys);
         stats.rotations += 1;
         metrics.phase2_rotation();
         if partition && is_party_rotation(ws) {
@@ -405,7 +330,6 @@ fn phase2<T: Tracer, M: Metrics>(
         }
         let (count, culprit) = eliminate_rotation(ws);
         if count > 0 {
-            tracer.list_emptied(culprit);
             emptied += count;
             if emptied > mode.budget() {
                 return CoreEnd::OverBudget {
@@ -424,17 +348,16 @@ fn phase2<T: Tracer, M: Metrics>(
     CoreEnd::Matching(ws.partners())
 }
 
-/// The engine core, monomorphized per tracer and observer: one Irving run
+/// The engine core, monomorphized per oracle and observer: one Irving run
 /// of `inst` through `ws` in `mode`. Reports the per-event counters, the
 /// `workspace` hook and an `irving.solve` span enclosing `irving.phase1`
-/// and `irving.phase2`; the verdict hook and the warm-start footer are
-/// the caller's.
-pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics>(
+/// and `irving.phase2` (which includes building the phase-2 arena); the
+/// verdict hook and the warm-start footer are the caller's.
+pub(crate) fn run_core<I: RoommatesOracle, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
     policy: &RotationPolicy,
     mode: Mode,
-    tracer: &mut T,
     metrics: &mut M,
 ) -> (CoreEnd, SolveStats) {
     let n = inst.n();
@@ -448,7 +371,7 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics>(
     metrics.span_begin(span::IRVING_SOLVE, n as u64);
     metrics.span_begin(span::IRVING_PHASE1, n as u64);
     metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE1);
-    let phase1 = phase1(inst, ws, mode.budget(), &mut stats, tracer, metrics);
+    let phase1 = phase1(inst, ws, mode.budget(), &mut stats, metrics);
     metrics.span_end(span::IRVING_PHASE1);
     let end = match phase1 {
         Err(culprit) => CoreEnd::OverBudget {
@@ -456,12 +379,12 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics>(
             in_phase1: true,
         },
         Ok(emptied) => {
+            metrics.span_begin(span::IRVING_PHASE2, n as u64);
+            metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE2);
             // Collapse the implicit phase-1 deletions into the compact
             // linked arena phase 2 operates on.
             ws.materialize(inst);
-            metrics.span_begin(span::IRVING_PHASE2, n as u64);
-            metrics.phase_enter(kmatch_obs::phase::IRVING_PHASE2);
-            let end = phase2(ws, policy, mode, emptied, &mut stats, tracer, metrics);
+            let end = phase2(ws, policy, mode, emptied, &mut stats, metrics);
             metrics.span_end(span::IRVING_PHASE2);
             end
         }
@@ -472,14 +395,13 @@ pub(crate) fn run_core<I: RoommatesOracle, T: Tracer, M: Metrics>(
 
 /// A strict run with its verdict: reports [`Metrics::solve_done`] and
 /// leaves the warm-start footer [`crate::warm`] replays.
-pub(crate) fn solve_strict<I: RoommatesOracle, T: Tracer, M: Metrics>(
+fn solve_strict<I: RoommatesOracle, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
     policy: &RotationPolicy,
-    tracer: &mut T,
     metrics: &mut M,
 ) -> RoommatesOutcome {
-    let (end, stats) = run_core(inst, ws, policy, Mode::Strict, tracer, metrics);
+    let (end, stats) = run_core(inst, ws, policy, Mode::Strict, metrics);
     let (outcome, culprit) = match end {
         CoreEnd::Matching(partner) => (
             RoommatesOutcome::Stable {
@@ -523,7 +445,7 @@ impl RoommatesWorkspace {
         inst: &I,
         policy: &RotationPolicy,
     ) -> RoommatesOutcome {
-        self.solve_metered_with(inst, policy, &mut NoMetrics)
+        solve_strict(inst, self, policy, &mut NoMetrics)
     }
 
     /// [`RoommatesWorkspace::solve`] reporting to the observer `metrics`:
@@ -539,18 +461,7 @@ impl RoommatesWorkspace {
         inst: &I,
         metrics: &mut M,
     ) -> RoommatesOutcome {
-        self.solve_metered_with(inst, &RotationPolicy::FirstAvailable, metrics)
-    }
-
-    /// [`RoommatesWorkspace::solve_metered`] with an explicit
-    /// rotation-seeding policy.
-    pub fn solve_metered_with<I: RoommatesOracle, M: Metrics>(
-        &mut self,
-        inst: &I,
-        policy: &RotationPolicy,
-        metrics: &mut M,
-    ) -> RoommatesOutcome {
-        solve_strict(inst, self, policy, &mut NoTrace, metrics)
+        solve_strict(inst, self, &RotationPolicy::FirstAvailable, metrics)
     }
 }
 
@@ -672,26 +583,6 @@ mod tests {
                 );
                 assert_eq!(fast.stats(), reference.stats());
             }
-        }
-    }
-
-    #[test]
-    fn traced_engine_matches_reference_events() {
-        use crate::solver::{solve_with_logged, solve_with_logged_reference};
-        let mut rng = ChaCha8Rng::seed_from_u64(31);
-        for n in [4usize, 8, 12, 13] {
-            let inst = uniform_roommates(n, &mut rng);
-            let mut fast_events = Vec::new();
-            let mut ref_events = Vec::new();
-            let fast = solve_with_logged(&inst, RotationPolicy::FirstAvailable, &mut |e| {
-                fast_events.push(e)
-            });
-            let reference =
-                solve_with_logged_reference(&inst, RotationPolicy::FirstAvailable, &mut |e| {
-                    ref_events.push(e)
-                });
-            assert_eq!(fast.stats(), reference.stats());
-            assert_eq!(fast_events, ref_events, "n = {n}");
         }
     }
 

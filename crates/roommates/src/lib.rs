@@ -27,7 +27,8 @@
 //! built on [`engine`]/[`workspace`] — implicit phase-1 deletion
 //! thresholds plus a compact doubly-linked arena for phase 2 — and the
 //! reference solver ([`solve_reference`]) over the [`active`] mask table,
-//! kept verbatim as the differential-testing oracle.
+//! kept verbatim as the differential-testing oracle and run by
+//! [`solve_traced`] for the paper-style event trace.
 //!
 //! [`brute`] supplies exhaustive ground truth (all stable matchings of
 //! small instances) used heavily by the Theorem-1 experiments.
@@ -58,8 +59,8 @@ pub use matching::{find_roommates_blocking_pair, is_roommates_stable, RoommatesM
 pub use partition::{tolerant_solve_budgeted, verify_partition, StablePartition, TolerantOutcome};
 pub use policy::RotationPolicy;
 pub use solver::{
-    solve, solve_metered, solve_reference, solve_traced, solve_with, solve_with_logged,
-    solve_with_logged_reference, solve_with_reference, RoommatesOutcome, SolveStats,
+    solve, solve_reference, solve_traced, solve_with, solve_with_logged_reference,
+    solve_with_reference, RoommatesOutcome, SolveStats,
 };
 pub use trace::RoommatesEvent;
 pub use warm::RoommatesRowDelta;

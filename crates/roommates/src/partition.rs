@@ -34,7 +34,7 @@
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{RoommatesOracle, UNRANKED};
 
-use crate::engine::{run_core, CoreEnd, Mode, NoTrace};
+use crate::engine::{run_core, CoreEnd, Mode};
 use crate::policy::RotationPolicy;
 use crate::solver::SolveStats;
 use crate::workspace::{RoommatesWorkspace, NONE};
@@ -129,26 +129,22 @@ pub(crate) fn extract_party(ws: &mut RoommatesWorkspace) {
         ws.frozen[x as usize] = true;
     }
     for &x in &xs {
-        // Gather x's middle entries (everything except head and tail).
-        ws.removed.clear();
+        // Unlink x's middle entries (everything except head and tail). An
+        // unlinked node keeps its own `succ`, and the partner-side unlink
+        // touches another row, so the walk reads on from the node it just
+        // removed.
         let head = ws.head[x as usize];
         let tail = ws.tail[x as usize];
         debug_assert!(head != NONE && tail != NONE && head != tail);
         let mut e = ws.succ[head as usize];
         while e != tail {
-            ws.removed.push(e);
-            e = ws.succ[e as usize];
-        }
-        let middles = std::mem::take(&mut ws.removed);
-        for &node in &middles {
-            let q = ws.entries[node as usize];
-            ws.unlink(x, node);
+            let q = ws.entries[e as usize];
+            ws.unlink(x, e);
             let qn = ws.node_of(q, x);
             ws.unlink(q, qn);
+            e = ws.succ[e as usize];
         }
-        ws.removed = middles;
     }
-    ws.removed.clear();
     ws.xs = xs;
 }
 
@@ -242,7 +238,7 @@ pub(crate) fn partition_solve<I: RoommatesOracle, M: Metrics>(
 ) -> TolerantOutcome {
     let mode = Mode::Partition { singleton_budget };
     let policy = RotationPolicy::FirstAvailable;
-    let (end, stats) = run_core(inst, ws, &policy, mode, &mut NoTrace, metrics);
+    let (end, stats) = run_core(inst, ws, &policy, mode, metrics);
     match end {
         CoreEnd::Matching(partner) => TolerantOutcome::Perfect { partner, stats },
         CoreEnd::Partition(partition) => TolerantOutcome::Partition { partition, stats },

@@ -13,12 +13,13 @@
 //!   keeps the original [`ActiveTable`] implementation verbatim as the
 //!   differential-testing oracle: both paths must produce identical
 //!   matchings, certificates, proposal counts, and rotation counts
-//!   (pinned by `tests/prop_fastpath.rs`).
+//!   (pinned by `tests/prop_fastpath.rs`). It is also the traced path:
+//!   [`solve_traced`] and [`solve_with_logged_reference`] emit the §III-B
+//!   event dialogue as it runs.
 
 use kmatch_prefs::RoommatesInstance;
 
 use crate::active::ActiveTable;
-use crate::engine::{solve_strict, LogTrace};
 use crate::matching::RoommatesMatching;
 use crate::phase1::{phase1_logged, Phase1Result};
 use crate::phase2::{eliminate_rotation, find_rotation};
@@ -101,40 +102,15 @@ pub fn solve_with(inst: &RoommatesInstance, policy: RotationPolicy) -> Roommates
     RoommatesWorkspace::new().solve_with(inst, &policy)
 }
 
-/// [`solve`] with metric hooks — the transient-workspace face of
-/// [`RoommatesWorkspace::solve_metered`].
-pub fn solve_metered<M: kmatch_obs::Metrics>(
-    inst: &RoommatesInstance,
-    metrics: &mut M,
-) -> RoommatesOutcome {
-    RoommatesWorkspace::new().solve_metered(inst, metrics)
-}
-
 /// Solve with [`RotationPolicy::FirstAvailable`], also returning the full
-/// event trace in the paper's §III-B style.
+/// event trace in the paper's §III-B style. Runs the reference solver, so
+/// the outcome equals [`solve`]'s.
 pub fn solve_traced(inst: &RoommatesInstance) -> (RoommatesOutcome, Vec<RoommatesEvent>) {
     let mut events = Vec::new();
-    let out = solve_with_logged(inst, RotationPolicy::FirstAvailable, &mut |e| {
+    let out = solve_with_logged_reference(inst, RotationPolicy::FirstAvailable, &mut |e| {
         events.push(e)
     });
     (out, events)
-}
-
-/// [`solve_with`] plus an event callback, running the traced instantiation
-/// of the linked-list engine (event-for-event identical to
-/// [`solve_with_logged_reference`]).
-pub fn solve_with_logged(
-    inst: &RoommatesInstance,
-    policy: RotationPolicy,
-    log: &mut dyn FnMut(RoommatesEvent),
-) -> RoommatesOutcome {
-    solve_strict(
-        inst,
-        &mut RoommatesWorkspace::new(),
-        &policy,
-        &mut LogTrace { log },
-        &mut kmatch_obs::NoMetrics,
-    )
 }
 
 /// Reference solver with the default seeding — the original

@@ -138,8 +138,6 @@ pub struct RoommatesWorkspace {
     pub(crate) ys: Vec<u32>,
     /// Elimination targets `(y_{i+1}, x_i)`, gathered before any deletion.
     pub(crate) targets: Vec<(u32, u32)>,
-    /// Partners removed by the current truncation (traced runs only).
-    pub(crate) removed: Vec<u32>,
     // ---- stable-partition scratch (partition runs only) ----
     /// `frozen[p]`: `p` belongs to an extracted party (skip in seeding).
     pub(crate) frozen: Vec<bool>,
@@ -181,7 +179,6 @@ impl RoommatesWorkspace {
             xs: Vec::with_capacity(n),
             ys: Vec::with_capacity(n),
             targets: Vec::with_capacity(n),
-            removed: Vec::new(),
             frozen: Vec::new(),
             pi: Vec::new(),
             footer: None,
@@ -213,7 +210,6 @@ impl RoommatesWorkspace {
             + self.xs.capacity() * size_of::<u32>()
             + self.ys.capacity() * size_of::<u32>()
             + self.targets.capacity() * size_of::<(u32, u32)>()
-            + self.removed.capacity() * size_of::<u32>()
             + self.frozen.capacity() * size_of::<bool>()
             + self.pi.capacity() * size_of::<u32>()
     }
@@ -244,7 +240,6 @@ impl RoommatesWorkspace {
         self.xs.clear();
         self.ys.clear();
         self.targets.clear();
-        self.removed.clear();
         // Strict runs read an empty `frozen`; partition runs size both.
         self.frozen.clear();
         self.pi.clear();
@@ -313,28 +308,6 @@ impl RoommatesWorkspace {
         }
         self.scan[x as usize] = h;
         None
-    }
-
-    /// Append to `self.removed` the partners the phase-1 truncation
-    /// `thresh[y] := new_rank` is about to delete, in removal (rank)
-    /// order — the entries of `y`'s row in `(new_rank, old bound]` whose
-    /// partner side is still alive. Traced runs only; must be called
-    /// *before* the threshold is updated.
-    pub(crate) fn collect_p1_removed<I: RoommatesOracle>(
-        &mut self,
-        inst: &I,
-        y: u32,
-        new_rank: u32,
-    ) {
-        let old_end = inst
-            .row_len(y)
-            .min(self.thresh[y as usize].saturating_add(1));
-        for pos in (new_rank + 1)..old_end {
-            let z = inst.candidate(y, pos);
-            if inst.rank_lt(z, y, self.thresh[z as usize].saturating_add(1)) {
-                self.removed.push(z);
-            }
-        }
     }
 
     /// Evaluate the phase-1 liveness predicate once per still-plausible
@@ -531,15 +504,8 @@ impl RoommatesWorkspace {
     /// `p`'s own tail is severed in O(1) when the kept entry survives;
     /// otherwise the boundary is recovered by walking back over the doomed
     /// suffix, which is paid for by the deletions themselves. Either way
-    /// the cost is O(deleted) unlinks. When `collect_removed` is set the
-    /// removed partners are appended to `self.removed` in removal order.
-    pub(crate) fn truncate_below(
-        &mut self,
-        p: u32,
-        q: u32,
-        culprit: &mut u32,
-        collect_removed: bool,
-    ) {
+    /// the cost is O(deleted) unlinks.
+    pub(crate) fn truncate_below(&mut self, p: u32, q: u32, culprit: &mut u32) {
         let keep = self.node_of(p, q);
         // Locate the first surviving node strictly worse than `keep` and
         // the surviving node preceding it (the new tail). Rows stay sorted
@@ -581,9 +547,6 @@ impl RoommatesWorkspace {
             let zn = self.node_of(z, p);
             if self.unlink(z, zn) && *culprit == NONE {
                 *culprit = z;
-            }
-            if collect_removed {
-                self.removed.push(z);
             }
             cur = self.succ[cur as usize];
         }
@@ -655,9 +618,8 @@ mod tests {
         // m holds a proposal from w (=2): remove everyone worse than w on
         // m's list [5, 2, 3, 4] -> [5, 2].
         let mut culprit = NONE;
-        ws.truncate_below(0, 2, &mut culprit, true);
+        ws.truncate_below(0, 2, &mut culprit);
         assert_eq!(ws.reduced_list(0), vec![5, 2]);
-        assert_eq!(ws.removed, vec![3, 4], "removal order is best-to-worst");
         assert_eq!(culprit, NONE);
         // Bidirectional: w' (=3) and u (=4) lost m.
         assert!(!ws.reduced_list(3).contains(&0));
@@ -723,7 +685,7 @@ mod tests {
         ws.reset(&inst);
         ws.materialize(&inst);
         let mut culprit = NONE;
-        ws.truncate_below(0, 2, &mut culprit, false);
+        ws.truncate_below(0, 2, &mut culprit);
         ws.reset(&inst);
         ws.materialize(&inst);
         assert_eq!(ws.reduced_list(0), vec![5, 2, 3, 4]);

@@ -1,13 +1,13 @@
 //! Metrics-vs-trace differential suite for Irving's algorithm: the
 //! `SolverMetrics` counters recorded by the metered fast path must agree
-//! exactly with the event stream of the traced path on the same
+//! exactly with the event stream of the traced reference path on the same
 //! instances — proposals with `Proposal`, holder swaps with displacing
 //! proposals, phase-2 rotations with `Rotation`. All randomness is
 //! seeded `rand_chacha` driven by the deterministic proptest case stream.
 
 use kmatch_obs::SolverMetrics;
 use kmatch_prefs::gen::uniform::uniform_roommates;
-use kmatch_roommates::{solve_metered, solve_traced, RoommatesEvent};
+use kmatch_roommates::{solve_traced, RoommatesEvent, RoommatesWorkspace};
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -20,7 +20,7 @@ proptest! {
         let inst = uniform_roommates(n, &mut rng);
 
         let mut m = SolverMetrics::new();
-        let metered = solve_metered(&inst, &mut m);
+        let metered = RoommatesWorkspace::new().solve_metered(&inst, &mut m);
         let (traced, events) = solve_traced(&inst);
         prop_assert_eq!(metered.matching(), traced.matching());
         prop_assert_eq!(metered.stats(), traced.stats());

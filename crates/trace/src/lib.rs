@@ -66,7 +66,8 @@ pub mod span {
     pub const IRVING_SOLVE: &str = "irving.solve";
     /// Irving phase 1: proposal/threshold tightening (arg = `n`).
     pub const IRVING_PHASE1: &str = "irving.phase1";
-    /// Irving phase 2: rotation elimination (arg = `n`).
+    /// Irving phase 2: building the arena of phase-1 survivors, then
+    /// rotation elimination (arg = `n`).
     pub const IRVING_PHASE2: &str = "irving.phase2";
     /// Instant: roommates warm resolve replayed the stored execution.
     pub const IRVING_WARM_RESOLVE: &str = "irving.warm.resolve";

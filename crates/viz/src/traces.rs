@@ -114,8 +114,23 @@ pub fn render_gs_trace(events: &[GsEvent], proposers: &NameMap, responders: &Nam
 mod tests {
     use super::*;
     use kmatch_gs::gale_shapley_traced;
-    use kmatch_prefs::gen::paper::{example1_first, section3b_left, section3b_right};
+    use kmatch_prefs::gen::paper::{
+        example1_first, example1_second, section3b_left, section3b_right,
+    };
+    use kmatch_prefs::{BipartiteInstance, RoommatesInstance};
     use kmatch_roommates::solve_traced;
+
+    fn gs_text(inst: &BipartiteInstance) -> String {
+        let (_, events) = gale_shapley_traced(inst);
+        let men = NameMap::new(vec!["m".into(), "m'".into()]);
+        let women = NameMap::new(vec!["w".into(), "w'".into()]);
+        render_gs_trace(&events, &men, &women)
+    }
+
+    fn roommates_text(inst: &RoommatesInstance) -> String {
+        let (_, events) = solve_traced(inst);
+        render_roommates_trace(&events, &NameMap::paper_tripartite())
+    }
 
     #[test]
     fn left_instance_trace_reads_like_the_paper() {
@@ -146,13 +161,45 @@ mod tests {
 
     #[test]
     fn gs_trace_renders_dialogue() {
-        let out = gale_shapley_traced(&example1_first());
-        let men = NameMap::new(vec!["m".into(), "m'".into()]);
-        let women = NameMap::new(vec!["w".into(), "w'".into()]);
-        let text = render_gs_trace(out.trace.as_ref().unwrap(), &men, &women);
+        let text = gs_text(&example1_first());
         assert!(text.contains("— round 1 —"));
         assert!(text.contains("m → w"));
         assert!(text.contains("w rejects m"));
         assert!(text.contains("w' says maybe to m"));
+    }
+
+    // Byte-exact renderings of the paper's worked examples: any change to
+    // event order, event content or the renderers shows up here.
+
+    #[test]
+    fn golden_gs_example1_first() {
+        assert_eq!(
+            gs_text(&example1_first()),
+            "— round 1 —\nm → w\n        w says maybe to m\nm' → w\n        w rejects m\n        w says maybe to m'\n— round 2 —\nm → w'\n        w' says maybe to m\n"
+        );
+    }
+
+    #[test]
+    fn golden_gs_example1_second() {
+        assert_eq!(
+            gs_text(&example1_second()),
+            "— round 1 —\nm → w\n        w says maybe to m\nm' → w'\n        w' says maybe to m'\n"
+        );
+    }
+
+    #[test]
+    fn golden_roommates_section3b_left() {
+        assert_eq!(
+            roommates_text(&section3b_left()),
+            "m → u'   u' holds\n        removes u': ww'm'\nm' → w   w holds\n        removes w: u\nw → m   m holds\n        removes m: w'u\nw' → m'   m' holds\nu → m'   m' holds   rejects w'\n        removes m': w'\nw' → u   u holds\nu' → m   m holds   rejects w\n        removes m: w\nw → m'   m' holds   rejects u\n        removes m': u\nu → w'   w' holds\n"
+        );
+    }
+
+    #[test]
+    fn golden_roommates_section3b_right() {
+        assert_eq!(
+            roommates_text(&section3b_right()),
+            "m → w'   w' holds\n        removes w': m'uu'\nm' → w   w holds\n        removes w: muu'\nw → m'   m' holds\n        removes m': uu'\nw' → m   m holds\n        removes m: u'u\nu's reduced list is empty — no stable matching\n"
+        );
     }
 }

@@ -18,13 +18,10 @@ use kmatch::viz::{
 fn main() {
     println!("== Example 1 (first preference set): the GS dialogue ==\n");
     let inst = kmatch::gen::paper::example1_first();
-    let out = gale_shapley_traced(&inst);
+    let (out, events) = gale_shapley_traced(&inst);
     let men = NameMap::new(vec!["m".into(), "m'".into()]);
     let women = NameMap::new(vec!["w".into(), "w'".into()]);
-    print!(
-        "{}",
-        render_gs_trace(out.trace.as_ref().unwrap(), &men, &women)
-    );
+    print!("{}", render_gs_trace(&events, &men, &women));
     println!(
         "\nresult: {}",
         if out.matching.partner_of_proposer(0) == 1 {

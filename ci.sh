@@ -251,6 +251,17 @@ RM_RSS="$(echo "$RM_OUT" | awk '/peak rss bytes/ { print $5 }')"
     || { echo "roommates smoke: n=1e5 solve took ${RM_MS:-?} ms (>= 60 s)"; exit 1; }
 [ -n "$RM_RSS" ] && [ "$RM_RSS" -lt $((256 * 1024 * 1024)) ] \
     || { echo "roommates smoke: peak RSS ${RM_RSS:-?} bytes (>= 256 MB)"; exit 1; }
+# The arena build and the partition check split across the host's
+# threads; under `taskset -c 0` the host has one, so the same solve takes
+# the serial path. Everything but the timings and the peak RSS must match.
+RM_SERIAL="$(taskset -c 0 ./target/release/kmatch solve roommates --prefs random \
+    --n 100000 --seed 42)"
+rm_lines() { echo "$1" | grep -E '^(verdict|certificate|escalation|partition|arena) '; }
+[ "$(rm_lines "$RM_OUT" | wc -l)" -ge 4 ] \
+    || { echo "roommates smoke: verdict lines missing"; exit 1; }
+[ "$(rm_lines "$RM_OUT")" = "$(rm_lines "$RM_SERIAL")" ] \
+    || { echo "roommates smoke: the one-core run differs:"; \
+         diff <(rm_lines "$RM_OUT") <(rm_lines "$RM_SERIAL"); exit 1; }
 ./target/release/kmatch report validate --input "$SMOKE_DIR/rm_report.json"
 for key in '"escalation_attempts"' '"certified_stable"' '"certified_unsolvable"' \
     '"escalation_cuts"'; do

@@ -9,12 +9,14 @@
 //! This crate provides:
 //!
 //! * [`steal`] — the deterministic work-stealing executor every parallel
-//!   path runs on: fine-grained task chunks on per-worker deques, seeded
-//!   victim order (`KMATCH_STEAL_SEED`), task-id-ordered reduction so
-//!   outputs and merged metrics are byte-identical for any thread count
-//!   and steal schedule, and per-worker lane accounting for the
-//!   straggler section of run reports. One crate-private runner drives
-//!   it for every front-end below; one thread is its serial case.
+//!   path runs on, re-exported from `kmatch-exec` (which sits below the
+//!   engines, so the roommates engine splits its own walks on it too):
+//!   fine-grained task chunks on per-worker deques, seeded victim order
+//!   (`KMATCH_STEAL_SEED`), task-id-ordered reduction so outputs and
+//!   merged metrics are byte-identical for any thread count and steal
+//!   schedule, and per-worker lane accounting for the straggler section
+//!   of run reports. One crate-private runner drives it for every
+//!   front-end below; one thread is its serial case.
 //! * [`executor`] — the binding executor: independent `GS(i, j)` bindings
 //!   (all at once, or each schedule round) run as executor tasks. Its
 //!   output is bit-identical to the sequential Algorithm 1 (GS is
@@ -26,7 +28,8 @@
 //!   `GsWorkspace` so the per-instance allocation cost is just the
 //!   returned matchings; [`cached`] serves repeats from a solve cache.
 //! * [`roommates`] — the same front-ends for Irving's stable-roommates
-//!   solver (one reusable `RoommatesWorkspace` per worker), feeding the
+//!   solver (one reusable `RoommatesWorkspace` per worker, at a thread
+//!   budget of 1 so its own walks never add threads), feeding the
 //!   solvability sweeps.
 //! * [`pram`] — the paper's own cost model, implemented as an explicit
 //!   simulator: EREW round accounting reproducing Corollary 1

@@ -23,6 +23,15 @@ use crate::batch::ChunkTrace;
 use crate::runner::{absorb, run_batch};
 use crate::steal::StealReport;
 
+/// A batch worker's workspace. Its own walks stay on the worker's
+/// thread (budget 1), so a batch never runs more threads than it was
+/// given.
+fn worker_workspace() -> RoommatesWorkspace {
+    let mut ws = RoommatesWorkspace::new();
+    ws.set_threads(1);
+    ws
+}
+
 /// Solve a roommates batch through the deterministic work-stealing
 /// executor (see [`crate::steal`]) with `threads` OS workers and the
 /// given steal-schedule seed.
@@ -55,7 +64,7 @@ pub fn solve_batch_stealing(
         threads,
         seed,
         &StdClock::new(),
-        |_| RoommatesWorkspace::new(),
+        |_| worker_workspace(),
         |_| NoMetrics,
     );
     (run.outcomes, run.report)
@@ -83,7 +92,7 @@ where
         threads,
         seed,
         clock,
-        |_| RoommatesWorkspace::new(),
+        |_| worker_workspace(),
         |_| SolverMetrics::new(),
     );
     absorb(registry, run.shards, &run.report);
@@ -113,7 +122,7 @@ pub fn solve_batch_traced<C: Clock + Sync>(
         clock,
         |_| {
             let recorder = FlightRecorder::new(clock, flight_capacity);
-            (RoommatesWorkspace::new(), recorder)
+            (worker_workspace(), recorder)
         },
         |_| SolverMetrics::new(),
     );

@@ -56,8 +56,8 @@ pub use ids::{GenderId, Member, Rank, UNRANKED};
 pub use kpartite::KPartiteInstance;
 pub use oracle::{
     materialize_oracle, materialize_roommates, CachedRoommatesOracle, FeistelPerm, PrefOracle,
-    RandomOracle, RandomRoommatesOracle, RoommatesOracle, ScoreOracle, Truncated,
-    TruncatedRoommates, ORACLE_MAX_N, PROPOSAL_STRIP, WALK_LANES,
+    RandomOracle, RandomRoommatesOracle, RoommatesOracle, ScoreOracle, SharedRoommates,
+    Truncated, TruncatedRoommates, ORACLE_MAX_N, PROPOSAL_STRIP, WALK_LANES,
 };
 pub use roommates::{MergeStrategy, RoommatesInstance};
 pub use views::{BipartitePrefs, KPartitePairView, ResponderListSlice, ReverseView};

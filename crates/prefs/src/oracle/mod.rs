@@ -37,7 +37,7 @@ pub use random::{
     CachedRoommatesOracle, FeistelPerm, RandomOracle, RandomRoommatesOracle, ORACLE_MAX_N,
     WALK_LANES,
 };
-pub use roommates::{materialize_roommates, RoommatesOracle};
+pub use roommates::{materialize_roommates, RoommatesOracle, SharedRoommates};
 pub use scores::ScoreOracle;
 pub use truncated::{Truncated, TruncatedRoommates};
 

@@ -14,7 +14,8 @@ use std::ops::Range;
 
 use crate::ids::Rank;
 
-use super::roommates::RoommatesOracle;
+use super::roommates::{RoommatesOracle, SharedRoommates};
+use super::TruncatedRoommates;
 use super::{PrefOracle, PROPOSAL_STRIP};
 
 /// Number of Feistel rounds. Four rounds of a strong mix are ample for
@@ -496,6 +497,11 @@ impl RoommatesOracle for RandomRoommatesOracle {
             }
         }
     }
+
+    #[inline]
+    fn shared(&self) -> Option<SharedRoommates<'_>> {
+        Some(TruncatedRoommates::new(self, u32::MAX))
+    }
 }
 
 /// [`RandomRoommatesOracle`] with the per-agent Feistel key schedules and
@@ -639,6 +645,11 @@ impl RoommatesOracle for CachedRoommatesOracle {
                 raw[i] = p;
             }
         }
+    }
+
+    #[inline]
+    fn shared(&self) -> Option<SharedRoommates<'_>> {
+        Some(TruncatedRoommates::new(self, u32::MAX))
     }
 }
 

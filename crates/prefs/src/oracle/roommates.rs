@@ -11,6 +11,18 @@
 use crate::ids::Rank;
 use crate::RoommatesInstance;
 
+use super::TruncatedRoommates;
+
+/// A view of a roommates oracle that worker threads can share: the
+/// oracle behind a `Sync` trait object, at a list cutoff (`u32::MAX`
+/// for an untruncated oracle, which leaves every rank as it is).
+///
+/// Returned by [`RoommatesOracle::shared`]. Row walks that split across
+/// threads probe through this view, so one dispatch serves every oracle
+/// type; the walks call the batched methods, which amortize it over a
+/// strip of probes.
+pub type SharedRoommates<'a> = TruncatedRoommates<&'a (dyn RoommatesOracle + Sync)>;
+
 /// Read-only roommates preference access, sufficient to run Irving's
 /// algorithm.
 ///
@@ -98,6 +110,22 @@ pub trait RoommatesOracle {
             out[i] = self.rank_lt(q, p, limits[i]);
         }
     }
+
+    /// This oracle as a view worker threads can share, or `None` when it
+    /// cannot cross threads. The view must answer every query exactly as
+    /// `self` does.
+    ///
+    /// Engines split a large row walk across threads only through this
+    /// view, and walk on the calling thread when it is `None`. The
+    /// default is `None`, so an oracle that is not `Sync` — say, a
+    /// wrapper that counts probes in a `Cell` — stays correct and runs
+    /// serially. The stock oracles override it; a wrapper that changes
+    /// no answer should forward its inner oracle's view, as
+    /// [`TruncatedRoommates`] does (with the smaller of the two cuts).
+    #[inline]
+    fn shared(&self) -> Option<SharedRoommates<'_>> {
+        None
+    }
 }
 
 /// Shared references delegate, so wrappers like
@@ -140,6 +168,10 @@ impl<O: RoommatesOracle + ?Sized> RoommatesOracle for &O {
     fn ranks_lt_into(&self, qs: &[u32], p: u32, limits: &[u32], out: &mut [bool]) {
         (**self).ranks_lt_into(qs, p, limits, out)
     }
+    #[inline]
+    fn shared(&self) -> Option<SharedRoommates<'_>> {
+        (**self).shared()
+    }
 }
 
 impl RoommatesOracle for RoommatesInstance {
@@ -167,6 +199,11 @@ impl RoommatesOracle for RoommatesInstance {
     fn candidates_into(&self, p: u32, lo: u32, out: &mut [u32]) {
         let lo = lo as usize;
         out.copy_from_slice(&self.list(p)[lo..lo + out.len()]);
+    }
+
+    #[inline]
+    fn shared(&self) -> Option<SharedRoommates<'_>> {
+        Some(TruncatedRoommates::new(self, u32::MAX))
     }
 }
 

@@ -15,7 +15,7 @@
 
 use crate::ids::{Rank, UNRANKED};
 
-use super::{PrefOracle, RoommatesOracle};
+use super::{PrefOracle, RoommatesOracle, SharedRoommates};
 
 /// Keep only the top `keep` entries of every list of `inner`.
 #[derive(Debug, Clone, Copy)]
@@ -198,6 +198,17 @@ impl<O: RoommatesOracle> RoommatesOracle for TruncatedRoommates<O> {
             i += w;
         }
     }
+
+    /// The inner oracle's view at the tighter of the two cuts: nesting
+    /// cuts keeps the smaller one.
+    #[inline]
+    fn shared(&self) -> Option<SharedRoommates<'_>> {
+        let view = self.inner.shared()?;
+        Some(TruncatedRoommates::new(
+            view.inner,
+            view.keep.min(self.keep),
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +293,41 @@ mod tests {
                 assert_eq!(t.rank_of(p, q), t2.rank_of(p, q));
             }
         }
+    }
+
+    /// Every answer of `view` equals `oracle`'s.
+    fn assert_same_answers<O: RoommatesOracle>(oracle: &O, what: &str) {
+        let view = oracle.shared().expect("stock oracles share");
+        let n = oracle.n() as u32;
+        assert_eq!(view.n(), oracle.n(), "{what}");
+        for p in 0..n {
+            assert_eq!(view.row_len(p), oracle.row_len(p), "{what}");
+            for pos in 0..oracle.row_len(p) {
+                assert_eq!(view.candidate(p, pos), oracle.candidate(p, pos), "{what}");
+            }
+            for q in (0..n).filter(|&q| q != p) {
+                assert_eq!(view.rank_of(p, q), oracle.rank_of(p, q), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_views_answer_like_their_oracles() {
+        use crate::gen::uniform::uniform_roommates;
+        use crate::CachedRoommatesOracle;
+        use rand::SeedableRng;
+        let random = RandomRoommatesOracle::new(17, 4);
+        let cached = CachedRoommatesOracle::new(17, 4);
+        let inst = uniform_roommates(13, &mut rand_chacha::ChaCha8Rng::seed_from_u64(4));
+        assert_same_answers(&random, "random");
+        assert_same_answers(&cached, "cached");
+        assert_same_answers(&inst, "instance");
+        assert_same_answers(&&cached, "reference");
+        let nested = TruncatedRoommates::new(TruncatedRoommates::new(&cached, 9), 5);
+        assert_same_answers(&nested, "nested cuts");
+        assert_eq!(nested.shared().expect("shares").keep(), 5);
+        let loose = TruncatedRoommates::new(TruncatedRoommates::new(&cached, 5), 9);
+        assert_eq!(loose.shared().expect("shares").keep(), 5);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{RoommatesOracle, TruncatedRoommates};
 
 use crate::matching::RoommatesMatching;
-use crate::partition::{partition_solve, verify_partition, TolerantOutcome};
+use crate::partition::{partition_solve, verify_partition_on, TolerantOutcome};
 use crate::solver::RoommatesOutcome;
 use crate::workspace::{RoommatesWorkspace, NONE};
 
@@ -190,7 +190,7 @@ pub fn solve_escalating_from<I: RoommatesOracle, M: Metrics>(
                     && partition.singletons <= MAX_CERTIFIABLE_SINGLETONS
                     && {
                         metrics.phase_enter(kmatch_obs::phase::VERIFY);
-                        verify_partition(inst, &partition.pi)
+                        verify_partition_on(inst, &partition.pi, ws.threads)
                     }
                 {
                     metrics.certified_unsolvable();

@@ -31,13 +31,17 @@
 //! which checks any claimed partition against any oracle from scratch, so
 //! a finder bug can cost an escalation but never an unsound verdict.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use kmatch_exec::{run_tasks, steal_seed};
 use kmatch_obs::{Metrics, NoMetrics};
 use kmatch_prefs::{RoommatesOracle, UNRANKED};
 
 use crate::engine::{run_core, CoreEnd, Mode};
 use crate::policy::RotationPolicy;
 use crate::solver::SolveStats;
-use crate::workspace::{RoommatesWorkspace, NONE};
+use crate::workspace::{split_rows, walk_threads, RoommatesWorkspace, NONE, WALK_TASKS};
 
 /// A stable partition candidate produced by [`tolerant_solve_budgeted`],
 /// plus the party census that escalation branches on. `pi` is only
@@ -269,7 +273,22 @@ pub(crate) fn partition_solve<I: RoommatesOracle, M: Metrics>(
 /// checked by enumerating, for each `p`, exactly the candidates `p`
 /// strictly prefers to its predecessor, so acceptance is sound whatever
 /// produced `pi`: a buggy finder can only cause a rejection.
+///
+/// The T2 walk splits into ranges of agents on the host's threads when
+/// it is large enough and the oracle can be shared
+/// ([`RoommatesOracle::shared`]); the answer is the same either way.
 pub fn verify_partition<I: RoommatesOracle>(inst: &I, pi: &[u32]) -> bool {
+    verify_partition_on(inst, pi, 0)
+}
+
+/// [`verify_partition`] with the T2 walk under thread budget `threads`
+/// (0 = the host's parallelism; see
+/// [`RoommatesWorkspace::set_threads`]).
+pub(crate) fn verify_partition_on<I: RoommatesOracle>(
+    inst: &I,
+    pi: &[u32],
+    threads: usize,
+) -> bool {
     let n = inst.n();
     if pi.len() != n {
         return false;
@@ -283,19 +302,20 @@ pub fn verify_partition<I: RoommatesOracle>(inst: &I, pi: &[u32]) -> bool {
         }
         pred[s as usize] = p;
     }
-    // Predecessor ranks — the T2 walk limits. A singleton's limit is its
-    // whole list (being alone is worse than any acceptable partner).
-    let mut pr = vec![0u32; n];
+    // T2 walk limits: the predecessor ranks, capped by the row. A
+    // singleton's limit is its whole list (being alone is worse than any
+    // acceptable partner).
+    let mut limit = vec![0u32; n];
     for p in 0..n as u32 {
         let q = pred[p as usize];
-        pr[p as usize] = if q == p {
+        limit[p as usize] = if q == p {
             inst.row_len(p)
         } else {
             let r = inst.rank_of(p, q);
             if r == UNRANKED {
                 return false;
             }
-            r
+            r.min(inst.row_len(p))
         };
     }
     // T1.
@@ -308,22 +328,56 @@ pub fn verify_partition<I: RoommatesOracle>(inst: &I, pi: &[u32]) -> bool {
         if rs == UNRANKED {
             return false;
         }
-        if s != pred[p as usize] && rs >= pr[p as usize] {
+        if s != pred[p as usize] && rs >= limit[p as usize] {
             return false;
         }
     }
-    // T2, row-batched (same probes as the scalar walk, amortized and
-    // overlapped — this walk dominates the certificate's O(n·K) cost).
+    // T2, in ranges of agents: a violation found in any range fails the
+    // check, and a range stops early once any range has found one. The
+    // flag is `Relaxed` because it publishes nothing: it only cuts work
+    // short, and the verdict comes back through the joined task results.
+    let work = limit.iter().map(|&l| u64::from(l)).sum();
+    let threads = walk_threads(threads, work);
+    let failed = AtomicBool::new(false);
+    let Some(view) = (if threads > 1 { inst.shared() } else { None }) else {
+        return t2_holds(inst, &limit, 0..n as u32, &failed);
+    };
+    let mut bounds = Vec::with_capacity(WALK_TASKS as usize + 1);
+    split_rows(n, work, |p| u64::from(limit[p as usize]), &mut bounds);
+    let (held, _, _) = run_tasks(
+        bounds.len() - 1,
+        threads,
+        steal_seed(),
+        |_| (),
+        |_, t| t2_holds(&view, &limit, bounds[t]..bounds[t + 1], &failed),
+    );
+    held.iter().all(|&(_, ok)| ok)
+}
+
+/// The T2 condition of [`verify_partition`] for the agents in `agents`,
+/// `limit[p]` being `p`'s capped predecessor rank. Row-batched (same
+/// probes as the scalar walk, amortized and overlapped — this walk
+/// dominates the certificate's O(n·K) cost). Sets `failed` on a
+/// violation and gives up once it is set.
+fn t2_holds<O: RoommatesOracle>(
+    inst: &O,
+    limit: &[u32],
+    agents: Range<u32>,
+    failed: &AtomicBool,
+) -> bool {
     const T2_BLOCK: usize = 64;
     let mut qs = [0u32; T2_BLOCK];
     let mut probe = [0u32; T2_BLOCK];
     let mut limits = [0u32; T2_BLOCK];
     let mut blocks = [false; T2_BLOCK];
-    for p in 0..n as u32 {
-        let limit = pr[p as usize].min(inst.row_len(p));
+    for p in agents {
+        if failed.load(Ordering::Relaxed) {
+            return false;
+        }
+        let end = limit[p as usize];
         let mut pos = 0u32;
-        while pos < limit {
-            let w = ((limit - pos) as usize).min(T2_BLOCK);
+        while pos < end {
+            let w = ((end - pos) as usize).min(T2_BLOCK);
             inst.candidates_into(p, pos, &mut qs[..w]);
             // A violating pair is enumerated from both endpoints, so it
             // suffices to probe the reverse rank from the lower id —
@@ -332,12 +386,13 @@ pub fn verify_partition<I: RoommatesOracle>(inst: &I, pi: &[u32]) -> bool {
             for &q in &qs[..w] {
                 if q > p {
                     probe[m] = q;
-                    limits[m] = pr[q as usize];
+                    limits[m] = limit[q as usize];
                     m += 1;
                 }
             }
             inst.ranks_lt_into(&probe[..m], p, &limits[..m], &mut blocks[..m]);
             if blocks[..m].iter().any(|&b| b) {
+                failed.store(true, Ordering::Relaxed);
                 return false;
             }
             pos += w as u32;
@@ -436,6 +491,44 @@ mod tests {
             }
         }
         assert!(solvable > 0 && unsolvable > 0, "mix of verdicts expected");
+    }
+
+    #[test]
+    fn split_check_agrees_with_the_serial_one() {
+        // The partition of n = 5000, seed 2 at the escalation's first cut
+        // has a T2 walk large enough that budgets 2 and 7 split it.
+        use kmatch_prefs::{CachedRoommatesOracle, TruncatedRoommates};
+        let oracle = CachedRoommatesOracle::new(5000, 2);
+        let mut ws = RoommatesWorkspace::new();
+        let TolerantOutcome::Partition { partition, .. } =
+            tolerant_solve_budgeted(&TruncatedRoommates::new(&oracle, 1132), &mut ws, 8)
+        else {
+            panic!("seed 2 has no stable matching");
+        };
+        let pi = partition.pi;
+        let mut pred = vec![0u32; pi.len()];
+        for (p, &s) in pi.iter().enumerate() {
+            pred[s as usize] = p as u32;
+        }
+        let work: u64 = (0..pi.len() as u32)
+            .map(|p| u64::from(oracle.rank_of(p, pred[p as usize])))
+            .sum();
+        assert_eq!(walk_threads(2, work), 2, "work {work} must split");
+        assert!(walk_threads(7, work) > 2, "work {work} must split further");
+        // Swapping two successors breaks the partition somewhere in the
+        // middle of the walk.
+        let mut doctored = pi.clone();
+        doctored.swap(2400, 2600);
+        for threads in [1usize, 2, 7] {
+            assert!(
+                verify_partition_on(&oracle, &pi, threads),
+                "budget {threads}"
+            );
+            assert!(
+                !verify_partition_on(&oracle, &doctored, threads),
+                "budget {threads}"
+            );
+        }
     }
 
     #[test]

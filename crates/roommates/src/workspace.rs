@@ -42,6 +42,9 @@
 //! `scan` cursors here and the monotone seed cursors in [`crate::engine`]
 //! sound.
 
+use std::ops::Range;
+
+use kmatch_exec::{default_threads, run_slots, steal_seed};
 use kmatch_prefs::RoommatesOracle;
 
 use crate::solver::SolveStats;
@@ -55,6 +58,132 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// partner-side thresholds probed this many at a time, reduced to a
 /// branchless liveness bitmask. Mirrors `PROPOSAL_STRIP` on the GS side.
 pub(crate) const P1_LANES: usize = 8;
+
+/// Most tasks a walk is cut into ([`split_rows`]). The cut depends on
+/// the instance alone, never on the thread budget, so every budget
+/// computes the same task outputs into the same buffers; and a task's
+/// output buffer costs memory of its own, so their number is bounded.
+pub(crate) const WALK_TASKS: u64 = 16;
+
+/// Least work, in row-walk candidates, of a task ([`split_rows`]): a
+/// small walk is one task.
+pub(crate) const MIN_TASK_WORK: u64 = 1 << 14;
+
+/// Least work, in row-walk candidates, that each thread of a split walk
+/// must get: below `2 ·` this a walk runs on the calling thread. Set at
+/// the measured crossover of the arena build over the Feistel oracle,
+/// where two threads first beat one (see `CHANGES.md`).
+pub(crate) const MIN_WORK_PER_THREAD: u64 = 1 << 16;
+
+/// Threads a walk of `work` candidates runs on under thread `budget`
+/// (0 = the host's parallelism): 1 unless every thread gets at least
+/// [`MIN_WORK_PER_THREAD`]. The budget 0 is resolved only for a walk
+/// large enough to split.
+pub(crate) fn walk_threads(budget: usize, work: u64) -> usize {
+    let most = usize::try_from(work / MIN_WORK_PER_THREAD).unwrap_or(usize::MAX);
+    if most < 2 || budget == 1 {
+        return 1;
+    }
+    let budget = if budget == 0 {
+        default_threads()
+    } else {
+        budget
+    };
+    budget.min(most)
+}
+
+/// Cut rows `0..n`, weighing `total` together and row `p` weighing
+/// `work(p)`, into at most [`WALK_TASKS`] consecutive task ranges of
+/// about equal work, each at least [`MIN_TASK_WORK`]: range `t` is
+/// `bounds[t]..bounds[t + 1]`.
+pub(crate) fn split_rows(n: usize, total: u64, work: impl Fn(u32) -> u64, bounds: &mut Vec<u32>) {
+    let task_work = total.div_ceil(WALK_TASKS).max(MIN_TASK_WORK);
+    bounds.clear();
+    bounds.push(0);
+    let mut open = 0u64;
+    for p in 0..n as u32 {
+        open += work(p);
+        if open >= task_work {
+            bounds.push(p + 1);
+            open = 0;
+        }
+    }
+    // Trailing rows that weigh nothing join the last task.
+    if n > 0 && bounds[bounds.len() - 1] != n as u32 {
+        match bounds.len() {
+            len if len > 1 && open == 0 => bounds[len - 1] = n as u32,
+            _ => bounds.push(n as u32),
+        }
+    }
+}
+
+/// Pass A of [`RoommatesWorkspace::materialize`] over `rows`, written
+/// over `out`: for each row `p` with a live pair `(p, q)`, `q > p`, in
+/// its window, a row marker `NONE << 32 | p`, then one record
+/// `pos << 32 | q` per such pair in position order (`pos` = the pair's
+/// position in `p`'s row, never [`NONE`]).
+///
+/// Row-batched: gather a block of candidates, then probe the
+/// partner-side liveness of the higher ids together — the per-row oracle
+/// state is amortized and the independent probes overlap.
+fn upper_survivors<O: RoommatesOracle>(
+    inst: &O,
+    thresh: &[u32],
+    scan: &[u32],
+    rows: Range<u32>,
+    out: &mut Vec<u64>,
+) {
+    const MAT_BLOCK: usize = 64;
+    let mut qs = [0u32; MAT_BLOCK];
+    let mut probe = [0u32; MAT_BLOCK];
+    let mut at = [0u32; MAT_BLOCK];
+    let mut limits = [0u32; MAT_BLOCK];
+    let mut live = [false; MAT_BLOCK];
+    out.clear();
+    for p in rows {
+        let end = inst.row_len(p).min(thresh[p as usize].saturating_add(1));
+        let mut pos = scan[p as usize];
+        let mut marked = false;
+        while pos < end {
+            let w = ((end - pos) as usize).min(MAT_BLOCK);
+            inst.candidates_into(p, pos, &mut qs[..w]);
+            let mut m = 0usize;
+            for (j, &q) in qs[..w].iter().enumerate() {
+                probe[m] = q;
+                at[m] = pos + j as u32;
+                m += usize::from(q > p);
+            }
+            for (limit, &q) in limits.iter_mut().zip(&probe[..m]) {
+                *limit = thresh[q as usize].saturating_add(1);
+            }
+            inst.ranks_lt_into(&probe[..m], p, &limits[..m], &mut live[..m]);
+            for k in (0..m).filter(|&k| live[k]) {
+                if !marked {
+                    out.push(u64::from(NONE) << 32 | u64::from(p));
+                    marked = true;
+                }
+                out.push(u64::from(at[k]) << 32 | u64::from(probe[k]));
+            }
+            pos += w as u32;
+        }
+    }
+}
+
+/// The records of one [`upper_survivors`] buffer as `(p, pos, q)`: a
+/// buffer starts with a row marker, and each marker names the row of the
+/// records after it.
+fn survivor_records(buf: &[u64]) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
+    let mut row = NONE;
+    buf.iter().filter_map(move |&r| {
+        let (pos, q) = ((r >> 32) as u32, r as u32);
+        if pos == NONE {
+            row = q;
+            None
+        } else {
+            Some((row, pos, q))
+        }
+    })
+}
 
 /// Footer recorded by the engine at every exit of a completed solve —
 /// the state [`RoommatesWorkspace::resolve_delta`](crate::warm) needs to
@@ -77,6 +206,9 @@ pub(crate) struct SolveFooter {
 /// shrinks; solving through one repeatedly is allocation-free in the
 /// steady state (the only per-solve allocation is the partner array owned
 /// by a returned stable matching — unsolvable instances allocate nothing).
+/// A walk large enough to split across threads
+/// ([`RoommatesWorkspace::set_threads`]) adds the executor's bookkeeping
+/// and thread spawns, a fixed count per walk whatever the size.
 /// Workspaces are cheap to create and freely reusable across unrelated
 /// instances of any size.
 ///
@@ -126,6 +258,12 @@ pub struct RoommatesWorkspace {
     pub(crate) tail: Vec<u32>,
     /// Surviving entries per participant (arena only — phase 2).
     pub(crate) len: Vec<u32>,
+    // ---- arena build scratch ----
+    /// Row ranges of the arena build's tasks (see [`split_rows`]).
+    pub(crate) task_rows: Vec<u32>,
+    /// One buffer per arena-build task: the upper survivors of its rows
+    /// (see `upper_survivors`).
+    pub(crate) survivors: Vec<Vec<u64>>,
     // ---- phase-2 rotation scratch ----
     /// `pos[p]`: index of `p` in the current rotation walk, or [`NONE`]
     /// (cleared back to [`NONE`] for walked entries after each rotation).
@@ -136,7 +274,8 @@ pub struct RoommatesWorkspace {
     pub(crate) xs: Vec<u32>,
     /// `ys[i] = first(xs[i])` at discovery time.
     pub(crate) ys: Vec<u32>,
-    /// Elimination targets `(y_{i+1}, x_i)`, gathered before any deletion.
+    /// Elimination targets `(y_{i+1}, x_i)`, gathered before any deletion
+    /// (the arena build borrows it before phase 2 to sort a row).
     pub(crate) targets: Vec<(u32, u32)>,
     // ---- stable-partition scratch (partition runs only) ----
     /// `frozen[p]`: `p` belongs to an extracted party (skip in seeding).
@@ -148,6 +287,9 @@ pub struct RoommatesWorkspace {
     /// Outcome of the last completed solve, or `None` when the buffers do
     /// not hold a finished execution (never solved, or mid-solve).
     pub(crate) footer: Option<SolveFooter>,
+    /// Thread budget of the arena build and the partition check (0 = the
+    /// host's parallelism); see [`RoommatesWorkspace::set_threads`].
+    pub(crate) threads: usize,
 }
 
 impl RoommatesWorkspace {
@@ -160,6 +302,12 @@ impl RoommatesWorkspace {
     /// up to `entries` total preference entries (complete lists have
     /// `n·(n−1)`).
     pub fn with_capacity(n: usize, entries: usize) -> Self {
+        // Arena-build tasks, as `split_rows` cuts a walk over every
+        // entry: each holds at most one upper survivor per candidate it
+        // walks, and a marker per row.
+        let task_work = (entries as u64).div_ceil(WALK_TASKS).max(MIN_TASK_WORK);
+        let tasks = (entries as u64).div_ceil(task_work).max(1) as usize;
+        let per_task = (entries / 2).min(task_work as usize + n) + n;
         RoommatesWorkspace {
             thresh: Vec::with_capacity(n),
             scan: Vec::with_capacity(n),
@@ -179,10 +327,25 @@ impl RoommatesWorkspace {
             xs: Vec::with_capacity(n),
             ys: Vec::with_capacity(n),
             targets: Vec::with_capacity(n),
+            task_rows: Vec::with_capacity(tasks + 1),
+            survivors: (0..tasks).map(|_| Vec::with_capacity(per_task)).collect(),
             frozen: Vec::new(),
             pi: Vec::new(),
             footer: None,
+            threads: 0,
         }
+    }
+
+    /// Set the thread budget of the walks a solve may split: the phase-2
+    /// arena build and the partition check of an escalating solve. `0`
+    /// (the default) means the host's parallelism, read only when a walk
+    /// is large enough to split; `1` keeps every walk on the calling
+    /// thread, as batch workers do so that nested use never
+    /// oversubscribes the host. Outcomes, statistics and the arena are
+    /// the same for every budget — phase 1 and the rotations always run
+    /// serially.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads;
     }
 
     /// Bytes currently held by the workspace's scratch buffers (capacity,
@@ -210,6 +373,13 @@ impl RoommatesWorkspace {
             + self.xs.capacity() * size_of::<u32>()
             + self.ys.capacity() * size_of::<u32>()
             + self.targets.capacity() * size_of::<(u32, u32)>()
+            + self.task_rows.capacity() * size_of::<u32>()
+            + self.survivors.capacity() * size_of::<Vec<u64>>()
+            + self
+                .survivors
+                .iter()
+                .map(|b| b.capacity() * size_of::<u64>())
+                .sum::<usize>()
             + self.frozen.capacity() * size_of::<bool>()
             + self.pi.capacity() * size_of::<u32>()
     }
@@ -316,102 +486,127 @@ impl RoommatesWorkspace {
     /// O(Σ thresh) ≤ O(total entries), and the arena itself is as small
     /// as the reduced tables actually are.
     ///
-    /// Only candidates `q > p` cost a partner-side rank probe. The
-    /// predicate is symmetric and rows pack in id order, so for `q < p`
-    /// the pair is alive iff `q`'s already-packed row holds `p`: `p`'s
-    /// own side is alive (`q` sits inside `p`'s window), and a live pair
-    /// is never left of `q`'s `scan` cursor. Packing row `q` threads each
-    /// survivor `r > q` onto `r`'s list of lower holders, so row `r`
-    /// reads that fact back in O(1) per candidate, whatever the length
-    /// of the lower rows. The lists live in the `pred`/`succ` slots of
-    /// nodes not yet linked; their heads and the marks share the `pos`
-    /// scratch, which is all-[`NONE`] again on return.
+    /// Two passes, the same for every thread budget:
+    ///
+    /// * **A — upper survivors**, in tasks over ranges of rows
+    ///   ([`split_rows`]). Only candidates `q > p` cost a partner-side
+    ///   liveness probe: the predicate is symmetric, so each pair is
+    ///   decided once, from its lower id. A task writes each surviving
+    ///   pair with its position in `p`'s row, 8 bytes a pair, into a
+    ///   buffer the workspace owns. The rows a task reads do not depend
+    ///   on any other task, so the tasks run on the executor when the
+    ///   walk is large enough ([`walk_threads`]) and the oracle can be
+    ///   shared ([`RoommatesOracle::shared`]), and in id order on the
+    ///   calling thread otherwise.
+    /// * **B — linking**, serial and O(survivors): probe each pair's
+    ///   position in `q`'s row (`rank_of(q, p)`, one probe per pair —
+    ///   about 1% of the walk's probes), put both ends of every pair into
+    ///   their rows, order each row by position and thread the row links.
+    ///   The arena is the one the scalar predicate walk packs, whatever
+    ///   ran pass A.
     pub(crate) fn materialize<I: RoommatesOracle>(&mut self, inst: &I) {
         let n = inst.n();
-        self.entries.clear();
+        let (thresh, scan) = (&self.thresh, &self.scan);
+        let window = |p: u32| {
+            let end = inst.row_len(p).min(thresh[p as usize].saturating_add(1));
+            u64::from(end.saturating_sub(scan[p as usize]))
+        };
+        let work = (0..n as u32).map(window).sum();
+        split_rows(n, work, window, &mut self.task_rows);
+        let tasks = self.task_rows.len() - 1;
+        if self.survivors.len() < tasks {
+            self.survivors.resize_with(tasks, Vec::new);
+        }
+        let threads = walk_threads(self.threads, work);
+        let rows = &self.task_rows;
+        let task_rows = |t: usize| rows[t]..rows[t + 1];
+        let bufs = &mut self.survivors[..tasks];
+        match if threads > 1 { inst.shared() } else { None } {
+            Some(view) => {
+                run_slots(bufs, threads, steal_seed(), |t, buf| {
+                    upper_survivors(&view, thresh, scan, task_rows(t), buf)
+                });
+            }
+            None => {
+                for (t, buf) in bufs.iter_mut().enumerate() {
+                    upper_survivors(inst, thresh, scan, task_rows(t), buf);
+                }
+            }
+        }
+        self.link_arena(inst, n, tasks);
+    }
+
+    /// Pass B of [`RoommatesWorkspace::materialize`]: pack the upper
+    /// survivors of the first `tasks` task buffers, in task-id order,
+    /// into the linked arena. The position of each pair in its higher
+    /// row is probed here, one `rank_of` per pair.
+    fn link_arena<I: RoommatesOracle>(&mut self, inst: &I, n: usize, tasks: usize) {
+        let survivors = &self.survivors[..tasks];
+        // Row sizes: a surviving pair sits in both of its rows.
         self.off.clear();
-        self.succ.clear();
+        self.off.resize(n + 1, 0);
+        for (p, _, q) in survivors.iter().flat_map(|b| survivor_records(b)) {
+            self.off[p as usize + 1] += 1;
+            self.off[q as usize + 1] += 1;
+        }
+        for p in 0..n {
+            self.off[p + 1] += self.off[p];
+        }
+        let total = self.off[n] as usize;
+        // Scatter each pair's ends into their rows, the partner into
+        // `entries` and its position into `pred`, with `tail` as the
+        // per-row fill cursor.
+        self.entries.clear();
+        self.entries.resize(total, 0);
         self.pred.clear();
-        self.alive.clear();
+        self.pred.resize(total, 0);
+        self.tail.clear();
+        self.tail.extend_from_slice(&self.off[..n]);
+        for (p, pos_p, q) in survivors.iter().flat_map(|b| survivor_records(b)) {
+            let pos_q = inst.rank_of(q, p);
+            debug_assert!(pos_q < inst.row_len(q), "a live pair is ranked");
+            for (row, partner, pos) in [(p, q, pos_p), (q, p, pos_q)] {
+                let at = self.tail[row as usize] as usize;
+                self.entries[at] = partner;
+                self.pred[at] = pos;
+                self.tail[row as usize] += 1;
+            }
+        }
+        // Order every row by position (the positions in a row are
+        // distinct), then thread the row links.
+        self.succ.clear();
         self.head.clear();
         self.tail.clear();
         self.len.clear();
-        self.pos.clear();
-        self.pos.resize(n, NONE);
-        self.off.push(0);
-        // Row-batched survivor scan: gather a block of candidates, probe
-        // the partner-side ranks of the higher ids together, then filter
-        // in row order — identical survivors in identical order to the
-        // scalar walk, with the per-row oracle state amortized and the
-        // independent probes overlapping.
-        const MAT_BLOCK: usize = 64;
-        let mut qs = [0u32; MAT_BLOCK];
-        let mut probe = [0u32; MAT_BLOCK];
-        let mut limits = [0u32; MAT_BLOCK];
-        let mut live = [false; MAT_BLOCK];
-        for p in 0..n as u32 {
-            // While row p packs, pos[r] for r > p heads the list of nodes
-            // that hold r in rows below p (each with its row in `pred` and
-            // the next node in `succ`), and pos[q] for q < p is a mark:
-            // pos[q] == p iff row q holds p.
-            let mut node = std::mem::replace(&mut self.pos[p as usize], NONE);
-            while node != NONE {
-                self.pos[self.pred[node as usize] as usize] = p;
-                node = self.succ[node as usize];
-            }
-            let base = self.entries.len() as u32;
-            let end = inst
-                .row_len(p)
-                .min(self.thresh[p as usize].saturating_add(1));
-            let mut pos = self.scan[p as usize];
-            while pos < end {
-                let w = ((end - pos) as usize).min(MAT_BLOCK);
-                inst.candidates_into(p, pos, &mut qs[..w]);
-                let mut m = 0usize;
-                for &q in &qs[..w] {
-                    probe[m] = q;
-                    m += usize::from(q > p);
-                }
-                for (limit, &q) in limits.iter_mut().zip(&probe[..m]) {
-                    *limit = self.thresh[q as usize].saturating_add(1);
-                }
-                inst.ranks_lt_into(&probe[..m], p, &limits[..m], &mut live[..m]);
-                let mut k = 0usize;
-                for &q in &qs[..w] {
-                    let higher = q > p;
-                    let alive = (higher & live[k]) | (!higher & (self.pos[q as usize] == p));
-                    k += usize::from(higher);
-                    if alive {
-                        self.entries.push(q);
-                    }
-                }
-                pos += w as u32;
-            }
-            let e = self.entries.len() as u32;
-            for i in base..e {
-                // Only r > p joins a list; below p, pos[r] keeps its mark.
-                let r = self.entries[i as usize];
-                let h = self.pos[r as usize];
-                self.pred.push(p);
-                self.succ.push(h);
-                self.pos[r as usize] = if r > p { i } else { h };
-            }
-            self.alive.resize(e as usize, true);
-            self.head.push(if base == e { NONE } else { base });
-            self.tail.push(if base == e { NONE } else { e - 1 });
-            self.len.push(e - base);
-            self.off.push(e);
-        }
-        // Every row is packed: replace the borrowed slots with the row
-        // links.
         for p in 0..n {
             let (lo, hi) = (self.off[p], self.off[p + 1]);
+            let row = lo as usize..hi as usize;
+            if hi - lo >= 2 {
+                // `targets` is free until phase 2: borrow it for the
+                // row's (position, partner) keys.
+                self.targets.clear();
+                self.targets.extend(
+                    self.pred[row.clone()]
+                        .iter()
+                        .copied()
+                        .zip(self.entries[row.clone()].iter().copied()),
+                );
+                self.targets.sort_unstable();
+                for (slot, &(_, q)) in self.entries[row].iter_mut().zip(&self.targets) {
+                    *slot = q;
+                }
+            }
             for i in lo..hi {
                 self.pred[i as usize] = if i == lo { NONE } else { i - 1 };
-                self.succ[i as usize] = if i + 1 == hi { NONE } else { i + 1 };
             }
+            self.succ
+                .extend((lo..hi).map(|i| if i + 1 == hi { NONE } else { i + 1 }));
+            self.head.push(if lo == hi { NONE } else { lo });
+            self.tail.push(if lo == hi { NONE } else { hi - 1 });
+            self.len.push(hi - lo);
         }
-        self.pos.fill(NONE);
+        self.alive.clear();
+        self.alive.resize(total, true);
     }
 
     /// Most preferred surviving partner of `p` in the arena, or `None` if
@@ -741,14 +936,14 @@ mod tests {
 
     /// The arena as the scalar predicate walk defines it — one
     /// `rank_lt` per window candidate — plus the number of window
-    /// candidates `q > p`, and of candidates `q < p` whose pair is
-    /// `[dead, alive]`.
+    /// candidates `q > p` and of surviving pairs among them, and the
+    /// `[dead, alive]` tally of the candidates `q < p`.
     fn scalar_arena<I: RoommatesOracle>(
         inst: &I,
         ws: &RoommatesWorkspace,
-    ) -> (Arena, u64, [u64; 2]) {
+    ) -> (Arena, [u64; 2], [u64; 2]) {
         let [mut entries, mut off, mut head, mut tail, mut len] = Arena::default();
-        let (mut higher, mut lower) = (0u64, [0u64; 2]);
+        let (mut higher, mut lower) = ([0u64; 2], [0u64; 2]);
         off.push(0);
         for p in 0..inst.n() as u32 {
             let base = entries.len() as u32;
@@ -757,7 +952,8 @@ mod tests {
                 let q = inst.candidate(p, pos);
                 let alive = inst.rank_lt(q, p, ws.thresh[q as usize].saturating_add(1));
                 if q > p {
-                    higher += 1;
+                    higher[0] += 1;
+                    higher[1] += alive as u64;
                 } else {
                     lower[alive as usize] += 1;
                 }
@@ -782,7 +978,7 @@ mod tests {
         ws: &mut RoommatesWorkspace,
         what: &str,
     ) -> [u64; 2] {
-        let (expected, higher, lower) = scalar_arena(inst, ws);
+        let (expected, [higher, upper], lower) = scalar_arena(inst, ws);
         let counting = CountingRanks {
             inner: inst,
             ranks: Cell::new(0),
@@ -797,12 +993,13 @@ mod tests {
         }
         assert_eq!(
             counting.ranks.get(),
-            higher,
-            "{what}: one rank probe per window candidate q > p"
+            higher + upper,
+            "{what}: one liveness probe per window candidate q > p, \
+             one position probe per surviving pair"
         );
         assert!(
             ws.pos.iter().all(|&x| x == NONE),
-            "{what}: phase 2 needs the borrowed `pos` scratch all-NONE"
+            "{what}: phase 2 needs the `pos` scratch all-NONE"
         );
         lower
     }
@@ -820,6 +1017,70 @@ mod tests {
         let tolerant = check_materialize(inst, ws, &format!("{what}, tolerant"));
         for (sum, (a, b)) in lower.iter_mut().zip(engine.into_iter().zip(tolerant)) {
             *sum += a + b;
+        }
+    }
+
+    #[test]
+    fn split_arena_build_matches_the_scalar_walk() {
+        // At n = 5000 and the escalation's first cut the walk is large
+        // enough that budgets 2 and 7 split it across threads.
+        use kmatch_prefs::{CachedRoommatesOracle, TruncatedRoommates};
+        let oracle = CachedRoommatesOracle::new(5000, 2);
+        let inst = TruncatedRoommates::new(&oracle, 1132);
+        let mut ws = RoommatesWorkspace::new();
+        crate::partition::tolerant_solve_budgeted(&inst, &mut ws, u32::MAX);
+        let (expected, _, _) = scalar_arena(&inst, &ws);
+        let work: u64 = (0..5000u32)
+            .map(|p| {
+                let end = inst.row_len(p).min(ws.thresh[p as usize].saturating_add(1));
+                u64::from(end - ws.scan[p as usize])
+            })
+            .sum();
+        assert_eq!(walk_threads(2, work), 2, "work {work} must split");
+        assert!(walk_threads(7, work) > 2, "work {work} must split further");
+        let mut arenas = Vec::new();
+        for threads in [1usize, 2, 7] {
+            ws.set_threads(threads);
+            ws.materialize(&inst);
+            let got = [&ws.entries, &ws.off, &ws.head, &ws.tail, &ws.len];
+            for (g, e) in got.into_iter().zip(&expected) {
+                assert_eq!(g, e, "budget {threads}: arena differs from the scalar walk");
+            }
+            arenas.push((ws.succ.clone(), ws.pred.clone(), ws.alive.clone()));
+        }
+        assert!(arenas.windows(2).all(|w| w[0] == w[1]), "row links differ");
+    }
+
+    #[test]
+    fn split_rows_cuts_at_most_walk_tasks_ranges() {
+        let mut bounds = Vec::new();
+        for (n, per_row) in [
+            (0usize, 0u64),
+            (1, 0),
+            (7, 0),
+            (10, 1),
+            (3000, 700),
+            (50_000, 9),
+        ] {
+            let total = n as u64 * per_row;
+            split_rows(n, total, |_| per_row, &mut bounds);
+            assert_eq!(bounds[0], 0);
+            assert_eq!(
+                *bounds.last().unwrap() as usize,
+                n,
+                "n = {n}: every row is covered"
+            );
+            assert!(
+                bounds.windows(2).all(|w| w[0] < w[1]),
+                "n = {n}: empty task"
+            );
+            assert!(
+                bounds.len() - 1 <= WALK_TASKS as usize,
+                "n = {n}: too many tasks"
+            );
+            if total >= 2 * MIN_TASK_WORK {
+                assert!(bounds.len() > 2, "n = {n}: a large walk must split");
+            }
         }
     }
 
@@ -858,7 +1119,7 @@ mod tests {
         }
         assert!(
             lower[0] > 0 && lower[1] > 0,
-            "the lower-holder lookup must see both dead and live pairs: {lower:?}"
+            "the lower-id candidates must include dead and live pairs: {lower:?}"
         );
     }
 }

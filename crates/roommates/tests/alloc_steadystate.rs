@@ -337,6 +337,54 @@ fn live_probe_escalating_allocates_like_plain() {
 }
 
 #[test]
+fn split_escalating_allocations_do_not_grow_with_n() {
+    // At a thread budget of 2 and sizes above the split threshold, the
+    // arena build and the partition check run on two workers. What the
+    // calling thread allocates per solve — the executor's bookkeeping,
+    // the two thread spawns per walk, the partition tables and the
+    // returned witness — is a fixed count, whatever n: the task outputs
+    // land in workspace buffers that a warm-up has grown. Both instances
+    // end in a verified partition after one attempt.
+    use kmatch_prefs::CachedRoommatesOracle;
+    use kmatch_roommates::{solve_escalating, CertKind};
+    let small = CachedRoommatesOracle::new(5000, 2);
+    let large = CachedRoommatesOracle::new(6000, 1);
+    let mut ws = RoommatesWorkspace::new();
+    let count = |ws: &mut RoommatesWorkspace, oracle: &CachedRoommatesOracle| {
+        let mut report = None;
+        let allocs = allocations_in(|| {
+            let (out, r) = solve_escalating(oracle, ws);
+            std::hint::black_box(out);
+            report = Some(r);
+        });
+        let report = report.expect("solved");
+        assert_eq!((report.cert, report.attempts), (CertKind::Partition, 1));
+        allocs
+    };
+    ws.set_threads(1);
+    for oracle in [&large, &small] {
+        count(&mut ws, oracle);
+    }
+    let serial = count(&mut ws, &small);
+    ws.set_threads(2);
+    for oracle in [&large, &small] {
+        count(&mut ws, oracle);
+    }
+    let at_small = count(&mut ws, &small);
+    let at_large = count(&mut ws, &large);
+    assert_eq!(
+        at_small, at_large,
+        "a budget-2 escalating solve allocated {at_small} times at n = 5000 \
+         but {at_large} times at n = 6000"
+    );
+    assert!(
+        at_small > serial,
+        "the budget-2 solve must run the executor ({at_small} allocations, \
+         {serial} on one thread)"
+    );
+}
+
+#[test]
 fn counting_allocator_is_live() {
     // Sanity: the harness actually observes allocations.
     let allocs = allocations_in(|| {

@@ -107,3 +107,9 @@ mod tests {
         assert!(is_kary_stable(&inst, &m));
     }
 }
+
+/// The ```` ```rust ```` blocks of `README.md`, compiled and run as
+/// doctests so that the README cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

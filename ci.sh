@@ -139,14 +139,15 @@ grep -qF 'index 0: instance too large: n exceeds 65536 members per side' \
     "$SMOKE_DIR/huge.err" \
     || { echo "hostile smoke: huge.json did not report the size cap"; exit 1; }
 # Degenerate generator sizes (no agents, fewer than two roommates or
-# genders) must be a typed error naming the bound, not a generator panic.
+# genders) must be a typed error naming the bound, not a generator panic;
+# so must an empty flight recorder, which would write an empty trace.
 while read -r name cmd; do
   status=0
   # shellcheck disable=SC2086
   ./target/release/kmatch $cmd > /dev/null 2> "$SMOKE_DIR/$name.err" || status=$?
   [ "$status" -eq 1 ] \
       || { echo "hostile smoke: '$cmd' exited $status, expected 1"; exit 1; }
-  grep -qE '^error: need --[nk] >= [12]$' "$SMOKE_DIR/$name.err" \
+  grep -qE '^error: need --([nk]|flight-recorder) >= [12]$' "$SMOKE_DIR/$name.err" \
       || { echo "hostile smoke: '$cmd' gave no size error"; exit 1; }
 done <<'EOF'
 kp_n0 gen kpartite --k 3 --n 0
@@ -156,9 +157,10 @@ smp_n0 solve smp --n 0
 gs_n0 batch --kind gs --n 0
 rm_n1 batch --kind roommates --n 1
 serve_n1 serve --listen 127.0.0.1:0 --kind roommates --n 1
+fr0 batch --kind gs --n 4 --count 3 --trace-out /dev/null --flight-recorder 0
 EOF
 # A data error is the one error line; usage follows argument errors only.
-for bad in deep range huge kp_n0 kp_k0 kp_k1 smp_n0 gs_n0 rm_n1 serve_n1; do
+for bad in deep range huge kp_n0 kp_k0 kp_k1 smp_n0 gs_n0 rm_n1 serve_n1 fr0; do
   [ "$(wc -l < "$SMOKE_DIR/$bad.err")" -eq 1 ] \
       || { echo "hostile smoke: $bad.err is not one line"; exit 1; }
 done
@@ -383,6 +385,38 @@ wait "$SERVE_PID" \
     || { echo "ops smoke: serve exited nonzero after SIGINT"; exit 1; }
 grep -qF 'shutdown: SIGINT' "$SMOKE_DIR/serve.out" \
     || { echo "ops smoke: serve did not report a SIGINT shutdown"; exit 1; }
+# A materialized roommates serve runs its waves on probed workers, like
+# gs: the probes' generations are the watchdog's one heartbeat source, so
+# /progress must show a lane whose generation moved.
+./target/release/kmatch serve --listen 127.0.0.1:0 --kind roommates --prefs csr \
+    --n 24 --count 16 --seed 5 --interval-ms 50 \
+    > "$SMOKE_DIR/serve_rm.out" 2> "$SMOKE_DIR/serve_rm.err" &
+RM_SERVE_PID=$!
+RM_ADDR=""
+for _ in $(seq 1 100); do
+  RM_ADDR="$(sed -n 's#^ops listening on http://\(.*\)/#\1#p' "$SMOKE_DIR/serve_rm.err")"
+  [ -n "$RM_ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$RM_ADDR" ] \
+    || { echo "ops smoke: roommates serve never announced an address"; \
+         kill "$RM_SERVE_PID" 2>/dev/null; exit 1; }
+PROGRESS_SEEN=""
+for _ in $(seq 1 50); do
+  ops_get "http://$RM_ADDR/progress" > "$SMOKE_DIR/rm_progress.json" 2>/dev/null || true
+  if python3 - "$SMOKE_DIR/rm_progress.json" <<'EOF' 2>/dev/null
+import json, sys
+workers = json.load(open(sys.argv[1]))["workers"]
+assert max(w["generation"] for w in workers) > 0, workers
+EOF
+  then PROGRESS_SEEN=yes; break; fi
+  sleep 0.1
+done
+kill -INT "$RM_SERVE_PID"
+wait "$RM_SERVE_PID" \
+    || { echo "ops smoke: roommates serve exited nonzero after SIGINT"; exit 1; }
+[ -n "$PROGRESS_SEEN" ] \
+    || { echo "ops smoke: roommates serve published no probe generation"; exit 1; }
 
 echo "==> forensics smoke"
 # A deliberately stalled escalating-roommates serve must (a) name the
@@ -442,6 +476,10 @@ BUNDLE="$(ls "$SMOKE_DIR/postmortem"/postmortem-*-stall.json 2>/dev/null | head 
 ./target/release/kmatch postmortem inspect --input "$BUNDLE" \
     | grep -qF 'trigger' \
     || { echo "forensics smoke: bundle inspect said nothing"; exit 1; }
+
+echo "==> code size (informational)"
+# Non-blank, non-comment lines per crate; not gated.
+scripts/loc.sh
 
 echo "==> bench regression gate"
 # Committed baselines must pass against themselves: the gate's exact

@@ -30,16 +30,18 @@
 
 use kmatch_bench::harness::{bipartite_batch, measure_blocks, write_results, OverheadRow};
 use kmatch_bench::rng;
+use kmatch_forensics::Probed;
+use kmatch_forensics::{start_sampler, ProbeSet, RegisterSet, SharedProfile};
 use kmatch_gs::{gale_shapley_reference, GsWorkspace};
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, StdClock};
 use kmatch_ops::{Level, OpsConfig, OpsState};
-use kmatch_forensics::{start_sampler, ProbeSet, RegisterSet, SharedProfile};
 use kmatch_parallel::{
-    default_threads, solve_batch_probed, solve_batch_stealing, solve_batch_stealing_metered,
-    solve_batch_traced, steal_seed,
+    default_threads, solve_batch_stealing, solve_batch_stealing_metered, solve_batch_with,
+    steal_seed,
 };
 use kmatch_prefs::gen::uniform::uniform_bipartite;
-use kmatch_prefs::{CsrPrefs, PrefOracle, RandomOracle, ScoreOracle};
+use kmatch_prefs::{BipartiteInstance, CsrPrefs, PrefOracle, RandomOracle, ScoreOracle};
+use kmatch_trace::FlightRecorder;
 use serde::impl_json_struct;
 
 /// Shared seed of the scaling series, so the CSR anchors rebuild exactly
@@ -330,13 +332,7 @@ fn batch_row() -> BatchRow {
                     .map(|inst| ws.solve(inst).stats.proposals)
                     .sum()
             },
-            &mut || {
-                solve_batch_stealing(&batch, default_threads(), steal_seed())
-                    .0
-                    .iter()
-                    .map(|o| o.stats.proposals)
-                    .sum()
-            },
+            &mut || plain_proposals(&batch),
         ],
     );
     let threads = default_threads();
@@ -368,28 +364,9 @@ fn overhead_row() -> (OverheadRow, RunReport) {
     let [plain_ns, metered_ns] = measure_blocks(
         3,
         reps,
-        [
-            &mut || {
-                solve_batch_stealing(&batch, default_threads(), steal_seed())
-                    .0
-                    .iter()
-                    .map(|o| o.stats.proposals)
-                    .sum()
-            },
-            &mut || {
-                solve_batch_stealing_metered(
-                    &batch,
-                    default_threads(),
-                    steal_seed(),
-                    &registry,
-                    &clock,
-                )
-                .0
-                .iter()
-                .map(|o| o.stats.proposals)
-                .sum()
-            },
-        ],
+        [&mut || plain_proposals(&batch), &mut || {
+            metered_proposals(&batch, &registry, &clock)
+        }],
     );
     // The registry accumulated every metered rep; report the merged view.
     let merged = registry.take();
@@ -406,10 +383,41 @@ fn overhead_row() -> (OverheadRow, RunReport) {
     (OverheadRow::new(instances, n, plain_ns, metered_ns), report)
 }
 
+/// Total proposals of one unobserved batch.
+fn plain_proposals(batch: &[BipartiteInstance]) -> u64 {
+    let (outs, _) = solve_batch_stealing(batch, default_threads(), steal_seed());
+    outs.iter().map(|o| o.stats.proposals).sum()
+}
+
+/// Total proposals of one metered batch, absorbed into `registry`.
+fn metered_proposals(
+    batch: &[BipartiteInstance],
+    registry: &BatchRegistry,
+    clock: &StdClock,
+) -> u64 {
+    let threads = default_threads();
+    let (outs, _) = solve_batch_stealing_metered(batch, threads, steal_seed(), registry, clock);
+    outs.iter().map(|o| o.stats.proposals).sum()
+}
+
+/// Total proposals of one traced batch: every worker carries a
+/// 4096-event flight recorder beside its metrics shard.
+fn traced_proposals(
+    batch: &[BipartiteInstance],
+    registry: &BatchRegistry,
+    clock: &StdClock,
+) -> u64 {
+    let threads = default_threads();
+    let (outs, _, _) = solve_batch_with(batch, threads, steal_seed(), registry, clock, |_| {
+        (GsWorkspace::new(), FlightRecorder::new(clock, 1 << 12))
+    });
+    outs.iter().map(|o| o.stats.proposals).sum()
+}
+
 /// Measure the traced batch path (per-chunk flight recorders, phase-level
 /// spans, `StdClock` timestamps) against the metered one on the same
-/// n = 2000 batch. `solve_batch_traced` is the metered path with a ring
-/// paired beside each shard, so this isolates exactly what arming the
+/// n = 2000 batch. The traced batch is the metered path with a ring
+/// carried by each worker, so this isolates exactly what arming the
 /// flight recorder costs — the acceptance target is < 5%.
 fn trace_overhead_row() -> OverheadRow {
     let (instances, n, reps) = (32usize, 2000usize, 4);
@@ -420,30 +428,8 @@ fn trace_overhead_row() -> OverheadRow {
         3,
         reps,
         [
-            &mut || {
-                solve_batch_stealing_metered(
-                    &batch,
-                    default_threads(),
-                    steal_seed(),
-                    &registry,
-                    &clock,
-                )
-                .0
-                .iter()
-                .map(|o| o.stats.proposals)
-                .sum()
-            },
-            &mut || {
-                let (outs, _, _) = solve_batch_traced(
-                    &batch,
-                    default_threads(),
-                    steal_seed(),
-                    &registry,
-                    &clock,
-                    1 << 12,
-                );
-                outs.iter().map(|o| o.stats.proposals).sum()
-            },
+            &mut || metered_proposals(&batch, &registry, &clock),
+            &mut || traced_proposals(&batch, &registry, &clock),
         ],
     );
     OverheadRow::new(instances, n, plain_ns, traced_ns)
@@ -468,31 +454,9 @@ fn ops_overhead_row() -> OverheadRow {
         3,
         reps,
         [
+            &mut || metered_proposals(&batch, &registry, &clock),
             &mut || {
-                solve_batch_stealing_metered(
-                    &batch,
-                    default_threads(),
-                    steal_seed(),
-                    &registry,
-                    &clock,
-                )
-                .0
-                .iter()
-                .map(|o| o.stats.proposals)
-                .sum()
-            },
-            &mut || {
-                let total: u64 = solve_batch_stealing_metered(
-                    &batch,
-                    default_threads(),
-                    steal_seed(),
-                    state.registry(),
-                    &clock,
-                )
-                .0
-                .iter()
-                .map(|o| o.stats.proposals)
-                .sum();
+                let total = metered_proposals(&batch, state.registry(), &clock);
                 wave += 1;
                 state.note_wave(n as u64);
                 state.tick(&[wave]);
@@ -511,7 +475,7 @@ fn ops_overhead_row() -> OverheadRow {
 
 /// Measure the forensic profiler against the traced batch on the same
 /// n = 2000 shape. Both sides arm per-chunk flight recorders;
-/// `solve_batch_probed` additionally tees every span into the lock-free
+/// the probed workers additionally tee every span into the lock-free
 /// leaf-span registers and publishes progress probes, while a live
 /// sampler thread folds register snapshots into the shared profile at
 /// ~1 kHz — an upper bound on any rate `--sample-hz` would use. The
@@ -536,28 +500,15 @@ fn profiler_overhead_row() -> OverheadRow {
         3,
         reps,
         [
+            &mut || traced_proposals(&batch, &registry, &clock),
             &mut || {
-                let (outs, _, _) = solve_batch_traced(
-                    &batch,
-                    default_threads(),
-                    steal_seed(),
-                    &registry,
-                    &clock,
-                    1 << 12,
-                );
-                outs.iter().map(|o| o.stats.proposals).sum()
-            },
-            &mut || {
-                let (outs, _, _) = solve_batch_probed(
-                    &batch,
-                    lanes,
-                    steal_seed(),
-                    &registry,
-                    &clock,
-                    &probes,
-                    &registers,
-                    1 << 12,
-                );
+                let (outs, _, _) =
+                    solve_batch_with(&batch, lanes, steal_seed(), &registry, &clock, |w| {
+                        let progress = Probed::new(probes.probe(w));
+                        let recorder = FlightRecorder::new(&clock, 1 << 12);
+                        let register = registers.sink(w);
+                        (((GsWorkspace::new(), progress), register), recorder)
+                    });
                 outs.iter().map(|o| o.stats.proposals).sum()
             },
         ],
@@ -588,28 +539,9 @@ fn main() {
     let trace_overhead = trace_overhead_row();
     let ops_overhead = ops_overhead_row();
     let profiler_overhead = profiler_overhead_row();
-    let run_report = run_report
-        .with_overhead(
-            "trace_overhead",
-            trace_overhead.instances,
-            trace_overhead.n,
-            trace_overhead.plain_ns,
-            trace_overhead.metered_ns,
-        )
-        .with_overhead(
-            "ops_overhead",
-            ops_overhead.instances,
-            ops_overhead.n,
-            ops_overhead.plain_ns,
-            ops_overhead.metered_ns,
-        )
-        .with_overhead(
-            "profiler_overhead",
-            profiler_overhead.instances,
-            profiler_overhead.n,
-            profiler_overhead.plain_ns,
-            profiler_overhead.metered_ns,
-        );
+    let run_report = trace_overhead.attach_to("trace_overhead", run_report);
+    let run_report = ops_overhead.attach_to("ops_overhead", run_report);
+    let run_report = profiler_overhead.attach_to("profiler_overhead", run_report);
     let report = Report {
         threads: default_threads(),
         scaling,

@@ -16,14 +16,13 @@
 use kmatch_bench::harness::{measure_blocks, roommates_batch, write_results, OverheadRow};
 use kmatch_bench::rng;
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, SolverMetrics, StdClock};
-use kmatch_parallel::roommates::{
-    solve_batch_stealing, solve_batch_stealing_metered, solve_batch_traced,
-};
-use kmatch_parallel::{default_threads, steal_seed};
+use kmatch_parallel::roommates::solve_batch_stealing;
+use kmatch_parallel::{default_threads, solve_batch_with, steal_seed};
 use kmatch_prefs::gen::uniform::uniform_roommates;
-use kmatch_prefs::CachedRoommatesOracle;
+use kmatch_prefs::{CachedRoommatesOracle, RoommatesInstance};
 use kmatch_roommates::solve_reference;
 use kmatch_roommates::{solve_escalating, solve_escalating_metered, CertKind, RoommatesWorkspace};
+use kmatch_trace::FlightRecorder;
 use serde::impl_json_struct;
 
 /// Seed shared by every n of the lazy scaling series.
@@ -314,13 +313,7 @@ fn batch_row() -> BatchRow {
                     .map(|inst| ws.solve(inst).stats().proposals)
                     .sum()
             },
-            &mut || {
-                solve_batch_stealing(&batch, default_threads(), steal_seed())
-                    .0
-                    .iter()
-                    .map(|o| o.stats().proposals)
-                    .sum()
-            },
+            &mut || plain_proposals(&batch),
         ],
     );
     let threads = default_threads();
@@ -337,7 +330,26 @@ fn batch_row() -> BatchRow {
     }
 }
 
-/// Measure `solve_batch_stealing_metered` against `solve_batch_stealing` on an n = 2000
+/// Total proposals of one unobserved batch.
+fn plain_proposals(batch: &[RoommatesInstance]) -> u64 {
+    let (outs, _) = solve_batch_stealing(batch, default_threads(), steal_seed());
+    outs.iter().map(|o| o.stats().proposals).sum()
+}
+
+/// Total proposals of one metered batch, absorbed into `registry`.
+fn metered_proposals(
+    batch: &[RoommatesInstance],
+    registry: &BatchRegistry,
+    clock: &StdClock,
+) -> u64 {
+    let threads = default_threads();
+    let (outs, _, _) = solve_batch_with(batch, threads, steal_seed(), registry, clock, |_| {
+        RoommatesWorkspace::new()
+    });
+    outs.iter().map(|o| o.stats().proposals).sum()
+}
+
+/// Measure the metered batch against `solve_batch_stealing` on an n = 2000
 /// batch, and emit the run's merged metrics as a RunReport. The registry
 /// arrives pre-loaded with the scaling series' shards, so the report
 /// carries the escalation counters (attempts, certificates, cut
@@ -349,28 +361,9 @@ fn overhead_row(registry: &BatchRegistry) -> (OverheadRow, RunReport) {
     let [plain_ns, metered_ns] = measure_blocks(
         3,
         reps,
-        [
-            &mut || {
-                solve_batch_stealing(&batch, default_threads(), steal_seed())
-                    .0
-                    .iter()
-                    .map(|o| o.stats().proposals)
-                    .sum()
-            },
-            &mut || {
-                solve_batch_stealing_metered(
-                    &batch,
-                    default_threads(),
-                    steal_seed(),
-                    registry,
-                    &clock,
-                )
-                .0
-                .iter()
-                .map(|o| o.stats().proposals)
-                .sum()
-            },
-        ],
+        [&mut || plain_proposals(&batch), &mut || {
+            metered_proposals(&batch, registry, &clock)
+        }],
     );
     let merged = registry.take();
     let report = RunReport::new(
@@ -388,8 +381,8 @@ fn overhead_row(registry: &BatchRegistry) -> (OverheadRow, RunReport) {
 
 /// Measure the traced batch path (per-chunk flight recorders, phase-level
 /// spans, `StdClock` timestamps) against the metered one on the same
-/// n = 2000 batch. `solve_batch_traced` is the metered path with a ring
-/// paired beside each shard, so this isolates exactly what arming the
+/// n = 2000 batch. The traced batch is the metered path with a ring
+/// carried by each worker, so this isolates exactly what arming the
 /// flight recorder costs — the acceptance target is < 5%.
 fn trace_overhead_row() -> OverheadRow {
     let (instances, n, reps) = (32usize, 2000usize, 4);
@@ -400,27 +393,16 @@ fn trace_overhead_row() -> OverheadRow {
         3,
         reps,
         [
+            &mut || metered_proposals(&batch, &registry, &clock),
             &mut || {
-                solve_batch_stealing_metered(
+                let recorder = || FlightRecorder::new(&clock, 1 << 12);
+                let (outs, _, _) = solve_batch_with(
                     &batch,
                     default_threads(),
                     steal_seed(),
                     &registry,
                     &clock,
-                )
-                .0
-                .iter()
-                .map(|o| o.stats().proposals)
-                .sum()
-            },
-            &mut || {
-                let (outs, _, _) = solve_batch_traced(
-                    &batch,
-                    default_threads(),
-                    steal_seed(),
-                    &registry,
-                    &clock,
-                    1 << 12,
+                    |_| (RoommatesWorkspace::new(), recorder()),
                 );
                 outs.iter().map(|o| o.stats().proposals).sum()
             },
@@ -442,13 +424,7 @@ fn main() {
         .collect();
     let (metrics_overhead, run_report) = overhead_row(&registry);
     let trace_overhead = trace_overhead_row();
-    let run_report = run_report.with_overhead(
-        "trace_overhead",
-        trace_overhead.instances,
-        trace_overhead.n,
-        trace_overhead.plain_ns,
-        trace_overhead.metered_ns,
-    );
+    let run_report = trace_overhead.attach_to("trace_overhead", run_report);
     let report = Report {
         threads: default_threads(),
         scaling,

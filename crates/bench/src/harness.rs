@@ -6,6 +6,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use kmatch_obs::RunReport;
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_roommates};
 use kmatch_prefs::{BipartiteInstance, RoommatesInstance};
 use serde::Serialize;
@@ -102,6 +103,11 @@ impl OverheadRow {
             metered_ns,
             overhead_pct: (metered_ns / plain_ns - 1.0) * 100.0,
         }
+    }
+
+    /// `report` with this row attached as its overhead entry `name`.
+    pub fn attach_to(&self, name: &str, report: RunReport) -> RunReport {
+        report.with_overhead(name, self.instances, self.n, self.plain_ns, self.metered_ns)
     }
 }
 

@@ -720,57 +720,6 @@ fn solve_smp_lazy(args: &Args, backend: &str, n: usize, seed: u64) -> Result<(),
     Ok(())
 }
 
-/// Per-index failures from a `batch --input` file, reported as a
-/// machine-readable summary (and a nonzero exit) so pipelines can react.
-struct BatchErrors {
-    total: usize,
-    errors: Vec<(usize, String)>,
-}
-
-impl BatchErrors {
-    /// JSON summary: `{"schema", "total", "failed", "errors": [{index, error}]}`.
-    fn to_json(&self) -> serde::Value {
-        use serde::Value;
-        let errors: Vec<Value> = self
-            .errors
-            .iter()
-            .map(|(i, e)| {
-                Value::Object(vec![
-                    ("index".into(), Value::Number(*i as f64)),
-                    ("error".into(), Value::String(e.clone())),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            (
-                "schema".into(),
-                Value::String("kmatch.batch_errors/v1".into()),
-            ),
-            ("total".into(), Value::Number(self.total as f64)),
-            ("failed".into(), Value::Number(self.errors.len() as f64)),
-            ("errors".into(), Value::Array(errors)),
-        ])
-    }
-
-    /// Write the summary if `--errors-out` was given, then fail the
-    /// command if anything failed.
-    fn finish(self, args: &Args) -> Result<(), String> {
-        if let Some(path) = args.flag("errors-out") {
-            let json = serde_json::to_string_pretty(&self.to_json()).map_err(|e| e.to_string())?;
-            fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
-        }
-        if self.errors.is_empty() {
-            return Ok(());
-        }
-        let (idx, first) = &self.errors[0];
-        Err(format!(
-            "{} of {} batch instances failed to parse (first: index {idx}: {first})",
-            self.errors.len(),
-            self.total
-        ))
-    }
-}
-
 /// Parse `--input` (a JSON array) element-by-element so one malformed
 /// instance reports its index instead of poisoning the whole file.
 fn load_batch_elements(path: &str) -> Result<Vec<serde::Value>, String> {
@@ -782,33 +731,63 @@ fn load_batch_elements(path: &str) -> Result<Vec<serde::Value>, String> {
     }
 }
 
-/// Concatenate the elements of every `--input` file, in flag order.
-fn load_batch_inputs(paths: &[&str]) -> Result<Vec<serde::Value>, String> {
-    let mut items = Vec::new();
-    for path in paths {
-        items.extend(load_batch_elements(path)?);
-    }
-    Ok(items)
-}
-
-fn parse_elements<D, T>(items: &[serde::Value]) -> (Vec<T>, Vec<(usize, String)>)
+/// The instances of every `--input` file, in flag order: each element
+/// read as a `D` and built into a `T`. A failed element is reported by
+/// index, failing the batch, so pipelines can react; `--errors-out`
+/// receives the machine-readable summary
+/// `{"schema", "total", "failed", "errors": [{index, error}]}` either way.
+fn read_batch<D, T>(args: &Args, paths: &[&str]) -> Result<Vec<T>, String>
 where
     D: serde::Deserialize,
     T: TryFrom<D>,
     <T as TryFrom<D>>::Error: std::fmt::Display,
 {
-    let mut out = Vec::with_capacity(items.len());
+    use serde::Value;
+    let mut items = Vec::new();
+    for path in paths {
+        items.extend(load_batch_elements(path)?);
+    }
+    let mut batch = Vec::with_capacity(items.len());
     let mut errors = Vec::new();
     for (i, item) in items.iter().enumerate() {
         match D::from_value(item)
             .map_err(|e| e.to_string())
             .and_then(|d| T::try_from(d).map_err(|e| e.to_string()))
         {
-            Ok(inst) => out.push(inst),
+            Ok(inst) => batch.push(inst),
             Err(e) => errors.push((i, e)),
         }
     }
-    (out, errors)
+    if let Some(path) = args.flag("errors-out") {
+        let rows = errors
+            .iter()
+            .map(|(i, e)| {
+                Value::Object(vec![
+                    ("index".into(), Value::Number(*i as f64)),
+                    ("error".into(), Value::String(e.clone())),
+                ])
+            })
+            .collect();
+        let summary = Value::Object(vec![
+            (
+                "schema".into(),
+                Value::String("kmatch.batch_errors/v1".into()),
+            ),
+            ("total".into(), Value::Number(items.len() as f64)),
+            ("failed".into(), Value::Number(errors.len() as f64)),
+            ("errors".into(), Value::Array(rows)),
+        ]);
+        let json = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
+        fs::write(path, json + "\n").map_err(|e| format!("writing {path}: {e}"))?;
+    }
+    match errors.first() {
+        None => Ok(batch),
+        Some((idx, first)) => Err(format!(
+            "{} of {} batch instances failed to parse (first: index {idx}: {first})",
+            errors.len(),
+            items.len()
+        )),
+    }
 }
 
 /// Emit the RunReport when `--metrics-out` was given, and publish it to
@@ -851,66 +830,145 @@ fn write_metrics(
     Ok(())
 }
 
-/// Export the per-chunk timelines a traced batch returned: one
-/// `worker-<i>` thread track per chunk, plus a dropped-events note when
-/// a flight recorder wrapped.
-fn write_chunk_traces(
-    topts: &TraceOpts,
-    traces: Option<Vec<kmatch_parallel::ChunkTrace>>,
-) -> Result<(), String> {
-    let Some(traces) = traces else {
-        return Ok(());
-    };
-    let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
-    if dropped > 0 {
-        eprintln!("flight recorder dropped {dropped} events (oldest overwritten)");
-    }
-    topts.write(&TraceTrack::workers(
-        traces.into_iter().map(|t| t.events).collect(),
-    ))
-}
-
-/// `batch --prefs random|scores`: the same parallel batch front-ends as
-/// the materialized path, monomorphized over a lazy oracle — each worker
-/// reuses its O(n) workspace and no preference table is ever built.
-#[allow(clippy::too_many_arguments)]
-fn run_lazy_gs_batch<P: kmatch_prefs::PrefOracle + Sync>(
-    args: &Args,
-    topts: &TraceOpts,
-    registry: &kmatch_obs::BatchRegistry,
-    clock: &kmatch_obs::StdClock,
-    batch: &[P],
-    backend: &str,
-    n: usize,
+/// What every parallel `kmatch batch` run shares: the flags that pick the
+/// observers its workers carry and where its telemetry goes.
+struct BatchFront<'a> {
+    args: &'a Args,
+    topts: &'a TraceOpts,
+    registry: &'a kmatch_obs::BatchRegistry,
+    clock: &'a kmatch_obs::StdClock,
+    kind: &'a str,
     seed: u64,
     threads: usize,
+    /// Solve through the metered front-end into `registry`.
     metered: bool,
-    ops: Option<&OpsHandle>,
-) -> Result<(), String> {
-    let count = batch.len();
-    let start = std::time::Instant::now();
-    let mut chunk_traces: Option<Vec<kmatch_parallel::ChunkTrace>> = None;
-    let steal_seed = kmatch_parallel::steal_seed();
-    let (outcomes, report) = if topts.enabled() {
-        let capacity = topts.chunk_capacity();
-        let (outs, traces, report) = kmatch_parallel::solve_batch_traced(
-            batch, threads, steal_seed, registry, clock, capacity,
+    /// A lazy-oracle batch, whose output reports the peak RSS.
+    lazy: bool,
+    ops: Option<&'a OpsHandle>,
+}
+
+impl BatchFront<'_> {
+    /// Solve `batch` on the stealing executor with one `engine()`
+    /// workspace per worker — each carrying a flight recorder under
+    /// `--trace-out`, metered into the registry when `metered`, otherwise
+    /// through `plain(batch, threads, steal_seed)` — then print the
+    /// `summary` of the outcomes, the executor line, the `after` line and
+    /// the wall time, and write the trace, the wave heartbeat and the
+    /// run report.
+    fn run<P: Sync, E: kmatch_parallel::Engine<P>>(
+        &self,
+        batch: &[P],
+        n: usize,
+        engine: fn() -> E,
+        plain: impl FnOnce(&[P], usize, u64) -> (Vec<E::Outcome>, kmatch_parallel::StealReport),
+        summary: impl FnOnce(&[E::Outcome]) -> String,
+        after: impl FnOnce() -> Option<String>,
+    ) -> Result<(), String> {
+        use kmatch_parallel::{solve_batch_with, ChunkTrace};
+        let count = batch.len();
+        let start = std::time::Instant::now();
+        let steal_seed = kmatch_parallel::steal_seed();
+        let (registry, clock) = (self.registry, self.clock);
+        let mut traces = None;
+        let (outcomes, report) = if self.topts.enabled() {
+            let capacity = self.topts.chunk_capacity();
+            let (outs, workers, report) =
+                solve_batch_with(batch, self.threads, steal_seed, registry, clock, |_| {
+                    (engine(), kmatch_trace::FlightRecorder::new(clock, capacity))
+                });
+            traces = Some(ChunkTrace::from_workers(workers));
+            (outs, report)
+        } else if self.metered {
+            let (outs, _, report) =
+                solve_batch_with(batch, self.threads, steal_seed, registry, clock, |_| {
+                    engine()
+                });
+            (outs, report)
+        } else {
+            plain(batch, self.threads, steal_seed)
+        };
+        let elapsed = start.elapsed();
+        let executor = report.to_section();
+        println!("{}", summary(&outcomes));
+        // The executor path and steal footprint make throughput numbers
+        // attributable without a RunReport.
+        println!(
+            "executor       : {} ({} threads, {} tasks, {} steals, straggler x{:.2})",
+            executor.path,
+            executor.threads,
+            executor.task_count,
+            executor.steal_count,
+            executor.straggler_ratio,
         );
-        chunk_traces = Some(traces);
-        (outs, report)
-    } else if metered {
-        kmatch_parallel::solve_batch_stealing_metered(batch, threads, steal_seed, registry, clock)
-    } else {
-        kmatch_parallel::solve_batch_stealing(batch, threads, steal_seed)
-    };
-    let elapsed = start.elapsed();
-    let executor = report.to_section();
-    let stats = kmatch_parallel::batch_stats(&outcomes);
-    println!("instances      : {count} x n={n} (gs, {backend} oracle)");
-    println!("total proposals: {}", stats.proposals);
-    println!("max rounds     : {}", stats.rounds);
-    print_executor(&executor);
-    if let Some(rss) = kmatch_obs::peak_rss_bytes() {
+        if let Some(line) = after() {
+            println!("{line}");
+        }
+        print_wall(count, elapsed, self.lazy);
+        if let Some(traces) = traces {
+            let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
+            if dropped > 0 {
+                eprintln!("flight recorder dropped {dropped} events (oldest overwritten)");
+            }
+            self.topts.write(&TraceTrack::workers(
+                traces.into_iter().map(|t| t.events).collect(),
+            ))?;
+        }
+        if let Some(handle) = self.ops {
+            // The watchdog's heartbeat per worker: the tasks its lane ran.
+            let tasks: Vec<u64> = executor.lanes.iter().map(|l| l.tasks).collect();
+            handle.note_wave(n, &tasks);
+        }
+        write_metrics(
+            self.args,
+            self.kind,
+            n,
+            count,
+            self.seed,
+            self.threads,
+            elapsed.as_nanos() as u64,
+            registry.take(),
+            Some(executor),
+            self.ops,
+        )
+    }
+
+    /// [`BatchFront::run`] over a lazy GS batch of `count` oracles, the
+    /// `i`-th built by `oracle(seed + i)`.
+    fn run_lazy_gs<P: kmatch_prefs::PrefOracle + Sync>(
+        &self,
+        n: usize,
+        count: usize,
+        what: &str,
+        oracle: impl Fn(u64) -> P,
+    ) -> Result<(), String> {
+        let batch: Vec<P> = (0..count)
+            .map(|i| oracle(self.seed.wrapping_add(i as u64)))
+            .collect();
+        self.run(
+            &batch,
+            n,
+            GsWorkspace::new,
+            kmatch_parallel::solve_batch_stealing,
+            |outs| gs_summary(what, outs),
+            || None,
+        )
+    }
+}
+
+/// The summary lines of a GS batch: what was solved, total proposals and
+/// the longest run of rounds.
+fn gs_summary(what: &str, outcomes: &[kmatch_gs::GsOutcome]) -> String {
+    let stats = kmatch_parallel::batch_stats(outcomes);
+    format!(
+        "instances      : {what}\ntotal proposals: {}\nmax rounds     : {}",
+        stats.proposals, stats.rounds
+    )
+}
+
+/// The closing lines of a batch: the peak RSS when `rss` (and the host
+/// reports it), then the wall time and throughput of `count` instances.
+fn print_wall(count: usize, elapsed: std::time::Duration, rss: bool) {
+    if let Some(rss) = kmatch_obs::peak_rss_bytes().filter(|_| rss) {
         println!("peak rss bytes : {rss}");
     }
     println!(
@@ -918,47 +976,12 @@ fn run_lazy_gs_batch<P: kmatch_prefs::PrefOracle + Sync>(
         elapsed.as_secs_f64() * 1e3,
         count as f64 / elapsed.as_secs_f64().max(1e-12)
     );
-    write_chunk_traces(topts, chunk_traces)?;
-    if let Some(handle) = ops {
-        handle.note_wave(n, &executor_heartbeats(&executor), None);
-    }
-    write_metrics(
-        args,
-        "gs",
-        n,
-        count,
-        seed,
-        threads,
-        elapsed.as_nanos() as u64,
-        registry.take(),
-        Some(executor),
-        ops,
-    )
 }
 
-/// Per-worker heartbeat readings for the stall watchdog: tasks per lane.
-fn executor_heartbeats(executor: &kmatch_obs::ExecutorSection) -> Vec<u64> {
-    executor.lanes.iter().map(|l| l.tasks).collect()
-}
-
-/// One console line naming the executor path a batch took and its steal
-/// footprint, so throughput numbers are attributable without a RunReport.
-fn print_executor(section: &kmatch_obs::ExecutorSection) {
-    println!(
-        "executor       : {} ({} threads, {} tasks, {} steals, straggler x{:.2})",
-        section.path,
-        section.threads,
-        section.task_count,
-        section.steal_count,
-        section.straggler_ratio,
-    );
-}
-
-/// Solve a stream of instances through the parallel batch front-ends —
-/// the CLI face of `kmatch_parallel::solve_batch_stealing` (`--kind gs`)
-/// and `kmatch_parallel::roommates::solve_batch_stealing` (`--kind
-/// roommates`), both with per-thread reusable workspaces and zero
-/// steady-state allocation.
+/// Solve a stream of instances through the parallel batch front-ends
+/// ([`BatchFront::run`], for `--kind gs|roommates` and the lazy GS
+/// oracles), with per-thread reusable workspaces and zero steady-state
+/// allocation.
 /// Instances are generated from `--n/--count/--seed` or read from
 /// `--input` (a JSON array of DTOs); `--metrics-out` switches to the
 /// metered engines and writes a structured RunReport.
@@ -1052,6 +1075,19 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
         None => &local_registry,
     };
     let clock = kmatch_obs::StdClock::new();
+    let front = BatchFront {
+        args,
+        topts: &topts,
+        registry,
+        clock: &clock,
+        kind,
+        seed,
+        threads,
+        // The solve cache meters its own run.
+        metered: metered && !cache_on,
+        lazy: prefs != "csr",
+        ops: ops.as_ref(),
+    };
     let inputs: Vec<&str> = args.flag_values("input").collect();
     if prefs != "csr" {
         if !matches!(kind, "gs" | "roommates") {
@@ -1077,43 +1113,10 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             let n: usize = args.require("n")?;
             check_lazy_n(n, 1)?;
             let count: usize = args.flag_or("count", 1000)?;
+            let what = format!("{count} x n={n} (gs, {prefs} oracle)");
             match prefs {
-                "random" => {
-                    let batch: Vec<RandomOracle> = (0..count)
-                        .map(|i| RandomOracle::new(n, seed.wrapping_add(i as u64)))
-                        .collect();
-                    run_lazy_gs_batch(
-                        args,
-                        &topts,
-                        registry,
-                        &clock,
-                        &batch,
-                        prefs,
-                        n,
-                        seed,
-                        threads,
-                        metered,
-                        ops.as_ref(),
-                    )?;
-                }
-                "scores" => {
-                    let batch: Vec<ScoreOracle> = (0..count)
-                        .map(|i| ScoreOracle::seeded(n, seed.wrapping_add(i as u64)))
-                        .collect();
-                    run_lazy_gs_batch(
-                        args,
-                        &topts,
-                        registry,
-                        &clock,
-                        &batch,
-                        prefs,
-                        n,
-                        seed,
-                        threads,
-                        metered,
-                        ops.as_ref(),
-                    )?;
-                }
+                "random" => front.run_lazy_gs(n, count, &what, |s| RandomOracle::new(n, s))?,
+                "scores" => front.run_lazy_gs(n, count, &what, |s| ScoreOracle::seeded(n, s))?,
                 "truncated" => {
                     // Incomplete lists go through `solve_incomplete`, which
                     // has no batch front-end — a serial reused-workspace
@@ -1147,14 +1150,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                         count * n,
                         100.0 * matched as f64 / (count * n).max(1) as f64
                     );
-                    if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                        println!("peak rss bytes : {rss}");
-                    }
-                    println!(
-                        "wall time      : {:.3} ms ({:.1} instances/s)",
-                        elapsed.as_secs_f64() * 1e3,
-                        count as f64 / elapsed.as_secs_f64().max(1e-12)
-                    );
+                    print_wall(count, elapsed, true);
                 }
                 other => return Err(format!("unknown prefs backend: {other}")),
             }
@@ -1169,78 +1165,33 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                     .map(|_| kmatch_prefs::gen::uniform::uniform_bipartite(n, &mut rng))
                     .collect()
             } else {
-                let items = load_batch_inputs(&inputs)?;
-                let (batch, errors) =
-                    parse_elements::<kmatch_prefs::serde_support::BipartiteDto, _>(&items);
-                BatchErrors {
-                    total: items.len(),
-                    errors,
-                }
-                .finish(args)?;
-                batch
+                read_batch::<kmatch_prefs::serde_support::BipartiteDto, _>(args, &inputs)?
             };
-            let count = batch.len();
             let n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
-            let start = std::time::Instant::now();
-            let mut chunk_traces: Option<Vec<kmatch_parallel::ChunkTrace>> = None;
-            let mut cache_line = None;
-            let steal_seed = kmatch_parallel::steal_seed();
-            let (outcomes, report) = if cache_on {
-                let mut cache = SolveCache::default();
-                let cached = kmatch_parallel::solve_batch_cached(
-                    &batch, threads, steal_seed, &mut cache, registry, &clock,
-                );
-                cache_line = Some(format!(
-                    "{} hits / {} misses ({:.1}% hit rate)",
-                    cached.hits,
-                    cached.misses,
-                    100.0 * cached.hit_rate()
-                ));
-                (cached.outcomes, cached.executor)
-            } else if topts.enabled() {
-                let capacity = topts.chunk_capacity();
-                let (outs, traces, report) = kmatch_parallel::solve_batch_traced(
-                    &batch, threads, steal_seed, registry, &clock, capacity,
-                );
-                chunk_traces = Some(traces);
-                (outs, report)
-            } else if metered {
-                kmatch_parallel::solve_batch_stealing_metered(
-                    &batch, threads, steal_seed, registry, &clock,
-                )
-            } else {
-                kmatch_parallel::solve_batch_stealing(&batch, threads, steal_seed)
-            };
-            let elapsed = start.elapsed();
-            let executor = report.to_section();
-            let stats = kmatch_parallel::batch_stats(&outcomes);
-            println!("instances      : {count} x n={n} (gs)");
-            println!("total proposals: {}", stats.proposals);
-            println!("max rounds     : {}", stats.rounds);
-            print_executor(&executor);
-            if let Some(line) = cache_line {
-                println!("cache          : {line}");
-            }
-            println!(
-                "wall time      : {:.3} ms ({:.1} instances/s)",
-                elapsed.as_secs_f64() * 1e3,
-                count as f64 / elapsed.as_secs_f64().max(1e-12)
-            );
-            write_chunk_traces(&topts, chunk_traces)?;
-            if let Some(handle) = &ops {
-                handle.note_wave(n, &executor_heartbeats(&executor), None);
-            }
-            write_metrics(
-                args,
-                "gs",
+            let what = format!("{} x n={n} (gs)", batch.len());
+            let cache_line = std::cell::Cell::new(None);
+            front.run(
+                &batch,
                 n,
-                count,
-                seed,
-                threads,
-                elapsed.as_nanos() as u64,
-                registry.take(),
-                Some(executor),
-                ops.as_ref(),
+                GsWorkspace::new,
+                |batch, threads, steal_seed| {
+                    if !cache_on {
+                        return kmatch_parallel::solve_batch_stealing(batch, threads, steal_seed);
+                    }
+                    let mut cache = SolveCache::default();
+                    let cached = kmatch_parallel::solve_batch_cached(
+                        batch, threads, steal_seed, &mut cache, registry, &clock,
+                    );
+                    cache_line.set(Some(format!(
+                        "cache          : {} hits / {} misses ({:.1}% hit rate)",
+                        cached.hits,
+                        cached.misses,
+                        100.0 * cached.hit_rate()
+                    )));
+                    (cached.outcomes, cached.executor)
+                },
+                |outs| gs_summary(&what, outs),
+                || cache_line.take(),
             )?;
         }
         "roommates" if prefs != "csr" => {
@@ -1289,16 +1240,9 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                         "certificates   : {} truncated, {fullwidth} full-width",
                         count as u64 - fullwidth
                     );
-                    if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                        println!("peak rss bytes : {rss}");
-                    }
-                    println!(
-                        "wall time      : {:.3} ms ({:.1} instances/s)",
-                        elapsed.as_secs_f64() * 1e3,
-                        count as f64 / elapsed.as_secs_f64().max(1e-12)
-                    );
+                    print_wall(count, elapsed, true);
                     if let Some(handle) = &ops {
-                        handle.note_wave(n, &[count as u64], None);
+                        handle.note_wave(n, &[count as u64]);
                     }
                     write_metrics(
                         args,
@@ -1349,14 +1293,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                         "certified      : {stable} stable, {unsolvable} unsolvable, \
                          {inconclusive} inconclusive"
                     );
-                    if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                        println!("peak rss bytes : {rss}");
-                    }
-                    println!(
-                        "wall time      : {:.3} ms ({:.1} instances/s)",
-                        elapsed.as_secs_f64() * 1e3,
-                        count as f64 / elapsed.as_secs_f64().max(1e-12)
-                    );
+                    print_wall(count, elapsed, true);
                 }
                 other => return Err(format!("unknown prefs backend: {other}")),
             }
@@ -1366,78 +1303,36 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                 return Err("--cache is only supported for --kind gs".to_string());
             }
             let batch: Vec<RoommatesInstance> = if !inputs.is_empty() {
-                {
-                    let items = load_batch_inputs(&inputs)?;
-                    let (batch, errors) = parse_elements::<RoommatesDto, _>(&items);
-                    BatchErrors {
-                        total: items.len(),
-                        errors,
-                    }
-                    .finish(args)?;
-                    batch
-                }
+                read_batch::<RoommatesDto, _>(args, &inputs)?
             } else {
-                {
-                    let n: usize = args.require("n")?;
-                    check_min_n(n, 2)?;
-                    let count: usize = args.flag_or("count", 1000)?;
-                    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-                    (0..count)
-                        .map(|_| kmatch_prefs::gen::uniform::uniform_roommates(n, &mut rng))
-                        .collect()
-                }
+                let n: usize = args.require("n")?;
+                check_min_n(n, 2)?;
+                let count: usize = args.flag_or("count", 1000)?;
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                (0..count)
+                    .map(|_| kmatch_prefs::gen::uniform::uniform_roommates(n, &mut rng))
+                    .collect()
             };
-            let count = batch.len();
-            let n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
-            let start = std::time::Instant::now();
-            let mut chunk_traces: Option<Vec<kmatch_parallel::ChunkTrace>> = None;
-            let steal_seed = kmatch_parallel::steal_seed();
-            let (outcomes, report) = if topts.enabled() {
-                let capacity = topts.chunk_capacity();
-                let (outs, traces, report) = kmatch_parallel::roommates::solve_batch_traced(
-                    &batch, threads, steal_seed, registry, &clock, capacity,
-                );
-                chunk_traces = Some(traces);
-                (outs, report)
-            } else if metered {
-                kmatch_parallel::roommates::solve_batch_stealing_metered(
-                    &batch, threads, steal_seed, registry, &clock,
-                )
-            } else {
-                kmatch_parallel::roommates::solve_batch_stealing(&batch, threads, steal_seed)
-            };
-            let elapsed = start.elapsed();
-            let executor = report.to_section();
-            let stats = kmatch_parallel::roommates::batch_stats(&outcomes);
-            println!("instances      : {count} x n={n} (roommates)");
-            println!(
-                "solvable       : {} ({:.1}%)",
-                stats.solvable,
-                100.0 * stats.solvable as f64 / count.max(1) as f64
-            );
-            println!("total proposals: {}", stats.proposals);
-            println!("total rotations: {}", stats.rotations);
-            print_executor(&executor);
-            println!(
-                "wall time      : {:.3} ms ({:.1} instances/s)",
-                elapsed.as_secs_f64() * 1e3,
-                count as f64 / elapsed.as_secs_f64().max(1e-12)
-            );
-            write_chunk_traces(&topts, chunk_traces)?;
-            if let Some(handle) = &ops {
-                handle.note_wave(n, &executor_heartbeats(&executor), None);
-            }
-            write_metrics(
-                args,
-                "roommates",
+            let (count, n) = (batch.len(), batch.iter().map(|i| i.n()).max().unwrap_or(0));
+            front.run(
+                &batch,
                 n,
-                count,
-                seed,
-                threads,
-                elapsed.as_nanos() as u64,
-                registry.take(),
-                Some(executor),
-                ops.as_ref(),
+                kmatch_roommates::RoommatesWorkspace::new,
+                kmatch_parallel::roommates::solve_batch_stealing,
+                |outs| {
+                    let stats = kmatch_parallel::roommates::batch_stats(outs);
+                    format!(
+                        "instances      : {count} x n={n} (roommates)\n\
+                         solvable       : {} ({:.1}%)\n\
+                         total proposals: {}\n\
+                         total rotations: {}",
+                        stats.solvable,
+                        100.0 * stats.solvable as f64 / count.max(1) as f64,
+                        stats.proposals,
+                        stats.rotations
+                    )
+                },
+                || None,
             )?;
         }
         other => return Err(format!("unknown batch kind: {other}")),
@@ -1446,6 +1341,49 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
         handle.finish();
     }
     Ok(())
+}
+
+/// What every executor wave of `kmatch serve` shares: the operator and
+/// forensic planes its workers report to.
+struct ServeWave<'a> {
+    ops: &'a OpsHandle,
+    plane: &'a kmatch_ops::ForensicsPlane,
+    clock: &'a kmatch_obs::StdClock,
+    threads: usize,
+    /// Capacity of each worker's flight recorder.
+    flight: usize,
+}
+
+impl ServeWave<'_> {
+    /// Solve one wave, metered into the operator registry, with one
+    /// `engine()` workspace per worker carrying that worker's progress
+    /// probe and span-register lane and a flight recorder, nested as
+    /// `(((engine, probe), register), recorder)`. The probes are the
+    /// watchdog's heartbeats and `/progress`'s rows; the recorded events
+    /// feed the `/trace` ring. Returns the instances solved.
+    fn run<P: Sync, E: kmatch_parallel::Engine<P>>(&self, batch: &[P], engine: fn() -> E) -> usize {
+        use kmatch_forensics::Probed;
+        let (probes, registers) = (&self.plane.probes, &self.plane.registers);
+        let (outs, workers, _) = kmatch_parallel::solve_batch_with(
+            batch,
+            self.threads,
+            kmatch_parallel::steal_seed(),
+            self.ops.state.registry(),
+            self.clock,
+            // Worker `w` writes lane `w % lanes`: a mis-sized plane stays
+            // observable rather than a panic.
+            |w| {
+                let progress = Probed::new(probes.probe(w % probes.len()));
+                let register = registers.sink(w % registers.len());
+                let recorder = kmatch_trace::FlightRecorder::new(self.clock, self.flight);
+                (((engine(), progress), register), recorder)
+            },
+        );
+        for trace in kmatch_parallel::ChunkTrace::from_workers(workers) {
+            self.ops.state.ingest_trace(&trace.events, trace.dropped);
+        }
+        outs.len()
+    }
 }
 
 /// `kmatch serve` — a continuous solve workload with the operator plane
@@ -1529,10 +1467,6 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                 .to_string(),
         );
     }
-    // Probed modes publish progress through the forensic probes; the
-    // materialized roommates batch keeps its legacy cumulative heartbeat.
-    let probed = kind == "gs" || escalating;
-
     kmatch_ops::arm_sigint();
     let mut ops_cfg = kmatch_ops::OpsConfig::default();
     ops_cfg.watchdog.stall_after_ns = stall_ms.saturating_mul(1_000_000);
@@ -1543,7 +1477,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     // Arm the forensic plane: one probe/register lane per executor
     // worker (the escalating driver is serial — one lane).
     let threads = kmatch_parallel::default_threads();
-    let lanes = if kind == "gs" { threads } else { 1 };
+    let lanes = if escalating { 1 } else { threads };
     let mut plane = kmatch_ops::ForensicsPlane::new(lanes)
         .with_seed(seed)
         .with_config("cmd", "serve")
@@ -1566,10 +1500,11 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             std::time::Duration::from_micros(1_000_000 / sample_hz),
         )
     });
-    // Background watchdog ticker: probed modes must detect a stall while
-    // the main loop is *inside* a wave (that is the whole point), so the
-    // tick cannot live only between waves.
-    let ticker = probed.then(|| {
+    // Background watchdog ticker over the probes' generations, the one
+    // heartbeat source: a stall must be caught while the main loop is
+    // *inside* a wave (that is the whole point), so the tick cannot live
+    // only between waves.
+    let ticker = {
         let state = Arc::clone(&ops.state);
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let flag = Arc::clone(&stop);
@@ -1581,7 +1516,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             }
         });
         (stop, handle)
-    });
+    };
     ops.state.log(
         kmatch_ops::Level::Info,
         "ops",
@@ -1596,34 +1531,21 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
 
     // Fixed instances (re-solved every wave) or None for per-wave seeded
     // workloads. Parsed once, outside the loop.
-    let fixed_gs: Option<Vec<BipartiteInstance>> = if kind == "gs" && !inputs.is_empty() {
-        let items = load_batch_inputs(&inputs)?;
-        let (batch, errors) =
-            parse_elements::<kmatch_prefs::serde_support::BipartiteDto, _>(&items);
-        BatchErrors {
-            total: items.len(),
-            errors,
-        }
-        .finish(args)?;
-        Some(batch)
-    } else {
-        None
-    };
-    let fixed_rm: Option<Vec<RoommatesInstance>> = if kind == "roommates" && !inputs.is_empty() {
-        let items = load_batch_inputs(&inputs)?;
-        let (batch, errors) = parse_elements::<RoommatesDto, _>(&items);
-        BatchErrors {
-            total: items.len(),
-            errors,
-        }
-        .finish(args)?;
-        Some(batch)
-    } else {
-        None
-    };
+    let fixed_gs: Option<Vec<BipartiteInstance>> = (kind == "gs" && !inputs.is_empty())
+        .then(|| read_batch::<kmatch_prefs::serde_support::BipartiteDto, _>(args, &inputs))
+        .transpose()?;
+    let fixed_rm: Option<Vec<RoommatesInstance>> = (kind == "roommates" && !inputs.is_empty())
+        .then(|| read_batch::<RoommatesDto, _>(args, &inputs))
+        .transpose()?;
 
     let start = std::time::Instant::now();
-    let mut heartbeats: Vec<u64> = Vec::new();
+    let waves = ServeWave {
+        ops: &ops,
+        plane: &plane,
+        clock: &clock,
+        threads,
+        flight,
+    };
     let mut wave: u64 = 0;
     let mut total_instances: u64 = 0;
     // The stall hook fires exactly once, on the first escalating solve.
@@ -1638,20 +1560,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                         kmatch_prefs::RandomOracle::new(n, wave_seed.wrapping_add((i as u64) << 32))
                     })
                     .collect();
-                let (outs, traces, _) = kmatch_parallel::solve_batch_probed(
-                    &batch,
-                    threads,
-                    kmatch_parallel::steal_seed(),
-                    registry,
-                    &clock,
-                    &plane.probes,
-                    &plane.registers,
-                    flight,
-                );
-                for trace in &traces {
-                    ops.state.ring().ingest(&trace.events, trace.dropped);
-                }
-                (n, outs.len())
+                (n, waves.run(&batch, GsWorkspace::new))
             }
             ("gs", _) => {
                 let batch: Vec<BipartiteInstance> = match &fixed_gs {
@@ -1664,22 +1573,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                     }
                 };
                 let wave_n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
-                let (outs, traces, _) = kmatch_parallel::solve_batch_probed(
-                    &batch,
-                    threads,
-                    kmatch_parallel::steal_seed(),
-                    registry,
-                    &clock,
-                    &plane.probes,
-                    &plane.registers,
-                    flight,
-                );
-                // The events feed the /trace ring; the watchdog heartbeat
-                // is the probes' generations via the background ticker.
-                for trace in &traces {
-                    ops.state.ring().ingest(&trace.events, trace.dropped);
-                }
-                (wave_n, outs.len())
+                (wave_n, waves.run(&batch, GsWorkspace::new))
             }
             (_, true) => {
                 // Escalating truncated driver over the lazy seeded
@@ -1726,17 +1620,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
                     }
                 };
                 let wave_n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
-                let (outs, _) = kmatch_parallel::roommates::solve_batch_stealing_metered(
-                    &batch,
-                    threads,
-                    kmatch_parallel::steal_seed(),
-                    registry,
-                    &clock,
-                );
-                // The roommates batch publishes no progress probes: one
-                // heartbeat lane carries cumulative solves.
-                heartbeats = vec![total_instances + outs.len() as u64];
-                (wave_n, outs.len())
+                let engine = kmatch_roommates::RoommatesWorkspace::new;
+                (wave_n, waves.run(&batch, engine))
             }
         };
         total_instances += wave_count as u64;
@@ -1750,11 +1635,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             registry.snapshot(),
             None,
         );
-        if probed {
-            ops.note_wave_probed(wave_n, Some(report.to_json_string()));
-        } else {
-            ops.note_wave(wave_n, &heartbeats, Some(report.to_json_string()));
-        }
+        ops.note_wave_probed(wave_n, report.to_json_string());
         ops.state.log(
             kmatch_ops::Level::Info,
             kind,
@@ -1781,10 +1662,9 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         "serve stopping",
         vec![("reason".to_string(), reason.to_string())],
     );
-    if let Some((stop, handle)) = ticker {
-        stop.store(true, std::sync::atomic::Ordering::SeqCst);
-        let _ = handle.join();
-    }
+    let (stop, handle) = ticker;
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    let _ = handle.join();
     if let Some(s) = sampler {
         s.stop();
     }
@@ -3001,6 +2881,25 @@ mod tests {
             t,
         ])
         .is_err());
+    }
+
+    #[test]
+    fn flight_recorder_zero_is_rejected_wherever_trace_out_is() {
+        // An empty ring would drop every event and write an empty trace.
+        let trace = std::env::temp_dir().join(format!("kmatch-fr0-{}.json", std::process::id()));
+        let t = trace.to_str().unwrap();
+        for cmd in [
+            "batch --kind gs --n 4 --count 3",
+            "batch --kind roommates --n 4 --count 3",
+            "solve smp --n 4",
+        ] {
+            let mut words: Vec<&str> = cmd.split(' ').collect();
+            words.extend(["--trace-out", t, "--flight-recorder", "0"]);
+            let err = call(&words).expect_err(cmd);
+            assert_eq!(err, "need --flight-recorder >= 1", "{cmd}");
+            assert!(!misused(&words), "{cmd}: one error line, no usage");
+        }
+        assert!(!trace.exists(), "no trace was written");
     }
 
     #[test]

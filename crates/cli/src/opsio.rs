@@ -53,26 +53,21 @@ impl OpsHandle {
         }
     }
 
-    /// Record a completed solve wave: advance the heartbeat lanes, tick
-    /// the rolling window, and (when a report is supplied) publish it to
-    /// `/report`.
-    pub fn note_wave(&self, n: usize, heartbeats: &[u64], report_json: Option<String>) {
+    /// Record a completed solve wave: advance the watchdog's heartbeat
+    /// lanes to `heartbeats` and tick the rolling window.
+    pub fn note_wave(&self, n: usize, heartbeats: &[u64]) {
         self.state.note_wave(n as u64);
         self.state.tick(heartbeats);
-        if let Some(json) = report_json {
-            self.state.set_report(json);
-        }
     }
 
-    /// [`OpsHandle::note_wave`] for probed workloads: heartbeats come
-    /// from the attached forensic plane's probe generations (and a new
-    /// stall writes a postmortem bundle when the plane is armed for it).
-    pub fn note_wave_probed(&self, n: usize, report_json: Option<String>) {
+    /// [`OpsHandle::note_wave`] for probed workloads, publishing the
+    /// wave's `report_json` to `/report`: heartbeats come from the
+    /// attached forensic plane's probe generations (and a new stall
+    /// writes a postmortem bundle when the plane is armed for it).
+    pub fn note_wave_probed(&self, n: usize, report_json: String) {
         self.state.note_wave(n as u64);
         self.state.tick_probed();
-        if let Some(json) = report_json {
-            self.state.set_report(json);
-        }
+        self.state.set_report(report_json);
     }
 
     /// Stop accepting and join the server threads.

@@ -38,10 +38,13 @@ impl TraceOpts {
         };
         let flight = match args.flag("flight-recorder") {
             None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| format!("invalid value for --flight-recorder: {v}"))?,
-            ),
+            Some(v) => match v.parse() {
+                // An empty ring would drop every event and write an empty
+                // trace.
+                Ok(0) => return Err("need --flight-recorder >= 1".to_string()),
+                Ok(cap) => Some(cap),
+                Err(_) => return Err(format!("invalid value for --flight-recorder: {v}")),
+            },
         };
         if out.is_none() && (args.flag("trace-format").is_some() || flight.is_some()) {
             return Err(

@@ -169,6 +169,15 @@ impl StealReport {
         }
     }
 
+    /// The report of a run with no task at all: `task_count` 0 and one
+    /// idle lane for the calling thread (0 tasks, 0 busy time).
+    pub fn idle(seed: u64) -> Self {
+        let mut report = StealReport::serial(seed, 0);
+        report.task_count = 0;
+        report.lanes[0].tasks = 0;
+        report
+    }
+
     /// The report of a run as one task on the calling thread.
     pub fn serial(seed: u64, busy_ns: u64) -> Self {
         StealReport {

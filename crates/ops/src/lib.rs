@@ -17,11 +17,12 @@
 //!   repeat rate-limiting.
 //! * [`watchdog`] — a deterministic stall detector over per-worker
 //!   progress heartbeats; stalls degrade `/healthz` and emit log events.
-//! * [`ring`] — the mutex-protected flight-recorder ring `/trace`
-//!   drains, fed by the per-worker recorders of `solve_batch_traced`.
 //! * [`state`] — [`OpsState`], the one `Arc`-shared object composing all
 //!   of the above plus the cumulative
-//!   [`BatchRegistry`](kmatch_obs::BatchRegistry).
+//!   [`BatchRegistry`](kmatch_obs::BatchRegistry) and the `/trace` ring:
+//!   a mutex-held [`EventRing`](kmatch_trace::EventRing), the same
+//!   keep-last-N buffer each worker's flight recorder writes, fed by the
+//!   recorders the serve loop's batch workers carry.
 //! * [`signal`] — a SIGINT latch for graceful `kmatch serve` shutdown.
 //!
 //! The crate does not `forbid(unsafe_code)` like its siblings: the
@@ -35,7 +36,6 @@
 pub mod forensics;
 pub mod http;
 pub mod log;
-pub mod ring;
 pub mod signal;
 pub mod state;
 pub mod watchdog;
@@ -44,7 +44,6 @@ pub mod window;
 pub use forensics::ForensicsPlane;
 pub use http::{serve, OpsServer, ServerConfig};
 pub use log::{Level, LogRecord, OpsLog, LOG_SCHEMA};
-pub use ring::SharedTraceRing;
 pub use signal::{arm_sigint, sigint_received, trip_shutdown};
 pub use state::{OpsConfig, OpsState, PROGRESS_SCHEMA};
 pub use watchdog::{StallEvent, WatchdogConfig, WatchdogCore};

@@ -2,7 +2,7 @@
 //! serve loop, and the watchdog all hold an `Arc` to.
 //!
 //! [`OpsState`] composes the existing telemetry substrate — a
-//! [`BatchRegistry`] for cumulative counters, a [`SharedTraceRing`] for
+//! [`BatchRegistry`] for cumulative counters, an [`EventRing`] for
 //! flight-recorder events — with the new operator layers: the
 //! [`RollingWindow`], the [`OpsLog`], and the [`WatchdogCore`]. The clock
 //! is injected as `Arc<dyn Clock>` so tests drive everything off a
@@ -13,13 +13,12 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use kmatch_forensics::{bundle_json, write_bundle_atomic, BundleInputs};
-use kmatch_obs::{BatchRegistry, Clock, SolverMetrics};
-use kmatch_trace::{to_chrome_json, TraceTrack};
+use kmatch_obs::{phase, BatchRegistry, Clock, SolverMetrics};
+use kmatch_trace::{to_chrome_json, EventRing, TraceEvent, TraceTrack};
 use serde::Value;
 
 use crate::forensics::ForensicsPlane;
 use crate::log::{Level, LogRecord, OpsLog};
-use crate::ring::SharedTraceRing;
 use crate::watchdog::{StallEvent, WatchdogConfig, WatchdogCore};
 use crate::window::RollingWindow;
 
@@ -69,7 +68,9 @@ struct StateInner {
 /// The shared operator-plane state. `Sync`; handlers hold `Arc<OpsState>`.
 pub struct OpsState {
     registry: BatchRegistry,
-    ring: SharedTraceRing,
+    /// The `/trace` ring: the last `trace_capacity` events the serve
+    /// loop ingested from its workers' flight recorders.
+    ring: Mutex<EventRing>,
     clock: Arc<dyn Clock + Send + Sync>,
     start_ns: u64,
     window_ns: u64,
@@ -99,7 +100,7 @@ impl OpsState {
         window.tick(start_ns, SolverMetrics::new());
         OpsState {
             registry: BatchRegistry::new(),
-            ring: SharedTraceRing::new(cfg.trace_capacity),
+            ring: Mutex::new(EventRing::new(cfg.trace_capacity.max(1))),
             clock,
             start_ns,
             window_ns: cfg.window_ns,
@@ -139,9 +140,15 @@ impl OpsState {
         &self.registry
     }
 
-    /// The `/trace` event ring the serve loop ingests into.
-    pub fn ring(&self) -> &SharedTraceRing {
-        &self.ring
+    /// Append a worker's flight-recorder `events` (oldest first) to the
+    /// `/trace` ring, counting the `dropped` events its recorder already
+    /// overwrote.
+    pub fn ingest_trace(&self, events: &[TraceEvent], dropped: u64) {
+        self.trace_ring().ingest(events, dropped);
+    }
+
+    fn trace_ring(&self) -> MutexGuard<'_, EventRing> {
+        self.ring.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Current injected-clock reading.
@@ -239,7 +246,7 @@ impl OpsState {
     /// Drain the trace ring as Chrome trace-event JSON (one main track;
     /// loadable in Perfetto / `chrome://tracing`).
     pub fn trace_chrome_json(&self) -> String {
-        let (events, _dropped) = self.ring.drain();
+        let (events, _dropped) = self.trace_ring().drain();
         to_chrome_json(&TraceTrack::main(events))
     }
 
@@ -292,7 +299,9 @@ impl OpsState {
     }
 
     /// [`OpsState::tick`] driven by the attached probes' heartbeat
-    /// generations. Any *new* stall event also triggers a postmortem
+    /// generations. A lane between solves (phase idle) has no work in
+    /// flight, so it cannot stall: its reading is the tick's clock, which
+    /// moves. Any *new* stall event also triggers a postmortem
     /// bundle (trigger `"stall"`) when the plane has a bundle directory;
     /// the watchdog only emits events on state *transitions*, so an
     /// ongoing stall writes exactly one bundle. No-op tick when no plane
@@ -301,7 +310,14 @@ impl OpsState {
         let Some(plane) = self.forensics() else {
             return Vec::new();
         };
-        let events = self.tick(&plane.probes.generations());
+        let now = self.clock.now_ns();
+        let readings: Vec<u64> = plane
+            .probes
+            .snapshot()
+            .iter()
+            .map(|s| if s.phase == phase::IDLE { now } else { s.generation })
+            .collect();
+        let events = self.tick(&readings);
         if events.iter().any(|e| !e.resumed) {
             if let Some(dir) = plane.postmortem_dir.as_deref() {
                 match self.write_postmortem("stall") {
@@ -345,7 +361,7 @@ impl OpsState {
             std::io::Error::new(std::io::ErrorKind::NotFound, "no postmortem dir")
         })?;
         let now = self.clock.now_ns();
-        let (events, dropped) = self.ring.drain();
+        let (events, dropped) = self.trace_ring().drain();
         let progress = plane.probes.snapshot();
         let logs = self.logs_jsonl(256);
         let window = {
@@ -741,7 +757,7 @@ mod tests {
             .probe(0)
             .publish(kmatch_obs::phase::IRVING_PHASE2, 0, 0, 31, 900);
         state.attach_forensics(plane);
-        state.ring().ingest(
+        state.ingest_trace(
             &[kmatch_trace::TraceEvent {
                 kind: kmatch_trace::EventKind::Instant,
                 name: "gs.warm.resolve",
@@ -771,10 +787,7 @@ mod tests {
         let text = std::fs::read_to_string(&entries[0]).expect("readable");
         let bundle: Value = serde_json::from_str(&text).expect("bundle parses");
         kmatch_forensics::validate_bundle(&bundle).expect("bundle validates");
-        assert_eq!(
-            bundle.get("trigger"),
-            Some(&Value::String("stall".into()))
-        );
+        assert_eq!(bundle.get("trigger"), Some(&Value::String("stall".into())));
         assert!(text.contains("gs.warm.resolve"), "ring drained into bundle");
         // A still-ongoing stall does not write a second bundle.
         clock.advance(2_000);
@@ -789,9 +802,26 @@ mod tests {
     }
 
     #[test]
+    fn idle_probe_lanes_never_stall() {
+        // Lane 0 is frozen mid-solve; lane 1 never got work. Only the
+        // lane with work in flight is a stall.
+        let (clock, state) = manual_state();
+        let plane = ForensicsPlane::new(2);
+        plane
+            .probes
+            .probe(0)
+            .publish(kmatch_obs::phase::GS_ROUNDS, 0, 0, 3, 40);
+        state.attach_forensics(plane);
+        state.tick_probed();
+        clock.advance(2_000);
+        state.tick_probed();
+        assert_eq!(state.stalled_workers(), vec![0]);
+    }
+
+    #[test]
     fn trace_ring_drains_to_chrome_json() {
         let (_clock, state) = manual_state();
-        state.ring().ingest(
+        state.ingest_trace(
             &[
                 kmatch_trace::TraceEvent {
                     kind: kmatch_trace::EventKind::Begin,
@@ -810,6 +840,10 @@ mod tests {
         );
         let json = state.trace_chrome_json();
         assert!(json.contains("gs.solve"), "{json}");
-        assert!(state.ring().is_empty(), "drain empties the ring");
+        let again = state.trace_chrome_json();
+        assert!(
+            !again.contains("gs.solve"),
+            "drain empties the ring: {again}"
+        );
     }
 }

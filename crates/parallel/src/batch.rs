@@ -11,29 +11,35 @@
 //! processes — the per-instance allocations are exactly the two partner
 //! arrays owned by each returned matching.
 //!
-//! The front-ends differ only in what they observe: nothing
-//! ([`solve_batch_stealing`]), sharded metrics
-//! ([`solve_batch_stealing_metered`]), per-worker span timelines
-//! ([`solve_batch_traced`]) or live forensics ([`solve_batch_probed`]).
-//! All of them run through one runner on [`crate::steal`]: results come
-//! back in input order and are identical to calling
-//! [`kmatch_gs::gale_shapley`] on each instance serially for **any**
-//! thread count or steal schedule (GS is deterministic, instances share
-//! no state, and the executor reduces in task-id order).
+//! [`solve_batch_stealing`] observes nothing; [`solve_batch_stealing_metered`]
+//! fills a registry. Anything more — per-worker span timelines, live
+//! forensics — is [`crate::solve_batch_with`] with a worker closure that
+//! builds the observers, and [`ChunkTrace::from_workers`] reads the
+//! timelines back. All of them run through one runner on
+//! [`crate::steal`]: results come back in input order and are identical
+//! to calling [`kmatch_gs::gale_shapley`] on each instance serially for
+//! **any** thread count or steal schedule (GS is deterministic, instances
+//! share no state, and the executor reduces in task-id order).
 
-use kmatch_forensics::{ProbeSet, Probed, RegisterSet};
 use kmatch_gs::{GsOutcome, GsStats, GsWorkspace};
-use kmatch_obs::{BatchRegistry, Clock, NoMetrics, SolverMetrics, StdClock};
+use kmatch_obs::{BatchRegistry, Clock, NoMetrics, StdClock};
 use kmatch_prefs::PrefOracle;
 use kmatch_trace::{FlightRecorder, TraceEvent};
 
-use crate::runner::{absorb, run_batch};
+use crate::runner::{run_batch, solve_batch_with};
 use crate::steal::StealReport;
 
 /// The span timeline one batch worker recorded: a `batch.chunk` span per
 /// executor task it ran (arg = task id) enclosing the per-solve engine
 /// spans, captured through a fixed-capacity [`FlightRecorder`] so a huge
 /// workload keeps only its most recent events.
+///
+/// Flight recorders are phase-level by design (`FINE_SPANS = false`):
+/// the tracks carry `batch.chunk` and one `gs.solve` (or `irving.*`)
+/// span per instance, never the fine-grained `gs.round` spans — that is
+/// what keeps a traced batch within a few percent of the metered one
+/// (the `trace_overhead` row of `results/REPORT_gs.json` pins the
+/// measured figure).
 #[derive(Debug, Clone)]
 pub struct ChunkTrace {
     /// Worker index — the worker-track id in the exported trace.
@@ -46,8 +52,12 @@ pub struct ChunkTrace {
 }
 
 impl ChunkTrace {
-    /// One trace per worker's recorder, in worker order.
-    pub(crate) fn collect<'c, W, C: Clock + 'c>(
+    /// One trace per worker's outermost recorder, in worker order: the
+    /// workers [`crate::solve_batch_with`] returns when each carries a
+    /// [`FlightRecorder`] as `(engine, recorder)`. The traces plug
+    /// straight into `kmatch_trace::TraceTrack::workers` for a
+    /// thread-track-per-worker Chrome trace.
+    pub fn from_workers<'c, W, C: Clock + 'c>(
         workers: impl IntoIterator<Item = (W, FlightRecorder<'c, C>)>,
     ) -> Vec<ChunkTrace> {
         workers
@@ -104,15 +114,7 @@ where
 }
 
 /// [`solve_batch_stealing`] with sharded metrics and per-solve wall
-/// timing.
-///
-/// Each *task* accumulates into its own thread-private [`SolverMetrics`]
-/// shard (plain `u64` increments, no atomics or locks on the hot path);
-/// shards are absorbed into `registry` in task-id order after the join,
-/// so the merged metrics are byte-identical for any steal schedule, and
-/// the run's execution record is stored beside them. Per-solve wall time
-/// is sampled from the injected `clock` at the front-end, keeping the
-/// engine clock-free.
+/// timing: [`crate::solve_batch_with`] over bare [`GsWorkspace`]s.
 pub fn solve_batch_stealing_metered<P, C>(
     instances: &[P],
     threads: usize,
@@ -124,117 +126,10 @@ where
     P: PrefOracle + Sync,
     C: Clock + Sync,
 {
-    let run = run_batch(
-        instances.len(),
-        |i| &instances[i],
-        threads,
-        seed,
-        clock,
-        |_| GsWorkspace::new(),
-        |_| SolverMetrics::new(),
-    );
-    absorb(registry, run.shards, &run.report);
-    (run.outcomes, run.report)
-}
-
-/// [`solve_batch_stealing_metered`] that additionally records a span
-/// timeline per worker.
-///
-/// Each worker owns one [`FlightRecorder`] of `flight_capacity` events
-/// (preallocated; recording never allocates) for its whole lifetime and
-/// wraps every task it runs in a `batch.chunk` span (arg = task id).
-/// Flight recorders are phase-level by design (`FINE_SPANS = false`):
-/// the tracks carry `batch.chunk` and one `gs.solve` span per instance,
-/// never the fine-grained `gs.round` spans — that is what keeps the
-/// traced batch within a few percent of the plain one (the
-/// `trace_overhead` row of `results/REPORT_gs.json` pins the measured
-/// figure). The returned [`ChunkTrace`]s, ordered by worker id, plug
-/// straight into `kmatch_trace::TraceTrack::workers` for a
-/// thread-track-per-worker Chrome trace and expose stragglers directly.
-/// Outcomes and merged metrics are identical to the metered path's for
-/// any steal schedule; only the timelines reflect the schedule.
-pub fn solve_batch_traced<P, C>(
-    instances: &[P],
-    threads: usize,
-    seed: u64,
-    registry: &BatchRegistry,
-    clock: &C,
-    flight_capacity: usize,
-) -> (Vec<GsOutcome>, Vec<ChunkTrace>, StealReport)
-where
-    P: PrefOracle + Sync,
-    C: Clock + Sync,
-{
-    let run = run_batch(
-        instances.len(),
-        |i| &instances[i],
-        threads,
-        seed,
-        clock,
-        |_| {
-            (
-                GsWorkspace::new(),
-                FlightRecorder::new(clock, flight_capacity),
-            )
-        },
-        |_| SolverMetrics::new(),
-    );
-    absorb(registry, run.shards, &run.report);
-    (run.outcomes, ChunkTrace::collect(run.workers), run.report)
-}
-
-/// [`solve_batch_traced`] under live forensics: every worker publishes
-/// its progress into its [`ProbeSet`] lane and its current leaf span into
-/// its [`RegisterSet`] lane while it solves, so `GET /progress` and the
-/// sampling profiler observe the batch mid-flight — and still records the
-/// per-worker flight-recorder timelines the `/trace` ring and postmortem
-/// bundles drain.
-///
-/// Worker `w` writes probe/register lane `w % lanes` (the lane sets are
-/// sized by the caller, normally to the thread count; the modulo keeps a
-/// mis-sized set observable rather than a panic). Each task solves into
-/// a fresh [`SolverMetrics`] shard, absorbed into `registry` in task-id
-/// order; beside it, each worker's observers see the same hooks: its
-/// [`FlightRecorder`] (capacity `flight_capacity`), its register lane,
-/// and a [`Probed`] progress observer whose round/proposal counters
-/// restart at every solve — exactly the resolution `GET /progress`
-/// reports. None of them takes fine-grained spans, so the recorded
-/// stream stays coarse. Outcomes are byte-identical to
-/// [`solve_batch_stealing`]'s for any schedule; only the live telemetry,
-/// the timelines, and the workspace fresh/reuse split reflect it.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_batch_probed<P, C>(
-    instances: &[P],
-    threads: usize,
-    seed: u64,
-    registry: &BatchRegistry,
-    clock: &C,
-    probes: &ProbeSet,
-    registers: &RegisterSet,
-    flight_capacity: usize,
-) -> (Vec<GsOutcome>, Vec<ChunkTrace>, StealReport)
-where
-    P: PrefOracle + Sync,
-    C: Clock + Sync,
-{
-    let run = run_batch(
-        instances.len(),
-        |i| &instances[i],
-        threads,
-        seed,
-        clock,
-        // Observers nest outward and see each hook in that order after
-        // the shard: recorder, register lane, progress probe.
-        |w| {
-            let progress = Probed::new(probes.probe(w % probes.len()));
-            let register = registers.sink(w % registers.len());
-            let recorder = FlightRecorder::new(clock, flight_capacity);
-            (((GsWorkspace::new(), progress), register), recorder)
-        },
-        |_| SolverMetrics::new(),
-    );
-    absorb(registry, run.shards, &run.report);
-    (run.outcomes, ChunkTrace::collect(run.workers), run.report)
+    let (outcomes, _, report) = solve_batch_with(instances, threads, seed, registry, clock, |_| {
+        GsWorkspace::new()
+    });
+    (outcomes, report)
 }
 
 /// Sum the instrumentation counters of a batch: total proposals and the
@@ -347,55 +242,32 @@ mod tests {
     #[test]
     fn metered_empty_batch_absorbs_nothing() {
         use kmatch_obs::{BatchRegistry, ManualClock};
-        let empty: Vec<BipartiteInstance> = Vec::new();
-        let registry = BatchRegistry::new();
-        let (outs, _) = solve_batch_stealing_metered(&empty, 2, 0, &registry, &ManualClock::new());
-        assert!(outs.is_empty());
-        assert_eq!(registry.shards_absorbed(), 0);
-    }
-
-    #[test]
-    fn probed_batch_equals_plain_and_publishes_live_telemetry() {
-        use kmatch_forensics::{ProbeSet, RegisterSet};
-        use kmatch_obs::{BatchRegistry, ManualClock};
-        let mut rng = ChaCha8Rng::seed_from_u64(56);
-        let batch: Vec<BipartiteInstance> =
-            (0..150).map(|_| uniform_bipartite(28, &mut rng)).collect();
-        let registry = BatchRegistry::new();
+        use kmatch_prefs::RoommatesInstance;
+        use kmatch_roommates::RoommatesWorkspace;
+        // An empty batch runs no task: no shard, no task in the execution
+        // record, and one idle lane, for either engine.
+        let check = |registry: &BatchRegistry, report: &StealReport| {
+            let record = registry.execution().expect("execution recorded");
+            assert_eq!(record.task_count, 0);
+            assert_eq!(registry.shards_absorbed(), record.task_count);
+            assert_eq!(report.task_count, 0);
+            assert_eq!(report.lanes.len(), 1);
+            assert_eq!(report.lanes[0].tasks, 0);
+            assert_eq!(report.straggler_ratio(), 0.0);
+        };
         let clock = ManualClock::new();
-        let threads = 3;
-        let probes = ProbeSet::new(threads);
-        let registers = RegisterSet::new(threads);
-        let (probed, traces, _) = solve_batch_probed(
-            &batch, threads, 0, &registry, &clock, &probes, &registers, 4096,
-        );
-        let (plain, _) = solve_batch_stealing(&batch, 1, 0);
-        assert_eq!(probed.len(), plain.len());
-        for (a, b) in probed.iter().zip(&plain) {
-            assert_eq!(a.matching, b.matching);
-            assert_eq!(a.stats, b.stats);
-        }
-        // Merged metrics are the full batch, exactly as the metered path.
-        let merged = registry.take();
-        assert_eq!(merged.solves, 150);
-        // Every solve publishes at least phase-enter + solve-done, so the
-        // probes collectively moved; lanes end idle and consistent.
-        let total_gen: u64 = probes.generations().iter().sum();
-        assert!(total_gen > 0, "no probe publish happened");
-        for snap in probes.snapshot() {
-            assert!(snap.consistent);
-            assert_eq!(snap.phase, kmatch_obs::phase::IDLE);
-        }
-        // The span register interned the solve span name.
-        assert!(!registers.names().is_empty());
-        // The flight recorders captured real timelines alongside the
-        // live registers: every solve left a gs.solve span somewhere.
-        let solve_spans: usize = traces
-            .iter()
-            .flat_map(|t| t.events.iter())
-            .filter(|e| e.name == kmatch_trace::span::GS_SOLVE)
-            .count();
-        assert!(solve_spans > 0, "no gs.solve events in probed traces");
+        let registry = BatchRegistry::new();
+        let empty: Vec<BipartiteInstance> = Vec::new();
+        let (outs, report) = solve_batch_stealing_metered(&empty, 2, 0, &registry, &clock);
+        assert!(outs.is_empty());
+        check(&registry, &report);
+        let registry = BatchRegistry::new();
+        let empty: Vec<RoommatesInstance> = Vec::new();
+        let (outs, workers, report) = solve_batch_with(&empty, 2, 0, &registry, &clock, |_| {
+            RoommatesWorkspace::new()
+        });
+        assert!(outs.is_empty() && workers.is_empty());
+        check(&registry, &report);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! content fingerprint (`kmatch_incremental::bipartite_fingerprint`) and
 //! serves repeats straight from a caller-owned [`SolveCache`]; only the
 //! missing instances go through the batch runner, metered and on the
-//! stealing executor like [`crate::batch::solve_batch_stealing_metered`].
+//! stealing executor like [`crate::solve_batch_stealing_metered`].
 //! Hits, misses, and evictions land in the
 //! [`BatchRegistry`]'s merged `SolverMetrics`, and the returned
 //! [`CachedBatchOutcome`] carries the same counts for callers (the CLI

@@ -15,22 +15,30 @@
 //!   (`KMATCH_STEAL_SEED`), task-id-ordered reduction so outputs and
 //!   merged metrics are byte-identical for any thread count and steal
 //!   schedule, and per-worker lane accounting for the straggler section
-//!   of run reports. One crate-private runner drives it for every
-//!   front-end below; one thread is its serial case.
+//!   of run reports. One runner drives it for every front-end below;
+//!   one thread is its serial case.
+//! * [`solve_batch_with`] — the one metered batch front-end, generic over
+//!   the sealed [`Engine`] trait: the caller's `worker(w)` closure builds
+//!   worker `w`'s workspace (a `GsWorkspace`, a `RoommatesWorkspace`)
+//!   together with whatever observers it carries — a `FlightRecorder`
+//!   for per-worker timelines ([`ChunkTrace::from_workers`] reads them
+//!   back), a register lane and a progress probe for live forensics, or
+//!   none.
 //! * [`executor`] — the binding executor: independent `GS(i, j)` bindings
 //!   (all at once, or each schedule round) run as executor tasks. Its
 //!   output is bit-identical to the sequential Algorithm 1 (GS is
 //!   deterministic per edge and edges touch disjoint data), which the
 //!   tests enforce.
-//! * [`batch`] — throughput front-ends: [`solve_batch_stealing`] and its
-//!   metered, traced and probed variants fan many independent bipartite
-//!   instances across the workers, giving each worker one reusable
-//!   `GsWorkspace` so the per-instance allocation cost is just the
-//!   returned matchings; [`cached`] serves repeats from a solve cache.
-//! * [`roommates`] — the same front-ends for Irving's stable-roommates
-//!   solver (one reusable `RoommatesWorkspace` per worker, at a thread
-//!   budget of 1 so its own walks never add threads), feeding the
-//!   solvability sweeps.
+//! * [`batch`] — GS throughput front-ends: [`solve_batch_stealing`]
+//!   (unobserved) and [`solve_batch_stealing_metered`] fan many
+//!   independent bipartite instances across the workers, giving each
+//!   worker one reusable `GsWorkspace` so the per-instance allocation
+//!   cost is just the returned matchings; [`cached`] serves repeats from
+//!   a solve cache.
+//! * [`roommates`] — the unobserved front-end for Irving's
+//!   stable-roommates solver (one reusable `RoommatesWorkspace` per
+//!   worker, at a thread budget of 1 so its own walks never add
+//!   threads), feeding the solvability sweeps.
 //! * [`pram`] — the paper's own cost model, implemented as an explicit
 //!   simulator: EREW round accounting reproducing Corollary 1
 //!   (`≤ Δ·n²` iterations with `k − 1` processors), the 2-round even–odd
@@ -54,13 +62,11 @@ mod runner;
 pub mod scratch;
 pub mod steal;
 
-pub use batch::{
-    batch_stats, solve_batch_probed, solve_batch_stealing, solve_batch_stealing_metered,
-    solve_batch_traced, ChunkTrace,
-};
+pub use batch::{batch_stats, solve_batch_stealing, solve_batch_stealing_metered, ChunkTrace};
 pub use cached::{solve_batch_cached, CachedBatchOutcome};
 pub use executor::{parallel_bind, parallel_bind_scheduled, ParallelBindingOutcome};
 pub use pram::{crew_cost, erew_cost, replication_rounds, PramCost, PramModel};
+pub use runner::{solve_batch_with, Engine};
 pub use scratch::WorkerScratch;
 pub use steal::{
     default_threads, steal_seed, StealReport, WorkerLane, STEAL_SEED_ENV, TASKS_PER_WORKER,

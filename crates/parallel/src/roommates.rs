@@ -1,36 +1,27 @@
-//! Batch throughput front-ends for the stable-roommates solver.
+//! Batch throughput front-end for the stable-roommates solver.
 //!
 //! The solvability experiments behind `roommates_solvability.csv` (and the
 //! Mertens-style scaling studies the ROADMAP aims at) need thousands of
 //! independent Irving solves per data point. Like [`crate::batch`] for
-//! Gale–Shapley, these front-ends fan the instances across the stealing
-//! executor with one reusable [`RoommatesWorkspace`] per worker thread,
-//! so the steady-state cost per instance is the solve itself — the only
-//! per-instance allocation is the partner array owned by each stable
-//! matching (unsolvable instances allocate nothing at all).
+//! Gale–Shapley, [`solve_batch_stealing`] fans the instances across the
+//! stealing executor with one reusable [`RoommatesWorkspace`] per worker
+//! thread, so the steady-state cost per instance is the solve itself —
+//! the only per-instance allocation is the partner array owned by each
+//! stable matching (unsolvable instances allocate nothing at all). A
+//! metered, traced or probed roommates batch is [`crate::solve_batch_with`]
+//! over `RoommatesWorkspace` workers.
 //!
 //! Results are returned in input order and are identical to calling
 //! [`kmatch_roommates::solve`] on each instance serially, for any thread
 //! count or steal seed (Irving's algorithm with a fixed seed policy is
 //! deterministic and instances share no state).
 
-use kmatch_obs::{BatchRegistry, Clock, NoMetrics, SolverMetrics, StdClock};
+use kmatch_obs::{NoMetrics, StdClock};
 use kmatch_prefs::RoommatesInstance;
 use kmatch_roommates::{RoommatesOutcome, RoommatesWorkspace};
-use kmatch_trace::FlightRecorder;
 
-use crate::batch::ChunkTrace;
-use crate::runner::{absorb, run_batch};
+use crate::runner::run_batch;
 use crate::steal::StealReport;
-
-/// A batch worker's workspace. Its own walks stay on the worker's
-/// thread (budget 1), so a batch never runs more threads than it was
-/// given.
-fn worker_workspace() -> RoommatesWorkspace {
-    let mut ws = RoommatesWorkspace::new();
-    ws.set_threads(1);
-    ws
-}
 
 /// Solve a roommates batch through the deterministic work-stealing
 /// executor (see [`crate::steal`]) with `threads` OS workers and the
@@ -40,7 +31,9 @@ fn worker_workspace() -> RoommatesWorkspace {
 /// [`RoommatesWorkspace::solve`] loop for **any** `threads`/`seed`
 /// combination, so only the returned [`StealReport`] reflects the actual
 /// schedule. `threads <= 1` (or a trivial batch) takes the serial path
-/// with no worker threads at all.
+/// with no worker threads at all. Each worker's own walks stay on its
+/// thread (budget 1), so a batch never runs more threads than it was
+/// given.
 ///
 /// ```
 /// use kmatch_parallel::roommates::solve_batch_stealing;
@@ -64,70 +57,10 @@ pub fn solve_batch_stealing(
         threads,
         seed,
         &StdClock::new(),
-        |_| worker_workspace(),
+        |_| RoommatesWorkspace::new(),
         |_| NoMetrics,
     );
     (run.outcomes, run.report)
-}
-
-/// [`solve_batch_stealing`] with sharded metrics and per-solve wall
-/// timing, mirroring [`crate::batch::solve_batch_stealing_metered`].
-///
-/// Each *task* accumulates into its own thread-private [`SolverMetrics`]
-/// shard; shards are absorbed into `registry` in task-id order after the
-/// join, so the merged metrics are byte-identical for any steal schedule.
-pub fn solve_batch_stealing_metered<C>(
-    instances: &[RoommatesInstance],
-    threads: usize,
-    seed: u64,
-    registry: &BatchRegistry,
-    clock: &C,
-) -> (Vec<RoommatesOutcome>, StealReport)
-where
-    C: Clock + Sync,
-{
-    let run = run_batch(
-        instances.len(),
-        |i| &instances[i],
-        threads,
-        seed,
-        clock,
-        |_| worker_workspace(),
-        |_| SolverMetrics::new(),
-    );
-    absorb(registry, run.shards, &run.report);
-    (run.outcomes, run.report)
-}
-
-/// [`solve_batch_stealing_metered`] that additionally records a span
-/// timeline per worker — the roommates mirror of
-/// [`crate::batch::solve_batch_traced`]. Each worker's [`FlightRecorder`]
-/// (capacity `flight_capacity`, preallocated, never allocating while
-/// recording) wraps every task in a `batch.chunk` span (arg = task id)
-/// around the per-solve `irving.*` spans; the returned [`ChunkTrace`]s
-/// feed `kmatch_trace::TraceTrack::workers` directly.
-pub fn solve_batch_traced<C: Clock + Sync>(
-    instances: &[RoommatesInstance],
-    threads: usize,
-    seed: u64,
-    registry: &BatchRegistry,
-    clock: &C,
-    flight_capacity: usize,
-) -> (Vec<RoommatesOutcome>, Vec<ChunkTrace>, StealReport) {
-    let run = run_batch(
-        instances.len(),
-        |i| &instances[i],
-        threads,
-        seed,
-        clock,
-        |_| {
-            let recorder = FlightRecorder::new(clock, flight_capacity);
-            (worker_workspace(), recorder)
-        },
-        |_| SolverMetrics::new(),
-    );
-    absorb(registry, run.shards, &run.report);
-    (run.outcomes, ChunkTrace::collect(run.workers), run.report)
 }
 
 /// Aggregate statistics of a solved roommates batch.
@@ -158,6 +91,7 @@ pub fn batch_stats(outcomes: &[RoommatesOutcome]) -> RoommatesBatchStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::solve_batch_with;
     use kmatch_prefs::gen::uniform::uniform_roommates;
     use kmatch_roommates::solve;
     use rand::SeedableRng;
@@ -202,8 +136,10 @@ mod tests {
         let batch: Vec<RoommatesInstance> =
             (0..100).map(|_| uniform_roommates(12, &mut rng)).collect();
         let registry = BatchRegistry::new();
-        let (metered, _) =
-            solve_batch_stealing_metered(&batch, 3, 0, &registry, &ManualClock::new());
+        let (metered, _, _) =
+            solve_batch_with(&batch, 3, 0, &registry, &ManualClock::new(), |_| {
+                RoommatesWorkspace::new()
+            });
         let (plain, _) = solve_batch_stealing(&batch, 1, 0);
         for (a, b) in metered.iter().zip(&plain) {
             assert_eq!(a.matching(), b.matching());
@@ -254,33 +190,6 @@ mod tests {
         for (a, b) in outs.iter().zip(&reference) {
             assert_eq!(a.matching(), b.matching());
         }
-    }
-
-    #[test]
-    fn metered_stealing_merges_identically_across_schedules() {
-        use kmatch_obs::{BatchRegistry, ManualClock};
-        let mut rng = ChaCha8Rng::seed_from_u64(66);
-        let batch: Vec<RoommatesInstance> =
-            (0..60).map(|_| uniform_roommates(14, &mut rng)).collect();
-        let mut merged = Vec::new();
-        for (threads, seed) in [(2usize, 0u64), (4, 7), (3, 0xFEED)] {
-            let registry = BatchRegistry::new();
-            let clock = ManualClock::new();
-            let (outs, report) =
-                solve_batch_stealing_metered(&batch, threads, seed, &registry, &clock);
-            assert_eq!(outs.len(), batch.len());
-            assert_eq!(registry.shards_absorbed(), report.task_count as u64);
-            let mut metrics = registry.take();
-            // Workspace fresh/reuse accounting is executor telemetry (it
-            // depends on the size order each worker saw); canonicalize it
-            // out of the structural compare.
-            metrics.workspace_reused = 0;
-            metrics.workspace_fresh = 0;
-            merged.push(metrics);
-        }
-        assert_eq!(merged[0], merged[1]);
-        assert_eq!(merged[1], merged[2]);
-        assert_eq!(merged[0].solves, 60);
     }
 
     #[test]

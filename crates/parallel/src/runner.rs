@@ -9,10 +9,10 @@
 //! metrics shard, and returns the outcomes in item order. A workspace
 //! may carry worker-lifetime observers — a span recorder, a live span
 //! register, a progress probe — as `(workspace, observer)`, and those
-//! see every hook the task's shard sees. The public front-ends differ
-//! only in the shards and observers they hand it; a bare workspace with
-//! a `NoMetrics` shard is the same engine instantiation as the engine's
-//! plain `solve`.
+//! see every hook the task's shard sees. [`solve_batch_with`] is the one
+//! public metered front-end over it: the caller picks the observers by
+//! what its `worker` closure builds. A bare workspace with a `NoMetrics`
+//! shard is the same engine instantiation as the engine's plain `solve`.
 
 use std::ops::Range;
 
@@ -24,8 +24,29 @@ use kmatch_trace::span;
 
 use crate::steal::{run_tasks, task_layout, StealReport};
 
+mod sealed {
+    /// Only this crate's workspaces, alone or paired with observers, are
+    /// batch engines.
+    pub trait Sealed {}
+
+    impl Sealed for kmatch_gs::GsWorkspace {}
+    impl Sealed for kmatch_roommates::RoommatesWorkspace {}
+    impl Sealed for crate::WorkerScratch {}
+    impl<E: Sealed, S: kmatch_obs::Metrics + Send> Sealed for (E, S) {}
+}
+
 /// A reusable workspace that solves one batch item of type `P`.
-pub(crate) trait Engine<P: ?Sized>: Send {
+///
+/// The trait is sealed. Its implementors are [`GsWorkspace`] (any
+/// [`PrefOracle`]), [`RoommatesWorkspace`] (any [`RoommatesOracle`]; a
+/// batch worker solves at a thread budget of 1, so a batch never runs
+/// more threads than it was given), [`crate::WorkerScratch`] (binding
+/// edges), and `(E, S)`: an engine `E` carrying a worker-lifetime
+/// observer `S`, which sees every hook right after the task's metrics
+/// shard. Observers nest outward, so
+/// `(((ws, probe), register), recorder)` hands each hook to the shard,
+/// then the recorder, the register and the probe.
+pub trait Engine<P: ?Sized>: sealed::Sealed + Send {
     /// What one solve returns.
     type Outcome: Send;
 
@@ -54,12 +75,12 @@ impl<P: RoommatesOracle> Engine<P> for RoommatesWorkspace {
     type Outcome = RoommatesOutcome;
 
     fn run<M: Metrics>(&mut self, inst: &P, obs: &mut M) -> RoommatesOutcome {
+        // The workspace's own walks stay on the worker's thread.
+        self.set_threads(1);
         self.solve_metered(inst, obs)
     }
 }
 
-/// A workspace carrying a worker-lifetime observer: `S` sees every hook,
-/// `batch.chunk` spans included, right after the task's shard.
 impl<P: ?Sized, E: Engine<P>, S: Metrics + Send> Engine<P> for (E, S) {
     type Outcome = E::Outcome;
 
@@ -70,6 +91,74 @@ impl<P: ?Sized, E: Engine<P>, S: Metrics + Send> Engine<P> for (E, S) {
     fn chunk<M: Metrics>(&mut self, obs: &mut M, task: Option<u64>) {
         self.0.chunk(&mut (obs, &mut self.1), task);
     }
+}
+
+/// Solve `instances` with `threads` workers and steal seed `seed`, worker
+/// `w` solving through the workspace `worker(w)` builds — bare, or
+/// carrying the observers the caller wants as nested `(engine, observer)`
+/// pairs: a [`FlightRecorder`](kmatch_trace::FlightRecorder) for a
+/// per-worker timeline, a `kmatch_forensics` register lane and `Probed`
+/// progress probe for live forensics.
+///
+/// Each executor *task* solves into its own thread-private
+/// [`SolverMetrics`] shard (plain `u64` increments, no atomics or locks
+/// on the hot path); the shards are absorbed into `registry` in task-id
+/// order after the join, and the run's execution record is stored beside
+/// them, so the merged metrics are byte-identical for any steal schedule.
+/// Per-solve wall time is sampled from `clock` at the front-end, keeping
+/// the engines clock-free. Every task is wrapped in a `batch.chunk` span
+/// (arg = task id) that the workers' observers see.
+///
+/// Returns the outcomes in input order — byte-identical to a serial
+/// solve loop for **any** `threads`/`seed` — the workers in worker order,
+/// so the caller can read back what their observers recorded (see
+/// [`crate::ChunkTrace::from_workers`]), and the executor's report.
+/// `threads <= 1` or a single instance runs as one task on the calling
+/// thread; an empty batch builds no worker and runs no task.
+///
+/// ```
+/// use kmatch_obs::{BatchRegistry, StdClock};
+/// use kmatch_parallel::{solve_batch_with, ChunkTrace};
+/// use kmatch_prefs::gen::uniform::uniform_roommates;
+/// use kmatch_roommates::RoommatesWorkspace;
+/// use kmatch_trace::FlightRecorder;
+/// use rand::SeedableRng;
+/// use rand_chacha::ChaCha8Rng;
+///
+/// let mut rng = ChaCha8Rng::seed_from_u64(1);
+/// let batch: Vec<_> = (0..32).map(|_| uniform_roommates(16, &mut rng)).collect();
+/// let (registry, clock) = (BatchRegistry::new(), StdClock::new());
+/// let (outcomes, workers, report) = solve_batch_with(&batch, 2, 0, &registry, &clock, |_| {
+///     (RoommatesWorkspace::new(), FlightRecorder::new(&clock, 1 << 12))
+/// });
+/// assert_eq!(outcomes.len(), 32);
+/// assert_eq!(registry.take().solves, 32);
+/// assert_eq!(ChunkTrace::from_workers(workers).len(), report.lanes.len());
+/// ```
+pub fn solve_batch_with<P, W, C>(
+    instances: &[P],
+    threads: usize,
+    seed: u64,
+    registry: &BatchRegistry,
+    clock: &C,
+    worker: impl Fn(usize) -> W + Sync,
+) -> (Vec<W::Outcome>, Vec<W>, StealReport)
+where
+    P: Sync,
+    W: Engine<P>,
+    C: Clock + Sync,
+{
+    let run = run_batch(
+        instances.len(),
+        |i| &instances[i],
+        threads,
+        seed,
+        clock,
+        worker,
+        |_| SolverMetrics::new(),
+    );
+    absorb(registry, run.shards, &run.report);
+    (run.outcomes, run.workers, run.report)
 }
 
 /// What [`run_batch`] returns.
@@ -93,8 +182,9 @@ pub(crate) struct BatchRun<O, M, W> {
 /// a `batch.chunk` span whose arg is the task id, and each solve's wall
 /// time is read from `clock` only when the shard's `M::ENABLED`. With
 /// `threads <= 1` or at most one item the batch is one task on the
-/// calling thread and the report is the serial one; an empty batch runs
-/// no task at all.
+/// calling thread and the report is the serial one. An empty batch
+/// builds no worker and runs no task: its report has `task_count` 0 and
+/// one idle lane for the calling thread (0 tasks, 0 busy time).
 pub(crate) fn run_batch<'a, P, W, M, C>(
     len: usize,
     item: impl Fn(usize) -> &'a P + Sync,
@@ -131,7 +221,7 @@ where
             outcomes: Vec::new(),
             shards: Vec::new(),
             workers: Vec::new(),
-            report: StealReport::serial(seed, 0),
+            report: StealReport::idle(seed),
         };
     }
     if threads <= 1 || len == 1 {

@@ -1,13 +1,33 @@
-//! Traced batch front-ends: per-worker `batch.chunk` timelines through
+//! Traced batches: per-worker `batch.chunk` timelines through
 //! fixed-capacity flight recorders, identical outcomes to the plain path.
 
+use kmatch_gs::GsWorkspace;
 use kmatch_obs::{BatchRegistry, ManualClock};
-use kmatch_parallel::{roommates, solve_batch_stealing, solve_batch_traced, ChunkTrace};
+use kmatch_parallel::{
+    roommates, solve_batch_stealing, solve_batch_with, ChunkTrace, Engine, StealReport,
+};
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_roommates};
 use kmatch_prefs::{BipartiteInstance, RoommatesInstance};
-use kmatch_trace::{check_well_formed, span, EventKind};
+use kmatch_roommates::RoommatesWorkspace;
+use kmatch_trace::{check_well_formed, span, EventKind, FlightRecorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// A metered batch whose workers each carry a flight recorder of
+/// `capacity` events, and the timelines they recorded.
+fn traced<P: Sync, E: Engine<P>>(
+    batch: &[P],
+    threads: usize,
+    registry: &BatchRegistry,
+    clock: &ManualClock,
+    capacity: usize,
+    engine: fn() -> E,
+) -> (Vec<E::Outcome>, Vec<ChunkTrace>, StealReport) {
+    let (outs, workers, report) = solve_batch_with(batch, threads, 0, registry, clock, |_| {
+        (engine(), FlightRecorder::new(clock, capacity))
+    });
+    (outs, ChunkTrace::from_workers(workers), report)
+}
 
 /// Check unwrapped per-worker traces and count the `solve` spans on them:
 /// each worker's timeline is well formed and opens and closes with
@@ -55,7 +75,7 @@ fn traced_gs_batch_matches_plain_and_chunks_are_well_formed() {
         (0..120).map(|_| uniform_bipartite(20, &mut rng)).collect();
     let registry = BatchRegistry::new();
     let clock = ManualClock::new();
-    let (outs, traces, report) = solve_batch_traced(&batch, 3, 0, &registry, &clock, 1 << 16);
+    let (outs, traces, report) = traced(&batch, 3, &registry, &clock, 1 << 16, GsWorkspace::new);
     let (plain, _) = solve_batch_stealing(&batch, 1, 0);
     assert_eq!(outs.len(), plain.len());
     for (a, b) in outs.iter().zip(&plain) {
@@ -79,7 +99,7 @@ fn tiny_flight_recorder_wraps_but_keeps_the_tail() {
     // around one gs.solve span is 4 events), so every worker that ran a
     // task wraps, whatever the thread count and steal schedule.
     const SLOTS: usize = 3;
-    let (outs, traces, _) = solve_batch_traced(&batch, 2, 0, &registry, &clock, SLOTS);
+    let (outs, traces, _) = traced(&batch, 2, &registry, &clock, SLOTS, GsWorkspace::new);
     assert_eq!(outs.len(), batch.len());
     assert!(traces.iter().any(|t| !t.events.is_empty()));
     for t in &traces {
@@ -106,8 +126,8 @@ fn traced_roommates_batch_matches_plain() {
         (0..80).map(|_| uniform_roommates(12, &mut rng)).collect();
     let registry = BatchRegistry::new();
     let clock = ManualClock::new();
-    let (outs, traces, report) =
-        roommates::solve_batch_traced(&batch, 3, 0, &registry, &clock, 1 << 16);
+    let engine = RoommatesWorkspace::new;
+    let (outs, traces, report) = traced(&batch, 3, &registry, &clock, 1 << 16, engine);
     let (plain, _) = roommates::solve_batch_stealing(&batch, 1, 0);
     for (a, b) in outs.iter().zip(&plain) {
         assert_eq!(a.matching(), b.matching());
@@ -123,7 +143,7 @@ fn empty_traced_batch_returns_nothing() {
     let registry = BatchRegistry::new();
     let clock = ManualClock::new();
     let empty: Vec<BipartiteInstance> = Vec::new();
-    let (outs, traces, _) = solve_batch_traced(&empty, 4, 0, &registry, &clock, 128);
+    let (outs, traces, _) = traced(&empty, 4, &registry, &clock, 128, GsWorkspace::new);
     assert!(outs.is_empty());
     assert!(traces.is_empty());
     assert_eq!(registry.shards_absorbed(), 0);

@@ -28,6 +28,10 @@
 //!   or slow run can be dumped post-hoc like an aircraft flight
 //!   recorder.
 //!
+//! The flight recorder stores its events in an [`EventRing`], the one
+//! keep-last-N buffer of the workspace: the operator plane's `/trace`
+//! ring is the same type behind a mutex.
+//!
 //! Recorders sample their own injected [`Clock`](kmatch_obs::Clock) — the
 //! engines stay clock-free, and a shared
 //! [`ManualClock`](kmatch_obs::ManualClock) makes timelines
@@ -39,6 +43,7 @@
 mod event;
 mod export;
 mod recorder;
+mod ring;
 
 pub use export::{
     chrome_trace_names, to_chrome_json, to_trace_json, validate_chrome_json, validate_trace_json,
@@ -46,6 +51,7 @@ pub use export::{
 };
 pub use event::{check_well_formed, EventKind, TraceEvent};
 pub use recorder::{FlightRecorder, TraceRecorder};
+pub use ring::EventRing;
 
 /// The span/instant name taxonomy. Every instrumentation site in the
 /// workspace uses one of these `&'static str` constants, so exporters,

@@ -5,6 +5,7 @@
 use kmatch_obs::{Clock, Metrics};
 
 use crate::event::{EventKind, TraceEvent};
+use crate::ring::EventRing;
 
 /// Unbounded event log. Timestamps come from the injected [`Clock`],
 /// taken by reference so one shared clock (e.g. a
@@ -66,12 +67,12 @@ impl<C: Clock> Metrics for TraceRecorder<'_, C> {
     }
 }
 
-/// Fixed-capacity ring buffer keeping the **last N** events.
+/// Fixed-capacity ring buffer keeping the **last N** events: an
+/// [`EventRing`] stamped from the injected clock.
 ///
-/// The buffer is fully allocated at construction (`capacity` slots of
-/// the `Copy` type [`TraceEvent`]); recording overwrites the oldest
-/// slot in place once full, so the steady state allocates nothing —
-/// suitable for leaving armed on long runs and dumping only when
+/// The ring is fully allocated at construction; recording overwrites the
+/// oldest slot in place once full, so the steady state allocates nothing
+/// — suitable for leaving armed on long runs and dumping only when
 /// something goes wrong. A capacity of `0` records nothing and counts
 /// every event as dropped.
 ///
@@ -86,14 +87,7 @@ impl<C: Clock> Metrics for TraceRecorder<'_, C> {
 #[derive(Debug)]
 pub struct FlightRecorder<'c, C: Clock> {
     clock: &'c C,
-    buf: Vec<TraceEvent>,
-    /// Index of the oldest live event.
-    head: usize,
-    /// Live events (`<= buf.len()`).
-    len: usize,
-    /// Events overwritten (or discarded, for capacity 0) since
-    /// construction.
-    dropped: u64,
+    ring: EventRing,
 }
 
 impl<'c, C: Clock> FlightRecorder<'c, C> {
@@ -102,72 +96,44 @@ impl<'c, C: Clock> FlightRecorder<'c, C> {
     pub fn new(clock: &'c C, capacity: usize) -> Self {
         FlightRecorder {
             clock,
-            buf: vec![TraceEvent::EMPTY; capacity],
-            head: 0,
-            len: 0,
-            dropped: 0,
+            ring: EventRing::new(capacity),
         }
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
-        self.buf.len()
+        self.ring.capacity()
     }
 
     /// Live events currently held.
     pub fn len(&self) -> usize {
-        self.len
+        self.ring.len()
     }
 
     /// True when nothing has been recorded (or everything was dropped).
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ring.is_empty()
     }
 
     /// Events lost to overwriting since construction.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 
     /// The surviving events, oldest first. Allocates the returned `Vec`
     /// — call this after the run, not during it.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let cap = self.buf.len();
-        (0..self.len)
-            .map(|i| self.buf[(self.head + i) % cap])
-            .collect()
+        self.ring.events()
     }
 
     #[inline]
     fn push(&mut self, kind: EventKind, name: &'static str, arg: u64) {
-        let cap = self.buf.len();
-        if cap == 0 {
-            self.dropped += 1;
-            return;
-        }
-        let ev = TraceEvent {
+        self.ring.push(TraceEvent {
             kind,
             name,
             ts_ns: self.clock.now_ns(),
             arg,
-        };
-        // Compare-and-wrap instead of `%`: a predicted branch, not an
-        // integer division, on the per-event hot path.
-        if self.len < cap {
-            let mut idx = self.head + self.len;
-            if idx >= cap {
-                idx -= cap;
-            }
-            self.buf[idx] = ev;
-            self.len += 1;
-        } else {
-            self.buf[self.head] = ev;
-            self.head += 1;
-            if self.head == cap {
-                self.head = 0;
-            }
-            self.dropped += 1;
-        }
+        });
     }
 }
 

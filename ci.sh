@@ -108,6 +108,21 @@ for bad in deep truncated; do
   grep -qF "error: $SMOKE_DIR/$bad.json: " "$SMOKE_DIR/$bad.err" \
       || { echo "hostile smoke: error for $bad.json does not name the file"; exit 1; }
 done
+# A hostile --matching file for `verify kary` (the wrong family count, or
+# a member index past n) is the same one error line naming the file, not
+# a panic in the matching's constructor.
+./target/release/kmatch gen kpartite --k 3 --n 4 --seed 7 --out "$SMOKE_DIR/k3n4.json"
+printf '%s' '[[0,0,0],[1,1,1]]' > "$SMOKE_DIR/families.json"
+printf '%s' '[[0,0,0],[1,1,1],[2,2,2],[3,9,3]]' > "$SMOKE_DIR/member.json"
+for bad in families member; do
+  status=0
+  ./target/release/kmatch verify kary --input "$SMOKE_DIR/k3n4.json" \
+      --matching "$SMOKE_DIR/$bad.json" > /dev/null 2> "$SMOKE_DIR/$bad.err" || status=$?
+  [ "$status" -eq 1 ] \
+      || { echo "hostile smoke: $bad.json exited $status, expected 1"; exit 1; }
+  grep -qF "error: $SMOKE_DIR/$bad.json: " "$SMOKE_DIR/$bad.err" \
+      || { echo "hostile smoke: error for $bad.json does not name the file"; exit 1; }
+done
 # An out-of-range element inside an integer run (a compact list of plain
 # integers, read in one loop) must be the element's per-index range
 # error, not a syntax error at the token after it.
@@ -160,7 +175,8 @@ serve_n1 serve --listen 127.0.0.1:0 --kind roommates --n 1
 fr0 batch --kind gs --n 4 --count 3 --trace-out /dev/null --flight-recorder 0
 EOF
 # A data error is the one error line; usage follows argument errors only.
-for bad in deep range huge kp_n0 kp_k0 kp_k1 smp_n0 gs_n0 rm_n1 serve_n1 fr0; do
+for bad in deep families member range huge kp_n0 kp_k0 kp_k1 smp_n0 gs_n0 rm_n1 serve_n1 \
+    fr0; do
   [ "$(wc -l < "$SMOKE_DIR/$bad.err")" -eq 1 ] \
       || { echo "hostile smoke: $bad.err is not one line"; exit 1; }
 done

@@ -1,12 +1,12 @@
 //! Verifier ablation (DESIGN.md): dense rank-table lookups vs list-scan
-//! preference comparisons in the blocking-pair/blocking-family search.
+//! preference comparisons in the blocking-pair search. The k-ary
+//! blocking-family check is timed by `bench_ingest_json`'s `kary_check`
+//! row, which `bench_diff` gates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kmatch_bench::rng;
-use kmatch_core::{bind, find_blocking_family};
-use kmatch_graph::BindingTree;
 use kmatch_gs::{find_blocking_pair, gale_shapley};
-use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite};
+use kmatch_prefs::gen::uniform::uniform_bipartite;
 use kmatch_prefs::{BipartitePrefs, Rank};
 use std::time::Duration;
 
@@ -56,23 +56,6 @@ fn bench_bipartite_verify(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_kary_verify(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kary_verify");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(300));
-    group.measurement_time(Duration::from_secs(2));
-    for (k, n) in [(3usize, 32usize), (4, 16), (5, 12), (6, 8)] {
-        let inst = uniform_kpartite(k, n, &mut rng(602));
-        let matching = bind(&inst, &BindingTree::path(k));
-        group.bench_with_input(
-            BenchmarkId::new("blocking_family_dfs", format!("k{k}_n{n}")),
-            &(),
-            |b, _| b.iter(|| find_blocking_family(&inst, &matching).is_none()),
-        );
-    }
-    group.finish();
-}
-
 fn bench_lattice_and_blossom(c: &mut Criterion) {
     let mut group = c.benchmark_group("lattice_blossom");
     group.sample_size(10);
@@ -103,10 +86,5 @@ fn bench_lattice_and_blossom(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_bipartite_verify,
-    bench_kary_verify,
-    bench_lattice_and_blossom
-);
+criterion_group!(benches, bench_bipartite_verify, bench_lattice_and_blossom);
 criterion_main!(benches);

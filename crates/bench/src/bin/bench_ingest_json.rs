@@ -15,8 +15,15 @@
 //! records the median and interquartile range of the parse and of the
 //! conversion/build wall times, the document's exact size counters
 //! (bytes, numbers) and the bytes the built instances hold (their
-//! `resident_bytes`, gated one-sided by `bench_diff`). A header records the commit, core count, CPU model
-//! and build profile the times were taken with. Run with
+//! `resident_bytes`, gated one-sided by `bench_diff`).
+//!
+//! The `kary_check` row times the stability check `kmatch solve kary`
+//! runs next: `find_blocking_family` on the k-partite document's bound
+//! matching (path binding tree), per check, from `REPS` samples of 20
+//! checks each after one warm-up sample.
+//!
+//! A header records the commit, core count, CPU model and build profile
+//! the times were taken with. Run with
 //! `cargo run --release --bin bench_ingest_json`.
 
 use std::process::Command;
@@ -24,6 +31,8 @@ use std::time::Instant;
 
 use kmatch_bench::harness::write_results;
 use kmatch_bench::rng;
+use kmatch_core::{bind, find_blocking_family};
+use kmatch_graph::BindingTree;
 use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite};
 use kmatch_prefs::serde_support::{BipartiteDto, KPartiteDto};
 use kmatch_prefs::{BipartiteInstance, KPartiteInstance};
@@ -31,6 +40,9 @@ use serde::{impl_json_struct, Deserialize, Value};
 
 /// Timed reads per document.
 const REPS: usize = 21;
+/// Genders and members per gender of the k-partite document.
+const KARY_K: usize = 4;
+const KARY_N: usize = 375;
 
 /// Where and how the times were taken.
 #[derive(Debug, Clone)]
@@ -85,14 +97,37 @@ impl_json_struct!(Row {
     build_iqr_ns
 });
 
+/// The stability check of the k-partite document's bound matching
+/// (path binding tree), which finds no blocking family (Theorem 2).
+#[derive(Debug, Clone)]
+struct CheckRow {
+    k: usize,
+    n: usize,
+    check_median_ns: f64,
+    check_iqr_ns: f64,
+}
+
+impl_json_struct!(CheckRow {
+    k,
+    n,
+    check_median_ns,
+    check_iqr_ns
+});
+
 #[derive(Debug, Clone)]
 struct Report {
     host: Host,
     reps: usize,
     rows: Vec<Row>,
+    kary_check: CheckRow,
 }
 
-impl_json_struct!(Report { host, reps, rows });
+impl_json_struct!(Report {
+    host,
+    reps,
+    rows,
+    kary_check
+});
 
 fn host() -> Host {
     // `-dirty` marks a working tree with changes beyond the commit.
@@ -209,10 +244,13 @@ fn bipartite_row() -> Row {
     }
 }
 
+/// The instance of the k-partite document.
+fn kpartite_instance() -> KPartiteInstance {
+    uniform_kpartite(KARY_K, KARY_N, &mut rng(802))
+}
+
 fn kpartite_row() -> Row {
-    const K: usize = 4;
-    const N: usize = 375;
-    let inst = uniform_kpartite(K, N, &mut rng(802));
+    let inst = kpartite_instance();
     let text = serde_json::to_string(&KPartiteDto::from(&inst)).expect("renders");
     let numbers = numbers(&serde_json::from_str(&text).expect("parses"));
     let [(parse_median_ns, parse_iqr_ns), (build_median_ns, build_iqr_ns)] = measure(
@@ -225,8 +263,8 @@ fn kpartite_row() -> Row {
         document: "kpartite".into(),
         read: "typed".into(),
         instances: 1,
-        k: K,
-        n: N,
+        k: KARY_K,
+        n: KARY_N,
         bytes: text.len() as u64,
         numbers,
         instance_bytes: inst.resident_bytes() as u64,
@@ -234,6 +272,27 @@ fn kpartite_row() -> Row {
         parse_iqr_ns,
         build_median_ns,
         build_iqr_ns,
+    }
+}
+
+fn kary_check_row() -> CheckRow {
+    /// Checks per timed sample: one takes under a millisecond.
+    const CHECKS: u32 = 20;
+    let inst = kpartite_instance();
+    let matching = bind(&inst, &BindingTree::path(KARY_K));
+    // `measure`'s first timed step runs the checks; its second does
+    // nothing.
+    let [(median, iqr), _] = measure(
+        "",
+        |_| (0..CHECKS).all(|_| find_blocking_family(&inst, &matching).is_none()),
+        |stable| stable,
+        |&stable| assert!(stable, "a bound matching is stable"),
+    );
+    CheckRow {
+        k: KARY_K,
+        n: KARY_N,
+        check_median_ns: median / f64::from(CHECKS),
+        check_iqr_ns: iqr / f64::from(CHECKS),
     }
 }
 
@@ -255,12 +314,20 @@ fn main() {
             row.bytes as f64 / row.parse_median_ns * 1e3,
         );
     }
+    let kary_check = kary_check_row();
+    let CheckRow { k, n, .. } = kary_check;
+    let (median, iqr) = (
+        kary_check.check_median_ns / 1e6,
+        kary_check.check_iqr_ns / 1e6,
+    );
+    println!("kary_check (k = {k}, n = {n}): check {median:.3} ms (IQR {iqr:.3})");
     write_results(
         "BENCH_ingest.json",
         &Report {
             host: host(),
             reps: REPS,
             rows,
+            kary_check,
         },
     );
 }

@@ -7,8 +7,9 @@
 //!
 //! Checks per iteration (all fatal on disagreement):
 //! 1. GS == McVitie–Wilson == distributed GS (matching + proposal count);
-//! 2. Algorithm 1 output stable (pruned DFS) == naive exhaustive verdict,
-//!    and parallel/distributed executors equal sequential;
+//! 2. Algorithm 1 output stable (pruned DFS) == naive exhaustive witness,
+//!    also on an arbitrary matching, and parallel/distributed executors
+//!    equal sequential;
 //! 3. Irving == brute force existence on small roommates instances, and
 //!    the zero-alloc fast path (reused workspace) == `solve_reference`
 //!    on larger ones (matching, certificate, proposal/rotation counts);
@@ -20,7 +21,7 @@ use std::time::{Duration, Instant};
 use kmatch_core::theorems::acceptability_graph;
 use kmatch_core::{
     bind_with_stats, find_blocking_family, find_blocking_family_naive, find_weak_blocking_family,
-    find_weak_blocking_family_naive, GenderPriorities,
+    find_weak_blocking_family_naive, GenderPriorities, KAryMatching,
 };
 use kmatch_distsim::{distributed_bind, distributed_gale_shapley};
 use kmatch_graph::{maximum_matching, random_tree, tree_edge_coloring};
@@ -86,17 +87,29 @@ fn main() {
             seq.matching,
             "distributed bind (k={k})"
         );
-        let dfs = find_blocking_family(&inst, &seq.matching).is_some();
-        let naive = find_blocking_family_naive(&inst, &seq.matching).is_some();
+        let dfs = find_blocking_family(&inst, &seq.matching);
+        let naive = find_blocking_family_naive(&inst, &seq.matching);
         assert_eq!(dfs, naive, "blocking DFS vs naive (k={k}, n={kn})");
-        assert!(!dfs, "Theorem 2 violated (k={k}, n={kn})");
+        assert!(dfs.is_none(), "Theorem 2 violated (k={k}, n={kn})");
+        // A cyclic-shift matching: both searches name the same least
+        // blocking tuple, or none.
+        let shift = rng.gen_range(0..kn) as u32;
+        let tuples: Vec<Vec<u32>> = (0..kn as u32)
+            .map(|f| (0..k as u32).map(|g| (f + g * shift) % kn as u32).collect())
+            .collect();
+        let shifted = KAryMatching::from_tuples(k, kn, &tuples);
+        assert_eq!(
+            find_blocking_family(&inst, &shifted),
+            find_blocking_family_naive(&inst, &shifted),
+            "blocking DFS vs naive on a shifted matching (k={k}, n={kn})"
+        );
         let pr = GenderPriorities::by_id(k);
         assert_eq!(
             find_weak_blocking_family(&inst, &seq.matching, &pr).is_some(),
             find_weak_blocking_family_naive(&inst, &seq.matching, &pr).is_some(),
             "weak DFS vs naive (k={k}, n={kn})"
         );
-        checks += 5;
+        checks += 6;
 
         // 3. Irving vs brute force on small roommates, and the linked-list
         //    fast path (through the reused workspace) vs the reference

@@ -955,6 +955,21 @@ impl BatchFront<'_> {
     }
 }
 
+/// The instance size a batch reports: the requested `--n` for a
+/// generated batch, even an empty one, and the largest of `sizes` for an
+/// `--input` batch.
+fn batch_n(
+    args: &Args,
+    inputs: &[&str],
+    sizes: impl Iterator<Item = usize>,
+) -> Result<usize, String> {
+    if inputs.is_empty() {
+        args.require("n")
+    } else {
+        Ok(sizes.max().unwrap_or(0))
+    }
+}
+
 /// The summary lines of a GS batch: what was solved, total proposals and
 /// the longest run of rounds.
 fn gs_summary(what: &str, outcomes: &[kmatch_gs::GsOutcome]) -> String {
@@ -1167,7 +1182,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             } else {
                 read_batch::<kmatch_prefs::serde_support::BipartiteDto, _>(args, &inputs)?
             };
-            let n = batch.iter().map(|i| i.n()).max().unwrap_or(0);
+            let n = batch_n(args, &inputs, batch.iter().map(|i| i.n()))?;
             let what = format!("{} x n={n} (gs)", batch.len());
             let cache_line = std::cell::Cell::new(None);
             front.run(
@@ -1313,7 +1328,8 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                     .map(|_| kmatch_prefs::gen::uniform::uniform_roommates(n, &mut rng))
                     .collect()
             };
-            let (count, n) = (batch.len(), batch.iter().map(|i| i.n()).max().unwrap_or(0));
+            let n = batch_n(args, &inputs, batch.iter().map(|i| i.n()))?;
+            let count = batch.len();
             front.run(
                 &batch,
                 n,
@@ -1967,7 +1983,8 @@ fn verify_kary(args: &Args) -> Result<(), String> {
         fs::read_to_string(&matching_path).map_err(|e| format!("reading {matching_path}: {e}"))?;
     let tuples: Vec<Vec<u32>> =
         serde_json::from_str(&text).map_err(|e| format!("{matching_path}: {e}"))?;
-    let matching = KAryMatching::from_tuples(inst.k(), inst.n(), &tuples);
+    let matching = KAryMatching::try_from_tuples(inst.k(), inst.n(), &tuples)
+        .map_err(|e| format!("{matching_path}: {e}"))?;
     let weak: bool = args.flag_or("weak", false)?;
     let verdict = if weak {
         find_weak_blocking_family(&inst, &matching, &GenderPriorities::by_id(inst.k()))
@@ -1975,25 +1992,14 @@ fn verify_kary(args: &Args) -> Result<(), String> {
         find_blocking_family(&inst, &matching)
     };
     match verdict {
-        None => {
-            println!(
-                "STABLE ({})",
-                if weak {
-                    "weakened condition"
-                } else {
-                    "full condition"
-                }
-            );
-            Ok(())
-        }
-        Some(bf) => {
-            println!(
-                "UNSTABLE: blocking family {:?} from families {:?}",
-                bf.members, bf.source_families
-            );
-            Ok(())
-        }
+        None if weak => println!("STABLE (weakened condition)"),
+        None => println!("STABLE (full condition)"),
+        Some(bf) => println!(
+            "UNSTABLE: blocking family {:?} from families {:?}",
+            bf.members, bf.source_families
+        ),
     }
+    Ok(())
 }
 
 #[cfg(test)]

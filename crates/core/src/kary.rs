@@ -15,32 +15,127 @@ pub struct KAryMatching {
     family_of: Vec<u32>,
 }
 
+/// Why a list of tuples is not a k-ary matching
+/// ([`KAryMatching::try_from_tuples`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MatchingError {
+    /// The list does not hold exactly `n` families.
+    FamilyCount {
+        /// `n`, the families needed.
+        expected: usize,
+        /// The families given.
+        actual: usize,
+    },
+    /// A family does not hold exactly one member per gender.
+    FamilyWidth {
+        /// The family's position in the list.
+        family: usize,
+        /// `k`, the members needed.
+        expected: usize,
+        /// The members given.
+        actual: usize,
+    },
+    /// A member index is not below `n`.
+    OutOfRange {
+        /// The member's gender.
+        gender: usize,
+        /// The out-of-range index.
+        index: u32,
+        /// Members per gender.
+        n: usize,
+    },
+    /// A member appears in two families.
+    Duplicate {
+        /// The member's gender.
+        gender: usize,
+        /// The member's index.
+        index: u32,
+    },
+}
+
+impl core::fmt::Display for MatchingError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match *self {
+            MatchingError::FamilyCount { expected, actual } => {
+                write!(f, "need exactly n = {expected} families, got {actual}")
+            }
+            MatchingError::FamilyWidth {
+                family,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "family {family} must have one member per gender: {expected}, got {actual}"
+            ),
+            MatchingError::OutOfRange { gender, index, n } => write!(
+                f,
+                "member index out of range: ({gender},{index}) with n = {n}"
+            ),
+            MatchingError::Duplicate { gender, index } => {
+                write!(f, "member ({gender},{index}) in two families")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MatchingError {}
+
 impl KAryMatching {
     /// Build from per-family member indices: `tuples[f][g]` is the
     /// gender-`g` member of family `f`.
     ///
     /// # Panics
-    /// If the tuples are not a partition with one member per gender each.
+    /// If the tuples are not a partition with one member per gender each
+    /// (see [`KAryMatching::try_from_tuples`]).
     pub fn from_tuples(k: usize, n: usize, tuples: &[Vec<u32>]) -> Self {
-        assert_eq!(tuples.len(), n, "need exactly n families");
+        Self::try_from_tuples(k, n, tuples).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build from per-family member indices, as
+    /// [`KAryMatching::from_tuples`], or say why the tuples are not a
+    /// partition with one member per gender each.
+    pub fn try_from_tuples(k: usize, n: usize, tuples: &[Vec<u32>]) -> Result<Self, MatchingError> {
+        if tuples.len() != n {
+            return Err(MatchingError::FamilyCount {
+                expected: n,
+                actual: tuples.len(),
+            });
+        }
         let mut families = Vec::with_capacity(n * k);
         let mut family_of = vec![u32::MAX; k * n];
         for (f, tuple) in tuples.iter().enumerate() {
-            assert_eq!(tuple.len(), k, "family {f} must have one member per gender");
+            if tuple.len() != k {
+                return Err(MatchingError::FamilyWidth {
+                    family: f,
+                    expected: k,
+                    actual: tuple.len(),
+                });
+            }
             for (g, &i) in tuple.iter().enumerate() {
-                assert!((i as usize) < n, "member index out of range");
+                if i as usize >= n {
+                    return Err(MatchingError::OutOfRange {
+                        gender: g,
+                        index: i,
+                        n,
+                    });
+                }
                 let slot = &mut family_of[g * n + i as usize];
-                assert_eq!(*slot, u32::MAX, "member ({g},{i}) in two families");
+                if *slot != u32::MAX {
+                    return Err(MatchingError::Duplicate {
+                        gender: g,
+                        index: i,
+                    });
+                }
                 *slot = f as u32;
                 families.push(i);
             }
         }
-        KAryMatching {
+        Ok(KAryMatching {
             k,
             n,
             families,
             family_of,
-        }
+        })
     }
 
     /// Build from equivalence classes over global member ids (`g·n + i`),

@@ -14,7 +14,7 @@
 //!   matching tuple". Theorem 2: always stable; Theorem 3: at most
 //!   `(k−1)·n²` proposals.
 //! * [`blocking`] — blocking-family search (the stability verifier), a
-//!   pruned DFS over candidate tuples with exhaustive ground truth.
+//!   DFS over the members' accept prefixes with exhaustive ground truth.
 //! * [`weak`] — §IV-D's **weakened** blocking condition under a gender
 //!   priority order (only each sub-family's *lead member* must prefer the
 //!   change), its verifier, and **Algorithm 2**, the priority-based binding
@@ -38,10 +38,9 @@ pub mod weak;
 
 pub use binding::{bind, bind_metered, bind_with_stats, merge_edge_pairs, BindingOutcome};
 pub use blocking::{
-    find_blocking_family, find_blocking_family_bitset, find_blocking_family_naive, is_kary_stable,
-    BlockingFamily,
+    find_blocking_family, find_blocking_family_naive, is_kary_stable, BlockingFamily,
 };
-pub use kary::KAryMatching;
+pub use kary::{KAryMatching, MatchingError};
 pub use metrics::{family_cost, FamilyCost};
 pub use optimize::{exhaustive_best_tree, optimize_tree, TreeSearchOutcome};
 pub use partitioned::{is_partition_stable, partitioned_bind, GenderPartition, PartitionedOutcome};

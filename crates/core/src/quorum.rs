@@ -24,7 +24,7 @@
 
 use kmatch_prefs::{KPartiteInstance, Member};
 
-use crate::blocking::BlockingFamily;
+use crate::blocking::{spans_families, BlockingFamily};
 use crate::kary::KAryMatching;
 
 /// Is `m` *satisfied* by candidate tuple `tuple` (one member index per
@@ -67,20 +67,8 @@ pub fn find_quorum_blocking_family(
     );
     let mut tuple = vec![0u32; k];
     let mut violated = vec![false; k];
-    if quorum_bb(inst, matching, quorum, &mut tuple, &mut violated, 0, 0) {
-        let mut source_families: Vec<u32> = tuple
-            .iter()
-            .enumerate()
-            .map(|(g, &i)| matching.family_of(Member::new(g, i)))
-            .collect();
-        source_families.sort_unstable();
-        source_families.dedup();
-        return Some(BlockingFamily {
-            members: tuple,
-            source_families,
-        });
-    }
-    None
+    quorum_bb(inst, matching, quorum, &mut tuple, &mut violated, 0, 0)
+        .then(|| BlockingFamily::new(matching, tuple))
 }
 
 /// Branch-and-bound DFS. Dissatisfaction is *monotone*: once a chosen
@@ -178,24 +166,12 @@ pub fn find_quorum_blocking_family_naive(
     let n = inst.n();
     let mut tuple = vec![0u32; k];
     loop {
-        let first = matching.family_of(Member::new(0usize, tuple[0]));
-        let spans = (1..k).any(|h| matching.family_of(Member::new(h, tuple[h])) != first);
-        if spans {
+        if spans_families(matching, &tuple) {
             let sat = (0..k)
                 .filter(|&h| satisfied(inst, matching, &tuple, h))
                 .count();
             if sat >= quorum {
-                let mut source_families: Vec<u32> = tuple
-                    .iter()
-                    .enumerate()
-                    .map(|(g, &i)| matching.family_of(Member::new(g, i)))
-                    .collect();
-                source_families.sort_unstable();
-                source_families.dedup();
-                return Some(BlockingFamily {
-                    members: tuple,
-                    source_families,
-                });
+                return Some(BlockingFamily::new(matching, tuple));
             }
         }
         let mut pos = 0;

@@ -140,13 +140,7 @@ pub fn find_weak_blocking_family(
         for m in &chosen {
             members[m.gender.idx()] = m.index;
         }
-        let mut source_families: Vec<u32> = chosen.iter().map(|&m| matching.family_of(m)).collect();
-        source_families.sort_unstable();
-        source_families.dedup();
-        return Some(BlockingFamily {
-            members,
-            source_families,
-        });
+        return Some(BlockingFamily::new(matching, members));
     }
     None
 }

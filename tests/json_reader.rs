@@ -542,6 +542,131 @@ fn numbers_match_str_parse_bit_for_bit() {
     }
 }
 
+/// `doc` read on the typed path as `f64`s and as `u64`s (scalars for a
+/// bare number, `Vec`s for an array) and on the tree path, each as the
+/// bits of the numbers read or as the error text.
+fn read_numbers(doc: &str) -> [Result<Vec<u64>, String>; 3] {
+    let err = |e: serde::Error| e.to_string();
+    let floats = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect();
+    let ints = |xs: Vec<u64>| xs.into_iter().map(|x| (x as f64).to_bits()).collect();
+    let (typed_f64, typed_u64) = if doc.starts_with('[') {
+        (
+            serde_json::from_str::<Vec<f64>>(doc).map(floats),
+            serde_json::from_str::<Vec<u64>>(doc).map(ints),
+        )
+    } else {
+        (
+            serde_json::from_str::<f64>(doc).map(|x| floats(vec![x])),
+            serde_json::from_str::<u64>(doc).map(|x| ints(vec![x])),
+        )
+    };
+    let number = |v: &Value| match v {
+        Value::Number(x) => x.to_bits(),
+        other => panic!("{doc:?} read {other:?}"),
+    };
+    let tree = serde_json::from_str::<Value>(doc).map(|v| match &v {
+        Value::Array(items) => items.iter().map(number).collect(),
+        leaf => vec![number(leaf)],
+    });
+    [
+        typed_f64.map_err(err),
+        typed_u64.map_err(err),
+        tree.map_err(err),
+    ]
+}
+
+/// Digit tokens of 1 to 16 digits: mixed digits, all nines, leading
+/// zeros and all zeros. Runs of up to 7 digits with 8 bytes left are
+/// read as one word, the rest byte by byte.
+fn digit_tokens() -> Vec<String> {
+    let mixed = "9081726354453627";
+    (1..=16)
+        .flat_map(|len| {
+            [
+                mixed[..len].to_string(),
+                "9".repeat(len),
+                format!("{}1", "0".repeat(len - 1)),
+                "0".repeat(len),
+            ]
+        })
+        .collect()
+}
+
+/// One character for every UTF-8 lead byte, 0xC2 to 0xF4: each byte
+/// ≥ 0x80 that a `&str` can put right after a digit. (The bytes no
+/// `&str` holds, 0xF5 to 0xFF, are checked at the byte level inside the
+/// reader.)
+fn non_ascii_followers() -> Vec<char> {
+    (0xC2u32..=0xF4)
+        .map(|lead| {
+            let code = match lead {
+                0xC2..=0xDF => (lead & 0x1F) << 6,
+                0xE0..=0xEF => ((lead & 0x0F) << 12).max(0x800),
+                _ => ((lead & 0x07) << 18).max(0x10000),
+            };
+            let c = char::from_u32(code).expect("a scalar value");
+            let mut buf = [0u8; 4];
+            assert_eq!(u32::from(c.encode_utf8(&mut buf).as_bytes()[0]), lead);
+            c
+        })
+        .collect()
+}
+
+#[test]
+fn digit_tokens_read_as_str_parse_reads_them() {
+    let bits = |tok: &str| tok.parse::<f64>().map(f64::to_bits).ok();
+    for tok in digit_tokens() {
+        let x = bits(&tok).expect("digits parse");
+        // The token ending 0 to 8 bytes before the end of the text, bare,
+        // alone in an array and in a two-element run.
+        for pad in 0..=8 {
+            let pad = " ".repeat(pad);
+            for (doc, want) in [
+                (format!("{tok}{pad}"), vec![x]),
+                (format!("[{tok}]{pad}"), vec![x]),
+                (format!("[{tok},{tok}]{pad}"), vec![x, x]),
+            ] {
+                assert_eq!(
+                    read_numbers(&doc),
+                    [(); 3].map(|_| Ok(want.clone())),
+                    "{doc:?}"
+                );
+            }
+        }
+        // Every ASCII non-digit and every non-ASCII lead byte after the
+        // token: the token rules decide, as they do for `str::parse` on
+        // the number text the reader cuts out.
+        let len = tok.len();
+        let ascii = (0u8..0x80).filter(|b| !b.is_ascii_digit()).map(char::from);
+        for after in ascii.chain(non_ascii_followers()) {
+            for pad in 0..=8 {
+                let doc = format!("[{tok}{after}]{}", " ".repeat(pad));
+                let want = match after {
+                    '.' | 'e' | 'E' | '+' | '-' => {
+                        let text = format!("{tok}{after}");
+                        bits(&text)
+                            .map(|x| vec![x])
+                            .ok_or(format!("invalid number `{text}`"))
+                    }
+                    ',' => Err(format!("unexpected character `]` at byte {}", len + 2)),
+                    ']' => Err(format!("trailing characters at byte {}", len + 2)),
+                    ' ' | '\n' | '\t' | '\r' => Ok(vec![x]),
+                    c => {
+                        let mut buf = [0u8; 4];
+                        let lead = c.encode_utf8(&mut buf).as_bytes()[0];
+                        Err(format!(
+                            "expected `,` or `]`, got `{}` at byte {}",
+                            lead as char,
+                            len + 1
+                        ))
+                    }
+                };
+                assert_eq!(read_numbers(&doc), [(); 3].map(|_| want.clone()), "{doc:?}");
+            }
+        }
+    }
+}
+
 #[test]
 fn deep_nesting_is_an_error_not_an_abort() {
     let arrays = "[".repeat(1_000_000);

@@ -493,9 +493,13 @@ BUNDLE="$(ls "$SMOKE_DIR/postmortem"/postmortem-*-stall.json 2>/dev/null | head 
     | grep -qF 'trigger' \
     || { echo "forensics smoke: bundle inspect said nothing"; exit 1; }
 
-echo "==> code size (informational)"
-# Non-blank, non-comment lines per crate; not gated.
+echo "==> code size"
+# Non-blank, non-comment lines per crate. results/SIZE.json holds the
+# committed counts, so every change commits its own size change.
 scripts/loc.sh
+scripts/loc.sh --json | diff -u results/SIZE.json - \
+    || { echo "code size: results/SIZE.json is stale;" \
+              "run scripts/loc.sh --json > results/SIZE.json"; exit 1; }
 
 echo "==> bench regression gate"
 # Committed baselines must pass against themselves: the gate's exact

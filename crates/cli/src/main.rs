@@ -14,6 +14,7 @@ mod opsio;
 mod traceio;
 
 use std::fs;
+use std::io::Write;
 use std::process::ExitCode;
 
 use args::Args;
@@ -37,6 +38,25 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use traceio::TraceOpts;
 
+/// `println!` whose failure — a stdout closed early, say — ends the
+/// enclosing command through its `Result` instead of a panic.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
+/// `print!` that fails like [`outln!`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*).map_err(stdout_error)?
+    };
+}
+
+fn stdout_error(e: std::io::Error) -> String {
+    format!("stdout: {e}")
+}
+
 const USAGE: &str = "\
 kmatch — stable matching beyond bipartite graphs (IPPS 2016 reproduction)
 
@@ -49,6 +69,8 @@ USAGE:
                        [--prefs csr|random|scores|truncated] [--keep K]
                        [--trace-out FILE] [--trace-format chrome|json]
                        [--flight-recorder N]
+  kmatch solve roommates --n N [--seed S] [--prefs random|truncated] [--keep K]
+                       [--metrics-out FILE] [--metrics-format json|prom]
   kmatch batch         [--n N] [--count C] [--seed S] [--kind gs|roommates]
                        [--prefs csr|random|scores|truncated] [--keep K]
                        [--input FILE]... [--cache on|off] [--threads T]
@@ -179,26 +201,46 @@ fn main() -> ExitCode {
     }
 }
 
+/// A command's first word, its second word (`None`: any), and its handler.
+type Command = (
+    &'static str,
+    Option<&'static str>,
+    fn(&Args) -> Result<(), String>,
+);
+
+/// Every command [`run`] dispatches, in the order it tries them.
+const COMMANDS: &[Command] = &[
+    ("gen", Some("kpartite"), gen_kpartite),
+    ("gen", Some("theorem1"), gen_theorem1),
+    ("solve", Some("kary"), solve_kary),
+    ("solve", Some("binary"), solve_binary),
+    ("solve", Some("smp"), solve_smp),
+    ("solve", Some("roommates"), solve_roommates),
+    ("batch", None, batch_cmd),
+    ("serve", None, serve_cmd),
+    ("delta", None, delta_cmd),
+    ("bind", None, bind_cmd),
+    ("report", Some("validate"), report_validate),
+    ("postmortem", Some("validate"), |args| {
+        postmortem_cmd(args, false)
+    }),
+    ("postmortem", Some("inspect"), |args| {
+        postmortem_cmd(args, true)
+    }),
+    ("verify", Some("kary"), verify_kary),
+    ("lattice", None, lattice),
+    ("trace", None, trace_cmd),
+    ("render-tree", None, render_tree_cmd),
+];
+
 fn run(args: &Args) -> Result<(), String> {
-    match (args.positional(0), args.positional(1)) {
-        (Some("gen"), Some("kpartite")) => gen_kpartite(args),
-        (Some("gen"), Some("theorem1")) => gen_theorem1(args),
-        (Some("solve"), Some("kary")) => solve_kary(args),
-        (Some("solve"), Some("binary")) => solve_binary(args),
-        (Some("solve"), Some("smp")) => solve_smp(args),
-        (Some("solve"), Some("roommates")) => solve_roommates(args),
-        (Some("batch"), _) => batch_cmd(args),
-        (Some("serve"), _) => serve_cmd(args),
-        (Some("delta"), _) => delta_cmd(args),
-        (Some("bind"), _) => bind_cmd(args),
-        (Some("report"), Some("validate")) => report_validate(args),
-        (Some("postmortem"), Some("validate")) => postmortem_cmd(args, false),
-        (Some("postmortem"), Some("inspect")) => postmortem_cmd(args, true),
-        (Some("verify"), Some("kary")) => verify_kary(args),
-        (Some("lattice"), _) => lattice(args),
-        (Some("trace"), _) => trace_cmd(args),
-        (Some("render-tree"), _) => render_tree_cmd(args),
-        _ => Err(args.misuse("unrecognized command".to_string())),
+    let (first, second) = (args.positional(0), args.positional(1));
+    match COMMANDS
+        .iter()
+        .find(|(a, b, _)| first == Some(*a) && (b.is_none() || second == *b))
+    {
+        Some((_, _, command)) => command(args),
+        None => Err(args.misuse("unrecognized command".to_string())),
     }
 }
 
@@ -211,25 +253,25 @@ fn lattice(args: &Args) -> Result<(), String> {
     let inst =
         kmatch_prefs::gen::uniform::uniform_bipartite(n, &mut ChaCha8Rng::seed_from_u64(seed));
     let lattice = kmatch_gs::rotations::enumerate_stable_lattice(&inst, limit)?;
-    println!("stable matchings : {}", lattice.matchings.len());
-    println!("rotations fired  : {}", lattice.eliminations);
+    outln!("stable matchings : {}", lattice.matchings.len());
+    outln!("rotations fired  : {}", lattice.eliminations);
     let show = |name: &str, m: &kmatch_gs::BipartiteMatching| {
-        println!(
+        outln!(
             "{name:<14}: men {:.2}, women {:.2}",
             mean_proposer_rank(&inst, m),
             mean_responder_rank(&inst, m)
         );
+        Ok::<(), String>(())
     };
-    show("man-optimal", &lattice.matchings[0]);
-    show("egalitarian", lattice.egalitarian(&inst));
+    show("man-optimal", &lattice.matchings[0])?;
+    show("egalitarian", lattice.egalitarian(&inst))?;
     let (poly, _) = kmatch_gs::egalitarian_stable_matching(&inst);
-    show("egal (min-cut)", &poly);
-    show("sex-equal", lattice.sex_equal(&inst));
+    show("egal (min-cut)", &poly)?;
+    show("sex-equal", lattice.sex_equal(&inst))?;
     show(
         "woman-optimal",
         &kmatch_gs::responder_optimal(&inst).matching,
-    );
-    Ok(())
+    )
 }
 
 fn trace_cmd(args: &Args) -> Result<(), String> {
@@ -240,7 +282,7 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
     let inst = RoommatesInstance::try_from(dto).map_err(|e| format!("{input}: {e}"))?;
     let (outcome, events) = kmatch_roommates::solve_traced(&inst);
     let names = kmatch_viz::NameMap::numbered(inst.n(), "p");
-    print!("{}", kmatch_viz::render_roommates_trace(&events, &names));
+    out!("{}", kmatch_viz::render_roommates_trace(&events, &names));
     match outcome.matching() {
         Some(m) => {
             let pairs: Vec<String> = m
@@ -248,9 +290,9 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
                 .iter()
                 .map(|&(a, b)| format!("({}, {})", names.of(a), names.of(b)))
                 .collect();
-            println!("stable matching: {}", pairs.join(" "));
+            outln!("stable matching: {}", pairs.join(" "));
         }
-        None => println!("no stable matching"),
+        None => outln!("no stable matching"),
     }
     Ok(())
 }
@@ -279,9 +321,9 @@ fn render_tree_cmd(args: &Args) -> Result<(), String> {
         return Err("need --k >= 2".to_string());
     }
     let tree = parse_tree(args, k)?;
-    println!("{tree}");
-    print!("{}", kmatch_viz::render_tree(&tree));
-    println!(
+    outln!("{tree}");
+    out!("{}", kmatch_viz::render_tree(&tree));
+    outln!(
         "Δ = {} → {} parallel rounds",
         tree.max_degree(),
         tree.max_degree()
@@ -297,7 +339,7 @@ fn write_out(args: &Args, json: String) -> Result<(), String> {
             Ok(())
         }
         None => {
-            println!("{json}");
+            outln!("{json}");
             Ok(())
         }
     }
@@ -353,16 +395,16 @@ fn solve_kary(args: &Args) -> Result<(), String> {
     let out = bind_with_stats(&inst, &tree);
     let stable = find_blocking_family(&inst, &out.matching).is_none();
     let cost = family_cost(&inst, &out.matching);
-    println!("binding tree : {tree}");
+    outln!("binding tree : {tree}");
     let bound = (k - 1) * inst.n() * inst.n();
-    println!(
+    outln!(
         "proposals    : {} (Theorem-3 bound (k-1)n^2 = {bound})",
         out.total_proposals()
     );
-    println!("stable       : {stable}");
-    println!("mean rank    : {:.3}", cost.mean_rank);
+    outln!("stable       : {stable}");
+    outln!("mean rank    : {:.3}", cost.mean_rank);
     for (f, tuple) in out.matching.to_tuples().iter().enumerate() {
-        println!("family {f:>3}  : {tuple:?}");
+        outln!("family {f:>3}  : {tuple:?}");
     }
     if args.flag("out").is_some() {
         let json =
@@ -381,18 +423,19 @@ fn solve_binary(args: &Args) -> Result<(), String> {
     // Infer n-per-gender is unknown for a raw roommates file; report raw ids.
     match solve_global_binary(&inst, inst.n() as u32) {
         KPartiteBinaryOutcome::Stable { pairs, stats } => {
-            println!(
+            outln!(
                 "stable binary matching found ({} proposals):",
                 stats.proposals
             );
             for (a, b) in pairs {
-                println!("  ({}, {})", a.index, b.index);
+                outln!("  ({}, {})", a.index, b.index);
             }
         }
         KPartiteBinaryOutcome::NoStableMatching { culprit, stats } => {
-            println!(
+            outln!(
                 "no stable binary matching (participant {}'s reduced list emptied; {} proposals)",
-                culprit.index, stats.proposals
+                culprit.index,
+                stats.proposals
             );
         }
     }
@@ -459,13 +502,13 @@ fn solve_roommates(args: &Args) -> Result<(), String> {
             let (outcome, report) = solve_escalating_metered(&oracle, &mut ws, &mut metrics);
             metrics.solve_ns(clock.now_ns().saturating_sub(t0));
             let elapsed = start.elapsed();
-            println!("instance       : n={n} seed={seed} (roommates, lazy random)");
+            outln!("instance       : n={n} seed={seed} (roommates, lazy random)");
             match &outcome {
                 RoommatesOutcome::Stable { stats, .. } => {
-                    println!("verdict        : stable ({} proposals)", stats.proposals);
+                    outln!("verdict        : stable ({} proposals)", stats.proposals);
                 }
                 RoommatesOutcome::NoStableMatching { culprit, .. } => {
-                    println!("verdict        : no stable matching (culprit {culprit})");
+                    outln!("verdict        : no stable matching (culprit {culprit})");
                 }
             }
             let cert = match report.cert {
@@ -473,27 +516,29 @@ fn solve_roommates(args: &Args) -> Result<(), String> {
                 CertKind::Partition => "stable partition (verified)",
                 CertKind::FullWidth => "full-width solve",
             };
-            println!("certificate    : {cert}");
-            println!(
+            outln!("certificate    : {cert}");
+            outln!(
                 "escalation     : {} truncated attempts, deciding cut {}",
-                report.attempts, report.final_cut
+                report.attempts,
+                report.final_cut
             );
             if report.cert == CertKind::Partition {
-                println!(
+                outln!(
                     "partition      : {} odd parties, {} singletons",
-                    report.odd_parties, report.singletons
+                    report.odd_parties,
+                    report.singletons
                 );
             }
-            println!(
+            outln!(
                 "arena          : {} entries ({} bytes) + {} oracle bytes",
                 report.arena_entries,
                 report.arena_bytes,
                 oracle.resident_bytes()
             );
             if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                println!("peak rss bytes : {rss}");
+                outln!("peak rss bytes : {rss}");
             }
-            println!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
+            outln!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
             write_metrics(
                 args,
                 "roommates",
@@ -521,36 +566,36 @@ fn solve_roommates(args: &Args) -> Result<(), String> {
             let mut ws = RoommatesWorkspace::new();
             let out = tolerant_solve_budgeted(&truncated, &mut ws, 8);
             let elapsed = start.elapsed();
-            println!("instance       : n={n} seed={seed} (roommates, truncated keep = {keep})");
+            outln!("instance       : n={n} seed={seed} (roommates, truncated keep = {keep})");
             match out {
                 TolerantOutcome::Perfect { stats, .. } => {
-                    println!(
+                    outln!(
                         "verdict        : stable — certified for the complete instance ({} proposals)",
                         stats.proposals
                     );
                 }
                 TolerantOutcome::Partition { partition, .. } => {
                     if verify_partition(&oracle, &partition.pi) {
-                        println!(
+                        outln!(
                             "verdict        : no stable matching — verified partition ({} odd parties, {} singletons)",
                             partition.odd_parties, partition.singletons
                         );
                     } else {
-                        println!(
+                        outln!(
                             "verdict        : inconclusive at keep = {keep} (partition claim did not verify; escalate)"
                         );
                     }
                 }
                 TolerantOutcome::Abort { .. } => {
-                    println!(
+                    outln!(
                         "verdict        : inconclusive at keep = {keep} (certification impossible; escalate)"
                     );
                 }
             }
             if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                println!("peak rss bytes : {rss}");
+                outln!("peak rss bytes : {rss}");
             }
-            println!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
+            outln!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
         }
         other => {
             return Err(format!(
@@ -610,21 +655,21 @@ fn solve_smp(args: &Args) -> Result<(), String> {
     if let Some(sink) = sink {
         topts.write(&TraceTrack::main(sink.into_events().0))?;
     }
-    println!("mode          : {mode}");
-    println!(
+    outln!("mode          : {mode}");
+    outln!(
         "men mean rank : {:.3}",
         mean_proposer_rank(&inst, &matching)
     );
-    println!(
+    outln!(
         "women mean rank: {:.3}",
         mean_responder_rank(&inst, &matching)
     );
     if n <= PAIR_PRINT_LIMIT {
         for (m, w) in matching.pairs() {
-            println!("  ({m}, {w})");
+            outln!("  ({m}, {w})");
         }
     } else {
-        println!("  ({n} pairs suppressed; n > {PAIR_PRINT_LIMIT})");
+        outln!("  ({n} pairs suppressed; n > {PAIR_PRINT_LIMIT})");
     }
     Ok(())
 }
@@ -649,18 +694,19 @@ fn solve_smp_lazy(args: &Args, backend: &str, n: usize, seed: u64) -> Result<(),
                           women_rank: f64,
                           arena: usize,
                           elapsed: std::time::Duration| {
-                println!("backend        : {backend} (lazy oracle)");
-                println!("proposals      : {}", out.stats.proposals);
-                println!(
+                outln!("backend        : {backend} (lazy oracle)");
+                outln!("proposals      : {}", out.stats.proposals);
+                outln!(
                     "men mean rank  : {:.3}",
                     out.stats.proposals as f64 / n as f64 - 1.0
                 );
-                println!("women mean rank: {women_rank:.3}");
-                println!("arena bytes    : {arena}");
+                outln!("women mean rank: {women_rank:.3}");
+                outln!("arena bytes    : {arena}");
                 if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                    println!("peak rss bytes : {rss}");
+                    outln!("peak rss bytes : {rss}");
                 }
-                println!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
+                outln!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
+                Ok::<(), String>(())
             };
             let (out, women_rank, arena) = if backend == "random" {
                 let oracle = RandomOracle::new(n, seed);
@@ -679,10 +725,10 @@ fn solve_smp_lazy(args: &Args, backend: &str, n: usize, seed: u64) -> Result<(),
                     / n as f64;
                 (out, wr, ws.resident_bytes() + oracle.resident_bytes())
             };
-            report(&out, women_rank, arena, start.elapsed());
+            report(&out, women_rank, arena, start.elapsed())?;
             if n <= PAIR_PRINT_LIMIT {
                 for (m, w) in out.matching.pairs() {
-                    println!("  ({m}, {w})");
+                    outln!("  ({m}, {w})");
                 }
             }
         }
@@ -695,22 +741,22 @@ fn solve_smp_lazy(args: &Args, backend: &str, n: usize, seed: u64) -> Result<(),
             let (partial, stats) = ws.solve_incomplete(&oracle);
             let elapsed = start.elapsed();
             let matched = partial.matched_proposers().len();
-            println!("backend        : truncated (lazy oracle, keep = {keep})");
-            println!("proposals      : {}", stats.proposals);
-            println!(
+            outln!("backend        : truncated (lazy oracle, keep = {keep})");
+            outln!("proposals      : {}", stats.proposals);
+            outln!(
                 "matched        : {matched} of {n} ({:.1}%)",
                 100.0 * matched as f64 / n as f64
             );
-            println!("unmatched      : {}", n - matched);
-            println!("arena bytes    : {}", ws.resident_bytes());
+            outln!("unmatched      : {}", n - matched);
+            outln!("arena bytes    : {}", ws.resident_bytes());
             if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                println!("peak rss bytes : {rss}");
+                outln!("peak rss bytes : {rss}");
             }
-            println!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
+            outln!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
             if n <= PAIR_PRINT_LIMIT {
                 for (m, &w) in partial.partner_of_proposer.iter().enumerate() {
                     if w != kmatch_gs::incomplete::UNMATCHED {
-                        println!("  ({m}, {w})");
+                        outln!("  ({m}, {w})");
                     }
                 }
             }
@@ -889,10 +935,10 @@ impl BatchFront<'_> {
         };
         let elapsed = start.elapsed();
         let executor = report.to_section();
-        println!("{}", summary(&outcomes));
+        outln!("{}", summary(&outcomes));
         // The executor path and steal footprint make throughput numbers
         // attributable without a RunReport.
-        println!(
+        outln!(
             "executor       : {} ({} threads, {} tasks, {} steals, straggler x{:.2})",
             executor.path,
             executor.threads,
@@ -901,9 +947,9 @@ impl BatchFront<'_> {
             executor.straggler_ratio,
         );
         if let Some(line) = after() {
-            println!("{line}");
+            outln!("{line}");
         }
-        print_wall(count, elapsed, self.lazy);
+        print_wall(count, elapsed, self.lazy)?;
         if let Some(traces) = traces {
             let dropped: u64 = traces.iter().map(|t| t.dropped).sum();
             if dropped > 0 {
@@ -982,15 +1028,16 @@ fn gs_summary(what: &str, outcomes: &[kmatch_gs::GsOutcome]) -> String {
 
 /// The closing lines of a batch: the peak RSS when `rss` (and the host
 /// reports it), then the wall time and throughput of `count` instances.
-fn print_wall(count: usize, elapsed: std::time::Duration, rss: bool) {
+fn print_wall(count: usize, elapsed: std::time::Duration, rss: bool) -> Result<(), String> {
     if let Some(rss) = kmatch_obs::peak_rss_bytes().filter(|_| rss) {
-        println!("peak rss bytes : {rss}");
+        outln!("peak rss bytes : {rss}");
     }
-    println!(
+    outln!(
         "wall time      : {:.3} ms ({:.1} instances/s)",
         elapsed.as_secs_f64() * 1e3,
         count as f64 / elapsed.as_secs_f64().max(1e-12)
     );
+    Ok(())
 }
 
 /// Solve a stream of instances through the parallel batch front-ends
@@ -1158,14 +1205,14 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                         matched += partial.matched_proposers().len() as u64;
                     }
                     let elapsed = start.elapsed();
-                    println!("instances      : {count} x n={n} (gs, truncated keep = {keep})");
-                    println!("total proposals: {proposals}");
-                    println!(
+                    outln!("instances      : {count} x n={n} (gs, truncated keep = {keep})");
+                    outln!("total proposals: {proposals}");
+                    outln!(
                         "matched        : {matched} of {} ({:.1}%)",
                         count * n,
                         100.0 * matched as f64 / (count * n).max(1) as f64
                     );
-                    print_wall(count, elapsed, true);
+                    print_wall(count, elapsed, true)?;
                 }
                 other => return Err(format!("unknown prefs backend: {other}")),
             }
@@ -1246,16 +1293,16 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                     }
                     let elapsed = start.elapsed();
                     registry.absorb(shard);
-                    println!("instances      : {count} x n={n} (roommates, lazy random)");
-                    println!(
+                    outln!("instances      : {count} x n={n} (roommates, lazy random)");
+                    outln!(
                         "solvable       : {solvable} ({:.1}%)",
                         100.0 * solvable as f64 / count.max(1) as f64
                     );
-                    println!(
+                    outln!(
                         "certificates   : {} truncated, {fullwidth} full-width",
                         count as u64 - fullwidth
                     );
-                    print_wall(count, elapsed, true);
+                    print_wall(count, elapsed, true)?;
                     if let Some(handle) = &ops {
                         handle.note_wave(n, &[count as u64]);
                     }
@@ -1301,14 +1348,12 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                         }
                     }
                     let elapsed = start.elapsed();
-                    println!(
-                        "instances      : {count} x n={n} (roommates, truncated keep = {keep})"
-                    );
-                    println!(
+                    outln!("instances      : {count} x n={n} (roommates, truncated keep = {keep})");
+                    outln!(
                         "certified      : {stable} stable, {unsolvable} unsolvable, \
                          {inconclusive} inconclusive"
                     );
-                    print_wall(count, elapsed, true);
+                    print_wall(count, elapsed, true)?;
                 }
                 other => return Err(format!("unknown prefs backend: {other}")),
             }
@@ -1685,7 +1730,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
         s.stop();
     }
     ops.finish();
-    println!(
+    outln!(
         "served {wave} waves ({total_instances} instances) in {:.1}s; shutdown: {reason}",
         start.elapsed().as_secs_f64()
     );
@@ -1739,7 +1784,7 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
     };
     let cold_base = cold_ws.solve(&cold_csr);
     debug_assert_eq!(base.matching, cold_base.matching);
-    println!(
+    outln!(
         "baseline     : n={n}, {} proposals, {} deltas queued",
         cold_base.stats.proposals,
         deltas.len()
@@ -1777,7 +1822,7 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
             "cold"
         };
         let d = PrefDeltaDto::from(delta);
-        println!(
+        outln!(
             "delta {i:>4} ({} {} row {}): {tier:<6} {:>9.1} us / {:>6} proposals   \
              reload+solve {:>9.1} us / {:>6} proposals",
             d.op,
@@ -1794,7 +1839,7 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
         cold_props += cold.stats.proposals;
     }
     if !deltas.is_empty() {
-        println!(
+        outln!(
             "totals       : session {:.1} us / {warm_props} proposals, \
              reload+solve {:.1} us / {cold_props} proposals ({:.1}x)",
             warm_ns as f64 / 1e3,
@@ -1867,9 +1912,9 @@ fn bind_cmd(args: &Args) -> Result<(), String> {
             None => bind_with_stats(&inst, &tree),
         };
         let stable = find_blocking_family(&inst, &out.matching).is_none();
-        println!("binding tree : {tree}");
-        println!("proposals    : {}", out.total_proposals());
-        println!("stable       : {stable}");
+        outln!("binding tree : {tree}");
+        outln!("proposals    : {}", out.total_proposals());
+        outln!("stable       : {stable}");
         if let Some(sink) = sink {
             topts.write(&TraceTrack::main(sink.into_events().0))?;
         }
@@ -1882,8 +1927,8 @@ fn bind_cmd(args: &Args) -> Result<(), String> {
         Some(sink) => binder.bind_metered(&mut (&mut metrics, sink)),
         None => binder.bind_metered(&mut metrics),
     };
-    println!("binding tree : {}", binder.tree());
-    println!(
+    outln!("binding tree : {}", binder.tree());
+    outln!(
         "initial bind : {} proposals over {} edges",
         first.total_proposals(),
         first.per_edge.len()
@@ -1907,14 +1952,14 @@ fn bind_cmd(args: &Args) -> Result<(), String> {
             None => binder.bind_metered(&mut metrics),
         };
         let stable = find_blocking_family(binder.instance(), &rebound.matching).is_none();
-        println!(
+        outln!(
             "rebind       : {} proposals, {} dirty / {} clean edges after {} updates",
             rebound.total_proposals(),
             metrics.edges_dirty - dirty0,
             metrics.edges_clean - clean0,
             items.len()
         );
-        println!("stable       : {stable}");
+        outln!("stable       : {stable}");
     }
     if let Some(sink) = sink {
         topts.write(&TraceTrack::main(sink.into_events().0))?;
@@ -1948,7 +1993,7 @@ fn report_validate(args: &Args) -> Result<(), String> {
         Some(serde::Value::Number(x)) => *x as u64,
         _ => 0,
     };
-    println!("OK {input}: kind={kind}, instances={instances}");
+    outln!("OK {input}: kind={kind}, instances={instances}");
     Ok(())
 }
 
@@ -1963,13 +2008,13 @@ fn postmortem_cmd(args: &Args, inspect: bool) -> Result<(), String> {
     let v: serde::Value = serde_json::from_str(&text).map_err(|e| format!("{input}: {e}"))?;
     kmatch_forensics::validate_bundle(&v).map_err(|e| format!("{input}: {e}"))?;
     if inspect {
-        print!("{}", kmatch_forensics::inspect_summary(&v));
+        out!("{}", kmatch_forensics::inspect_summary(&v));
     } else {
         let trigger = match v.get("trigger") {
             Some(serde::Value::String(s)) => s.clone(),
             _ => "?".to_string(),
         };
-        println!("OK {input}: trigger={trigger}");
+        outln!("OK {input}: trigger={trigger}");
     }
     Ok(())
 }
@@ -1992,11 +2037,12 @@ fn verify_kary(args: &Args) -> Result<(), String> {
         find_blocking_family(&inst, &matching)
     };
     match verdict {
-        None if weak => println!("STABLE (weakened condition)"),
-        None => println!("STABLE (full condition)"),
-        Some(bf) => println!(
+        None if weak => outln!("STABLE (weakened condition)"),
+        None => outln!("STABLE (full condition)"),
+        Some(bf) => outln!(
             "UNSTABLE: blocking family {:?} from families {:?}",
-            bf.members, bf.source_families
+            bf.members,
+            bf.source_families
         ),
     }
     Ok(())
@@ -2019,6 +2065,44 @@ mod tests {
     fn misused(words: &[&str]) -> bool {
         let args = parse(words);
         run(&args).is_err() && args.misused()
+    }
+
+    #[test]
+    fn usage_names_every_command() {
+        let synopses: Vec<String> = USAGE
+            .lines()
+            .map(|line| line.split_whitespace().collect::<Vec<_>>().join(" "))
+            .collect();
+        for &(first, second, _) in COMMANDS {
+            let name = match second {
+                Some(second) => format!("kmatch {first} {second} "),
+                None => format!("kmatch {first} "),
+            };
+            assert!(
+                synopses.iter().any(|line| line.starts_with(&name)),
+                "USAGE has no synopsis for `{}`",
+                name.trim_end()
+            );
+        }
+    }
+
+    #[test]
+    fn every_usage_synopsis_dispatches() {
+        for line in USAGE.lines() {
+            let Some(rest) = line.strip_prefix("  kmatch ") else {
+                continue;
+            };
+            let mut words = rest.split_whitespace();
+            let first = words.next().expect("a command word");
+            let second = words.next().filter(|w| !w.starts_with(['-', '[', '(']));
+            assert!(
+                COMMANDS
+                    .iter()
+                    .any(|&(a, b, _)| a == first && (b.is_none() || b == second)),
+                "`run` dispatches no command for the synopsis `{}`",
+                line.trim()
+            );
+        }
     }
 
     #[test]

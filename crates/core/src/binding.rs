@@ -34,11 +34,6 @@ impl BindingOutcome {
     pub fn total_proposals(&self) -> u64 {
         self.per_edge.iter().map(|s| s.proposals).sum()
     }
-
-    /// Maximum GS rounds over the bindings (the per-edge critical path).
-    pub fn max_rounds(&self) -> u32 {
-        self.per_edge.iter().map(|s| s.rounds).max().unwrap_or(0)
-    }
 }
 
 /// Merge binding-edge pair lists — global member ids, as produced by

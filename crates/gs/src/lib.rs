@@ -26,23 +26,18 @@
 
 pub mod egalitarian;
 pub mod engine;
-pub mod hospitals;
 pub mod incomplete;
 pub mod matching;
 pub mod mcvitie;
 pub mod metrics;
 pub mod rotations;
 pub mod stability;
-pub mod ties;
 pub mod trace;
 
 pub use egalitarian::{all_rotations, egalitarian_stable_matching};
 pub use engine::{
     gale_shapley, gale_shapley_reference, gale_shapley_traced, responder_optimal, GsOutcome,
     GsStats, GsWorkspace,
-};
-pub use hospitals::{
-    find_hr_blocking_pair, hospitals_residents, is_hr_stable, Assignment, HospitalsInstance,
 };
 pub use incomplete::{
     find_smi_blocking_pair, is_smi_stable, smi_gale_shapley, PartialMatching, SmiInstance,
@@ -54,7 +49,4 @@ pub use metrics::{
 };
 pub use rotations::{enumerate_stable_lattice, exposed_rotations, SmpRotation, StableLattice};
 pub use stability::{all_stable_matchings, find_blocking_pair, is_stable, BlockingPair};
-pub use ties::{
-    find_tied_blocking_pair, is_tied_stable, solve_weak, TieStability, TiedBipartiteInstance,
-};
 pub use trace::GsEvent;

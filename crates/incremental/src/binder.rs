@@ -42,6 +42,28 @@ struct EdgeCache {
 }
 
 /// A k-partite binding session that re-solves only dirty edges.
+///
+/// Edge keys are content fingerprints, so a rewrite undone before the
+/// next bind dirties nothing:
+///
+/// ```
+/// use kmatch_graph::BindingTree;
+/// use kmatch_incremental::IncrementalBinder;
+/// use kmatch_obs::SolverMetrics;
+/// use kmatch_prefs::gen::paper::fig3_tripartite;
+/// use kmatch_prefs::{GenderId, Member};
+///
+/// let mut binder = IncrementalBinder::new(fig3_tripartite(), BindingTree::path(3));
+/// let first = binder.bind();
+/// let (m, w) = (Member::new(GenderId(0), 0), GenderId(1));
+/// let old = binder.instance().pref_list(m, w).to_vec();
+/// let reversed: Vec<u32> = old.iter().rev().copied().collect();
+/// binder.set_pref_row(m, w, &reversed).unwrap();
+/// binder.set_pref_row(m, w, &old).unwrap();
+/// let mut metrics = SolverMetrics::new();
+/// assert_eq!(binder.bind_metered(&mut metrics).matching, first.matching);
+/// assert_eq!((metrics.edges_dirty, metrics.edges_clean), (0, 2));
+/// ```
 pub struct IncrementalBinder {
     inst: KPartiteInstance,
     tree: BindingTree,
@@ -114,6 +136,25 @@ impl IncrementalBinder {
     /// Rewrite member `m`'s preference row over gender `h`, patching the
     /// affected directed-pair fingerprint in O(n). A rejected row leaves
     /// the session unchanged.
+    ///
+    /// ```
+    /// # use kmatch_graph::BindingTree;
+    /// # use kmatch_incremental::IncrementalBinder;
+    /// # use kmatch_obs::SolverMetrics;
+    /// # use kmatch_prefs::gen::paper::fig3_tripartite;
+    /// # use kmatch_prefs::{GenderId, Member};
+    /// let mut binder = IncrementalBinder::new(fig3_tripartite(), BindingTree::path(3));
+    /// let first = binder.bind();
+    /// let m = Member::new(GenderId(0), 1);
+    /// let before = binder.instance().pref_list(m, GenderId(1)).to_vec();
+    /// assert!(binder.set_pref_row(m, GenderId(1), &[0, 0]).is_err()); // not a permutation
+    /// assert!(binder.set_pref_row(m, GenderId(1), &[0]).is_err()); // too short
+    /// assert!(binder.set_pref_row(m, GenderId(0), &before).is_err()); // over its own gender
+    /// assert_eq!(binder.instance().pref_list(m, GenderId(1)), &before[..]);
+    /// let mut metrics = SolverMetrics::new();
+    /// assert_eq!(binder.bind_metered(&mut metrics).matching, first.matching);
+    /// assert_eq!(metrics.edges_dirty, 0);
+    /// ```
     pub fn set_pref_row(
         &mut self,
         m: Member,

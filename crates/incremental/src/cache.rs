@@ -18,6 +18,21 @@ use crate::fingerprint::Fp;
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
 /// A bounded FIFO map from content fingerprints to solve results.
+///
+/// Eviction is first-in first-out, not least-recently-used: replacing a
+/// key's value keeps the key's place in line.
+///
+/// ```
+/// use kmatch_incremental::SolveCache;
+///
+/// let mut cache = SolveCache::new(2);
+/// cache.insert((1, 1), "a");
+/// cache.insert((2, 2), "b");
+/// assert!(!cache.insert((1, 1), "a2")); // replaced, nothing evicted
+/// assert!(cache.insert((3, 3), "c")); // evicts (1, 1), the oldest key
+/// assert_eq!(cache.get((1, 1)), None);
+/// assert_eq!(cache.get((2, 2)), Some(&"b"));
+/// ```
 #[derive(Debug, Clone)]
 pub struct SolveCache<V> {
     map: HashMap<Fp, V>,

@@ -14,8 +14,8 @@
 //!   window cells and adds the new ones: O(window), with no per-row
 //!   state. [`crate::IncrementalGs`] maintains the sum that way, and
 //!   [`bipartite_fingerprint`] computes the same value from scratch.
-//! * **XOR-combined row hashes** for roommates rows and binding-tree
-//!   edges, whose sessions receive whole rows. Each row hashes as one
+//! * **XOR-combined row hashes** for binding-tree edges, whose session
+//!   receives whole rows. Each row hashes as one
 //!   chain seeded with a *position tag* (so equal rows at different
 //!   positions hash differently, [`hash_row`]), and row hashes are
 //!   XOR-combined into the instance or edge key. A row rewrite patches

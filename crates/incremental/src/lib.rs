@@ -1,10 +1,9 @@
 //! # kmatch-incremental — incremental re-solving
 //!
-//! The solvers in `kmatch-gs`, `kmatch-roommates`, and `kmatch-core` are
-//! built for one-shot throughput. Real workloads mutate: a member
-//! re-ranks one list and asks for the new matching. Solving from scratch
-//! discards everything the previous execution learned; this crate keeps
-//! it, at three layers:
+//! The solvers in `kmatch-gs` and `kmatch-core` are built for one-shot
+//! throughput. Real workloads mutate: a member re-ranks one list and asks
+//! for the new matching. Solving from scratch discards everything the
+//! previous execution learned; this crate keeps it, at two layers:
 //!
 //! * [`IncrementalGs`] — a bipartite session over one CSR arena whose
 //!   deltas cost O(changed window) and are classified against the
@@ -13,10 +12,6 @@
 //!   replayed in O(n); otherwise the strip kernel solves cold. Recurring
 //!   instance states short-circuit entirely through a content-addressed
 //!   [`SolveCache`].
-//! * [`IncrementalRoommates`] — the Irving analogue: dead-zone rewrites
-//!   replay the previous outcome in O(n) (see `kmatch_roommates::warm`),
-//!   anything that could loosen a phase-1 threshold falls back to a cold
-//!   solve, and recurring states (solvable or not) come from the cache.
 //! * [`IncrementalBinder`] — dirty-edge k-ary rebinding: each binding-tree
 //!   edge is fingerprinted over the preference rows it reads, a rebind
 //!   re-solves only dirty edges and reuses cached pair lists elsewhere
@@ -27,8 +22,8 @@
 //! Content addressing is 128-bit fingerprinting ([`fingerprint`]): a
 //! position-keyed sum over list cells for bipartite instances, which a
 //! delta patches in O(changed window), and XOR-combined row hashes for
-//! roommates rows and binding edges, patched in O(row). The cache
-//! ([`cache`]) is a bounded FIFO keyed by those fingerprints.
+//! binding edges, patched in O(row). The cache ([`cache`]) is a bounded
+//! FIFO keyed by those fingerprints.
 //! Every layer is differentially tested byte-equal against its cold
 //! counterpart, and every tier records `SolverMetrics` counters
 //! (`cache_hits`/`cache_misses`/`cache_evictions`,
@@ -41,10 +36,8 @@ pub mod binder;
 pub mod cache;
 pub mod fingerprint;
 pub mod gs;
-pub mod roommates;
 
 pub use binder::IncrementalBinder;
 pub use cache::{SolveCache, DEFAULT_CACHE_CAPACITY};
 pub use fingerprint::{bipartite_fingerprint, hash_row_fp, Fp};
 pub use gs::IncrementalGs;
-pub use roommates::IncrementalRoommates;

@@ -2,9 +2,9 @@
 //! spans, cache hit/miss instants, and the GS session's replay and
 //! fallback instants.
 
-use kmatch_incremental::{IncrementalBinder, IncrementalGs, IncrementalRoommates};
+use kmatch_incremental::{IncrementalBinder, IncrementalGs};
 use kmatch_obs::ManualClock;
-use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite, uniform_roommates};
+use kmatch_prefs::gen::uniform::{uniform_bipartite, uniform_kpartite};
 use kmatch_prefs::{DeltaSide, GenderId, Member, PrefDelta};
 use kmatch_trace::{check_well_formed, reason, span, EventKind, TraceRecorder};
 use rand::{Rng, SeedableRng};
@@ -140,26 +140,4 @@ fn gs_session_emits_cache_instants() {
     assert_eq!(events[1].name, span::GS_WARM_RESOLVE);
     assert_eq!(events[1].arg, 0);
     assert!(!events.iter().any(|e| e.name == span::GS_SOLVE));
-}
-
-#[test]
-fn roommates_session_emits_cache_instants() {
-    let mut rng = ChaCha8Rng::seed_from_u64(77);
-    let n = 8usize;
-    let inst = uniform_roommates(n, &mut rng);
-    let mut session = IncrementalRoommates::new(inst);
-    let clock = ManualClock::new();
-
-    let mut rec = TraceRecorder::new(&clock);
-    session.solve_metered(&mut rec);
-    let events = rec.take();
-    check_well_formed(&events, false).unwrap();
-    assert_eq!(events[0].name, span::CACHE_MISS);
-    assert!(events.iter().any(|e| e.name == span::IRVING_PHASE1));
-
-    let mut rec = TraceRecorder::new(&clock);
-    session.solve_metered(&mut rec);
-    let events = rec.take();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].name, span::CACHE_HIT);
 }

@@ -242,9 +242,9 @@ pub struct SolverMetrics {
     pub warm_solves: u64,
     /// Warm-start requests that fell back to a cold solve.
     pub warm_fallbacks: u64,
-    /// Proposers re-run by warm-start re-solves. The GS and Irving warm
-    /// paths are exact replays of the held execution that re-run none, so
-    /// this stays 0; a cold fallback counts in `warm_fallbacks` instead.
+    /// Proposers re-run by warm-start re-solves. The GS warm path is an
+    /// exact replay of the held execution that re-runs none, so this stays
+    /// 0; a cold fallback counts in `warm_fallbacks` instead.
     pub refreed_proposers: u64,
     /// Truncated attempts run by the escalating roommates driver.
     pub escalation_attempts: u64,

@@ -18,7 +18,7 @@ use kmatch_trace::{to_chrome_json, EventRing, TraceEvent, TraceTrack};
 use serde::Value;
 
 use crate::forensics::ForensicsPlane;
-use crate::log::{Level, LogRecord, OpsLog};
+use crate::log::{Level, OpsLog};
 use crate::watchdog::{StallEvent, WatchdogConfig, WatchdogCore};
 use crate::window::RollingWindow;
 
@@ -236,11 +236,6 @@ impl OpsState {
     /// first, as `kmatch.log/v1` JSONL.
     pub fn logs_jsonl_min_level(&self, n: usize, min: Level) -> String {
         self.inner().log.tail_jsonl_min_level(n, min)
-    }
-
-    /// The last `n` log records, oldest first.
-    pub fn logs_tail(&self, n: usize) -> Vec<LogRecord> {
-        self.inner().log.tail(n)
     }
 
     /// Drain the trace ring as Chrome trace-event JSON (one main track;

@@ -232,49 +232,6 @@ impl RoommatesInstance {
     pub fn to_lists(&self) -> Vec<Vec<u32>> {
         (0..self.n as u32).map(|p| self.list(p).to_vec()).collect()
     }
-
-    /// Replace participant `p`'s preference row with `row`, which must be
-    /// a permutation of `p`'s current acceptable set — reordering within a
-    /// row keeps acceptability mutual and the CSR offsets valid, which is
-    /// all the incremental re-solve path needs. O(n).
-    pub fn set_row(&mut self, p: u32, row: &[u32]) -> Result<(), PrefsError> {
-        let p_us = p as usize;
-        if p_us >= self.n {
-            return Err(PrefsError::BadRoommatesList {
-                owner: p_us,
-                reason: "participant index out of range",
-            });
-        }
-        let lo = self.offsets[p_us] as usize;
-        let hi = self.offsets[p_us + 1] as usize;
-        if row.len() != hi - lo {
-            return Err(PrefsError::BadRoommatesList {
-                owner: p_us,
-                reason: "row must keep the same number of acceptable partners",
-            });
-        }
-        let mut seen = vec![false; self.n];
-        for &q in row {
-            let q_us = q as usize;
-            if q_us >= self.n || q_us == p_us || !self.acceptable(p, q) {
-                return Err(PrefsError::BadRoommatesList {
-                    owner: p_us,
-                    reason: "row must be a permutation of the current acceptable set",
-                });
-            }
-            if std::mem::replace(&mut seen[q_us], true) {
-                return Err(PrefsError::BadRoommatesList {
-                    owner: p_us,
-                    reason: "duplicate partner in row",
-                });
-            }
-        }
-        self.entries[lo..hi].copy_from_slice(row);
-        for (r, &q) in row.iter().enumerate() {
-            self.ranks[p_us * self.n + q as usize] = r as Rank;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ use crate::matching::RoommatesMatching;
 use crate::partition::{extract_party, is_party_rotation, read_partition, StablePartition};
 use crate::policy::RotationPolicy;
 use crate::solver::{RoommatesOutcome, SolveStats};
-use crate::workspace::{RoommatesWorkspace, SolveFooter, NONE};
+use crate::workspace::{RoommatesWorkspace, NONE};
 
 /// Monotone seed cursors — the incremental replacement for the reference
 /// solver's per-rotation `(0..n).filter(len ≥ 2)` rescan.
@@ -215,9 +215,6 @@ fn phase1<I: RoommatesOracle, M: Metrics>(
         // threshold store; its deletions stay implicit.
         let new_rank = inst.rank_of(y, x);
         debug_assert!(new_rank <= ws.thresh[y as usize], "thresholds only tighten");
-        if ws.first_rank[y as usize] == NONE {
-            ws.first_rank[y as usize] = new_rank;
-        }
         ws.thresh[y as usize] = new_rank;
         // Metric semantics: one "truncation" per threshold store (a
         // tightening of y's live bound), not per implied pair deletion —
@@ -352,7 +349,7 @@ fn phase2<M: Metrics>(
 /// of `inst` through `ws` in `mode`. Reports the per-event counters, the
 /// `workspace` hook and an `irving.solve` span enclosing `irving.phase1`
 /// and `irving.phase2` (which includes building the phase-2 arena); the
-/// verdict hook and the warm-start footer are the caller's.
+/// verdict hook is the caller's.
 pub(crate) fn run_core<I: RoommatesOracle, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
@@ -393,8 +390,7 @@ pub(crate) fn run_core<I: RoommatesOracle, M: Metrics>(
     (end, stats)
 }
 
-/// A strict run with its verdict: reports [`Metrics::solve_done`] and
-/// leaves the warm-start footer [`crate::warm`] replays.
+/// A strict run with its verdict: reports [`Metrics::solve_done`].
 fn solve_strict<I: RoommatesOracle, M: Metrics>(
     inst: &I,
     ws: &mut RoommatesWorkspace,
@@ -402,30 +398,19 @@ fn solve_strict<I: RoommatesOracle, M: Metrics>(
     metrics: &mut M,
 ) -> RoommatesOutcome {
     let (end, stats) = run_core(inst, ws, policy, Mode::Strict, metrics);
-    let (outcome, culprit) = match end {
-        CoreEnd::Matching(partner) => (
-            RoommatesOutcome::Stable {
-                matching: RoommatesMatching::new(partner),
-                stats,
-            },
-            NONE,
-        ),
-        CoreEnd::OverBudget { culprit, .. } => (
-            RoommatesOutcome::NoStableMatching { culprit, stats },
-            culprit,
-        ),
+    let outcome = match end {
+        CoreEnd::Matching(partner) => RoommatesOutcome::Stable {
+            matching: RoommatesMatching::new(partner),
+            stats,
+        },
+        CoreEnd::OverBudget { culprit, .. } => {
+            RoommatesOutcome::NoStableMatching { culprit, stats }
+        }
         CoreEnd::Broken | CoreEnd::Partition(_) => {
             unreachable!("strict runs neither break nor partition")
         }
     };
-    let stable = culprit == NONE;
-    metrics.solve_done(stable, stats.proposals);
-    ws.footer = Some(SolveFooter {
-        n: inst.n(),
-        stable,
-        culprit,
-        stats,
-    });
+    metrics.solve_done(outcome.is_stable(), stats.proposals);
     outcome
 }
 

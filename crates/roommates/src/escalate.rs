@@ -229,7 +229,7 @@ pub fn solve_escalating_from<I: RoommatesOracle, M: Metrics>(
     }
 
     // Full width: run the plain engine on the unwrapped oracle, so the
-    // outcome (matching, verdict, culprit, stats, warm-start footer) is
+    // outcome (matching, verdict, culprit, stats) is
     // the complete-list solve, byte for byte.
     metrics.escalation_fullwidth();
     metrics.phase_enter(kmatch_obs::phase::FULLWIDTH);

@@ -49,7 +49,6 @@ pub mod phase2;
 pub mod policy;
 pub mod solver;
 pub mod trace;
-pub mod warm;
 pub mod workspace;
 
 pub use escalate::{solve_escalating, solve_escalating_metered, CertKind, EscalationReport};
@@ -63,5 +62,4 @@ pub use solver::{
     solve_with_reference, RoommatesOutcome, SolveStats,
 };
 pub use trace::RoommatesEvent;
-pub use warm::RoommatesRowDelta;
 pub use workspace::RoommatesWorkspace;

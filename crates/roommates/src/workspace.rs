@@ -47,8 +47,6 @@ use std::ops::Range;
 use kmatch_exec::{default_threads, run_slots, steal_seed};
 use kmatch_prefs::RoommatesOracle;
 
-use crate::solver::SolveStats;
-
 /// Niche marker for "no node / no participant / untruncated" in the
 /// workspace tables.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -185,21 +183,6 @@ fn survivor_records(buf: &[u64]) -> impl Iterator<Item = (u32, u32, u32)> + '_ {
     })
 }
 
-/// Footer recorded by the engine at every exit of a completed solve —
-/// the state [`RoommatesWorkspace::resolve_delta`](crate::warm) needs to
-/// replay the previous outcome without re-running the engine.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SolveFooter {
-    /// Participant count of the solved instance.
-    pub(crate) n: usize,
-    /// Whether the solve produced a stable matching.
-    pub(crate) stable: bool,
-    /// The emptied-list certificate when `stable` is false.
-    pub(crate) culprit: u32,
-    /// Counters of the recorded solve, replayed verbatim on a warm hit.
-    pub(crate) stats: SolveStats,
-}
-
 /// Reusable scratch buffers for the fast Irving engine.
 ///
 /// A workspace grows to the largest instance it has seen and never
@@ -234,11 +217,6 @@ pub struct RoommatesWorkspace {
     pub(crate) scan: Vec<u32>,
     /// `holds[p]`: proposer whose proposal `p` currently holds, or [`NONE`].
     pub(crate) holds: Vec<u32>,
-    /// `first_rank[p]`: rank of the *first* proposal `p` ever held this
-    /// solve, or [`NONE`]. Thresholds only tighten, so this is the loosest
-    /// bound `p`'s row was ever probed against — the warm-start criterion
-    /// in [`crate::warm`] needs it, not the (tighter) final threshold.
-    pub(crate) first_rank: Vec<u32>,
     /// Stack of participants with an outstanding proposal to make.
     pub(crate) free: Vec<u32>,
     // ---- phase 2: doubly-linked arena over the phase-1 survivors ----
@@ -283,10 +261,6 @@ pub struct RoommatesWorkspace {
     /// `pi[p]`: partition successor under construction (see
     /// [`crate::partition`]).
     pub(crate) pi: Vec<u32>,
-    // ---- warm-start footer ----
-    /// Outcome of the last completed solve, or `None` when the buffers do
-    /// not hold a finished execution (never solved, or mid-solve).
-    pub(crate) footer: Option<SolveFooter>,
     /// Thread budget of the arena build and the partition check (0 = the
     /// host's parallelism); see [`RoommatesWorkspace::set_threads`].
     pub(crate) threads: usize,
@@ -312,7 +286,6 @@ impl RoommatesWorkspace {
             thresh: Vec::with_capacity(n),
             scan: Vec::with_capacity(n),
             holds: Vec::with_capacity(n),
-            first_rank: Vec::with_capacity(n),
             free: Vec::with_capacity(n),
             entries: Vec::with_capacity(entries),
             off: Vec::with_capacity(n + 1),
@@ -331,7 +304,6 @@ impl RoommatesWorkspace {
             survivors: (0..tasks).map(|_| Vec::with_capacity(per_task)).collect(),
             frozen: Vec::new(),
             pi: Vec::new(),
-            footer: None,
             threads: 0,
         }
     }
@@ -358,7 +330,6 @@ impl RoommatesWorkspace {
         self.thresh.capacity() * size_of::<u32>()
             + self.scan.capacity() * size_of::<u32>()
             + self.holds.capacity() * size_of::<u32>()
-            + self.first_rank.capacity() * size_of::<u32>()
             + self.free.capacity() * size_of::<u32>()
             + self.entries.capacity() * size_of::<u32>()
             + self.off.capacity() * size_of::<u32>()
@@ -393,15 +364,12 @@ impl RoommatesWorkspace {
         let n = inst.n();
         let fresh =
             self.thresh.capacity() < n || self.holds.capacity() < n || self.free.capacity() < n;
-        self.footer = None;
         self.thresh.clear();
         self.thresh.resize(n, NONE);
         self.scan.clear();
         self.scan.resize(n, 0);
         self.holds.clear();
         self.holds.resize(n, NONE);
-        self.first_rank.clear();
-        self.first_rank.resize(n, NONE);
         self.free.clear();
         self.free.extend((0..n as u32).rev());
         self.pos.clear();

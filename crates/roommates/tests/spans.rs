@@ -1,7 +1,6 @@
 //! Span-timeline instrumentation of the Irving engine: well-formed
-//! streams, phase-1/phase-2 spans on both verdicts, no oracle work
-//! between the phases, and warm-resolve instants with the right reason
-//! codes.
+//! streams, phase-1/phase-2 spans on both verdicts and no oracle work
+//! between the phases.
 
 use std::cell::Cell;
 
@@ -9,8 +8,8 @@ use kmatch_obs::{ManualClock, Metrics};
 use kmatch_prefs::gen::paper::{section3b_left, section3b_right};
 use kmatch_prefs::gen::uniform::uniform_roommates;
 use kmatch_prefs::RoommatesOracle;
-use kmatch_roommates::{solve, RoommatesRowDelta, RoommatesWorkspace};
-use kmatch_trace::{check_well_formed, reason, span, EventKind, TraceRecorder};
+use kmatch_roommates::{solve, RoommatesWorkspace};
+use kmatch_trace::{check_well_formed, span, EventKind, TraceRecorder};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -69,46 +68,6 @@ fn spanned_matches_plain_across_random_instances() {
             check_well_formed(rec.events(), false).unwrap();
         }
     }
-}
-
-#[test]
-fn warm_resolve_spans_tag_replay_and_fallback() {
-    let clock = ManualClock::new();
-    let inst = section3b_left();
-    let mut ws = RoommatesWorkspace::new();
-
-    // No footer yet: fallback with NO_FOOTER, then a full cold timeline.
-    let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_metered(&inst, &[], &mut rec);
-    let events = rec.take();
-    check_well_formed(&events, false).unwrap();
-    assert_eq!(events[0].name, span::IRVING_WARM_FALLBACK);
-    assert_eq!(events[0].arg, reason::NO_FOOTER);
-    assert!(events.iter().any(|e| e.name == span::IRVING_PHASE1));
-
-    // Finished execution + empty delta list: pure replay, no engine spans.
-    let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_metered(&inst, &[], &mut rec);
-    let events = rec.take();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].name, span::IRVING_WARM_RESOLVE);
-
-    // A live-prefix rewrite falls back with PREFIX_MISS.
-    let mut edited = inst.clone();
-    let old_row = edited.list(0).to_vec();
-    let mut new_row = old_row.clone();
-    new_row.reverse();
-    edited.set_row(0, &new_row).unwrap();
-    let delta = RoommatesRowDelta {
-        participant: 0,
-        old_row,
-    };
-    let mut rec = TraceRecorder::new(&clock);
-    ws.resolve_delta_metered(&edited, std::slice::from_ref(&delta), &mut rec);
-    let events = rec.take();
-    check_well_formed(&events, false).unwrap();
-    assert_eq!(events[0].name, span::IRVING_WARM_FALLBACK);
-    assert_eq!(events[0].arg, reason::PREFIX_MISS);
 }
 
 #[test]

@@ -75,11 +75,6 @@ pub mod span {
     /// Irving phase 2: building the arena of phase-1 survivors, then
     /// rotation elimination (arg = `n`).
     pub const IRVING_PHASE2: &str = "irving.phase2";
-    /// Instant: roommates warm resolve replayed the stored execution.
-    pub const IRVING_WARM_RESOLVE: &str = "irving.warm.resolve";
-    /// Instant: roommates warm resolve fell back to a cold solve (arg =
-    /// a [`reason`](crate::reason) code).
-    pub const IRVING_WARM_FALLBACK: &str = "irving.warm.fallback";
     /// One spanning-tree binding edge in a k-partite bind (arg = edge
     /// index in tree order).
     pub const BIND_EDGE: &str = "bind.edge";
@@ -98,18 +93,22 @@ pub mod span {
 }
 
 /// Warm-resolve fallback reason codes, carried as the `arg` of
-/// [`span::GS_WARM_FALLBACK`] / [`span::IRVING_WARM_FALLBACK`] instants.
+/// [`span::GS_WARM_FALLBACK`] instants. The codes are fixed: recorded
+/// traces keep their meaning, so a retired code (2) is not reused.
+///
+/// ```
+/// use kmatch_trace::reason;
+///
+/// assert_eq!([reason::COLD_START, reason::SIZE_MISMATCH, reason::PREFIX_MISS], [0, 1, 3]);
+/// ```
 pub mod reason {
     /// No previous execution to warm-start from (first solve).
     pub const COLD_START: u64 = 0;
     /// The instance size changed since the stored execution.
     pub const SIZE_MISMATCH: u64 = 1;
-    /// No solve footer was recorded (roommates: prior run predates the
-    /// footer, or the workspace was reset).
-    pub const NO_FOOTER: u64 = 2;
     /// A delta reached a part of some preference row the held execution
-    /// probed — the live prefix of a roommates row, a GS proposer's
-    /// consumed prefix, or the order of a GS responder's suitors — so a
-    /// replay would be unsound.
+    /// probed — a proposer's consumed prefix or the order of a
+    /// responder's suitors — so a replay would be unsound.
     pub const PREFIX_MISS: u64 = 3;
 }
+

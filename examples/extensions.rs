@@ -6,8 +6,6 @@
 //! 2. **Partitioned k-ary matching in k′-partite graphs** — "a more
 //!    general k-ary matching in k′-partite graphs, where k < k′ and
 //!    ck = nk′": block-partition the genders, bind per block.
-//! 3. **Hospitals/residents** (related work §V-A) — the many-to-one
-//!    deferred-acceptance generalization, included for completeness.
 //!
 //! ```text
 //! cargo run -p kmatch --example extensions --release
@@ -16,7 +14,6 @@
 use kmatch::core::{
     is_partition_stable, is_quorum_stable, partitioned_bind, stability_threshold, GenderPartition,
 };
-use kmatch::gs::{hospitals_residents, is_hr_stable, HospitalsInstance};
 use kmatch::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -60,28 +57,5 @@ fn main() {
     for f in out.families.iter().take(4) {
         let members: Vec<String> = f.members.iter().map(|m| m.to_string()).collect();
         println!("  block {}: ({})", f.block, members.join(", "));
-    }
-
-    println!("\n== 3. Hospitals/residents (many-to-one) ==\n");
-    // 9 residents, 3 hospitals with capacities 4/3/2.
-    let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let perm = |nn: usize, rng: &mut ChaCha8Rng| {
-        use rand::seq::SliceRandom;
-        let mut v: Vec<u32> = (0..nn as u32).collect();
-        v.shuffle(rng);
-        v
-    };
-    let residents: Vec<Vec<u32>> = (0..9).map(|_| perm(3, &mut rng)).collect();
-    let hospitals: Vec<Vec<u32>> = (0..3).map(|_| perm(9, &mut rng)).collect();
-    let hr = HospitalsInstance::new(residents, hospitals, vec![4, 3, 2]).unwrap();
-    let (assignment, stats) = hospitals_residents(&hr);
-    assert!(is_hr_stable(&hr, &assignment));
-    println!("stable in {} proposals:", stats.proposals);
-    for h in 0..3u32 {
-        println!(
-            "  hospital {h} (cap {}): residents {:?}",
-            hr.capacity(h),
-            assignment.admitted(h)
-        );
     }
 }

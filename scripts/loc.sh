@@ -4,8 +4,16 @@
 # from the rest (`tests/`, `benches/`). Unit-test modules inside `src/`
 # count as src.
 #
-#   scripts/loc.sh [ROOT]    # ROOT defaults to the repository root
+#   scripts/loc.sh [--json] [ROOT]    # ROOT defaults to the repository root
+#
+# --json prints the same counts as the document committed in
+# results/SIZE.json, which ci.sh compares against a fresh count.
 set -euo pipefail
+json=false
+if [ "${1:-}" = "--json" ]; then
+  json=true
+  shift
+fi
 root="${1:-$(dirname "$0")/..}"
 count() {
   if [ -d "$1" ]; then
@@ -15,8 +23,12 @@ count() {
     echo 0
   fi
 }
-printf '%-14s %7s %7s %7s\n' crate src tests total
-sum_src=0 sum_tests=0
+if $json; then
+  printf '{\n  "schema": "kmatch.size/v1",\n  "crates": {\n'
+else
+  printf '%-14s %7s %7s %7s\n' crate src tests total
+fi
+sum_src=0 sum_tests=0 sep=""
 for dir in "$root"/crates/*/; do
   name="$(basename "$dir")"
   src="$(count "$dir/src")"
@@ -24,8 +36,18 @@ for dir in "$root"/crates/*/; do
   for other in "$dir"tests "$dir"benches; do
     tests=$((tests + $(count "$other")))
   done
-  printf '%-14s %7d %7d %7d\n' "$name" "$src" "$tests" $((src + tests))
+  if $json; then
+    printf '%s    "%s": {"src_lines": %d, "test_lines": %d}' "$sep" "$name" "$src" "$tests"
+    sep=$',\n'
+  else
+    printf '%-14s %7d %7d %7d\n' "$name" "$src" "$tests" $((src + tests))
+  fi
   sum_src=$((sum_src + src))
   sum_tests=$((sum_tests + tests))
 done
-printf '%-14s %7d %7d %7d\n' total "$sum_src" "$sum_tests" $((sum_src + sum_tests))
+if $json; then
+  printf '\n  },\n  "total": {"src_lines": %d, "test_lines": %d, "lines": %d}\n}\n' \
+    "$sum_src" "$sum_tests" $((sum_src + sum_tests))
+else
+  printf '%-14s %7d %7d %7d\n' total "$sum_src" "$sum_tests" $((sum_src + sum_tests))
+fi

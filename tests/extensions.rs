@@ -1,10 +1,8 @@
-//! Integration tests for the §VII future-work extensions and the
-//! hospitals/residents generalization.
+//! Integration tests for the §VII future-work extensions.
 
 use kmatch::core::{
     is_partition_stable, is_quorum_stable, partitioned_bind, stability_threshold, GenderPartition,
 };
-use kmatch::gs::{hospitals_residents, is_hr_stable, HospitalsInstance};
 use kmatch::prelude::*;
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -36,32 +34,6 @@ fn partitioned_families_satisfy_counting_constraint() {
         let out = partitioned_bind(&inst, &partition);
         assert_eq!(out.families.len() * k, n * k_total);
         assert!(is_partition_stable(&inst, &partition, &out));
-    }
-}
-
-#[test]
-fn hr_scales_and_stays_stable() {
-    use rand::seq::SliceRandom;
-    use rand::Rng;
-    let mut rng = ChaCha8Rng::seed_from_u64(1001);
-    for (nr, nh) in [(30usize, 5usize), (100, 10), (200, 8)] {
-        let mut caps = vec![1u32; nh];
-        let mut total = nh;
-        while total < nr {
-            caps[rng.gen_range(0..nh)] += 1;
-            total += 1;
-        }
-        let perm = |nn: usize, rng: &mut ChaCha8Rng| {
-            let mut v: Vec<u32> = (0..nn as u32).collect();
-            v.shuffle(rng);
-            v
-        };
-        let residents: Vec<Vec<u32>> = (0..nr).map(|_| perm(nh, &mut rng)).collect();
-        let hospitals: Vec<Vec<u32>> = (0..nh).map(|_| perm(nr, &mut rng)).collect();
-        let inst = HospitalsInstance::new(residents, hospitals, caps).unwrap();
-        let (a, stats) = hospitals_residents(&inst);
-        assert!(is_hr_stable(&inst, &a), "nr={nr}, nh={nh}");
-        assert!(stats.proposals <= (nr * nh) as u64);
     }
 }
 

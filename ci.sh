@@ -12,8 +12,16 @@ cargo test -q --workspace
 echo "==> benchmark tests"
 # perfbench is a package of its own (outside the workspace): its tests
 # check that corrupted solver outputs are caught and that the traced
-# per-layer spans add up.
-cargo test --offline --release --manifest-path perfbench/Cargo.toml
+# per-layer spans add up. Cargo rewrites the package's stale lock file
+# while resolving it; put the committed copy back afterwards so a green
+# run leaves the tree clean.
+PERF_LOCK="$(mktemp)"
+cp perfbench/Cargo.lock "$PERF_LOCK"
+status=0
+cargo test --offline --release --manifest-path perfbench/Cargo.toml || status=$?
+cp "$PERF_LOCK" perfbench/Cargo.lock
+rm -f "$PERF_LOCK"
+[ "$status" -eq 0 ] || { echo "benchmark tests failed"; exit "$status"; }
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -436,8 +444,8 @@ wait "$RM_SERVE_PID" \
 
 echo "==> forensics smoke"
 # A deliberately stalled escalating-roommates serve must (a) name the
-# stalled lane's phase and current cut on GET /progress, (b) keep the
-# sampling profiler live on GET /profile, and (c) write a postmortem
+# stalled lane's phase and current cut on GET /progress, (b) answer
+# GET /profile while stalled, and (c) write a postmortem
 # bundle that `kmatch postmortem validate` accepts once the watchdog
 # fires. --inject-stall-ms freezes the first wave mid-escalation; the
 # 250 ms watchdog threshold trips well inside the 4 s freeze, leaving a
@@ -492,6 +500,35 @@ BUNDLE="$(ls "$SMOKE_DIR/postmortem"/postmortem-*-stall.json 2>/dev/null | head 
 ./target/release/kmatch postmortem inspect --input "$BUNDLE" \
     | grep -qF 'trigger' \
     || { echo "forensics smoke: bundle inspect said nothing"; exit 1; }
+# The sampling profiler sees the escalating driver's own spans: a
+# stall-free n = 2*10^4 serve spends most of each solve inside the Irving
+# phases, so GET /profile must show an irving.* frame on the one lane the
+# driver solves on, not only the idle bucket.
+./target/release/kmatch serve --listen 127.0.0.1:0 --kind roommates \
+    --prefs random --n 20000 --count 2 --iterations 0 --interval-ms 0 \
+    --sample-hz 200 > "$SMOKE_DIR/profile_rm.out" 2> "$SMOKE_DIR/profile_rm.err" &
+PROFILE_PID=$!
+PROF_ADDR=""
+for _ in $(seq 1 100); do
+  PROF_ADDR="$(sed -n 's#^ops listening on http://\(.*\)/#\1#p' "$SMOKE_DIR/profile_rm.err")"
+  [ -n "$PROF_ADDR" ] && break
+  sleep 0.1
+done
+[ -n "$PROF_ADDR" ] \
+    || { echo "forensics smoke: profiled serve never announced an address"; \
+         kill "$PROFILE_PID" 2>/dev/null; exit 1; }
+IRVING_SEEN=""
+for _ in $(seq 1 100); do
+  ops_get "http://$PROF_ADDR/profile" > "$SMOKE_DIR/profile_rm.txt" 2>/dev/null || true
+  if grep -qE '(^|;)irving\.' "$SMOKE_DIR/profile_rm.txt"; then IRVING_SEEN=yes; break; fi
+  sleep 0.1
+done
+kill -INT "$PROFILE_PID"
+wait "$PROFILE_PID" \
+    || { echo "forensics smoke: profiled serve exited nonzero after SIGINT"; exit 1; }
+[ -n "$IRVING_SEEN" ] \
+    || { echo "forensics smoke: /profile never showed an irving.* frame:"; \
+         cat "$SMOKE_DIR/profile_rm.txt"; exit 1; }
 
 echo "==> code size"
 # Non-blank, non-comment lines per crate. results/SIZE.json holds the

@@ -30,8 +30,7 @@
 
 use kmatch_bench::harness::{bipartite_batch, measure_blocks, write_results, OverheadRow};
 use kmatch_bench::rng;
-use kmatch_forensics::Probed;
-use kmatch_forensics::{start_sampler, ProbeSet, RegisterSet, SharedProfile};
+use kmatch_forensics::{start_sampler, ProbeSet, SharedProfile};
 use kmatch_gs::{gale_shapley_reference, GsWorkspace};
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, StdClock};
 use kmatch_ops::{Level, OpsConfig, OpsState};
@@ -181,7 +180,7 @@ struct Report {
     /// record): the cost of an armed `--ops-listen` plane.
     ops_overhead: OverheadRow,
     /// `plain_ns` here is the *traced* batch and `metered_ns` the probed
-    /// batch (progress probes + span registers) with the wall-clock
+    /// batch (one live lane per worker: progress and span stack) with the wall-clock
     /// sampler thread live: the incremental cost of the always-on
     /// forensic profiler over the already-traced path.
     profiler_overhead: OverheadRow,
@@ -475,9 +474,9 @@ fn ops_overhead_row() -> OverheadRow {
 
 /// Measure the forensic profiler against the traced batch on the same
 /// n = 2000 shape. Both sides arm per-chunk flight recorders;
-/// the probed workers additionally tee every span into the lock-free
-/// leaf-span registers and publishes progress probes, while a live
-/// sampler thread folds register snapshots into the shared profile at
+/// the probed workers additionally keep their lock-free lane current
+/// (progress publishes and the open-span stack), while a live
+/// sampler thread folds lane snapshots into the shared profile at
 /// ~1 kHz — an upper bound on any rate `--sample-hz` would use. The
 /// delta prices exactly what "always-on profiler" adds to an already
 /// observable batch. Acceptance target: < 5%.
@@ -487,11 +486,10 @@ fn profiler_overhead_row() -> OverheadRow {
     let registry = BatchRegistry::new();
     let clock = StdClock::new();
     let lanes = default_threads();
-    let probes = ProbeSet::new(lanes);
-    let registers = std::sync::Arc::new(RegisterSet::new(lanes));
+    let probes = std::sync::Arc::new(ProbeSet::new(lanes));
     let profile = std::sync::Arc::new(SharedProfile::new());
     let sampler = start_sampler(
-        std::sync::Arc::clone(&registers),
+        std::sync::Arc::clone(&probes),
         std::sync::Arc::clone(&profile),
         std::sync::Arc::new(StdClock::new()),
         std::time::Duration::from_micros(1_000),
@@ -504,17 +502,15 @@ fn profiler_overhead_row() -> OverheadRow {
             &mut || {
                 let (outs, _, _) =
                     solve_batch_with(&batch, lanes, steal_seed(), &registry, &clock, |w| {
-                        let progress = Probed::new(probes.probe(w));
                         let recorder = FlightRecorder::new(&clock, 1 << 12);
-                        let register = registers.sink(w);
-                        (((GsWorkspace::new(), progress), register), recorder)
+                        ((GsWorkspace::new(), probes.observer(w)), recorder)
                     });
                 outs.iter().map(|o| o.stats.proposals).sum()
             },
         ],
     );
     sampler.stop();
-    // The sampler genuinely ran against live registers — a profiler row
+    // The sampler genuinely ran against live lanes — a profiler row
     // that silently measured an idle sampler would gate nothing.
     assert!(
         profile.samples() > 0,

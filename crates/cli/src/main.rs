@@ -1417,14 +1417,14 @@ struct ServeWave<'a> {
 
 impl ServeWave<'_> {
     /// Solve one wave, metered into the operator registry, with one
-    /// `engine()` workspace per worker carrying that worker's progress
-    /// probe and span-register lane and a flight recorder, nested as
-    /// `(((engine, probe), register), recorder)`. The probes are the
-    /// watchdog's heartbeats and `/progress`'s rows; the recorded events
-    /// feed the `/trace` ring. Returns the instances solved.
+    /// `engine()` workspace per worker carrying that worker's lane
+    /// observer and a flight recorder, nested as
+    /// `((engine, probed), recorder)`. The lanes are the watchdog's
+    /// heartbeats, `/progress`'s rows and the sampler's span stacks; the
+    /// recorded events feed the `/trace` ring. Returns the instances
+    /// solved.
     fn run<P: Sync, E: kmatch_parallel::Engine<P>>(&self, batch: &[P], engine: fn() -> E) -> usize {
-        use kmatch_forensics::Probed;
-        let (probes, registers) = (&self.plane.probes, &self.plane.registers);
+        let probes = &self.plane.probes;
         let (outs, workers, _) = kmatch_parallel::solve_batch_with(
             batch,
             self.threads,
@@ -1434,10 +1434,9 @@ impl ServeWave<'_> {
             // Worker `w` writes lane `w % lanes`: a mis-sized plane stays
             // observable rather than a panic.
             |w| {
-                let progress = Probed::new(probes.probe(w % probes.len()));
-                let register = registers.sink(w % registers.len());
+                let progress = probes.observer(w % probes.len());
                 let recorder = kmatch_trace::FlightRecorder::new(self.clock, self.flight);
-                (((engine(), progress), register), recorder)
+                ((engine(), progress), recorder)
             },
         );
         for trace in kmatch_parallel::ChunkTrace::from_workers(workers) {
@@ -1454,7 +1453,7 @@ impl ServeWave<'_> {
 /// `--iterations 0` (default) runs until SIGINT, which finishes the
 /// current wave and shuts the server down gracefully.
 fn serve_cmd(args: &Args) -> Result<(), String> {
-    use kmatch_forensics::{start_sampler, Probed};
+    use kmatch_forensics::start_sampler;
     use kmatch_obs::{Clock as _, SolverMetrics};
     use std::sync::Arc;
     args.check_known(&[
@@ -1535,8 +1534,8 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     let clock = kmatch_obs::StdClock::new();
     let registry = ops.state.registry();
 
-    // Arm the forensic plane: one probe/register lane per executor
-    // worker (the escalating driver is serial — one lane).
+    // Arm the forensic plane: one lane per executor worker (the
+    // escalating driver is serial — one lane).
     let threads = kmatch_parallel::default_threads();
     let lanes = if escalating { 1 } else { threads };
     let mut plane = kmatch_ops::ForensicsPlane::new(lanes)
@@ -1555,7 +1554,7 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     kmatch_ops::OpsState::install_panic_hook(&ops.state);
     let sampler = (sample_hz > 0).then(|| {
         start_sampler(
-            Arc::clone(&plane.registers),
+            Arc::clone(&plane.probes),
             Arc::clone(&plane.profile),
             Arc::clone(&ops.clock) as Arc<dyn kmatch_obs::Clock + Send + Sync>,
             std::time::Duration::from_micros(1_000_000 / sample_hz),
@@ -1638,16 +1637,17 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
             }
             (_, true) => {
                 // Escalating truncated driver over the lazy seeded
-                // oracle, solved serially on probe lane 0: `/progress`
+                // oracle, solved serially on lane 0: `/progress`
                 // reports the live phase, round, attempt, and current
-                // cut K while n = 10^5-scale instances grind.
+                // cut K, and `/profile` the open Irving spans, while
+                // n = 10^5-scale instances grind.
                 for i in 0..count {
                     let oracle = kmatch_prefs::RandomRoommatesOracle::new(
                         n,
                         wave_seed.wrapping_add((i as u64) << 32),
                     );
                     let mut shard = SolverMetrics::new();
-                    let mut progress = Probed::new(plane.probes.probe(0));
+                    let mut progress = plane.probes.observer(0);
                     if stall_armed {
                         progress = progress.with_stall_once_ms(inject_stall_ms);
                         stall_armed = false;

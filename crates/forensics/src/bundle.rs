@@ -422,6 +422,8 @@ mod tests {
             proposals: 12345,
             generation: 77,
             consistent: true,
+            depth: 0,
+            frames: [0; crate::MAX_DEPTH],
         }];
         let config = vec![
             ("kind".to_string(), "escalate".to_string()),

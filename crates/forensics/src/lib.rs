@@ -4,15 +4,15 @@
 //! The operator plane (`kmatch-ops`) answers *what the solver did*;
 //! this crate answers *where it is right now* and *why it died*:
 //!
-//! * [`WorkerProbe`] / [`ProbeSet`] — per-worker seqlock slots (safe
-//!   Rust, individual atomics) that the [`Probed`] observer publishes
-//!   phase/round/proposals/cut/attempt into. Engines stay untouched
+//! * [`WorkerProbe`] / [`ProbeSet`] — one seqlock lane per worker (safe
+//!   Rust, individual atomics) holding phase/round/proposals/cut/attempt
+//!   and the open-span stack, which the lane's [`Probed`] observer
+//!   ([`ProbeSet::observer`]) keeps current. Engines stay untouched
 //!   beyond their one `Metrics` parameter: [`Probed`] is a `Metrics`
 //!   observer that folds the hook stream, riding beside the worker's
 //!   metrics shard as a pair, `(&mut shard, &mut probed)`.
-//! * [`SpanRegister`] / [`RegisterSink`] / [`SamplerCore`] — the
-//!   lock-free leaf-span register beside the FlightRecorder, plus the
-//!   sampler that folds register snapshots into collapsed span-stacks
+//! * [`SamplerCore`] / [`start_sampler`] — the sampling profiler, which
+//!   folds the lanes' span stacks into collapsed span-stacks
 //!   (`GET /profile`).
 //! * [`bundle_json`] / [`validate_bundle`] — `kmatch.postmortem/v1`
 //!   crash/stall artifacts, written atomically, re-validated from disk
@@ -30,15 +30,13 @@ pub mod bundle;
 pub mod probe;
 pub mod probed;
 pub mod profiler;
-pub mod register;
 
 pub use bundle::{
     bundle_json, inspect_summary, validate_bundle, write_bundle_atomic, BundleInputs,
     POSTMORTEM_SCHEMA,
 };
-pub use probe::{ProbeSet, ProgressSnapshot, WorkerProbe, SNAPSHOT_RETRIES};
+pub use probe::{NameTable, ProbeSet, ProgressSnapshot, WorkerProbe, MAX_DEPTH, SNAPSHOT_RETRIES};
 pub use probed::{Probed, PUBLISH_EVERY};
 pub use profiler::{
     start_sampler, ProfileAggregate, SamplerCore, SamplerHandle, SharedProfile, PROFILE_SCHEMA,
 };
-pub use register::{NameTable, RegisterSet, RegisterSink, SpanRegister, MAX_DEPTH};

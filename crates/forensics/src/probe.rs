@@ -1,7 +1,7 @@
-//! Per-worker progress slots: the seqlock registers solvers publish
-//! "where am I right now" into, and readers (`GET /progress`, the
-//! watchdog, postmortem bundles) snapshot without ever blocking a
-//! worker.
+//! Per-worker live lanes: the seqlock registers solvers publish "where
+//! am I right now" into — phase, round, cut and the open-span stack —
+//! and readers (`GET /progress`, the watchdog, the sampling profiler,
+//! postmortem bundles) snapshot without ever blocking a worker.
 //!
 //! ## Memory model
 //!
@@ -12,31 +12,89 @@
 //!
 //! * The **single writer** (the worker's `Probed` observer) bumps `seq`
 //!   to odd with `Release`, stores the fields `Relaxed`, then bumps
-//!   `seq` to even with `Release`. Publishing is wait-free: five
-//!   uncontended atomic stores.
-//! * **Readers** load `seq` with `Acquire`, load the fields, re-load
-//!   `seq`, and retry on odd-or-changed. Retries are bounded: a writer
-//!   publishes at coarse intervals (per round / per 1024 events), so a
-//!   reader colliding with a write window twice in a row is already
-//!   rare; after [`SNAPSHOT_RETRIES`] failed rounds the reader keeps the
-//!   last (possibly cross-field-skewed, never torn) values and marks the
+//!   `seq` to even with `Release`. Publishing is wait-free: a progress
+//!   publish is five uncontended atomic stores, a span push or pop two
+//!   or three more inside the same sequence window.
+//! * **Readers** load `seq` with `Acquire`, load the fields and the
+//!   stack, re-load `seq`, and retry on odd-or-changed. Retries are
+//!   bounded: a writer publishes at coarse intervals (per round / per
+//!   1024 events / per phase-level span), so a reader colliding with a
+//!   write window twice in a row is already rare; after
+//!   [`SNAPSHOT_RETRIES`] failed rounds the reader keeps the last
+//!   (possibly cross-field-skewed, never torn) values and marks the
 //!   snapshot [`ProgressSnapshot::consistent`]` = false` rather than
 //!   spinning against a worker that parked mid-publish.
-//! * `generation` counts publishes (`seq / 2`); it is the watchdog
-//!   heartbeat — any publish moves it, so "generation frozen" ⇔ "worker
-//!   not reaching publish points" ⇔ stalled.
+//! * `generation` counts writes (`seq / 2`); it is the watchdog
+//!   heartbeat — any publish or span push/pop moves it, so "generation
+//!   frozen" ⇔ "worker not reaching publish points" ⇔ stalled.
+//!
+//! Span names are interned in the set's [`NameTable`]; interning locks
+//! a mutex, but only on span *begin* of phase-level spans (a handful per
+//! solve), never per event inside a phase.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use kmatch_obs::phase;
+
+use crate::probed::Probed;
 
 /// Snapshot-read retry budget before degrading to `consistent = false`.
 pub const SNAPSHOT_RETRIES: usize = 16;
 
-/// One worker lane's progress register.
+/// Deepest span stack a lane stores. Deeper nesting keeps balanced
+/// depth accounting but snapshots truncate to this many frames (the
+/// engine taxonomy nests ≤ 4 deep today).
+pub const MAX_DEPTH: usize = 16;
+
+/// Interned span names, shared by a set's writers and the sampler.
+#[derive(Debug, Default)]
+pub struct NameTable {
+    names: Mutex<Vec<&'static str>>,
+}
+
+impl NameTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        NameTable::default()
+    }
+
+    /// Id of `name`, interning it on first sight.
+    pub fn intern(&self, name: &'static str) -> u32 {
+        let mut names = self.names.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(i) = names.iter().position(|n| *n == name) {
+            return i as u32;
+        }
+        names.push(name);
+        (names.len() - 1) as u32
+    }
+
+    /// Name for `id` (`"?"` for ids never interned here).
+    pub fn name_of(&self, id: u32) -> &'static str {
+        self.names
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .get(id as usize)
+            .copied()
+            .unwrap_or("?")
+    }
+
+    /// Number of interned names.
+    pub fn len(&self) -> usize {
+        self.names.lock().unwrap_or_else(|e| e.into_inner()).len()
+    }
+
+    /// True when nothing has been interned.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// One worker's live lane: progress fields and open-span stack under
+/// one sequence counter.
 #[derive(Debug, Default)]
 pub struct WorkerProbe {
-    /// Seqlock sequence: odd while a publish is in flight.
+    /// Seqlock sequence: odd while a write is in flight.
     seq: AtomicU64,
     /// `phase << 32 | attempt` (both u32).
     phase_attempt: AtomicU64,
@@ -46,9 +104,13 @@ pub struct WorkerProbe {
     round: AtomicU64,
     /// Proposals issued in the current solve.
     proposals: AtomicU64,
+    /// Open spans (keeps counting past [`MAX_DEPTH`]).
+    depth: AtomicU32,
+    /// Interned ids of the open spans, outermost first.
+    stack: [AtomicU32; MAX_DEPTH],
 }
 
-/// A decoded, internally consistent (unless flagged) probe reading.
+/// A decoded, internally consistent (unless flagged) lane reading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgressSnapshot {
     /// Worker lane index (assigned by [`ProbeSet::snapshot`]).
@@ -63,12 +125,17 @@ pub struct ProgressSnapshot {
     pub round: u64,
     /// Proposals issued in the current solve.
     pub proposals: u64,
-    /// Publishes so far — the watchdog heartbeat.
+    /// Writes so far — the watchdog heartbeat.
     pub generation: u64,
     /// `false` when the reader exhausted its retry budget against an
-    /// in-flight publish; fields are then untorn but may be skewed
-    /// across a publish boundary.
+    /// in-flight write; fields are then untorn but may be skewed
+    /// across a write boundary.
     pub consistent: bool,
+    /// Open spans (may exceed [`MAX_DEPTH`]).
+    pub depth: u32,
+    /// Interned ids of the open spans, outermost first; only the
+    /// entries [`ProgressSnapshot::stack`] returns are meaningful.
+    pub frames: [u32; MAX_DEPTH],
 }
 
 impl ProgressSnapshot {
@@ -76,60 +143,100 @@ impl ProgressSnapshot {
     pub fn phase_name(&self) -> &'static str {
         phase::phase_name(self.phase)
     }
+
+    /// The open-span stack, outermost first, truncated to [`MAX_DEPTH`].
+    pub fn stack(&self) -> &[u32] {
+        &self.frames[..(self.depth as usize).min(MAX_DEPTH)]
+    }
 }
 
 impl WorkerProbe {
-    /// A probe at rest: phase [`phase::IDLE`], generation 0.
+    /// A probe at rest: phase [`phase::IDLE`], no open span,
+    /// generation 0.
     pub fn new() -> Self {
         WorkerProbe::default()
     }
 
-    /// Publish a full reading. Single-writer: only the owning worker's
-    /// adapter may call this (concurrent writers would interleave odd
+    /// One write window. Single-writer: only the owning worker's
+    /// observer may write (concurrent writers would interleave odd
     /// sequence windows; readers would still never see torn words, but
     /// `generation` would lose its per-worker meaning).
-    pub fn publish(&self, phase: u32, attempt: u32, cut: u32, round: u64, proposals: u64) {
+    #[inline]
+    fn write(&self, store: impl FnOnce()) {
         let s = self.seq.load(Ordering::Relaxed);
         self.seq.store(s.wrapping_add(1), Ordering::Release);
-        self.phase_attempt
-            .store(((phase as u64) << 32) | attempt as u64, Ordering::Relaxed);
-        self.cut.store(cut as u64, Ordering::Relaxed);
-        self.round.store(round, Ordering::Relaxed);
-        self.proposals.store(proposals, Ordering::Relaxed);
+        store();
         self.seq.store(s.wrapping_add(2), Ordering::Release);
+    }
+
+    /// Publish a full progress reading (the span stack is left as is).
+    pub fn publish(&self, phase: u32, attempt: u32, cut: u32, round: u64, proposals: u64) {
+        self.write(|| {
+            self.phase_attempt
+                .store(((phase as u64) << 32) | attempt as u64, Ordering::Relaxed);
+            self.cut.store(cut as u64, Ordering::Relaxed);
+            self.round.store(round, Ordering::Relaxed);
+            self.proposals.store(proposals, Ordering::Relaxed);
+        });
+    }
+
+    /// Push an interned span id (depth keeps counting past
+    /// [`MAX_DEPTH`]; frames beyond it are not stored).
+    pub(crate) fn push(&self, id: u32) {
+        self.write(|| {
+            let d = self.depth.load(Ordering::Relaxed);
+            if let Some(slot) = self.stack.get(d as usize) {
+                slot.store(id, Ordering::Relaxed);
+            }
+            self.depth.store(d + 1, Ordering::Relaxed);
+        });
+    }
+
+    /// Pop the innermost span (saturating at empty — an orphan `end`
+    /// from a truncated stream must not underflow).
+    pub(crate) fn pop(&self) {
+        self.write(|| {
+            let d = self.depth.load(Ordering::Relaxed);
+            self.depth.store(d.saturating_sub(1), Ordering::Relaxed);
+        });
     }
 
     /// Read a consistent snapshot (worker index filled by the caller).
     pub fn snapshot(&self) -> ProgressSnapshot {
-        let mut pa = 0u64;
-        let mut cut = 0u64;
-        let mut round = 0u64;
-        let mut proposals = 0u64;
-        let mut seq = 0u64;
-        let mut consistent = false;
+        let mut snap = ProgressSnapshot {
+            worker: 0,
+            phase: phase::IDLE,
+            attempt: 0,
+            cut: 0,
+            round: 0,
+            proposals: 0,
+            generation: 0,
+            consistent: false,
+            depth: 0,
+            frames: [0; MAX_DEPTH],
+        };
         for _ in 0..SNAPSHOT_RETRIES {
             let s1 = self.seq.load(Ordering::Acquire);
-            pa = self.phase_attempt.load(Ordering::Relaxed);
-            cut = self.cut.load(Ordering::Relaxed);
-            round = self.round.load(Ordering::Relaxed);
-            proposals = self.proposals.load(Ordering::Relaxed);
+            let pa = self.phase_attempt.load(Ordering::Relaxed);
+            snap.phase = (pa >> 32) as u32;
+            snap.attempt = (pa & 0xffff_ffff) as u32;
+            snap.cut = self.cut.load(Ordering::Relaxed) as u32;
+            snap.round = self.round.load(Ordering::Relaxed);
+            snap.proposals = self.proposals.load(Ordering::Relaxed);
+            snap.depth = self.depth.load(Ordering::Relaxed);
+            snap.frames = [0; MAX_DEPTH];
+            let open = (snap.depth as usize).min(MAX_DEPTH);
+            for (f, a) in snap.frames[..open].iter_mut().zip(&self.stack) {
+                *f = a.load(Ordering::Relaxed);
+            }
             let s2 = self.seq.load(Ordering::Acquire);
-            seq = s2;
+            snap.generation = s2 / 2;
             if s1 == s2 && s1 & 1 == 0 {
-                consistent = true;
+                snap.consistent = true;
                 break;
             }
         }
-        ProgressSnapshot {
-            worker: 0,
-            phase: (pa >> 32) as u32,
-            attempt: (pa & 0xffff_ffff) as u32,
-            cut: cut as u32,
-            round,
-            proposals,
-            generation: seq / 2,
-            consistent,
-        }
+        snap
     }
 
     /// The heartbeat alone (no retry loop needed: one atomic load).
@@ -138,19 +245,21 @@ impl WorkerProbe {
     }
 }
 
-/// A fixed set of worker probes, one lane per worker, shared between the
-/// solving threads (writers) and the ops plane (readers) behind an
-/// `Arc`.
+/// A fixed set of worker lanes, one per worker, plus the [`NameTable`]
+/// their span stacks intern into — shared between the solving threads
+/// (writers) and the ops plane and sampler (readers) behind an `Arc`.
 #[derive(Debug)]
 pub struct ProbeSet {
     lanes: Vec<WorkerProbe>,
+    names: NameTable,
 }
 
 impl ProbeSet {
-    /// `lanes` idle probes.
+    /// `lanes` idle probes and an empty name table.
     pub fn new(lanes: usize) -> Self {
         ProbeSet {
             lanes: (0..lanes.max(1)).map(|_| WorkerProbe::new()).collect(),
+            names: NameTable::new(),
         }
     }
 
@@ -167,6 +276,17 @@ impl ProbeSet {
     /// Lane `i`'s probe (panics past the end, like slice indexing).
     pub fn probe(&self, i: usize) -> &WorkerProbe {
         &self.lanes[i]
+    }
+
+    /// The shared span-name table.
+    pub fn names(&self) -> &NameTable {
+        &self.names
+    }
+
+    /// The observer that keeps lane `i` current (one per worker;
+    /// single-writer).
+    pub fn observer(&self, i: usize) -> Probed<'_> {
+        Probed::new(&self.lanes[i], &self.names)
     }
 
     /// Snapshot every lane, worker indices filled in.
@@ -257,5 +377,59 @@ mod tests {
         assert_eq!(s.attempt, 50_000);
         assert_eq!(s.generation, 50_000);
         assert!(consistent_reads > 0, "reader never got a clean snapshot");
+    }
+
+    #[test]
+    fn consistent_snapshots_pair_the_stack_with_its_own_publish() {
+        // One sequence counter covers both halves of the lane: the
+        // writer closes span i - 1, publishes round i and opens a span
+        // whose id is i. A consistent snapshot must see either no open
+        // span or exactly `[round]` — never a stack from one write
+        // beside the round of another.
+        let p = std::sync::Arc::new(WorkerProbe::new());
+        let w = std::sync::Arc::clone(&p);
+        let writer = std::thread::spawn(move || {
+            for i in 1..=50_000u64 {
+                w.pop();
+                w.publish(phase::IRVING_PHASE1, 0, 0, i, 0);
+                w.push(i as u32);
+                if i % 512 == 0 {
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                }
+            }
+        });
+        let mut open_reads = 0u64;
+        while !writer.is_finished() {
+            let s = p.snapshot();
+            if s.consistent {
+                assert!(s.depth <= 1, "unbalanced: {s:?}");
+                if !s.stack().is_empty() {
+                    open_reads += 1;
+                    assert_eq!(s.stack(), [s.round as u32], "skewed: {s:?}");
+                }
+            }
+        }
+        writer.join().unwrap();
+        let s = p.snapshot();
+        assert!(s.consistent);
+        assert_eq!(s.stack(), [50_000]);
+        assert_eq!(
+            s.generation,
+            3 * 50_000,
+            "every publish, push and pop is a write"
+        );
+        assert!(open_reads > 0, "reader never saw an open span");
+    }
+
+    #[test]
+    fn interning_is_stable_and_shared() {
+        let t = NameTable::new();
+        let a = t.intern("gs.solve");
+        let b = t.intern("gs.round");
+        assert_ne!(a, b);
+        assert_eq!(t.intern("gs.solve"), a);
+        assert_eq!(t.name_of(a), "gs.solve");
+        assert_eq!(t.name_of(999), "?");
+        assert_eq!(t.len(), 2);
     }
 }

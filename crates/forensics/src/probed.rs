@@ -1,29 +1,35 @@
-//! [`Probed`]: the observer that publishes one worker's live progress.
+//! [`Probed`]: the observer that keeps one worker's live lane current.
 //!
 //! Engines already report every event through [`Metrics`]; `Probed` is
 //! one more observer of that stream. It rides beside the worker's metrics
 //! shard as a pair — `(&mut shard, &mut probed)` — folds the hook stream
-//! into a phase/round/proposal/cut model, and publishes the model into a
-//! [`WorkerProbe`]. A solve nobody watches carries no `Probed` in its
+//! into a phase/round/proposal/cut model, publishes the model into a
+//! [`WorkerProbe`], and pushes and pops the probe's open-span stack as
+//! spans begin and end. A solve nobody watches carries no `Probed` in its
 //! observer, so the unprobed paths compile to no probe code at all.
 //!
 //! Publish cadence: every completed round, every phase transition, every
 //! escalation attempt, and every [`PUBLISH_EVERY`] fine-grained events
 //! inside a phase (Irving phase 1 has no rounds; this bounds staleness
 //! to ~1024 proposals). Each publish is five uncontended atomic stores.
+//! Spans are coarse only (`FINE_SPANS = false`): per-round spans churn
+//! faster than any sampler samples, so tracking them would be pure
+//! overhead.
 
 use kmatch_obs::{phase, Metrics};
 
-use crate::probe::WorkerProbe;
+use crate::probe::{NameTable, WorkerProbe};
 
 /// Fine-grained events buffered between forced publishes.
 pub const PUBLISH_EVERY: u32 = 1024;
 
-/// Progress observer publishing into one [`WorkerProbe`]. See the module
-/// docs for the folding model.
+/// Observer keeping one [`WorkerProbe`] current; made by
+/// [`ProbeSet::observer`](crate::ProbeSet::observer). See the module docs
+/// for the folding model.
 #[derive(Debug)]
 pub struct Probed<'a> {
     probe: &'a WorkerProbe,
+    names: &'a NameTable,
     phase: u32,
     attempt: u32,
     cut: u32,
@@ -41,10 +47,12 @@ pub struct Probed<'a> {
 }
 
 impl<'a> Probed<'a> {
-    /// An observer publishing into `probe`.
-    pub fn new(probe: &'a WorkerProbe) -> Self {
+    /// An observer publishing into `probe`, interning span names in
+    /// `names`.
+    pub(crate) fn new(probe: &'a WorkerProbe, names: &'a NameTable) -> Self {
         Probed {
             probe,
+            names,
             phase: phase::IDLE,
             attempt: 0,
             cut: 0,
@@ -172,11 +180,22 @@ impl Metrics for Probed<'_> {
         self.flush();
         self.maybe_stall();
     }
+
+    #[inline]
+    fn span_begin(&mut self, name: &'static str, _arg: u64) {
+        self.probe.push(self.names.intern(name));
+    }
+
+    #[inline]
+    fn span_end(&mut self, _name: &'static str) {
+        self.probe.pop();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{ProbeSet, MAX_DEPTH};
     use kmatch_obs::SolverMetrics;
 
     #[test]
@@ -185,8 +204,8 @@ mod tests {
         // only watches.
         const { assert!(<Probed as Metrics>::ENABLED) };
         const { assert!(!<Probed as Metrics>::FINE_SPANS) };
-        let probe = WorkerProbe::new();
-        let (mut shard, mut probed) = (SolverMetrics::new(), Probed::new(&probe));
+        let set = ProbeSet::new(1);
+        let (mut shard, mut probed) = (SolverMetrics::new(), set.observer(0));
         let mut m = (&mut shard, &mut probed);
         m.workspace(true);
         m.phase_enter(phase::GS_ROUNDS);
@@ -202,8 +221,9 @@ mod tests {
 
     #[test]
     fn live_probe_tracks_phases_rounds_and_ladder() {
-        let probe = WorkerProbe::new();
-        let (mut shard, mut probed) = (SolverMetrics::new(), Probed::new(&probe));
+        let set = ProbeSet::new(1);
+        let probe = set.probe(0);
+        let (mut shard, mut probed) = (SolverMetrics::new(), set.observer(0));
         let mut m = (&mut shard, &mut probed);
 
         // GS-style solve.
@@ -252,8 +272,9 @@ mod tests {
 
     #[test]
     fn fine_events_publish_every_1024_without_rounds() {
-        let probe = WorkerProbe::new();
-        let mut m = Probed::new(&probe);
+        let set = ProbeSet::new(1);
+        let probe = set.probe(0);
+        let mut m = set.observer(0);
         m.workspace(true);
         m.phase_enter(phase::IRVING_PHASE1);
         let g0 = probe.generation();
@@ -268,8 +289,9 @@ mod tests {
 
     #[test]
     fn stall_injection_sleeps_once_after_publishing_the_phase() {
-        let probe = WorkerProbe::new();
-        let mut m = Probed::new(&probe).with_stall_once_ms(30);
+        let set = ProbeSet::new(1);
+        let probe = set.probe(0);
+        let mut m = set.observer(0).with_stall_once_ms(30);
         let t0 = std::time::Instant::now();
         m.escalation_attempt(64);
         let first = t0.elapsed();
@@ -278,5 +300,78 @@ mod tests {
         let t1 = std::time::Instant::now();
         m.escalation_attempt(128);
         assert!(t1.elapsed() < std::time::Duration::from_millis(30), "only stalls once");
+    }
+
+    #[test]
+    fn spans_maintain_the_probe_stack() {
+        let set = ProbeSet::new(1);
+        let stack = || set.probe(0).snapshot().stack().to_vec();
+        let mut m = set.observer(0);
+        assert!(stack().is_empty());
+        m.span_begin("irving.solve", 10);
+        m.span_begin("irving.phase1", 10);
+        let open = stack();
+        assert_eq!(open.len(), 2);
+        assert_eq!(set.names().name_of(open[0]), "irving.solve");
+        assert_eq!(set.names().name_of(open[1]), "irving.phase1");
+        m.span_end("irving.phase1");
+        assert_eq!(stack().len(), 1);
+        m.span_end("irving.solve");
+        assert!(stack().is_empty());
+        // Orphan end (truncated stream): saturates, no underflow.
+        m.span_end("irving.solve");
+        assert!(stack().is_empty());
+        m.span_begin("gs.solve", 4);
+        assert_eq!(stack().len(), 1);
+    }
+
+    #[test]
+    fn overdeep_nesting_truncates_but_stays_balanced() {
+        let set = ProbeSet::new(1);
+        let depth = || set.probe(0).snapshot().stack().len();
+        let mut m = set.observer(0);
+        for _ in 0..(MAX_DEPTH + 4) {
+            m.span_begin("bind.edge", 0);
+        }
+        assert_eq!(depth(), MAX_DEPTH);
+        for _ in 0..4 {
+            m.span_end("bind.edge");
+        }
+        assert_eq!(depth(), MAX_DEPTH);
+        for _ in 0..MAX_DEPTH {
+            m.span_end("bind.edge");
+        }
+        assert_eq!(depth(), 0);
+    }
+
+    #[test]
+    fn concurrent_sampling_never_reads_garbage_ids() {
+        // Writer churns a 2-deep stack of two known names; any sampled
+        // stack, consistent or not, must contain only those interned ids.
+        let set = std::sync::Arc::new(ProbeSet::new(1));
+        let solve = set.names().intern("irving.solve");
+        let p1 = set.names().intern("irving.phase1");
+        let w = std::sync::Arc::clone(&set);
+        let writer = std::thread::spawn(move || {
+            let mut m = w.observer(0);
+            for _ in 0..30_000 {
+                m.span_begin("irving.solve", 0);
+                m.span_begin("irving.phase1", 0);
+                m.span_end("irving.phase1");
+                m.span_end("irving.solve");
+            }
+        });
+        while !writer.is_finished() {
+            let snap = set.probe(0).snapshot();
+            let stack = snap.stack();
+            assert!(stack.len() <= 2, "{stack:?}");
+            for &id in stack {
+                assert!(id == solve || id == p1, "unknown id {id}");
+            }
+            if stack.len() == 2 {
+                assert_eq!(stack, [solve, p1], "inverted stack");
+            }
+        }
+        writer.join().unwrap();
     }
 }

@@ -1,12 +1,12 @@
 //! The sampling profiler: a thread that snapshots every worker's
-//! [`SpanRegister`](crate::register::SpanRegister) at a fixed rate and
-//! aggregates folded span-stacks.
+//! [`WorkerProbe`](crate::probe::WorkerProbe) lane at a fixed rate and
+//! aggregates the folded open-span stacks.
 //!
 //! ## Accuracy / overhead contract
 //!
-//! * Workers pay only the [`RegisterSink`](crate::register::RegisterSink)
-//!   maintenance cost — a few atomic stores per *phase-level* span, zero
-//!   per fine-grained event. The sampler's own work (snapshot + BTreeMap
+//! * Workers pay only their [`Probed`](crate::probed::Probed) observer's
+//!   span upkeep — a few atomic stores per *phase-level* span, zero per
+//!   fine-grained event. The sampler's own work (snapshot + BTreeMap
 //!   update) runs on the sampler thread. The `profiler_overhead` row in
 //!   `bench_gs_json` holds the combined cost under the 5% budget.
 //! * Sample counts are statistical: a stack's share of samples estimates
@@ -14,7 +14,7 @@
 //!   spans shorter than the sampling interval can be missed entirely.
 //!   Phase-level spans (milliseconds and up at forensic scales) are the
 //!   intended resolution.
-//! * [`SamplerCore`] is a pure fold over `(now_ns, register states)` —
+//! * [`SamplerCore`] is a pure fold over `(now_ns, lane states)` —
 //!   deterministic under [`ManualClock`](kmatch_obs::ManualClock), which
 //!   the exactness test exploits; [`start_sampler`] is the thin
 //!   wall-clock thread shell around it.
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use serde::Value;
 
-use crate::register::{NameTable, RegisterSet};
+use crate::probe::{NameTable, ProbeSet};
 
 /// Schema tag of the profile JSON export.
 pub const PROFILE_SCHEMA: &str = "kmatch.profile/v1";
@@ -42,7 +42,7 @@ pub struct ProfileAggregate {
     pub samples: u64,
 }
 
-/// Deterministic sampling core: folds register snapshots into a
+/// Deterministic sampling core: folds lane snapshots into a
 /// [`ProfileAggregate`] and tracks the sampled time range.
 #[derive(Debug, Default)]
 pub struct SamplerCore {
@@ -58,12 +58,12 @@ impl SamplerCore {
     }
 
     /// Fold one tick at `now_ns`: snapshot every lane of `set` once.
-    pub fn sample_at(&mut self, now_ns: u64, set: &RegisterSet) {
+    pub fn sample_at(&mut self, now_ns: u64, set: &ProbeSet) {
         self.first_ts_ns.get_or_insert(now_ns);
         self.last_ts_ns = self.last_ts_ns.max(now_ns);
         for i in 0..set.len() {
-            let stack = set.register(i).snapshot_stack();
-            *self.agg.stacks.entry(stack).or_insert(0) += 1;
+            let snap = set.probe(i).snapshot();
+            *self.agg.stacks.entry(snap.stack().to_vec()).or_insert(0) += 1;
             self.agg.samples += 1;
         }
     }
@@ -145,7 +145,7 @@ impl SharedProfile {
     }
 
     /// Fold one tick (called by the sampler thread).
-    pub fn sample_at(&self, now_ns: u64, set: &RegisterSet) {
+    pub fn sample_at(&self, now_ns: u64, set: &ProbeSet) {
         self.core
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -198,7 +198,7 @@ impl SamplerHandle {
 /// `set` into `profile`, timestamped with `clock`. The thread owns
 /// nothing — state lives in the `Arc`s, so endpoints read mid-run.
 pub fn start_sampler(
-    set: Arc<RegisterSet>,
+    set: Arc<ProbeSet>,
     profile: Arc<SharedProfile>,
     clock: Arc<dyn kmatch_obs::Clock + Send + Sync>,
     interval: Duration,
@@ -228,10 +228,10 @@ mod tests {
         // Two lanes; lane 0 sits in gs.solve>gs.round for 3 ticks then
         // idles for 2; lane 1 idles throughout. Counts and the time
         // range must come out exact — no statistical slack when the
-        // clock and the registers are both pinned.
+        // clock and the lanes are both pinned.
         let clock = ManualClock::new();
-        let set = RegisterSet::new(2);
-        let mut sink = set.sink(0);
+        let set = ProbeSet::new(2);
+        let mut sink = set.observer(0);
         let mut core = SamplerCore::new();
 
         sink.span_begin("gs.solve", 4);
@@ -265,10 +265,10 @@ mod tests {
 
     #[test]
     fn sampler_thread_accumulates_and_stops() {
-        let set = Arc::new(RegisterSet::new(1));
+        let set = Arc::new(ProbeSet::new(1));
         let profile = Arc::new(SharedProfile::new());
         let clock: Arc<dyn Clock + Send + Sync> = Arc::new(kmatch_obs::StdClock::new());
-        let mut sink = set.sink(0);
+        let mut sink = set.observer(0);
         sink.span_begin("irving.solve", 8);
         let handle = start_sampler(
             Arc::clone(&set),

@@ -3,9 +3,7 @@
 //! and streams that died with spans open — validates, and still
 //! validates after a serialize/parse round trip.
 
-use kmatch_forensics::{
-    bundle_json, validate_bundle, BundleInputs, ProbeSet, RegisterSet, SamplerCore,
-};
+use kmatch_forensics::{bundle_json, validate_bundle, BundleInputs, ProbeSet, SamplerCore};
 use kmatch_obs::{Clock, ManualClock, Metrics, SolverMetrics};
 use kmatch_trace::FlightRecorder;
 use proptest::{prop_assert, proptest, ProptestConfig};
@@ -68,9 +66,8 @@ proptest! {
         let probes = ProbeSet::new(2);
         probes.probe(0).publish(5, 3, 128, 7, 999);
         let progress = probes.snapshot();
-        let regs = RegisterSet::new(1);
         let mut sampler = SamplerCore::new();
-        sampler.sample_at(clock.now_ns(), &regs);
+        sampler.sample_at(clock.now_ns(), &probes);
         let config = vec![("kind".to_string(), "prop".to_string())];
         let bundle = bundle_json(&BundleInputs {
             trigger: "panic",
@@ -82,7 +79,7 @@ proptest! {
             window: None,
             logs_jsonl: "",
             progress: &progress,
-            profile: Some(sampler.to_json(regs.names())),
+            profile: Some(sampler.to_json(probes.names())),
             config: &config,
             seed: Some(seed),
             rss_bytes: kmatch_obs::current_rss_bytes(),

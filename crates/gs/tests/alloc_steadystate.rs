@@ -213,13 +213,13 @@ fn live_probe_steady_state_allocates_like_plain() {
     // heap either. Warm one solve, then the loop through the
     // (shard, progress) pair must allocate exactly as much as the bare
     // metered loop.
-    use kmatch_forensics::{ProbeSet, Probed};
+    use kmatch_forensics::ProbeSet;
     let mut rng = ChaCha8Rng::seed_from_u64(15);
     let inst = uniform_bipartite(64, &mut rng);
     let csr = CsrPrefs::from_prefs(&inst);
     let probes = ProbeSet::new(1);
     let mut ws = GsWorkspace::new();
-    let (mut shard, mut progress) = (SolverMetrics::new(), Probed::new(probes.probe(0)));
+    let (mut shard, mut progress) = (SolverMetrics::new(), probes.observer(0));
     ws.solve_metered(&csr, &mut (&mut shard, &mut progress));
     let reps = 50u64;
     let mut metrics = SolverMetrics::new();

@@ -1,26 +1,26 @@
-//! The forensic attachment of the operator plane: probes, span
-//! registers, the shared profile, and postmortem-bundle policy.
+//! The forensic attachment of the operator plane: the worker lanes, the
+//! shared profile, and postmortem-bundle policy.
 //!
 //! [`OpsState`](crate::state::OpsState) is built once at serve start;
 //! the forensic substrate arrives later (after the worker count is
 //! known), so it attaches as a [`ForensicsPlane`] — one immutable bag of
 //! `Arc`s the HTTP handlers, the watchdog ticker, and the panic hook all
-//! read. Everything in it is lock-free on the solver side: workers write
-//! seqlock probes and span registers; the plane only ever snapshots.
+//! read. Everything in it is lock-free on the solver side: each worker
+//! writes its one seqlock lane (progress and open-span stack); the plane
+//! only ever snapshots.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use kmatch_forensics::{ProbeSet, RegisterSet, SharedProfile};
+use kmatch_forensics::{ProbeSet, SharedProfile};
 
 /// Everything the operator plane needs to answer `GET /progress`,
 /// `GET /profile`, and to assemble postmortem bundles.
 #[derive(Clone)]
 pub struct ForensicsPlane {
-    /// Per-worker progress probes (what the workers' `Probed` observers publish into).
+    /// Per-worker lanes (what the workers' `Probed` observers publish
+    /// into; the watchdog's heartbeats and the sampler's subjects).
     pub probes: Arc<ProbeSet>,
-    /// Per-worker leaf-span registers (the sampler's subjects).
-    pub registers: Arc<RegisterSet>,
     /// The sampler thread's shared aggregate.
     pub profile: Arc<SharedProfile>,
     /// Directory postmortem bundles are written into; `None` disables
@@ -33,12 +33,11 @@ pub struct ForensicsPlane {
 }
 
 impl ForensicsPlane {
-    /// A plane with `workers` probe and register lanes, an empty
-    /// profile, and no bundle directory.
+    /// A plane with `workers` lanes, an empty profile, and no bundle
+    /// directory.
     pub fn new(workers: usize) -> Self {
         ForensicsPlane {
             probes: Arc::new(ProbeSet::new(workers)),
-            registers: Arc::new(RegisterSet::new(workers)),
             profile: Arc::new(SharedProfile::new()),
             postmortem_dir: None,
             seed: None,

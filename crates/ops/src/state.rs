@@ -25,32 +25,30 @@ use crate::window::RollingWindow;
 /// Schema tag of the `GET /progress` document.
 pub const PROGRESS_SCHEMA: &str = "kmatch.progress/v1";
 
+/// Snapshots the rolling window retains.
+const WINDOW_CAPACITY: usize = 128;
+/// Log records retained.
+const LOG_CAPACITY: usize = 1024;
+/// Trace events the `/trace` ring retains.
+const TRACE_CAPACITY: usize = 16 * 1024;
+
 /// Tunables for the operator plane.
 #[derive(Debug, Clone, Copy)]
 pub struct OpsConfig {
-    /// Snapshots the rolling window retains.
-    pub window_capacity: usize,
     /// Default window span for the `/metrics` windowed gauges.
     pub window_ns: u64,
-    /// Log records retained.
-    pub log_capacity: usize,
     /// Minimum interval between identical log lines (0 = no limit).
     pub log_limit_ns: u64,
     /// Stall-detection thresholds.
     pub watchdog: WatchdogConfig,
-    /// Trace events the `/trace` ring retains.
-    pub trace_capacity: usize,
 }
 
 impl Default for OpsConfig {
     fn default() -> Self {
         OpsConfig {
-            window_capacity: 128,
             window_ns: 60_000_000_000, // 60 s
-            log_capacity: 1024,
             log_limit_ns: 1_000_000_000, // 1 s
             watchdog: WatchdogConfig::default(),
-            trace_capacity: 16 * 1024,
         }
     }
 }
@@ -68,14 +66,14 @@ struct StateInner {
 /// The shared operator-plane state. `Sync`; handlers hold `Arc<OpsState>`.
 pub struct OpsState {
     registry: BatchRegistry,
-    /// The `/trace` ring: the last `trace_capacity` events the serve
+    /// The `/trace` ring: the last `TRACE_CAPACITY` events the serve
     /// loop ingested from its workers' flight recorders.
     ring: Mutex<EventRing>,
     clock: Arc<dyn Clock + Send + Sync>,
     start_ns: u64,
     window_ns: u64,
     inner: Mutex<StateInner>,
-    /// The forensic attachment (probes, registers, profile, bundle
+    /// The forensic attachment (worker lanes, profile, bundle
     /// policy), armed by the serve front-end once the worker count is
     /// known. Kept outside `inner` so the panic hook can read it even
     /// mid-tick.
@@ -96,17 +94,17 @@ impl OpsState {
     /// queryable.
     pub fn new(clock: Arc<dyn Clock + Send + Sync>, cfg: OpsConfig) -> Self {
         let start_ns = clock.now_ns();
-        let mut window = RollingWindow::new(cfg.window_capacity);
+        let mut window = RollingWindow::new(WINDOW_CAPACITY);
         window.tick(start_ns, SolverMetrics::new());
         OpsState {
             registry: BatchRegistry::new(),
-            ring: Mutex::new(EventRing::new(cfg.trace_capacity.max(1))),
+            ring: Mutex::new(EventRing::new(TRACE_CAPACITY)),
             clock,
             start_ns,
             window_ns: cfg.window_ns,
             inner: Mutex::new(StateInner {
                 window,
-                log: OpsLog::new(cfg.log_capacity, cfg.log_limit_ns),
+                log: OpsLog::new(LOG_CAPACITY, cfg.log_limit_ns),
                 watchdog: WatchdogCore::new(cfg.watchdog),
                 report_json: None,
                 last_solve_ns: None,
@@ -116,9 +114,8 @@ impl OpsState {
         }
     }
 
-    /// Arm the forensic plane (progress probes, span registers, profile,
-    /// bundle policy). `GET /progress` and `GET /profile` answer 404
-    /// until this is called.
+    /// Arm the forensic plane (worker lanes, profile, bundle policy).
+    /// `GET /progress` and `GET /profile` answer 404 until this is called.
     pub fn attach_forensics(&self, plane: ForensicsPlane) {
         *self
             .forensics
@@ -290,7 +287,7 @@ impl OpsState {
     /// when no forensic plane is attached.
     pub fn profile_text(&self) -> Option<String> {
         let plane = self.forensics()?;
-        Some(plane.profile.collapsed(plane.registers.names()))
+        Some(plane.profile.collapsed(plane.probes.names()))
     }
 
     /// [`OpsState::tick`] driven by the attached probes' heartbeat
@@ -378,7 +375,7 @@ impl OpsState {
             window,
             logs_jsonl: &logs,
             progress: &progress,
-            profile: Some(plane.profile.to_json(plane.registers.names())),
+            profile: Some(plane.profile.to_json(plane.probes.names())),
             config: &plane.config,
             seed: plane.seed,
             rss_bytes: kmatch_obs::current_rss_bytes(),
@@ -619,7 +616,6 @@ mod tests {
             },
             window_ns: 10_000,
             log_limit_ns: 0,
-            ..OpsConfig::default()
         };
         let state = OpsState::new(clock.clone(), cfg);
         (clock, state)

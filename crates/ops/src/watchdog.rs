@@ -127,11 +127,6 @@ impl WatchdogCore {
     pub fn stalled_count(&self) -> usize {
         self.lanes.iter().filter(|l| l.stalled).count()
     }
-
-    /// Number of lanes being watched.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
 }
 
 #[cfg(test)]
@@ -181,11 +176,17 @@ mod tests {
         assert!(w.sample(90, &[1, 7]).is_empty());
         let ev = w.sample(100, &[2, 7]);
         assert!(ev.is_empty(), "new lane is only 10ns idle");
-        assert_eq!(w.lane_count(), 2);
         // Shrink back to one lane: the dropped lane cannot stall later.
         let ev = w.sample(1000, &[3]);
         assert!(ev.is_empty());
-        assert_eq!(w.lane_count(), 1);
+        assert_eq!(w.stalled_workers(), Vec::<usize>::new());
+        // Re-added at t=1050 with the generation it was frozen at: it
+        // starts fresh rather than resuming its old idle clock (idle
+        // since t=90), so it does not stall until t=1150.
+        assert!(w.sample(1050, &[4, 7]).is_empty());
+        assert!(w.sample(1149, &[5, 7]).is_empty(), "re-added lane is only 99ns idle");
+        let ev = w.sample(1150, &[6, 7]);
+        assert_eq!(ev, vec![StallEvent { worker: 1, idle_ns: 100, resumed: false }]);
     }
 
     #[test]

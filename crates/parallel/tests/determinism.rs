@@ -7,7 +7,7 @@
 
 use std::fmt::Debug;
 
-use kmatch_forensics::{ProbeSet, Probed, RegisterSet};
+use kmatch_forensics::ProbeSet;
 use kmatch_graph::prufer::random_tree;
 use kmatch_graph::schedule::tree_edge_coloring;
 use kmatch_gs::{BipartiteMatching, GsOutcome, GsStats, GsWorkspace};
@@ -130,7 +130,7 @@ enum Observers {
     /// A per-worker flight recorder: `(ws, recorder)`.
     Recorder,
     /// Live forensics beside the recorder, as `kmatch serve` nests them:
-    /// `(((ws, Probed), register), recorder)`.
+    /// `((ws, Probed), recorder)`.
     Probed,
 }
 
@@ -154,7 +154,7 @@ where
     E: Engine<P>,
 {
     let (registry, clock) = (BatchRegistry::new(), StdClock::new());
-    let (probes, registers) = (ProbeSet::new(threads), RegisterSet::new(threads));
+    let probes = ProbeSet::new(threads);
     let recorder = || FlightRecorder::new(&clock, 1 << 12);
     let (outs, report, traces) = match observers {
         Observers::Bare => {
@@ -172,13 +172,12 @@ where
         Observers::Probed => {
             let (outs, workers, report) =
                 solve_batch_with(batch, threads, seed, &registry, &clock, |w| {
-                    let progress = Probed::new(probes.probe(w));
-                    (((engine(), progress), registers.sink(w)), recorder())
+                    ((engine(), probes.observer(w)), recorder())
                 });
             // Every solve published progress and interned its span
             // names; the lanes end idle and consistent.
             assert!(probes.generations().iter().sum::<u64>() > 0, "{kind}");
-            assert!(!registers.names().is_empty(), "{kind}");
+            assert!(!probes.names().is_empty(), "{kind}");
             for snap in probes.snapshot() {
                 assert!(
                     snap.consistent && snap.phase == phase::IDLE,

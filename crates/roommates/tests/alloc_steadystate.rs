@@ -304,7 +304,7 @@ fn live_probe_escalating_allocates_like_plain() {
     // A live lane costs five atomic stores per publish — no heap. The
     // probe snapshot afterwards must show the lane back at idle with a
     // real generation count.
-    use kmatch_forensics::{ProbeSet, Probed};
+    use kmatch_forensics::ProbeSet;
     use kmatch_prefs::CachedRoommatesOracle;
     use kmatch_roommates::escalate::solve_escalating_from;
     let oracle = CachedRoommatesOracle::new(96, 11);
@@ -312,7 +312,7 @@ fn live_probe_escalating_allocates_like_plain() {
     let mut ws = RoommatesWorkspace::new();
     let mut plain_metrics = kmatch_obs::SolverMetrics::new();
     let mut shard = kmatch_obs::SolverMetrics::new();
-    let mut progress = Probed::new(probes.probe(0));
+    let mut progress = probes.observer(0);
     solve_escalating_from(&oracle, &mut ws, 4, &mut plain_metrics);
     solve_escalating_from(&oracle, &mut ws, 4, &mut (&mut shard, &mut progress));
     let reps = 50u64;

@@ -267,7 +267,7 @@ echo "==> roommates escalating smoke"
 # memory. Bounds are generous (the reference VM does ~13 s / ~15 MB):
 # 60 s wall rules out the Θ(n²) complete-list path (~270 s there), and
 # 256 MB peak RSS rules out a full-width phase-2 arena (~0.9 GB).
-RM_OUT="$(./target/release/kmatch solve roommates --prefs random --n 100000 \
+RM_OUT="$(./target/release/kmatch solve roommates --n 100000 \
     --seed 42 --metrics-out "$SMOKE_DIR/rm_report.json")"
 echo "$RM_OUT" | grep -qE 'certificate +: (stable \(self-certified\)|stable partition \(verified\))' \
     || { echo "roommates smoke: no certificate in output"; exit 1; }
@@ -280,7 +280,7 @@ RM_RSS="$(echo "$RM_OUT" | awk '/peak rss bytes/ { print $5 }')"
 # The arena build and the partition check split across the host's
 # threads; under `taskset -c 0` the host has one, so the same solve takes
 # the serial path. Everything but the timings and the peak RSS must match.
-RM_SERIAL="$(taskset -c 0 ./target/release/kmatch solve roommates --prefs random \
+RM_SERIAL="$(taskset -c 0 ./target/release/kmatch solve roommates \
     --n 100000 --seed 42)"
 rm_lines() { echo "$1" | grep -E '^(verdict|certificate|escalation|partition|arena) '; }
 [ "$(rm_lines "$RM_OUT" | wc -l)" -ge 4 ] \

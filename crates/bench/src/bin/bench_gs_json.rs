@@ -33,7 +33,7 @@ use kmatch_bench::rng;
 use kmatch_forensics::{start_sampler, ProbeSet, SharedProfile};
 use kmatch_gs::{gale_shapley_reference, GsWorkspace};
 use kmatch_obs::{peak_rss_bytes, BatchRegistry, RunReport, StdClock};
-use kmatch_ops::{Level, OpsConfig, OpsState};
+use kmatch_ops::{ForensicsPlane, Level, OpsConfig, OpsState};
 use kmatch_parallel::{
     default_threads, solve_batch_stealing, solve_batch_stealing_metered, solve_batch_with,
     steal_seed,
@@ -176,8 +176,8 @@ struct Report {
     /// recorders armed): the cost of leaving the black box on.
     trace_overhead: OverheadRow,
     /// `metered_ns` here is the metered batch plus a full operator-plane
-    /// maintenance cycle per wave (window tick, watchdog sample, log
-    /// record): the cost of an armed `--ops-listen` plane.
+    /// maintenance cycle per wave (window tick, probed watchdog sample,
+    /// log record): what `kmatch serve` adds to every wave.
     ops_overhead: OverheadRow,
     /// `plain_ns` here is the *traced* batch and `metered_ns` the probed
     /// batch (one live lane per worker: progress and span stack) with the wall-clock
@@ -436,18 +436,20 @@ fn trace_overhead_row() -> OverheadRow {
 
 /// Measure the metered batch with a live operator plane attached — after
 /// every wave the serve loop's per-wave maintenance runs: a rolling-window
-/// tick (registry snapshot + delta bookkeeping), a watchdog heartbeat
-/// sample, and a structured log record. The HTTP server itself is idle
-/// scrape-side work and not part of the solve path, so it is deliberately
-/// excluded; this row prices exactly what `--ops-listen` adds to every
-/// wave. Trace-ring ingestion is already priced by `trace_overhead`.
-/// Acceptance target: < 5%.
+/// tick (registry snapshot + delta bookkeeping), a watchdog sample of the
+/// attached forensic plane's probe generations, and a structured log
+/// record. The HTTP server itself is idle scrape-side work and not part
+/// of the solve path, so it is deliberately excluded; this row prices
+/// exactly what `kmatch serve` adds to every wave. Trace-ring ingestion
+/// is already priced by `trace_overhead`, the probed workers by
+/// `profiler_overhead`. Acceptance target: < 5%.
 fn ops_overhead_row() -> OverheadRow {
     let (instances, n, reps) = (32usize, 2000usize, 4);
     let batch = bipartite_batch(instances, n, 305);
     let registry = BatchRegistry::new();
     let clock = StdClock::new();
     let state = OpsState::new(std::sync::Arc::new(StdClock::new()), OpsConfig::default());
+    state.attach_forensics(ForensicsPlane::new(default_threads()));
     let mut wave = 0u64;
     let [plain_ns, armed_ns] = measure_blocks(
         3,
@@ -458,7 +460,7 @@ fn ops_overhead_row() -> OverheadRow {
                 let total = metered_proposals(&batch, state.registry(), &clock);
                 wave += 1;
                 state.note_wave(n as u64);
-                state.tick(&[wave]);
+                state.tick_probed();
                 state.log(
                     Level::Info,
                     "gs",

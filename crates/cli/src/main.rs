@@ -69,13 +69,12 @@ USAGE:
                        [--prefs csr|random|scores|truncated] [--keep K]
                        [--trace-out FILE] [--trace-format chrome|json]
                        [--flight-recorder N]
-  kmatch solve roommates --n N [--seed S] [--prefs random|truncated] [--keep K]
+  kmatch solve roommates --n N [--seed S]
                        [--metrics-out FILE] [--metrics-format json|prom]
   kmatch batch         [--n N] [--count C] [--seed S] [--kind gs|roommates]
                        [--prefs csr|random|scores|truncated] [--keep K]
                        [--input FILE]... [--cache on|off] [--threads T]
-                       [--errors-out FILE] [--ops-listen ADDR]
-                       [--postmortem-dir DIR]
+                       [--errors-out FILE]
                        [--metrics-out FILE] [--metrics-format json|prom]
                        [--trace-out FILE] [--trace-format chrome|json]
                        [--flight-recorder N]
@@ -118,10 +117,8 @@ USAGE:
   seeded oracle: top-K sub-instances (the first cut K = 4*max(32,
   ceil(4*sqrt(n))), doubling on each certificate failure) solved until
   an outcome certifies for the complete instance, so n = 10^6 runs in
-  O(n*K) probes instead of O(n^2). --prefs truncated --keep K
-  probes one fixed cut and reports certified/inconclusive;
-  batch --kind roommates --prefs random|truncated sweeps seeded
-  instances the same way.
+  O(n*K) probes instead of O(n^2). batch --kind roommates --prefs
+  random sweeps seeded instances the same way.
 
   delta reads a bipartite instance plus a JSON array of preference
   deltas ({\"op\": \"set_row\"|\"swap\"|\"splice\", \"side\", \"row\", ...}) and
@@ -167,10 +164,8 @@ USAGE:
   that `kmatch postmortem validate|inspect` reads back.
   --inject-stall-ms MS (escalating roommates only) freezes the first
   solve's first publish for MS — the CI hook proving the stall
-  pipeline end to end. batch --ops-listen ADDR arms the same endpoints
-  for the duration of one batch (implies the metered engines);
-  batch --postmortem-dir DIR (requires --ops-listen) arms the bundle
-  writer and panic hook for the batch.
+  pipeline end to end. serve is the one live plane: batch and the
+  other one-shot commands report through --metrics-out and --trace-out.
 
   --trace-out FILE records a span timeline of the solve (engine rounds,
   Irving phases, binding edges, cache hits) and exports it as Chrome
@@ -470,140 +465,75 @@ fn check_lazy_n(n: usize, min: usize) -> Result<(), String> {
 /// truncated driver of `kmatch_roommates::escalate` against
 /// `CachedRoommatesOracle` (O(n) state, no list ever materialized), so
 /// `--n 1000000` runs in O(n·K) probes and memory instead of the O(n²)
-/// complete-table walk. `--prefs truncated --keep K` runs one fixed-cut
-/// attempt instead and reports whether it certified.
+/// complete-table walk. The driver picks its own cuts and always returns
+/// a certified verdict.
 fn solve_roommates(args: &Args) -> Result<(), String> {
     use kmatch_obs::Clock;
-    use kmatch_prefs::{CachedRoommatesOracle, TruncatedRoommates};
+    use kmatch_prefs::CachedRoommatesOracle;
     use kmatch_roommates::{
-        solve_escalating_metered, tolerant_solve_budgeted, verify_partition, CertKind,
-        RoommatesOutcome, RoommatesWorkspace, TolerantOutcome,
+        solve_escalating_metered, CertKind, RoommatesOutcome, RoommatesWorkspace,
     };
-    args.check_known(&[
-        "n",
-        "seed",
-        "prefs",
-        "keep",
-        "metrics-out",
-        "metrics-format",
-    ])?;
+    args.check_known(&["n", "seed", "metrics-out", "metrics-format"])?;
     let n: usize = args.require("n")?;
     check_lazy_n(n, 2)?;
     let seed: u64 = args.flag_or("seed", 0)?;
-    let prefs = args.flag("prefs").unwrap_or("random");
     let clock = kmatch_obs::StdClock::new();
     let start = std::time::Instant::now();
     let oracle = CachedRoommatesOracle::new(n, seed);
-    match prefs {
-        "random" => {
-            let mut ws = RoommatesWorkspace::new();
-            let mut metrics = kmatch_obs::SolverMetrics::new();
-            let t0 = clock.now_ns();
-            let (outcome, report) = solve_escalating_metered(&oracle, &mut ws, &mut metrics);
-            metrics.solve_ns(clock.now_ns().saturating_sub(t0));
-            let elapsed = start.elapsed();
-            outln!("instance       : n={n} seed={seed} (roommates, lazy random)");
-            match &outcome {
-                RoommatesOutcome::Stable { stats, .. } => {
-                    outln!("verdict        : stable ({} proposals)", stats.proposals);
-                }
-                RoommatesOutcome::NoStableMatching { culprit, .. } => {
-                    outln!("verdict        : no stable matching (culprit {culprit})");
-                }
-            }
-            let cert = match report.cert {
-                CertKind::Stable => "stable (self-certified)",
-                CertKind::Partition => "stable partition (verified)",
-                CertKind::FullWidth => "full-width solve",
-            };
-            outln!("certificate    : {cert}");
-            outln!(
-                "escalation     : {} truncated attempts, deciding cut {}",
-                report.attempts,
-                report.final_cut
-            );
-            if report.cert == CertKind::Partition {
-                outln!(
-                    "partition      : {} odd parties, {} singletons",
-                    report.odd_parties,
-                    report.singletons
-                );
-            }
-            outln!(
-                "arena          : {} entries ({} bytes) + {} oracle bytes",
-                report.arena_entries,
-                report.arena_bytes,
-                oracle.resident_bytes()
-            );
-            if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                outln!("peak rss bytes : {rss}");
-            }
-            outln!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
-            write_metrics(
-                args,
-                "roommates",
-                n,
-                1,
-                seed,
-                1,
-                elapsed.as_nanos() as u64,
-                metrics,
-                None,
-                None,
-            )?;
+    let mut ws = RoommatesWorkspace::new();
+    let mut metrics = kmatch_obs::SolverMetrics::new();
+    let t0 = clock.now_ns();
+    let (outcome, report) = solve_escalating_metered(&oracle, &mut ws, &mut metrics);
+    metrics.solve_ns(clock.now_ns().saturating_sub(t0));
+    let elapsed = start.elapsed();
+    outln!("instance       : n={n} seed={seed} (roommates, lazy random)");
+    match &outcome {
+        RoommatesOutcome::Stable { stats, .. } => {
+            outln!("verdict        : stable ({} proposals)", stats.proposals);
         }
-        "truncated" => {
-            if args.flag("metrics-out").is_some() {
-                return Err("--metrics-out on solve roommates requires --prefs random \
-                            (the fixed-cut probe is unmetered)"
-                    .to_string());
-            }
-            let keep: u32 = args.flag_or("keep", 10)?;
-            if keep == 0 {
-                return Err("need --keep >= 1".to_string());
-            }
-            let truncated = TruncatedRoommates::new(&oracle, keep);
-            let mut ws = RoommatesWorkspace::new();
-            let out = tolerant_solve_budgeted(&truncated, &mut ws, 8);
-            let elapsed = start.elapsed();
-            outln!("instance       : n={n} seed={seed} (roommates, truncated keep = {keep})");
-            match out {
-                TolerantOutcome::Perfect { stats, .. } => {
-                    outln!(
-                        "verdict        : stable — certified for the complete instance ({} proposals)",
-                        stats.proposals
-                    );
-                }
-                TolerantOutcome::Partition { partition, .. } => {
-                    if verify_partition(&oracle, &partition.pi) {
-                        outln!(
-                            "verdict        : no stable matching — verified partition ({} odd parties, {} singletons)",
-                            partition.odd_parties, partition.singletons
-                        );
-                    } else {
-                        outln!(
-                            "verdict        : inconclusive at keep = {keep} (partition claim did not verify; escalate)"
-                        );
-                    }
-                }
-                TolerantOutcome::Abort { .. } => {
-                    outln!(
-                        "verdict        : inconclusive at keep = {keep} (certification impossible; escalate)"
-                    );
-                }
-            }
-            if let Some(rss) = kmatch_obs::peak_rss_bytes() {
-                outln!("peak rss bytes : {rss}");
-            }
-            outln!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
-        }
-        other => {
-            return Err(format!(
-                "unknown prefs backend for solve roommates: {other} (expected random|truncated)"
-            ))
+        RoommatesOutcome::NoStableMatching { culprit, .. } => {
+            outln!("verdict        : no stable matching (culprit {culprit})");
         }
     }
-    Ok(())
+    let cert = match report.cert {
+        CertKind::Stable => "stable (self-certified)",
+        CertKind::Partition => "stable partition (verified)",
+        CertKind::FullWidth => "full-width solve",
+    };
+    outln!("certificate    : {cert}");
+    outln!(
+        "escalation     : {} truncated attempts, deciding cut {}",
+        report.attempts,
+        report.final_cut
+    );
+    if report.cert == CertKind::Partition {
+        outln!(
+            "partition      : {} odd parties, {} singletons",
+            report.odd_parties,
+            report.singletons
+        );
+    }
+    outln!(
+        "arena          : {} entries ({} bytes) + {} oracle bytes",
+        report.arena_entries,
+        report.arena_bytes,
+        oracle.resident_bytes()
+    );
+    if let Some(rss) = kmatch_obs::peak_rss_bytes() {
+        outln!("peak rss bytes : {rss}");
+    }
+    outln!("wall time      : {:.3} ms", elapsed.as_secs_f64() * 1e3);
+    write_metrics(
+        args,
+        "roommates",
+        n,
+        1,
+        seed,
+        1,
+        elapsed.as_nanos() as u64,
+        metrics,
+        None,
+    )
 }
 
 fn solve_smp(args: &Args) -> Result<(), String> {
@@ -836,11 +766,10 @@ where
     }
 }
 
-/// Emit the RunReport when `--metrics-out` was given, and publish it to
-/// the live `/report` endpoint when an operator plane is armed
-/// (`--ops-listen`). `threads` is the worker count the command actually
-/// used; `executor` attaches the work-stealing straggler section when
-/// the batch ran through the deterministic executor.
+/// Emit the RunReport when `--metrics-out` was given. `threads` is the
+/// worker count the command actually used; `executor` attaches the
+/// work-stealing straggler section when the batch ran through the
+/// deterministic executor.
 #[allow(clippy::too_many_arguments)]
 fn write_metrics(
     args: &Args,
@@ -852,27 +781,20 @@ fn write_metrics(
     wall_ns: u64,
     merged: kmatch_obs::SolverMetrics,
     executor: Option<kmatch_obs::ExecutorSection>,
-    ops: Option<&OpsHandle>,
 ) -> Result<(), String> {
-    let path = args.flag("metrics-out");
-    if path.is_none() && ops.is_none() {
+    let Some(path) = args.flag("metrics-out") else {
         return Ok(());
-    }
+    };
     let format = args.flag("metrics-format").unwrap_or("json");
     let mut report =
         kmatch_obs::RunReport::new(kind, n, instances, seed, threads, wall_ns, merged, None);
     if let Some(section) = executor {
         report = report.with_executor(section);
     }
-    if let Some(handle) = ops {
-        handle.state.set_report(report.to_json_string());
-    }
-    if let Some(path) = path {
-        report
-            .write(std::path::Path::new(path), format)
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path} ({format})");
-    }
+    report
+        .write(std::path::Path::new(path), format)
+        .map_err(|e| format!("writing {path}: {e}"))?;
+    eprintln!("wrote {path} ({format})");
     Ok(())
 }
 
@@ -890,7 +812,6 @@ struct BatchFront<'a> {
     metered: bool,
     /// A lazy-oracle batch, whose output reports the peak RSS.
     lazy: bool,
-    ops: Option<&'a OpsHandle>,
 }
 
 impl BatchFront<'_> {
@@ -899,8 +820,7 @@ impl BatchFront<'_> {
     /// `--trace-out`, metered into the registry when `metered`, otherwise
     /// through `plain(batch, threads, steal_seed)` — then print the
     /// `summary` of the outcomes, the executor line, the `after` line and
-    /// the wall time, and write the trace, the wave heartbeat and the
-    /// run report.
+    /// the wall time, and write the trace and the run report.
     fn run<P: Sync, E: kmatch_parallel::Engine<P>>(
         &self,
         batch: &[P],
@@ -959,11 +879,6 @@ impl BatchFront<'_> {
                 traces.into_iter().map(|t| t.events).collect(),
             ))?;
         }
-        if let Some(handle) = self.ops {
-            // The watchdog's heartbeat per worker: the tasks its lane ran.
-            let tasks: Vec<u64> = executor.lanes.iter().map(|l| l.tasks).collect();
-            handle.note_wave(n, &tasks);
-        }
         write_metrics(
             self.args,
             self.kind,
@@ -974,7 +889,6 @@ impl BatchFront<'_> {
             elapsed.as_nanos() as u64,
             registry.take(),
             Some(executor),
-            self.ops,
         )
     }
 
@@ -1059,13 +973,11 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
         "cache",
         "threads",
         "errors-out",
-        "ops-listen",
         "metrics-out",
         "metrics-format",
         "trace-out",
         "trace-format",
         "flight-recorder",
-        "postmortem-dir",
     ])?;
     let topts = TraceOpts::from_args(args)?;
     let seed: u64 = args.flag_or("seed", 0)?;
@@ -1100,47 +1012,13 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
     if topts.enabled() && cache_on {
         return Err("--trace-out is not supported with --cache on".to_string());
     }
-    if args.flag("ops-listen").is_some() && prefs == "truncated" {
-        return Err(
-            "--ops-listen is not supported with --prefs truncated (unmetered path)".to_string(),
-        );
-    }
-    let ops = OpsHandle::from_batch_args(args)?;
-    // batch --postmortem-dir rides on the operator plane: a forensic
-    // plane (bundle policy + panic hook) arms for the batch's duration,
-    // so a crash mid-batch leaves a validating bundle behind.
-    if let Some(dir) = args.flag("postmortem-dir") {
-        let Some(handle) = ops.as_ref() else {
-            return Err("--postmortem-dir requires --ops-listen (the bundle writer lives \
-                        on the operator plane)"
-                .to_string());
-        };
-        let dir = std::path::PathBuf::from(dir);
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| format!("creating --postmortem-dir {}: {e}", dir.display()))?;
-        let plane = kmatch_ops::ForensicsPlane::new(threads)
-            .with_postmortem_dir(dir)
-            .with_seed(seed)
-            .with_config("cmd", "batch")
-            .with_config("kind", kind)
-            .with_config("prefs", prefs)
-            .with_config("threads", threads);
-        handle.state.attach_forensics(plane);
-        kmatch_ops::OpsState::install_panic_hook(&handle.state);
-    }
-    // --ops-listen implies the metered engines: the live endpoints are
-    // fed from the registry, so an unmetered batch would scrape empty.
-    let metered = args.flag("metrics-out").is_some() || ops.is_some();
-    let local_registry = kmatch_obs::BatchRegistry::new();
-    let registry: &kmatch_obs::BatchRegistry = match &ops {
-        Some(handle) => handle.state.registry(),
-        None => &local_registry,
-    };
+    let metered = args.flag("metrics-out").is_some();
+    let registry = kmatch_obs::BatchRegistry::new();
     let clock = kmatch_obs::StdClock::new();
     let front = BatchFront {
         args,
         topts: &topts,
-        registry,
+        registry: &registry,
         clock: &clock,
         kind,
         seed,
@@ -1148,7 +1026,6 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
         // The solve cache meters its own run.
         metered: metered && !cache_on,
         lazy: prefs != "csr",
-        ops: ops.as_ref(),
     };
     let inputs: Vec<&str> = args.flag_values("input").collect();
     if prefs != "csr" {
@@ -1158,7 +1035,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             );
         }
         if kind == "roommates" && prefs == "scores" {
-            return Err("--prefs scores is bipartite-only (use random|truncated)".to_string());
+            return Err("--prefs scores is bipartite-only (use random)".to_string());
         }
         if cache_on {
             return Err("--cache requires --prefs csr (lazy instances hash trivially)".to_string());
@@ -1242,7 +1119,7 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
                     }
                     let mut cache = SolveCache::default();
                     let cached = kmatch_parallel::solve_batch_cached(
-                        batch, threads, steal_seed, &mut cache, registry, &clock,
+                        batch, threads, steal_seed, &mut cache, &registry, &clock,
                     );
                     cache_line.set(Some(format!(
                         "cache          : {} hits / {} misses ({:.1}% hit rate)",
@@ -1258,10 +1135,8 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
         }
         "roommates" if prefs != "csr" => {
             use kmatch_obs::Clock;
-            use kmatch_prefs::{CachedRoommatesOracle, TruncatedRoommates};
-            use kmatch_roommates::{
-                solve_escalating_metered, tolerant_solve_budgeted, CertKind, RoommatesWorkspace,
-            };
+            use kmatch_prefs::CachedRoommatesOracle;
+            use kmatch_roommates::{solve_escalating_metered, CertKind, RoommatesWorkspace};
             if topts.enabled() {
                 return Err("--trace-out on lazy roommates batches is not supported".to_string());
             }
@@ -1273,90 +1148,46 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             let n: usize = args.require("n")?;
             check_lazy_n(n, 2)?;
             let count: usize = args.flag_or("count", 100)?;
-            let start = std::time::Instant::now();
-            match prefs {
-                "random" => {
-                    // One reusable workspace; each instance is an
-                    // independently seeded lazy oracle solved through the
-                    // escalating certified driver.
-                    let mut ws = RoommatesWorkspace::new();
-                    let mut shard = kmatch_obs::SolverMetrics::new();
-                    let (mut solvable, mut fullwidth) = (0u64, 0u64);
-                    for i in 0..count {
-                        let oracle = CachedRoommatesOracle::new(n, seed.wrapping_add(i as u64));
-                        let t0 = clock.now_ns();
-                        let (outcome, report) =
-                            solve_escalating_metered(&oracle, &mut ws, &mut shard);
-                        shard.solve_ns(clock.now_ns().saturating_sub(t0));
-                        solvable += u64::from(outcome.is_stable());
-                        fullwidth += u64::from(report.cert == CertKind::FullWidth);
-                    }
-                    let elapsed = start.elapsed();
-                    registry.absorb(shard);
-                    outln!("instances      : {count} x n={n} (roommates, lazy random)");
-                    outln!(
-                        "solvable       : {solvable} ({:.1}%)",
-                        100.0 * solvable as f64 / count.max(1) as f64
-                    );
-                    outln!(
-                        "certificates   : {} truncated, {fullwidth} full-width",
-                        count as u64 - fullwidth
-                    );
-                    print_wall(count, elapsed, true)?;
-                    if let Some(handle) = &ops {
-                        handle.note_wave(n, &[count as u64]);
-                    }
-                    write_metrics(
-                        args,
-                        "roommates",
-                        n,
-                        count,
-                        seed,
-                        1,
-                        elapsed.as_nanos() as u64,
-                        registry.take(),
-                        None,
-                        ops.as_ref(),
-                    )?;
-                }
-                "truncated" => {
-                    if metered {
-                        return Err("--prefs truncated supports neither --metrics-out nor \
-                                    --ops-listen (fixed-cut probes are unmetered)"
-                            .to_string());
-                    }
-                    let keep: u32 = args.flag_or("keep", 10)?;
-                    if keep == 0 {
-                        return Err("need --keep >= 1".to_string());
-                    }
-                    let mut ws = RoommatesWorkspace::new();
-                    let (mut stable, mut unsolvable, mut inconclusive) = (0u64, 0u64, 0u64);
-                    for i in 0..count {
-                        let oracle = CachedRoommatesOracle::new(n, seed.wrapping_add(i as u64));
-                        let truncated = TruncatedRoommates::new(&oracle, keep);
-                        use kmatch_roommates::{verify_partition, TolerantOutcome};
-                        match tolerant_solve_budgeted(&truncated, &mut ws, 8) {
-                            TolerantOutcome::Perfect { .. } => stable += 1,
-                            TolerantOutcome::Partition { partition, .. } => {
-                                if verify_partition(&oracle, &partition.pi) {
-                                    unsolvable += 1;
-                                } else {
-                                    inconclusive += 1;
-                                }
-                            }
-                            TolerantOutcome::Abort { .. } => inconclusive += 1,
-                        }
-                    }
-                    let elapsed = start.elapsed();
-                    outln!("instances      : {count} x n={n} (roommates, truncated keep = {keep})");
-                    outln!(
-                        "certified      : {stable} stable, {unsolvable} unsolvable, \
-                         {inconclusive} inconclusive"
-                    );
-                    print_wall(count, elapsed, true)?;
-                }
-                other => return Err(format!("unknown prefs backend: {other}")),
+            if prefs != "random" {
+                return Err(format!("unknown prefs backend: {prefs}"));
             }
+            // One reusable workspace; each instance is an independently
+            // seeded lazy oracle solved through the escalating certified
+            // driver.
+            let start = std::time::Instant::now();
+            let mut ws = RoommatesWorkspace::new();
+            let mut shard = kmatch_obs::SolverMetrics::new();
+            let (mut solvable, mut fullwidth) = (0u64, 0u64);
+            for i in 0..count {
+                let oracle = CachedRoommatesOracle::new(n, seed.wrapping_add(i as u64));
+                let t0 = clock.now_ns();
+                let (outcome, report) = solve_escalating_metered(&oracle, &mut ws, &mut shard);
+                shard.solve_ns(clock.now_ns().saturating_sub(t0));
+                solvable += u64::from(outcome.is_stable());
+                fullwidth += u64::from(report.cert == CertKind::FullWidth);
+            }
+            let elapsed = start.elapsed();
+            outln!("instances      : {count} x n={n} (roommates, lazy random)");
+            outln!(
+                "solvable       : {solvable} ({:.1}%)",
+                100.0 * solvable as f64 / count.max(1) as f64
+            );
+            outln!(
+                "certificates   : {} truncated, {fullwidth} full-width",
+                count as u64 - fullwidth
+            );
+            print_wall(count, elapsed, true)?;
+            write_metrics(
+                args,
+                "roommates",
+                n,
+                count,
+                seed,
+                1,
+                elapsed.as_nanos() as u64,
+                shard,
+                None,
+            )?;
         }
         "roommates" => {
             if cache_on {
@@ -1397,9 +1228,6 @@ fn batch_cmd(args: &Args) -> Result<(), String> {
             )?;
         }
         other => return Err(format!("unknown batch kind: {other}")),
-    }
-    if let Some(handle) = ops {
-        handle.finish();
     }
     Ok(())
 }
@@ -1860,7 +1688,6 @@ fn delta_cmd(args: &Args) -> Result<(), String> {
         start.elapsed().as_nanos() as u64,
         metrics,
         None,
-        None,
     )
 }
 
@@ -1906,60 +1733,57 @@ fn bind_cmd(args: &Args) -> Result<(), String> {
     let incremental: bool = args.flag_or("incremental", false)?;
     let trace_clock = kmatch_obs::StdClock::new();
     let mut sink = topts.enabled().then(|| topts.sink(&trace_clock));
+    let mut metrics = kmatch_obs::SolverMetrics::new();
+    let start = std::time::Instant::now();
     if !incremental {
         let out = match sink.as_mut() {
-            Some(sink) => kmatch_core::bind_metered(&inst, &tree, sink),
-            None => bind_with_stats(&inst, &tree),
+            Some(sink) => kmatch_core::bind_metered(&inst, &tree, &mut (&mut metrics, sink)),
+            None => kmatch_core::bind_metered(&inst, &tree, &mut metrics),
         };
         let stable = find_blocking_family(&inst, &out.matching).is_none();
         outln!("binding tree : {tree}");
         outln!("proposals    : {}", out.total_proposals());
         outln!("stable       : {stable}");
-        if let Some(sink) = sink {
-            topts.write(&TraceTrack::main(sink.into_events().0))?;
-        }
-        return Ok(());
-    }
-    let mut metrics = kmatch_obs::SolverMetrics::new();
-    let start = std::time::Instant::now();
-    let mut binder = IncrementalBinder::new(inst, tree);
-    let first = match sink.as_mut() {
-        Some(sink) => binder.bind_metered(&mut (&mut metrics, sink)),
-        None => binder.bind_metered(&mut metrics),
-    };
-    outln!("binding tree : {}", binder.tree());
-    outln!(
-        "initial bind : {} proposals over {} edges",
-        first.total_proposals(),
-        first.per_edge.len()
-    );
-    if let Some(path) = args.flag("updates") {
-        let items = load_batch_elements(path)?;
-        for (i, item) in items.iter().enumerate() {
-            let dto = <UpdateDto as serde::Deserialize>::from_value(item)
-                .map_err(|e| format!("{path}: update {i}: {e}"))?;
-            binder
-                .set_pref_row(
-                    Member::new(GenderId(dto.gender as u16), dto.index),
-                    GenderId(dto.target as u16),
-                    &dto.prefs,
-                )
-                .map_err(|e| format!("{path}: update {i}: {e}"))?;
-        }
-        let (dirty0, clean0) = (metrics.edges_dirty, metrics.edges_clean);
-        let rebound = match sink.as_mut() {
+    } else {
+        let mut binder = IncrementalBinder::new(inst, tree);
+        let first = match sink.as_mut() {
             Some(sink) => binder.bind_metered(&mut (&mut metrics, sink)),
             None => binder.bind_metered(&mut metrics),
         };
-        let stable = find_blocking_family(binder.instance(), &rebound.matching).is_none();
+        outln!("binding tree : {}", binder.tree());
         outln!(
-            "rebind       : {} proposals, {} dirty / {} clean edges after {} updates",
-            rebound.total_proposals(),
-            metrics.edges_dirty - dirty0,
-            metrics.edges_clean - clean0,
-            items.len()
+            "initial bind : {} proposals over {} edges",
+            first.total_proposals(),
+            first.per_edge.len()
         );
-        outln!("stable       : {stable}");
+        if let Some(path) = args.flag("updates") {
+            let items = load_batch_elements(path)?;
+            for (i, item) in items.iter().enumerate() {
+                let dto = <UpdateDto as serde::Deserialize>::from_value(item)
+                    .map_err(|e| format!("{path}: update {i}: {e}"))?;
+                binder
+                    .set_pref_row(
+                        Member::new(GenderId(dto.gender as u16), dto.index),
+                        GenderId(dto.target as u16),
+                        &dto.prefs,
+                    )
+                    .map_err(|e| format!("{path}: update {i}: {e}"))?;
+            }
+            let (dirty0, clean0) = (metrics.edges_dirty, metrics.edges_clean);
+            let rebound = match sink.as_mut() {
+                Some(sink) => binder.bind_metered(&mut (&mut metrics, sink)),
+                None => binder.bind_metered(&mut metrics),
+            };
+            let stable = find_blocking_family(binder.instance(), &rebound.matching).is_none();
+            outln!(
+                "rebind       : {} proposals, {} dirty / {} clean edges after {} updates",
+                rebound.total_proposals(),
+                metrics.edges_dirty - dirty0,
+                metrics.edges_clean - clean0,
+                items.len()
+            );
+            outln!("stable       : {stable}");
+        }
     }
     if let Some(sink) = sink {
         topts.write(&TraceTrack::main(sink.into_events().0))?;
@@ -1973,7 +1797,6 @@ fn bind_cmd(args: &Args) -> Result<(), String> {
         1,
         start.elapsed().as_nanos() as u64,
         metrics,
-        None,
         None,
     )
 }
@@ -2138,9 +1961,9 @@ mod tests {
         ])
         .is_err());
         assert!(call(&["serve", "--listen", "127.0.0.1:0", "--stall-ms", "0"]).is_err());
-        // batch --postmortem-dir needs the operator plane.
-        assert!(call(&["batch", "--n", "4", "--count", "2", "--postmortem-dir", "/tmp/x"])
-            .is_err());
+        // serve is the one live plane: batch takes neither of its flags.
+        assert!(misused(&["batch", "--n", "4", "--count", "2", "--postmortem-dir", "/tmp/x"]));
+        assert!(misused(&["batch", "--n", "4", "--count", "2", "--ops-listen", "127.0.0.1:0"]));
     }
 
     #[test]
@@ -2486,7 +2309,6 @@ mod tests {
         let limit = kmatch_prefs::ORACLE_MAX_N.to_string();
         for cmd in [
             "solve roommates --n N",
-            "solve roommates --n N --prefs truncated",
             "solve smp --prefs random --n N",
             "solve smp --prefs truncated --n N",
             "solve smp --prefs scores --n N",
@@ -2530,61 +2352,12 @@ mod tests {
 
     #[test]
     fn solve_roommates_lazy_paths() {
-        // Escalating certified driver over the lazy oracle.
+        // Escalating certified driver over the lazy oracle, the one
+        // backend: it picks its own cuts.
         call(&["solve", "roommates", "--n", "64", "--seed", "3"]).unwrap();
-        call(&[
-            "solve",
-            "roommates",
-            "--n",
-            "64",
-            "--seed",
-            "3",
-            "--prefs",
-            "random",
-        ])
-        .unwrap();
-        // Fixed-cut probe: any verdict line is fine, the command must run.
-        call(&[
-            "solve",
-            "roommates",
-            "--n",
-            "64",
-            "--seed",
-            "3",
-            "--prefs",
-            "truncated",
-            "--keep",
-            "12",
-        ])
-        .unwrap();
         assert!(call(&["solve", "roommates", "--n", "1"]).is_err());
-        assert!(call(&["solve", "roommates", "--n", "8", "--prefs", "nope"]).is_err());
-        assert!(call(&[
-            "solve",
-            "roommates",
-            "--n",
-            "8",
-            "--prefs",
-            "truncated",
-            "--keep",
-            "0"
-        ])
-        .is_err());
-        // The fixed-cut probe is unmetered.
-        assert_eq!(
-            call(&[
-                "solve",
-                "roommates",
-                "--n",
-                "8",
-                "--prefs",
-                "truncated",
-                "--metrics-out",
-                "/tmp/kmatch-cli-rm-nope.json",
-            ])
-            .unwrap_err(),
-            "--metrics-out on solve roommates requires --prefs random (the fixed-cut probe is unmetered)"
-        );
+        assert!(misused(&["solve", "roommates", "--n", "8", "--prefs", "random"]));
+        assert!(misused(&["solve", "roommates", "--n", "8", "--keep", "12"]));
     }
 
     #[test]
@@ -2644,20 +2417,22 @@ mod tests {
             "2",
         ])
         .unwrap();
-        call(&[
-            "batch",
-            "--kind",
-            "roommates",
-            "--prefs",
-            "truncated",
-            "--keep",
-            "16",
-            "--n",
-            "48",
-            "--count",
-            "6",
-        ])
-        .unwrap();
+        // The escalating driver is the one lazy roommates verdict path.
+        assert_eq!(
+            call(&[
+                "batch",
+                "--kind",
+                "roommates",
+                "--prefs",
+                "truncated",
+                "--n",
+                "48",
+                "--count",
+                "6",
+            ])
+            .unwrap_err(),
+            "unknown prefs backend: truncated"
+        );
         // scores is bipartite-only; lazy roommates batches are serial.
         assert!(call(&[
             "batch",

@@ -222,7 +222,7 @@ fn victim_order(threads: usize, worker: usize, seed: u64) -> Vec<usize> {
 /// starting no more workers than there are tasks.
 ///
 /// `init` builds one scratch state per worker (it receives the worker
-/// index, so worker-lane artifacts — probes, span registers — can bind to
+/// index, so worker-lane artifacts — progress probes — can bind to
 /// their lane); `run` executes a task by id against that state. Returns
 /// every task's result keyed by id (sorted ascending —
 /// schedule-independent), the per-worker states in worker order (for

@@ -662,7 +662,7 @@ pub fn gale_shapley_traced<P: BipartitePrefs>(prefs: &P) -> (GsOutcome, Vec<GsEv
 
 /// The original runtime-checked implementation, kept verbatim as a
 /// differential baseline for the fast path (see `tests/prop_fastpath.rs`
-/// and the `bench_throughput` benchmark).
+/// and the `single` rows of `bench_gs_json`).
 pub fn gale_shapley_reference<P: BipartitePrefs>(prefs: &P) -> GsOutcome {
     run_reference(prefs, None)
 }

@@ -386,7 +386,7 @@ impl Metrics for SolverMetrics {
 /// This is how engines serve several observers through their one
 /// `&mut M` parameter — a metrics shard beside a span recorder, a shard
 /// beside a live progress probe — and pairs nest, so
-/// `(&mut shard, &mut (&mut recorder, &mut register))` feeds three.
+/// `(&mut shard, &mut (&mut recorder, &mut probe))` feeds three.
 /// `ENABLED` and `FINE_SPANS` are the OR of the members', so a
 /// coarse-only member paired with a fine one *will* receive the
 /// per-round spans the pair admits; pair observers of equal span

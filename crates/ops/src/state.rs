@@ -189,41 +189,6 @@ impl OpsState {
         self.inner().report_json.clone()
     }
 
-    /// Periodic maintenance tick: snapshot the registry into the rolling
-    /// window and feed the per-worker `heartbeats` to the watchdog.
-    /// Stall and recovery events are logged at warn/info level; the
-    /// events are also returned for callers that react directly.
-    pub fn tick(&self, heartbeats: &[u64]) -> Vec<StallEvent> {
-        let now = self.clock.now_ns();
-        let snapshot = self.registry.snapshot();
-        let mut inner = self.inner();
-        inner.window.tick(now, snapshot);
-        let events = inner.watchdog.sample(now, heartbeats);
-        for ev in &events {
-            let (level, msg) = if ev.resumed {
-                (Level::Info, "worker resumed")
-            } else {
-                (Level::Warn, "worker stalled")
-            };
-            inner.log.record(
-                now,
-                level,
-                "ops",
-                msg,
-                vec![
-                    ("worker".to_string(), ev.worker.to_string()),
-                    ("idle_ns".to_string(), ev.idle_ns.to_string()),
-                ],
-            );
-        }
-        events
-    }
-
-    /// Currently stalled worker lanes (empty = healthy).
-    pub fn stalled_workers(&self) -> Vec<usize> {
-        self.inner().watchdog.stalled_workers()
-    }
-
     /// The last `n` log records, oldest first, as `kmatch.log/v1` JSONL.
     pub fn logs_jsonl(&self, n: usize) -> String {
         self.inner().log.tail_jsonl(n)
@@ -290,14 +255,16 @@ impl OpsState {
         Some(plane.profile.collapsed(plane.probes.names()))
     }
 
-    /// [`OpsState::tick`] driven by the attached probes' heartbeat
-    /// generations. A lane between solves (phase idle) has no work in
-    /// flight, so it cannot stall: its reading is the tick's clock, which
-    /// moves. Any *new* stall event also triggers a postmortem
-    /// bundle (trigger `"stall"`) when the plane has a bundle directory;
-    /// the watchdog only emits events on state *transitions*, so an
-    /// ongoing stall writes exactly one bundle. No-op tick when no plane
-    /// is attached.
+    /// Periodic maintenance tick: snapshot the registry into the rolling
+    /// window and feed the watchdog the attached probes' heartbeat
+    /// generations, its one input. A lane between solves (phase idle) has
+    /// no work in flight, so it cannot stall: its reading is the tick's
+    /// clock, which moves. Stall and recovery events are logged at
+    /// warn/info level and returned. Any *new* stall event also triggers
+    /// a postmortem bundle (trigger `"stall"`) when the plane has a bundle
+    /// directory; the watchdog only emits events on state *transitions*,
+    /// so an ongoing stall writes exactly one bundle. No-op tick when no
+    /// plane is attached.
     pub fn tick_probed(&self) -> Vec<StallEvent> {
         let Some(plane) = self.forensics() else {
             return Vec::new();
@@ -309,7 +276,28 @@ impl OpsState {
             .iter()
             .map(|s| if s.phase == phase::IDLE { now } else { s.generation })
             .collect();
-        let events = self.tick(&readings);
+        let snapshot = self.registry.snapshot();
+        let mut inner = self.inner();
+        inner.window.tick(now, snapshot);
+        let events = inner.watchdog.sample(now, &readings);
+        for ev in &events {
+            let (level, msg) = if ev.resumed {
+                (Level::Info, "worker resumed")
+            } else {
+                (Level::Warn, "worker stalled")
+            };
+            inner.log.record(
+                now,
+                level,
+                "ops",
+                msg,
+                vec![
+                    ("worker".to_string(), ev.worker.to_string()),
+                    ("idle_ns".to_string(), ev.idle_ns.to_string()),
+                ],
+            );
+        }
+        drop(inner);
         if events.iter().any(|e| !e.resumed) {
             if let Some(dir) = plane.postmortem_dir.as_deref() {
                 match self.write_postmortem("stall") {
@@ -636,9 +624,10 @@ mod tests {
             steal_count: 0,
             straggler_ratio: 1.0,
         });
+        state.attach_forensics(ForensicsPlane::new(1));
         state.note_wave(100);
         clock.advance(5_000);
-        state.tick(&[1]);
+        state.tick_probed();
         let text = state.render_metrics();
         for family in [
             "kmatch_proposals_total",       // solver counter
@@ -658,14 +647,18 @@ mod tests {
     #[test]
     fn healthz_degrades_on_stall_and_recovers() {
         let (clock, state) = manual_state();
-        state.tick(&[7]);
+        let plane = ForensicsPlane::new(1);
+        state.attach_forensics(plane.clone());
+        let probe = plane.probes.probe(0);
+        probe.publish(kmatch_obs::phase::GS_ROUNDS, 0, 0, 1, 7);
+        state.tick_probed();
         let (ok, body) = state.healthz();
         assert!(ok);
         assert!(body.contains("\"status\":\"ok\""));
         assert!(body.contains("\"last_solve_age_ns\":null"));
         // Heartbeat freezes past the 1µs stall threshold.
         clock.advance(2_000);
-        let events = state.tick(&[7]);
+        let events = state.tick_probed();
         assert_eq!(events.len(), 1);
         let (ok, body) = state.healthz();
         assert!(!ok);
@@ -677,7 +670,8 @@ mod tests {
         // Progress resumes.
         clock.advance(100);
         state.note_wave(50);
-        state.tick(&[8]);
+        probe.publish(kmatch_obs::phase::GS_ROUNDS, 0, 0, 2, 8);
+        state.tick_probed();
         let (ok, body) = state.healthz();
         assert!(ok, "{body}");
         assert!(body.contains("\"last_solve_age_ns\":0"));
@@ -806,7 +800,7 @@ mod tests {
         state.tick_probed();
         clock.advance(2_000);
         state.tick_probed();
-        assert_eq!(state.stalled_workers(), vec![0]);
+        assert!(state.healthz().1.contains("\"stalled_workers\":[0]"));
     }
 
     #[test]

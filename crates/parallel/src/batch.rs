@@ -2,7 +2,7 @@
 //! instances across the work-stealing executor.
 //!
 //! Throughput-oriented callers (parameter sweeps, Monte-Carlo experiments,
-//! the `bench_throughput` benchmark) solve thousands of instances whose
+//! the `bench_gs_json` batch row) solve thousands of instances whose
 //! only relationship is that they arrive together. Each solve is
 //! independent, so the batch is embarrassingly parallel; the interesting
 //! part is keeping the per-solve constant factor down. Every front-end

@@ -22,7 +22,7 @@
 //!   worker `w`'s workspace (a `GsWorkspace`, a `RoommatesWorkspace`)
 //!   together with whatever observers it carries — a `FlightRecorder`
 //!   for per-worker timelines ([`ChunkTrace::from_workers`] reads them
-//!   back), a register lane and a progress probe for live forensics, or
+//!   back), a progress probe lane for live forensics, or
 //!   none.
 //! * [`executor`] — the binding executor: independent `GS(i, j)` bindings
 //!   (all at once, or each schedule round) run as executor tasks. Its

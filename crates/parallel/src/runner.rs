@@ -7,8 +7,8 @@
 //! contiguous task ranges on the stealing executor ([`crate::steal`]),
 //! gives each worker one workspace for its lifetime and each task one
 //! metrics shard, and returns the outcomes in item order. A workspace
-//! may carry worker-lifetime observers — a span recorder, a live span
-//! register, a progress probe — as `(workspace, observer)`, and those
+//! may carry worker-lifetime observers — a span recorder, a live
+//! progress probe lane — as `(workspace, observer)`, and those
 //! see every hook the task's shard sees. [`solve_batch_with`] is the one
 //! public metered front-end over it: the caller picks the observers by
 //! what its `worker` closure builds. A bare workspace with a `NoMetrics`
@@ -44,8 +44,8 @@ mod sealed {
 /// edges), and `(E, S)`: an engine `E` carrying a worker-lifetime
 /// observer `S`, which sees every hook right after the task's metrics
 /// shard. Observers nest outward, so
-/// `(((ws, probe), register), recorder)` hands each hook to the shard,
-/// then the recorder, the register and the probe.
+/// `((ws, probe), recorder)` hands each hook to the shard, then the
+/// recorder and the probe.
 pub trait Engine<P: ?Sized>: sealed::Sealed + Send {
     /// What one solve returns.
     type Outcome: Send;
@@ -97,8 +97,8 @@ impl<P: ?Sized, E: Engine<P>, S: Metrics + Send> Engine<P> for (E, S) {
 /// `w` solving through the workspace `worker(w)` builds — bare, or
 /// carrying the observers the caller wants as nested `(engine, observer)`
 /// pairs: a [`FlightRecorder`](kmatch_trace::FlightRecorder) for a
-/// per-worker timeline, a `kmatch_forensics` register lane and `Probed`
-/// progress probe for live forensics.
+/// per-worker timeline, a `kmatch_forensics` `Probed` lane (progress and
+/// span stack) for live forensics.
 ///
 /// Each executor *task* solves into its own thread-private
 /// [`SolverMetrics`] shard (plain `u64` increments, no atomics or locks
